@@ -27,7 +27,7 @@ class ResourceCaps:
     scan_count_cap: int = 1 << 16
     # retries for seeded random searches before exhaustion / undetermined
     random_tries: int = 64
-    # universe size gate for the torsion-class subset scan
+    # universe size gate for the torsion-class lattice search
     lattice_indec_cap: int = 24
 
 

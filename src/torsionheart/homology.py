@@ -215,11 +215,6 @@ class SES:
         return has_section(self.surject)
 
 
-def split_ses(left: Module, right: Module) -> SES:
-    total, incs, prjs = direct_sum([left, right], left.algebra)
-    return SES(left, total, right, incs[0], prjs[1])
-
-
 def pushout(f: Morphism, g: Morphism):
     """Pushout of f: X -> Y and g: X -> Z; returns (W, from_Y, from_Z)."""
     y, z = f.target, g.target
@@ -506,36 +501,6 @@ def is_left_minimal(f: Morphism) -> bool:
 
 
 # -- approximations ----------------------------------------------------------------
-
-def full_right_approximation(m: Module, gens: list[Module]) -> Morphism:
-    algebra = m.algebra
-    p = algebra.field.p
-    comps = [(g, b) for g in gens if not g.is_zero()
-             for b in hom_space(g, m).basis]
-    total, _, prjs = direct_sum([g for g, _ in comps], algebra)
-    maps = []
-    for v in range(algebra.quiver.n):
-        acc = linalg.zeros(total.dims[v], m.dims[v])
-        for prj, (_, b) in zip(prjs, comps):
-            acc = (acc + linalg.matmul(prj.maps[v], b.maps[v], p)) % p
-        maps.append(acc)
-    return Morphism(total, m, maps, check=False)
-
-
-def full_left_approximation(m: Module, gens: list[Module]) -> Morphism:
-    algebra = m.algebra
-    p = algebra.field.p
-    comps = [(g, b) for g in gens if not g.is_zero()
-             for b in hom_space(m, g).basis]
-    total, incs, _ = direct_sum([g for g, _ in comps], algebra)
-    maps = []
-    for v in range(algebra.quiver.n):
-        acc = linalg.zeros(m.dims[v], total.dims[v])
-        for inc, (_, b) in zip(incs, comps):
-            acc = (acc + linalg.matmul(b.maps[v], inc.maps[v], p)) % p
-        maps.append(acc)
-    return Morphism(m, total, maps, check=False)
-
 
 def is_right_approximation(f: Morphism, gens: list[Module]) -> bool:
     """Every map from add(gens) into f's target factors through f."""

@@ -151,10 +151,6 @@ def inverse(a: np.ndarray, p: int):
     return x
 
 
-def is_invertible(a: np.ndarray, p: int) -> bool:
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
-
-
 def row_space(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical rref basis of the row space (zero rows dropped)."""
     r, pivots = rref(a, p)

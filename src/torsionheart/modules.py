@@ -103,17 +103,6 @@ class Module:
             out = linalg.matmul(out, self.maps[ai], p)
         return out
 
-    def element_action(self, coeffs: dict[int, int], src: int, tgt: int) -> np.ndarray:
-        """Action of an algebra element given in basis coordinates, restricted
-        to the (src, tgt) block."""
-        p = self.algebra.field.p
-        out = linalg.zeros(self.dims[src], self.dims[tgt])
-        for bi, c in coeffs.items():
-            path = self.algebra.basis[bi]
-            if path[0] == src and path_target(self.algebra.quiver, path) == tgt:
-                out = (out + c * self.path_matrix(path)) % p
-        return out
-
     # -- structural submodules --------------------------------------------
 
     def radical_rows(self) -> list[np.ndarray]:

@@ -89,8 +89,9 @@ class TorsionPair:
                 f"F={sorted(bit_indices(self.torsion_free_bits))})")
 
 
-def torsion_closure(gens, u: IndecUniverse) -> int:
-    """Smallest torsion class containing the generators (modules or bitset)."""
+def torsion_closure(gens, u: IndecUniverse, closed: int = 0) -> int:
+    """Smallest torsion class containing the generators (modules or bitset)
+    and `closed`, which must already be a torsion class."""
     u.require_complete()
     if isinstance(gens, int):
         bits = gens
@@ -98,16 +99,26 @@ def torsion_closure(gens, u: IndecUniverse) -> int:
         bits = 0
         for g in gens:
             bits |= u.summand_bitset(g)
-    while True:
-        new = bits
-        for i in bit_indices(bits):
-            new |= quotient_summand_bits(u, i)
-        for i in bit_indices(bits):
-            for j in bit_indices(bits):
-                new |= ext_middle_union_bits(u, i, j)
-        if new == bits:
-            return bits
-        bits = new
+    return _close(u, closed, bits & ~closed)
+
+
+def _close(u: IndecUniverse, closed: int, new: int) -> int:
+    """Worklist fixpoint: each member outside `closed` reads its quotient
+    summands once and the Ext middles with every earlier member once; pairs
+    inside `closed` are skipped since it is already closed."""
+    bits = closed | new
+    done = bit_indices(closed)
+    todo = bit_indices(new)
+    while todo:
+        i = todo.pop()
+        found = quotient_summand_bits(u, i) | ext_middle_union_bits(u, i, i)
+        for j in done:
+            found |= ext_middle_union_bits(u, i, j) | ext_middle_union_bits(u, j, i)
+        done.append(i)
+        found &= ~bits
+        bits |= found
+        todo.extend(bit_indices(found))
+    return bits
 
 
 def is_torsion_class(u: IndecUniverse, bits: int) -> bool:

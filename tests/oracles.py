@@ -156,3 +156,49 @@ def brute_is_indecomposable(m) -> bool:
             if not is_zero and not is_id:
                 return False
     return True
+
+
+def subset_scan_lattice(u):
+    """Torsion classes and brick-labelled Hasse covers by the literal scan.
+
+    Every one of the 2^n subsets is closed by full rounds over the quotient
+    and Ext-middle tables until nothing changes; a cover is a pair of classes
+    with no class strictly between, labelled by the unique brick of
+    upper intersect lower^perp (Hom from every lower member vanishes).
+    Returns the classes sorted by (size, value) and the sorted
+    (upper, lower, label) triples."""
+    from torsionheart.krull import is_brick
+    from torsionheart.torsion import ext_middle_union_bits, quotient_summand_bits
+
+    found = set()
+    for bits in range(1 << u.n):
+        while True:
+            members = [i for i in range(u.n) if bits >> i & 1]
+            new = bits
+            for i in members:
+                new |= quotient_summand_bits(u, i)
+                for j in members:
+                    new |= ext_middle_union_bits(u, i, j)
+            if new == bits:
+                break
+            bits = new
+        found.add(bits)
+    classes = sorted(found, key=lambda b: (bin(b).count("1"), b))
+    covers = []
+    for a, upper in enumerate(classes):
+        for b, lower in enumerate(classes):
+            if lower == upper or lower & ~upper:
+                continue
+            if any(k not in (upper, lower) and lower & ~k == 0
+                   and k & ~upper == 0 for k in classes):
+                continue
+            bricks = [
+                x for x in range(u.n)
+                if upper >> x & 1 and not lower >> x & 1
+                and all(u.hom_table[t, x] == 0
+                        for t in range(u.n) if lower >> t & 1)
+                and is_brick(u.indecs[x])
+            ]
+            assert len(bricks) == 1, f"cover {a} > {b} has bricks {bricks}"
+            covers.append((a, b, bricks[0]))
+    return classes, covers

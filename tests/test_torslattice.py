@@ -4,10 +4,16 @@ from torsionheart import cotilting as co
 from torsionheart import heart as he
 from torsionheart import torsion as to
 from torsionheart import torslattice as tl
+from torsionheart.algebra import parse_algebra
 from torsionheart.exceptions import NotCotiltingError
 from torsionheart.krull import is_brick
+from torsionheart.universe import enumerate_indecomposables, popcount
 
 from conftest import module_by_dims
+from oracles import subset_scan_lattice
+
+A5_TEXT = ("field 2\nvertices 1 2 3 4 5\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+           "arrow c: 3 -> 4\narrow d: 4 -> 5\n")
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +149,39 @@ def test_brick_labels_recompute(a2_universe, a2_lattice):
     covers = tl.brick_labels(a2_lattice)
     assert [(c.upper, c.lower, c.label_index) for c in covers] == \
         [(c.upper, c.lower, c.label_index) for c in a2_lattice.covers]
+
+
+@pytest.mark.parametrize("universe", ["a2_universe", "a3_universe", "d4_universe"])
+def test_join_search_matches_subset_scan_oracle(universe, request):
+    u = request.getfixturevalue(universe)
+    lat = tl.enumerate_torsion_classes(u)
+    classes, covers = subset_scan_lattice(u)
+    assert lat.classes == classes
+    assert [(c.upper, c.lower, c.label_index) for c in lat.covers] == covers
+
+
+def test_closure_count_d4(d4_universe, monkeypatch):
+    # one closure per (class T, indecomposable outside T): no subset scan
+    closure = tl.torsion_closure
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(tl, "torsion_closure", counted)
+    u = d4_universe
+    lat = tl.enumerate_torsion_classes(u)
+    budget = sum(u.n - popcount(bits) for bits in lat.classes)
+    assert (lat.n, budget) == (50, 353)
+    assert len(calls) <= budget
+
+
+def test_a5_lattice_catalan():
+    # linear A5: C_6 = 132 torsion classes, 330 Hasse covers
+    u = enumerate_indecomposables(parse_algebra(A5_TEXT), (1,) * 5)
+    assert u.n == 15
+    lat = tl.enumerate_torsion_classes(u)
+    assert lat.n == 132
+    assert len(lat.covers) == 330
+    assert all(is_brick(u.indecs[c.label_index]) for c in lat.covers)
