@@ -72,12 +72,6 @@ class Quiver:
     def n(self) -> int:
         return len(self.vertices)
 
-    def vertex_index(self, label: str) -> int:
-        try:
-            return self.vertices.index(label)
-        except ValueError:
-            raise QuiverParseError(f"unknown vertex {label!r}") from None
-
     def reversed(self) -> "Quiver":
         return Quiver(
             self.vertices,
@@ -99,6 +93,23 @@ def path_concat(quiver: Quiver, p1: Path, p2: Path) -> Path | None:
     return (p1[0], p1[1] + p2[1])
 
 
+_MISSING = object()
+
+
+def cached(owner, key, compute):
+    """owner.memo[key], computed by compute() on first use; None is stored
+    like any other value.
+
+    Every memo entry lives on the object that defines its key: the algebra
+    for Hom, Ext, syzygies and basis products, keyed by module keys; the
+    universe for what depends on its members, keyed by universe indices,
+    bitsets or the keys of the modules it classifies."""
+    got = owner.memo.get(key, _MISSING)
+    if got is _MISSING:
+        got = owner.memo[key] = compute()
+    return got
+
+
 # a relation is a list of (coefficient, Path); all paths parallel, length >= 2
 Relation = list[tuple[int, Path]]
 
@@ -114,7 +125,7 @@ class BoundQuiverAlgebra:
         self.caps = caps
         self._validate_relations()
         self._build_basis()
-        self._mult_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self.memo: dict = {}
         self._op: BoundQuiverAlgebra | None = None
         self.key = self._content_key()
 
@@ -281,23 +292,20 @@ class BoundQuiverAlgebra:
         """Basis coordinates of an arbitrary path (zero dict if it dies)."""
         if len(path[1]) >= self.stabilized_length:
             return {}
-        cached = self._reduction.get(path)
-        if cached is not None:
-            return cached
+        got = self._reduction.get(path)
+        if got is not None:
+            return got
         raise ValueError(f"path {path} outside the enumerated range")
 
     def multiply_basis(self, i: int, j: int) -> dict[int, int]:
-        key = (i, j)
-        if key in self._mult_cache:
-            return self._mult_cache[key]
-        p1, p2 = self.basis[i], self.basis[j]
-        joined = path_concat(self.quiver, p1, p2)
+        return cached(self, ("multiply_basis", i, j),
+                      lambda: self._multiply_basis(i, j))
+
+    def _multiply_basis(self, i: int, j: int) -> dict[int, int]:
+        joined = path_concat(self.quiver, self.basis[i], self.basis[j])
         if joined is None or len(joined[1]) >= self.stabilized_length:
-            out: dict[int, int] = {}
-        else:
-            out = self.reduce_path(joined)
-        self._mult_cache[key] = out
-        return out
+            return {}
+        return self.reduce_path(joined)
 
     def op(self) -> "BoundQuiverAlgebra":
         """Opposite algebra: reversed arrows and reversed relation paths."""

@@ -49,7 +49,7 @@ def module_ref(u: IndecUniverse, m) -> dict:
     if not m.is_zero():
         from .krull import decompose
         counts = {}
-        for piece, mult in decompose(m, u.caps):
+        for piece, mult in decompose(m):
             idx = u.index_of(piece)
             counts[str(idx)] = counts.get(str(idx), 0) + mult
         ref["summands"] = dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
@@ -87,13 +87,13 @@ def algebra_json(algebra) -> dict:
 def _build_universe(args):
     with open(args.path, encoding="utf-8") as fh:
         text = fh.read()
-    caps = _caps_from_args(args)
-    algebra = parse_algebra(text, caps, field_override=args.field)
+    algebra = parse_algebra(text, _caps_from_args(args),
+                            field_override=args.field)
     if args.dim_bound:
         bound = tuple(int(x) for x in args.dim_bound.split(","))
     else:
         bound = tuple(2 for _ in algebra.quiver.vertices)
-    universe = enumerate_indecomposables(algebra, bound, caps)
+    universe = enumerate_indecomposables(algebra, bound)
     return algebra, universe
 
 
@@ -376,9 +376,13 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json", "dot"],
                        default="text")
         p.add_argument("--cap-ext-dim", type=int,
-                       default=DEFAULT_CAPS.ext_dim_cap)
+                       default=DEFAULT_CAPS.ext_dim_cap,
+                       help="largest Ext^1 dimension whose classes are "
+                            "scanned one by one")
         p.add_argument("--cap-submodule-dim", type=int,
-                       default=DEFAULT_CAPS.submodule_dim_cap)
+                       default=DEFAULT_CAPS.submodule_dim_cap,
+                       help="largest total dimension of a module whose "
+                            "submodules are scanned")
         if name == "heart":
             p.add_argument("--gens", default="",
                            help="torsion class generators: universe indices "

@@ -2,6 +2,12 @@
 
 All scans are exhaustive within these gates and raise ResourceLimitError
 beyond them; nothing is ever sampled silently.
+
+Caps are set once, when the algebra is parsed (`parse_algebra`, or the
+`BoundQuiverAlgebra` constructor), and every scan reads them from the
+algebra of the modules it scans.  The CLI's `--cap-*` flags therefore
+govern every scan of a run, the essentiality scan of the
+hereditary-pullback suite included.
 """
 
 from __future__ import annotations

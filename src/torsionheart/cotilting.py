@@ -50,9 +50,6 @@ class CotiltingData:
     def perp_members(self) -> list[Module]:
         return self.universe.members(self.perp_class_bits)
 
-    def add_c_members(self) -> list[Module]:
-        return self.universe.members(self.add_c_bits)
-
 
 def cogenerated_bits(u, c: Module) -> int:
     """Bitset of indecomposables X admitting a mono X -> C^k (joint kernel of

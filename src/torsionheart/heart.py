@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_CAPS
+from .algebra import cached
 from .cotilting import CotiltingData, special_cover, special_envelope
 from .exceptions import ResourceLimitError
 from .homology import (
     SES, ext1, factor_through, has_retraction, hom_space, injective_envelope,
+    pullback,
 )
 from .krull import is_isomorphic
 from .modules import Module, Morphism, cokernel, kernel, unvec_morphism
@@ -78,7 +79,7 @@ class HeartSequence:
 # -- almost torsion(-free) detection -------------------------------------------
 
 
-def _sum_descriptors(u: IndecUniverse, max_summands: int = 2):
+def _sum_descriptors(u: IndecUniverse):
     """Multiset descriptors of nonzero sums of at most two indecomposables."""
     out = []
     for i in range(u.n):
@@ -89,27 +90,14 @@ def _sum_descriptors(u: IndecUniverse, max_summands: int = 2):
     return out
 
 
-_SUM_EXT_ATTR = "_sum_ext_middle_cache"
-
-
 def _ext_middles_sum(u: IndecUniverse, right_desc, left_desc):
     """[(middle bitset)] over all classes in Ext^1(right, left) where both
     arguments are described as (index, multiplicity) multisets; cached."""
-    cache = getattr(u, _SUM_EXT_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(u, _SUM_EXT_ATTR, cache)
-    key = (tuple(right_desc), tuple(left_desc))
-    got = cache.get(key)
-    if got is None:
-        right = u.sum_module(dict(right_desc))
-        left = u.sum_module(dict(left_desc))
-        space = ext1(right, left)
-        got = []
-        for coeffs, ses in space.all_classes(u.caps):
-            got.append(u.summand_bitset(ses.middle))
-        cache[key] = got
-    return got
+    def compute():
+        space = ext1(u.sum_module(dict(right_desc)), u.sum_module(dict(left_desc)))
+        return [u.summand_bitset(ses.middle) for _, ses in space.all_classes()]
+    return cached(u, ("ext_middles_sum", tuple(right_desc), tuple(left_desc)),
+                  compute)
 
 
 def _bits_of_desc(desc) -> int:
@@ -166,7 +154,7 @@ def is_almost_torsion_free(t: Module, pair: TorsionPair,
         else:
             space = ext1(t, u.sum_module(dict(desc)))
             middles = [u.summand_bitset(ses.middle)
-                       for _, ses in space.all_classes(u.caps)]
+                       for _, ses in space.all_classes()]
         for middle_bits in middles:
             if middle_bits & ~pair.torsion_bits == 0:
                 return False
@@ -221,7 +209,7 @@ def is_almost_torsion(f: Module, pair: TorsionPair, mode: str = "fast") -> bool:
         else:
             space = ext1(u.sum_module(dict(desc)), f)
             middles = [u.summand_bitset(ses.middle)
-                       for _, ses in space.all_classes(u.caps)]
+                       for _, ses in space.all_classes()]
         for middle_bits in middles:
             if middle_bits & ~pair.torsion_free_bits == 0:
                 return False
@@ -277,11 +265,11 @@ def heart_mono_epi(h: Morphism, pair: TorsionPair) -> HeartMonoEpi:
 # -- left almost split morphisms -------------------------------------------------
 
 
-def _all_homs(x: Module, y: Module, caps=DEFAULT_CAPS):
+def _all_homs(x: Module, y: Module):
     h = hom_space(x, y)
     p = x.algebra.field.p
     d = h.dim
-    if p ** d > caps.scan_count_cap:
+    if p ** d > x.algebra.caps.scan_count_cap:
         raise ResourceLimitError(f"hom scan of size {p}^{d} exceeds cap")
     if d == 0:
         yield h.from_coords([])
@@ -291,8 +279,7 @@ def _all_homs(x: Module, y: Module, caps=DEFAULT_CAPS):
         yield unvec_morphism(x, y, (coeffs @ mat) % p)
 
 
-def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse,
-                         caps=DEFAULT_CAPS) -> bool:
+def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
     """f is not a split mono, and every non-split-mono out of its source into
     a class member factors through it.  Quantification over indecomposable
     targets suffices (sources with local endomorphism rings)."""
@@ -317,7 +304,7 @@ def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse,
             if linalg.rank(mat, p) < hx.dim:
                 return False
         else:
-            for g in _all_homs(x, target, caps):
+            for g in _all_homs(x, target):
                 if has_retraction(g):
                     continue
                 if factor_through(f, g) is None:
@@ -325,12 +312,11 @@ def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse,
     return True
 
 
-def is_strong_las(f: Morphism, class_bits: int, u: IndecUniverse,
-                  caps=DEFAULT_CAPS) -> bool:
+def is_strong_las(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
     """Left almost split with unique factorizations: the precomposition
     Hom(target, U) -> Hom(source, U) must be injective for every U in the
     class (uniqueness at g = 0 forces the kernel to vanish)."""
-    if not is_left_almost_split(f, class_bits, u, caps):
+    if not is_left_almost_split(f, class_bits, u):
         return False
     p = f.source.algebra.field.p
     for i in bit_indices(class_bits):
@@ -345,24 +331,23 @@ def is_strong_las(f: Morphism, class_bits: int, u: IndecUniverse,
     return True
 
 
-def is_strong_las_fast(f: Morphism, data: CotiltingData,
-                       caps=DEFAULT_CAPS) -> bool:
+def is_strong_las_fast(f: Morphism, data: CotiltingData) -> bool:
     """strong las in the cotilting class iff las and torsion cokernel."""
     u = data.universe
-    if not is_left_almost_split(f, data.c_class_bits, u, caps):
+    if not is_left_almost_split(f, data.c_class_bits, u):
         return False
     return u.in_class(cokernel(f)[0], data.pair.torsion_bits)
 
 
-def strong_las_uniqueness_scan(f: Morphism, class_bits: int, u: IndecUniverse,
-                               caps=DEFAULT_CAPS) -> bool:
+def strong_las_uniqueness_scan(f: Morphism, class_bits: int,
+                               u: IndecUniverse) -> bool:
     """Literal uniqueness oracle: for every class member and every non-split
     mono g out of the source, count the factorizations of g through f.
     The counting is batched: all composites f.then(h) are tabulated and each
     candidate g is looked up."""
     from collections import Counter
 
-    if not is_left_almost_split(f, class_bits, u, caps):
+    if not is_left_almost_split(f, class_bits, u):
         return False
     x = f.source
     p = x.algebra.field.p
@@ -371,7 +356,7 @@ def strong_las_uniqueness_scan(f: Morphism, class_bits: int, u: IndecUniverse,
         hx = hom_space(x, target)
         hy = hom_space(f.target, target)
         for d in (hx.dim, hy.dim):
-            if p ** d > caps.scan_count_cap:
+            if p ** d > x.algebra.caps.scan_count_cap:
                 raise ResourceLimitError(f"hom scan of size {p}^{d} exceeds cap")
         amb = sum(x.dims[v] * target.dims[v]
                   for v in range(x.algebra.quiver.n))
@@ -484,23 +469,11 @@ def classify_neg_isolated(data: CotiltingData):
 # -- split injectivity --------------------------------------------------------------
 
 
-_SUBCLOSED_ATTR = "_class_submodule_closed"
-
-
 def _class_submodule_closed(u: IndecUniverse, class_bits: int) -> bool:
     from .torsion import submodule_summand_bits
-    cache = getattr(u, _SUBCLOSED_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(u, _SUBCLOSED_ATTR, cache)
-    got = cache.get(class_bits)
-    if got is None:
-        got = all(
-            submodule_summand_bits(u, i) & ~class_bits == 0
-            for i in bit_indices(class_bits)
-        )
-        cache[class_bits] = got
-    return got
+    return cached(u, ("class_submodule_closed", class_bits), lambda: all(
+        submodule_summand_bits(u, i) & ~class_bits == 0
+        for i in bit_indices(class_bits)))
 
 
 def _indec_split_injective(idx: int, class_bits: int, u: IndecUniverse) -> bool:
@@ -513,8 +486,8 @@ def _indec_split_injective(idx: int, class_bits: int, u: IndecUniverse) -> bool:
     return True
 
 
-def _indec_split_injective_scan(m: Module, class_bits: int, u: IndecUniverse,
-                                caps=DEFAULT_CAPS) -> bool:
+def _indec_split_injective_scan(m: Module, class_bits: int,
+                                u: IndecUniverse) -> bool:
     """Bounded literal scan: monos into sums of at most length(M) class
     members, one irredundant tuple at a time."""
     from itertools import combinations_with_replacement
@@ -526,14 +499,13 @@ def _indec_split_injective_scan(m: Module, class_bits: int, u: IndecUniverse,
         for tup in combinations_with_replacement(members, k):
             from .modules import direct_sum
             target, incs, _ = direct_sum(list(tup), m.algebra)
-            for g in _all_homs(m, target, caps):
+            for g in _all_homs(m, target):
                 if g.is_mono() and not has_retraction(g):
                     return False
     return True
 
 
-def is_split_injective(m: Module, class_bits: int, u: IndecUniverse,
-                       caps=DEFAULT_CAPS) -> bool:
+def is_split_injective(m: Module, class_bits: int, u: IndecUniverse) -> bool:
     """Every mono from M into a class member splits.  For submodule-closed
     classes this reduces to an exact Ext scan over indecomposable quotients;
     otherwise a bounded literal scan is used."""
@@ -543,13 +515,13 @@ def is_split_injective(m: Module, class_bits: int, u: IndecUniverse,
         raise ValueError("module must lie in the class")
     closed = _class_submodule_closed(u, class_bits)
     from .krull import decompose
-    for piece, _ in decompose(m, u.caps):
+    for piece, _ in decompose(m):
         idx = u.index_of(piece)
         if closed:
             if not _indec_split_injective(idx, class_bits, u):
                 return False
         else:
-            if not _indec_split_injective_scan(piece, class_bits, u, caps):
+            if not _indec_split_injective_scan(piece, class_bits, u):
                 return False
     return True
 
@@ -625,13 +597,13 @@ class HereditaryCoverReport:
                 and self.envelope_of_cover_matches and self.kernel_indecomposable)
 
 
-def essentiality_check(f: Morphism, caps=DEFAULT_CAPS) -> bool:
+def essentiality_check(f: Morphism) -> bool:
     """Every nonzero submodule of the target meets the image (oracle scan)."""
     from .universe import all_submodules
     p = f.source.algebra.field.p
     img_rows = [linalg.row_space(f.maps[v], p)
                 for v in range(f.source.algebra.quiver.n)]
-    for sub, incl in all_submodules(f.target, caps):
+    for sub, incl in all_submodules(f.target):
         if sub.is_zero():
             continue
         meets = False
@@ -645,31 +617,29 @@ def essentiality_check(f: Morphism, caps=DEFAULT_CAPS) -> bool:
     return True
 
 
-def hereditary_cover_check(q: Module, data: CotiltingData,
-                           caps=DEFAULT_CAPS) -> HereditaryCoverReport:
+def hereditary_cover_check(q: Module, data: CotiltingData) -> HereditaryCoverReport:
     """For a hereditary cotilting pair and a simple torsion Q: the cover of Q
     is the pullback of the cover of E(Q) along Q -> E(Q), with the same
     indecomposable kernel, and the cover middle of E(Q) is the injective
     envelope of the cover middle of Q."""
     pair = data.pair
-    u = data.universe
     if not is_hereditary(pair):
         raise ValueError("the torsion pair is not hereditary")
     if q.total_dim != 1 or not pair.is_torsion(q):
         raise ValueError("expected a simple torsion module")
     env = injective_envelope(q)
     cover_e = special_cover(env.target, data)
-    w, to_cov, to_q = _pullback_row(cover_e, env)
+    w, _, _ = pullback(cover_e.surject, env)
     cover_q = special_cover(q, data)
-    kernel_matches = is_isomorphic(cover_q.left, cover_e.left, u.caps)
-    cover_matches = is_isomorphic(cover_q.middle, w, u.caps)
+    kernel_matches = is_isomorphic(cover_q.left, cover_e.left)
+    cover_matches = is_isomorphic(cover_q.middle, w)
     env_of_cover = injective_envelope(cover_q.middle)
     envelope_matches = (
-        is_isomorphic(env_of_cover.target, cover_e.middle, u.caps)
-        and essentiality_check(env_of_cover, caps)
+        is_isomorphic(env_of_cover.target, cover_e.middle)
+        and essentiality_check(env_of_cover)
     )
     from .krull import is_indecomposable
-    kernel_indec = is_indecomposable(cover_q.left, u.caps)
+    kernel_indec = is_indecomposable(cover_q.left)
     return HereditaryCoverReport(
         simple=q,
         kernel_matches=kernel_matches,
@@ -677,9 +647,3 @@ def hereditary_cover_check(q: Module, data: CotiltingData,
         envelope_of_cover_matches=envelope_matches,
         kernel_indecomposable=kernel_indec,
     )
-
-
-def _pullback_row(ses: SES, g: Morphism):
-    """Pullback of the epi in a SES along g into its right term."""
-    from .homology import pullback
-    return pullback(ses.surject, g)

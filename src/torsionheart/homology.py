@@ -19,19 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import BoundQuiverAlgebra
-from .config import DEFAULT_CAPS
+from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import ResourceLimitError
 from .modules import (
     Module, Morphism, cokernel, direct_sum, dual_module, identity_morphism,
     injective_module, kernel, projective_module, quotient_by_rows,
     submodule_from_rows, unvec_morphism, zero_module, zero_morphism,
 )
-
-_HOM_CACHE: dict[tuple[str, str], "HomSpace"] = {}
-_EXT_CACHE: dict[tuple[str, str], "Ext1Space"] = {}
-_SYZYGY_CACHE: dict[str, tuple] = {}
-
 
 @dataclass(frozen=True)
 class HomSpace:
@@ -97,10 +91,11 @@ def _hom_system(m: Module, n: Module) -> np.ndarray:
 
 
 def hom_space(m: Module, n: Module) -> HomSpace:
-    key = (m.key, n.key)
-    got = _HOM_CACHE.get(key)
-    if got is not None:
-        return got
+    return cached(m.algebra, ("hom_space", m.key, n.key),
+                  lambda: _hom_space(m, n))
+
+
+def _hom_space(m: Module, n: Module) -> HomSpace:
     p = m.algebra.field.p
     system = _hom_system(m, n)
     if system.shape[1] == 0:
@@ -108,9 +103,7 @@ def hom_space(m: Module, n: Module) -> HomSpace:
     else:
         basis = tuple(unvec_morphism(m, n, row)
                       for row in linalg.nullspace(system, p))
-    out = HomSpace(m, n, basis)
-    _HOM_CACHE[key] = out
-    return out
+    return HomSpace(m, n, basis)
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -280,14 +273,13 @@ def projective_cover(m: Module):
 
 def syzygy(m: Module):
     """(K, incl: K -> P0, cover: P0 -> M) for a minimal cover; cached."""
-    cached = _SYZYGY_CACHE.get(m.key)
-    if cached is not None:
-        return cached
+    return cached(m.algebra, ("syzygy", m.key), lambda: _syzygy(m))
+
+
+def _syzygy(m: Module):
     p0, cover, _, _, _ = projective_cover(m)
     k, incl = kernel(cover)
-    out = (k, incl, cover)
-    _SYZYGY_CACHE[m.key] = out
-    return out
+    return (k, incl, cover)
 
 
 def is_projective(m: Module) -> bool:
@@ -363,8 +355,9 @@ class Ext1Space:
                                       self.p)
         return np.array([resid[i] for i in self.rep_indices], dtype=np.int64)
 
-    def all_classes(self, caps=DEFAULT_CAPS):
+    def all_classes(self):
         """(coeffs, SES) for every class, zero class included."""
+        caps = self.m.algebra.caps
         d = self.dim
         if d > caps.ext_dim_cap or self.p ** d > caps.scan_count_cap:
             raise ResourceLimitError(f"ext scan of size {self.p}^{d} exceeds cap")
@@ -373,12 +366,7 @@ class Ext1Space:
 
 
 def ext1(m: Module, n: Module) -> Ext1Space:
-    key = (m.key, n.key)
-    got = _EXT_CACHE.get(key)
-    if got is None:
-        got = Ext1Space(m, n)
-        _EXT_CACHE[key] = got
-    return got
+    return cached(m.algebra, ("ext1", m.key, n.key), lambda: Ext1Space(m, n))
 
 
 def ext_dim(m: Module, n: Module) -> int:
@@ -440,7 +428,7 @@ def _find_idempotent(basis: list[Morphism], p: int):
         if e is not None and not e.is_zero():
             return e
     d = len(current)
-    if p ** d <= DEFAULT_CAPS.scan_count_cap:
+    if p ** d <= y.algebra.caps.scan_count_cap:
         mat = np.stack([m.vec() for m in current], axis=0)
         for coeffs in linalg.nonzero_vectors(d, p):
             x = unvec_morphism(y, y, (coeffs @ mat) % p)
@@ -523,23 +511,30 @@ def is_left_approximation(f: Morphism, gens: list[Module]) -> bool:
     return True
 
 
-def _strip_right_components(m: Module, gens: list[Module]):
-    """Greedy pre-pass: keep a small set of component maps G_j -> M whose
-    Hom-images still cover every Hom(G_i, M); minimality is certified later."""
+def _strip_components(m: Module, gens: list[Module], side: str):
+    """Greedy pre-pass: keep a small set of component maps G_j -> M
+    (side='right') or M -> G_j (side='left') whose Hom-images still cover
+    every Hom(G_i, M), resp. Hom(M, G_i); minimality is certified later."""
+    right = side == "right"
     p = m.algebra.field.p
-    comps = [(g, b) for g in gens for b in hom_space(g, m).basis]
+
+    def hom_m(g: Module) -> HomSpace:
+        return hom_space(g, m) if right else hom_space(m, g)
+
+    comps = [(g, b) for g in gens for b in hom_m(g).basis]
     if not comps:
         return comps
     blocks: list[list[np.ndarray]] = []  # blocks[i][j]: rows for gen i, comp j
     full_dims = []
     for gi in gens:
-        hi_dim = hom_space(gi, m).dim
-        full_dims.append(hi_dim)
+        full_dims.append(hom_m(gi).dim)
+        amb = sum(gi.dims[v] * m.dims[v] for v in range(m.algebra.quiver.n))
         row_blocks = []
         for gj, bj in comps:
-            rows = [h.then(bj).vec() for h in hom_space(gi, gj).basis]
-            amb = sum(gi.dims[v] * m.dims[v]
-                      for v in range(m.algebra.quiver.n))
+            if right:
+                rows = [h.then(bj).vec() for h in hom_space(gi, gj).basis]
+            else:
+                rows = [bj.then(h).vec() for h in hom_space(gj, gi).basis]
             row_blocks.append(np.stack(rows, axis=0) if rows
                               else linalg.zeros(0, amb))
         blocks.append(row_blocks)
@@ -562,67 +557,15 @@ def _strip_right_components(m: Module, gens: list[Module]):
     return [comps[j] for j in keep]
 
 
-def _strip_left_components(m: Module, gens: list[Module]):
-    p = m.algebra.field.p
-    comps = [(g, b) for g in gens for b in hom_space(m, g).basis]
-    if not comps:
-        return comps
-    blocks: list[list[np.ndarray]] = []
-    full_dims = []
-    for gi in gens:
-        hi_dim = hom_space(m, gi).dim
-        full_dims.append(hi_dim)
-        row_blocks = []
-        for gj, bj in comps:
-            rows = [bj.then(h).vec() for h in hom_space(gj, gi).basis]
-            amb = sum(m.dims[v] * gi.dims[v]
-                      for v in range(m.algebra.quiver.n))
-            row_blocks.append(np.stack(rows, axis=0) if rows
-                              else linalg.zeros(0, amb))
-        blocks.append(row_blocks)
-
-    def covers(subset: list[int]) -> bool:
-        for i, gi in enumerate(gens):
-            if full_dims[i] == 0:
-                continue
-            stacked = np.concatenate([blocks[i][j] for j in subset], axis=0) \
-                if subset else blocks[i][0][:0]
-            if linalg.rank(stacked, p) < full_dims[i]:
-                return False
-        return True
-
-    keep = list(range(len(comps)))
-    for j in reversed(range(len(comps))):
-        trial = [k for k in keep if k != j]
-        if covers(trial):
-            keep = trial
-    return [comps[j] for j in keep]
-
-
-def _assemble_right(m: Module, comps) -> Morphism:
-    algebra = m.algebra
-    p = algebra.field.p
-    total, _, prjs = direct_sum([g for g, _ in comps], algebra)
-    maps = []
-    for v in range(algebra.quiver.n):
-        acc = linalg.zeros(total.dims[v], m.dims[v])
-        for prj, (_, b) in zip(prjs, comps):
-            acc = (acc + linalg.matmul(prj.maps[v], b.maps[v], p)) % p
-        maps.append(acc)
-    return Morphism(total, m, maps, check=False)
-
-
-def _assemble_left(m: Module, comps) -> Morphism:
-    algebra = m.algebra
-    p = algebra.field.p
-    total, incs, _ = direct_sum([g for g, _ in comps], algebra)
-    maps = []
-    for v in range(algebra.quiver.n):
-        acc = linalg.zeros(m.dims[v], total.dims[v])
-        for inc, (_, b) in zip(incs, comps):
-            acc = (acc + linalg.matmul(b.maps[v], inc.maps[v], p)) % p
-        maps.append(acc)
-    return Morphism(m, total, maps, check=False)
+def _assemble(m: Module, comps, side: str) -> Morphism:
+    """The sum of the components: (+) G_j -> M (side='right') or
+    M -> (+) G_j (side='left')."""
+    right = side == "right"
+    total, incs, prjs = direct_sum([g for g, _ in comps], m.algebra)
+    acc = zero_morphism(total, m) if right else zero_morphism(m, total)
+    for inc, prj, (_, b) in zip(incs, prjs, comps):
+        acc = acc.add(prj.then(b) if right else b.then(inc))
+    return acc
 
 
 def minimal_right_approx(m: Module, gens: list[Module]) -> Morphism:
@@ -630,10 +573,10 @@ def minimal_right_approx(m: Module, gens: list[Module]) -> Morphism:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return zero_morphism(zero_module(m.algebra), m)
-    comps = _strip_right_components(m, gens)
+    comps = _strip_components(m, gens, "right")
     if not comps:
         return zero_morphism(zero_module(m.algebra), m)
-    return right_minimize(_assemble_right(m, comps))
+    return right_minimize(_assemble(m, comps, "right"))
 
 
 def minimal_left_approx(m: Module, gens: list[Module]) -> Morphism:
@@ -641,10 +584,10 @@ def minimal_left_approx(m: Module, gens: list[Module]) -> Morphism:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return zero_morphism(m, zero_module(m.algebra))
-    comps = _strip_left_components(m, gens)
+    comps = _strip_components(m, gens, "left")
     if not comps:
         return zero_morphism(m, zero_module(m.algebra))
-    return left_minimize(_assemble_left(m, comps))
+    return left_minimize(_assemble(m, comps, "left"))
 
 
 # -- injective envelopes -------------------------------------------------------------

@@ -22,7 +22,6 @@ import numpy as np
 import sympy
 
 from . import linalg
-from .config import DEFAULT_CAPS, ResourceCaps
 from .exceptions import UndeterminedError
 from .homology import HomSpace, hom_space
 from .modules import (
@@ -107,10 +106,10 @@ def _seeded_rng(m: Module) -> random.Random:
     return random.Random(int(m.key[:12], 16))
 
 
-def _idempotent_candidates(end: HomSpace, m: Module, p: int,
-                           caps: ResourceCaps):
+def _idempotent_candidates(end: HomSpace, m: Module, p: int):
     """Yield nonzero elements of End(M) in a deterministic order: basis,
     pairwise sums, seeded random combinations, then exhaustive if feasible."""
+    caps = m.algebra.caps
     basis = list(end.basis)
     for b in basis:
         yield b, False
@@ -134,7 +133,7 @@ def _idempotent_candidates(end: HomSpace, m: Module, p: int,
             yield unvec_morphism(m, m, (coeffs @ mat) % p), True
 
 
-def nontrivial_idempotent(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
+def nontrivial_idempotent(m: Module):
     """A nontrivial idempotent endomorphism, or None when End(M) is local.
 
     Raises UndeterminedError when neither a witness nor an exhaustive
@@ -148,12 +147,12 @@ def nontrivial_idempotent(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
         return None
     ident = identity_morphism(m)
     exhausted = False
-    for x, from_exhaustive in _idempotent_candidates(end, m, p, caps):
+    for x, from_exhaustive in _idempotent_candidates(end, m, p):
         exhausted = from_exhaustive
         e = poly_idempotent(x, p, zero_constant=False)
         if e is not None and not e.is_zero() and e != ident:
             return e
-    if exhausted or p ** end.dim <= caps.scan_count_cap:
+    if exhausted or p ** end.dim <= m.algebra.caps.scan_count_cap:
         return None
     if _is_commutative(end, p):
         return _commutative_idempotent(end, m, p)
@@ -218,10 +217,10 @@ def _commutative_idempotent(end: HomSpace, m: Module, p: int):
     raise AssertionError("commutative split promised but not found")
 
 
-def is_indecomposable(m: Module, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
+def is_indecomposable(m: Module) -> bool:
     if m.is_zero():
         return False
-    return nontrivial_idempotent(m, caps) is None
+    return nontrivial_idempotent(m) is None
 
 
 def _split_by_idempotent(m: Module, e: Morphism):
@@ -236,27 +235,27 @@ def _split_by_idempotent(m: Module, e: Morphism):
     return (k, ik), (i, ii)
 
 
-def indecomposable_summands(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
+def indecomposable_summands(m: Module):
     """List of (indecomposable piece, inclusion into M)."""
     if m.is_zero():
         return []
-    e = nontrivial_idempotent(m, caps)
+    e = nontrivial_idempotent(m)
     if e is None:
         return [(m, identity_morphism(m))]
     (k, ik), (i, ii) = _split_by_idempotent(m, e)
     out = []
-    for piece, incl in indecomposable_summands(k, caps):
+    for piece, incl in indecomposable_summands(k):
         out.append((piece, incl.then(ik)))
-    for piece, incl in indecomposable_summands(i, caps):
+    for piece, incl in indecomposable_summands(i):
         out.append((piece, incl.then(ii)))
     return out
 
 
-def decompose_with_iso(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
+def decompose_with_iso(m: Module):
     """(pieces, iso) with iso: (+) pieces -> M an explicit isomorphism."""
     from .modules import direct_sum
 
-    parts = indecomposable_summands(m, caps)
+    parts = indecomposable_summands(m)
     pieces = [piece for piece, _ in parts]
     total, _, prjs = direct_sum(pieces, m.algebra)
     p = m.algebra.field.p
@@ -272,13 +271,13 @@ def decompose_with_iso(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
     return pieces, iso
 
 
-def decompose(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
+def decompose(m: Module):
     """List of (indecomposable, multiplicity), grouped up to isomorphism."""
-    pieces, _ = decompose_with_iso(m, caps)
+    pieces, _ = decompose_with_iso(m)
     groups: list[tuple[Module, int]] = []
     for piece in pieces:
         for idx, (rep, mult) in enumerate(groups):
-            if is_isomorphic(piece, rep, caps):
+            if is_isomorphic(piece, rep):
                 groups[idx] = (rep, mult + 1)
                 break
         else:
@@ -303,7 +302,7 @@ def is_brick(m: Module) -> bool:
     return fixed.shape[0] == 1
 
 
-def isomorphism(m: Module, n: Module, caps: ResourceCaps = DEFAULT_CAPS):
+def isomorphism(m: Module, n: Module):
     """An isomorphism M -> N, or None; UndeterminedError above the caps."""
     if m.dims != n.dims:
         return None
@@ -311,6 +310,7 @@ def isomorphism(m: Module, n: Module, caps: ResourceCaps = DEFAULT_CAPS):
         from .modules import zero_morphism
         return zero_morphism(m, n)
     p = m.algebra.field.p
+    caps = m.algebra.caps
     h = hom_space(m, n)
     if h.dim == 0 or hom_dim_pair_mismatch(m, n):
         return None
@@ -341,5 +341,5 @@ def hom_dim_pair_mismatch(m: Module, n: Module) -> bool:
             or hom_space(m, n).dim != hom_space(n, m).dim)
 
 
-def is_isomorphic(m: Module, n: Module, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
-    return isomorphism(m, n, caps) is not None
+def is_isomorphic(m: Module, n: Module) -> bool:
+    return isomorphism(m, n) is not None

@@ -17,13 +17,6 @@ from itertools import combinations, product
 import numpy as np
 
 
-def asmat(a, p: int) -> np.ndarray:
-    m = np.asarray(a, dtype=np.int64) % p
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    return m
-
-
 def zeros(m: int, n: int) -> np.ndarray:
     return np.zeros((m, n), dtype=np.int64)
 

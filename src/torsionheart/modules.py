@@ -26,7 +26,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class Module:
-    __slots__ = ("algebra", "dims", "maps", "_key", "_cache")
+    __slots__ = ("algebra", "dims", "maps", "_key")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, maps, check: bool = True):
         self.algebra = algebra
@@ -41,7 +41,6 @@ class Module:
             frozen.append(_freeze(m))
         self.maps = tuple(frozen)
         self._key = None
-        self._cache = {}
         if check and not self.satisfies_relations():
             raise ValueError("arrow maps violate a relation")
 

@@ -12,58 +12,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
+from .algebra import cached
 from .homology import SES, hom_space
 from .modules import Module, cokernel, submodule_from_rows
 from .universe import IndecUniverse, bit_indices
 
-from . import linalg
-
-
-_QUOT_CACHE_ATTR = "_quotient_summand_bits"
-_SUB_CACHE_ATTR = "_submodule_summand_bits"
-_MID_CACHE_ATTR = "_ext_middle_union_bits"
-
 
 def quotient_summand_bits(u: IndecUniverse, i: int) -> int:
-    cache = getattr(u, _QUOT_CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(u, _QUOT_CACHE_ATTR, cache)
-    got = cache.get(i)
-    if got is None:
-        bits = 0
-        for quot, _ in u.all_quotients(u.indecs[i]):
-            bits |= u.summand_bitset(quot)
-        cache[i] = got = bits
-    return got
+    return cached(u, ("quotient_summand_bits", i), lambda: _union(
+        u.summand_bitset(quot) for quot, _ in u.all_quotients(u.indecs[i])))
 
 
 def submodule_summand_bits(u: IndecUniverse, i: int) -> int:
-    cache = getattr(u, _SUB_CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(u, _SUB_CACHE_ATTR, cache)
-    got = cache.get(i)
-    if got is None:
-        bits = 0
-        for sub, _ in u.all_submodules(u.indecs[i]):
-            bits |= u.summand_bitset(sub)
-        cache[i] = got = bits
-    return got
+    return cached(u, ("submodule_summand_bits", i), lambda: _union(
+        u.summand_bitset(sub) for sub, _ in u.all_submodules(u.indecs[i])))
 
 
 def ext_middle_union_bits(u: IndecUniverse, i: int, j: int) -> int:
-    cache = getattr(u, _MID_CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(u, _MID_CACHE_ATTR, cache)
-    got = cache.get((i, j))
-    if got is None:
-        bits = 0
-        for _, middle_bits, _ in u.ext_middle_bitsets(i, j):
-            bits |= middle_bits
-        cache[(i, j)] = got = bits
-    return got
+    return cached(u, ("ext_middle_union_bits", i, j), lambda: _union(
+        bits for _, bits, _ in u.ext_middle_bitsets(i, j)))
+
+
+def _union(bitsets) -> int:
+    out = 0
+    for bits in bitsets:
+        out |= bits
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,12 +46,6 @@ class TorsionPair:
     universe: IndecUniverse
     torsion_bits: int
     torsion_free_bits: int
-
-    def torsion_members(self) -> list[Module]:
-        return self.universe.members(self.torsion_bits)
-
-    def torsion_free_members(self) -> list[Module]:
-        return self.universe.members(self.torsion_free_bits)
 
     def is_torsion(self, m: Module) -> bool:
         return self.universe.in_class(m, self.torsion_bits)
@@ -158,7 +127,6 @@ def torsion_part(x: Module, pair: TorsionPair):
     """(t(X), inclusion, canonical SES 0 -> t(X) -> X -> X/t(X) -> 0)."""
     u = pair.universe
     p = x.algebra.field.p
-    rows = [linalg.zeros(0, x.dims[v]) for v in range(x.algebra.quiver.n)]
     mats = [[] for _ in range(x.algebra.quiver.n)]
     for t in bit_indices(pair.torsion_bits):
         for f in hom_space(u.indecs[t], x).basis:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import cached
 from .exceptions import ResourceLimitError
 from .heart import heart_simples
 from .krull import is_brick
@@ -34,11 +35,6 @@ class TorsLattice:
     universe: IndecUniverse
     classes: list[int]               # bitsets, sorted by (popcount, value)
     covers: list[Cover]
-    _pair_cache: dict = None
-
-    def __post_init__(self):
-        if self._pair_cache is None:
-            self._pair_cache = {}
 
     @property
     def n(self) -> int:
@@ -51,14 +47,9 @@ class TorsLattice:
             raise ValueError("torsion class not present in the lattice") from None
 
     def pair_of(self, idx: int) -> TorsionPair:
-        got = self._pair_cache.get(idx)
-        if got is None:
-            got = pair_from_torsion_class(self.classes[idx], self.universe)
-            self._pair_cache[idx] = got
-        return got
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.classes[i] & ~self.classes[j] == 0
+        bits = self.classes[idx]
+        return cached(self.universe, ("pair_of", bits),
+                      lambda: pair_from_torsion_class(bits, self.universe))
 
     def covers_of(self, idx: int):
         """(down covers with idx on top, up covers with idx at bottom)."""
@@ -75,7 +66,7 @@ def enumerate_torsion_classes(u: IndecUniverse) -> TorsLattice:
     of T are exactly the inclusion-minimal joins; every class is reached
     from 0 along covers.  This takes one closure per (class, x not in T)."""
     u.require_complete()
-    if u.n > u.caps.lattice_indec_cap:
+    if u.n > u.algebra.caps.lattice_indec_cap:
         raise ResourceLimitError(
             f"lattice scan gate: {u.n} indecomposables exceed the cap"
         )

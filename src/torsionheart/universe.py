@@ -16,8 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .algebra import BoundQuiverAlgebra
-from .config import DEFAULT_CAPS, ResourceCaps
+from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
     ar_translate, ar_translate_inverse, ext1, hom_dim,
@@ -81,13 +80,7 @@ class IndecUniverse:
     ext_table: np.ndarray
     complete: bool
     witness: str | None
-    caps: ResourceCaps = DEFAULT_CAPS
-    _index_cache: dict = field(default_factory=dict, repr=False)
-    _bitset_cache: dict = field(default_factory=dict, repr=False)
-    _submodule_cache: dict = field(default_factory=dict, repr=False)
-    _ext_middle_cache: dict = field(default_factory=dict, repr=False)
-    _max_sub_cache: dict = field(default_factory=dict, repr=False)
-    _simple_quot_cache: dict = field(default_factory=dict, repr=False)
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -107,16 +100,9 @@ class IndecUniverse:
         """Universe index of the iso class of an indecomposable, or None."""
         if m.is_zero():
             return None
-        cached = self._index_cache.get(m.key, "?")
-        if cached != "?":
-            return cached
-        out = None
-        for i, x in enumerate(self.indecs):
-            if x.dims == m.dims and is_isomorphic(m, x, self.caps):
-                out = i
-                break
-        self._index_cache[m.key] = out
-        return out
+        return cached(self, ("index_of", m.key), lambda: next(
+            (i for i, x in enumerate(self.indecs)
+             if x.dims == m.dims and is_isomorphic(m, x)), None))
 
     def summand_bitset(self, m: Module) -> int:
         """Bitset of the iso classes of the indecomposable summands of M.
@@ -125,18 +111,18 @@ class IndecUniverse:
         """
         if m.is_zero():
             return 0
-        cached = self._bitset_cache.get(m.key)
-        if cached is not None:
-            return cached
+        return cached(self, ("summand_bitset", m.key),
+                      lambda: self._summand_bitset(m))
+
+    def _summand_bitset(self, m: Module) -> int:
         bits = 0
-        for piece, _ in decompose(m, self.caps):
+        for piece, _ in decompose(m):
             idx = self.index_of(piece)
             if idx is None:
                 raise IncompleteUniverseError(
                     f"summand of dims {piece.dims} is outside the universe"
                 )
             bits |= 1 << idx
-        self._bitset_cache[m.key] = bits
         return bits
 
     def in_class(self, m: Module, bits: int) -> bool:
@@ -155,43 +141,26 @@ class IndecUniverse:
     # -- oracles ----------------------------------------------------------
 
     def all_submodules(self, m: Module):
-        key = m.key
-        got = self._submodule_cache.get(key)
-        if got is None:
-            got = all_submodules(m, self.caps)
-            self._submodule_cache[key] = got
-        return got
+        return cached(self, ("all_submodules", m.key),
+                      lambda: all_submodules(m))
 
     def all_quotients(self, m: Module):
-        return all_quotients(m, self.caps)
+        return all_quotients(m)
 
     def maximal_submodules(self, i: int) -> list[Module]:
-        got = self._max_sub_cache.get(i)
-        if got is None:
-            got = maximal_submodules(self.indecs[i])
-            self._max_sub_cache[i] = got
-        return got
+        return cached(self, ("maximal_submodules", i),
+                      lambda: maximal_submodules(self.indecs[i]))
 
     def simple_socle_quotients(self, i: int) -> list[Module]:
-        got = self._simple_quot_cache.get(i)
-        if got is None:
-            got = simple_socle_quotients(self.indecs[i])
-            self._simple_quot_cache[i] = got
-        return got
+        return cached(self, ("simple_socle_quotients", i),
+                      lambda: simple_socle_quotients(self.indecs[i]))
 
     def ext_middle_bitsets(self, i: int, j: int):
         """[(coeffs, middle bitset, middle)] over all classes in
         Ext^1(indec_i, indec_j)."""
-        key = (i, j)
-        got = self._ext_middle_cache.get(key)
-        if got is None:
-            got = []
-            space = ext1(self.indecs[i], self.indecs[j])
-            for coeffs, ses in space.all_classes(self.caps):
-                got.append((tuple(int(c) for c in coeffs),
-                            self.summand_bitset(ses.middle), ses))
-            self._ext_middle_cache[key] = got
-        return got
+        return cached(self, ("ext_middle_bitsets", i, j), lambda: [
+            (tuple(int(c) for c in coeffs), self.summand_bitset(ses.middle), ses)
+            for coeffs, ses in ext1(self.indecs[i], self.indecs[j]).all_classes()])
 
 
 def bit_indices(bits: int) -> list[int]:
@@ -211,10 +180,10 @@ def popcount(bits: int) -> int:
 
 def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
                               dim_bound,
-                              caps: ResourceCaps = DEFAULT_CAPS,
                               check_completeness: bool = True) -> IndecUniverse:
     bound = tuple(int(b) for b in dim_bound)
     q = algebra.quiver
+    caps = algebra.caps
     if len(bound) != q.n:
         raise ValueError("dimension bound length does not match the vertex count")
     if any(b > caps.dim_bound_cap for b in bound):
@@ -245,12 +214,12 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
                 continue
             if not _support_connected(cand) or _detached_simple(cand):
                 continue
-            if not is_indecomposable(cand, caps):
+            if not is_indecomposable(cand):
                 continue
             fp = _fingerprint(cand, simples)
             is_new = True
             for i, other_fp in enumerate(fingerprints):
-                if fp == other_fp and is_isomorphic(cand, found[i], caps):
+                if fp == other_fp and is_isomorphic(cand, found[i]):
                     is_new = False
                     break
             if is_new:
@@ -264,7 +233,7 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
             hom_table[i, j] = hom_dim(found[i], found[j])
             ext_table[i, j] = ext1(found[i], found[j]).dim
     universe = IndecUniverse(algebra, bound, tuple(found), hom_table,
-                             ext_table, complete=False, witness=None, caps=caps)
+                             ext_table, complete=False, witness=None)
     if check_completeness:
         ok, witness = completeness_check(universe)
         universe.complete = ok
@@ -293,13 +262,8 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
     def check_member(m: Module, what: str):
         if m.is_zero():
             return None
-        for piece, _ in decompose(m, u.caps):
-            idx = None
-            for i, x in enumerate(u.indecs):
-                if x.dims == piece.dims and is_isomorphic(piece, x, u.caps):
-                    idx = i
-                    break
-            if idx is None:
+        for piece, _ in decompose(m):
+            if u.index_of(piece) is None:
                 return f"{what} has summand of dims {piece.dims} outside"
         return None
 
@@ -310,7 +274,7 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
             d = h.dim
             if d == 0:
                 continue
-            if p ** d > u.caps.scan_count_cap:
+            if p ** d > u.algebra.caps.scan_count_cap:
                 raise ResourceLimitError("morphism scan too large")
             mat = np.stack([b.vec() for b in h.basis], axis=0)
             from .modules import unvec_morphism
@@ -328,7 +292,7 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
             if space.dim == 0:
                 continue
             try:
-                for coeffs, ses in space.all_classes(u.caps):
+                for coeffs, ses in space.all_classes():
                     w = check_member(ses.middle, f"ext middle {i} by {j}")
                     if w:
                         return False, w
@@ -358,8 +322,9 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
 
 # -- brute-force oracles ------------------------------------------------------
 
-def all_submodules(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
+def all_submodules(m: Module):
     """Every subrepresentation exactly once, as (module, inclusion)."""
+    caps = m.algebra.caps
     if m.total_dim > caps.submodule_dim_cap:
         raise ResourceLimitError(
             f"submodule scan gate: total dim {m.total_dim} > "
@@ -384,11 +349,10 @@ def all_submodules(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
     return out
 
 
-def all_quotients(m: Module, caps: ResourceCaps = DEFAULT_CAPS):
+def all_quotients(m: Module):
     """Every quotient exactly once, as (module, projection)."""
     out = []
-    p = m.algebra.field.p
-    for sub, incl in all_submodules(m, caps):
+    for sub, incl in all_submodules(m):
         rows = [incl.maps[v] for v in range(m.algebra.quiver.n)]
         out.append(quotient_by_rows(m, rows))
     return out

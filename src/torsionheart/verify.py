@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import cached
 from .cotilting import CotiltingData, cotilting_from_pair, minimal_cotilting
 from .exceptions import NotCotiltingError
 from .heart import (
@@ -41,17 +42,10 @@ class AnalysisContext:
     lattice: TorsLattice
     cotilting_pairs: list[CotiltingData]
     not_cotilting: list[tuple[int, str]]      # (class bitset, reason)
-    _classified: dict = None
 
     def classified(self, data: CotiltingData):
-        if self._classified is None:
-            self._classified = {}
-        key = data.pair.torsion_bits
-        got = self._classified.get(key)
-        if got is None:
-            got = classify_neg_isolated(data)
-            self._classified[key] = got
-        return got
+        return cached(self.universe, ("classified", data.pair.torsion_bits),
+                      lambda: classify_neg_isolated(data))
 
 
 def build_context(universe: IndecUniverse) -> AnalysisContext:

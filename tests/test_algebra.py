@@ -1,5 +1,10 @@
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import torsionheart
 from torsionheart.algebra import PrimeField, parse_algebra
 from torsionheart.exceptions import AdmissibilityError, QuiverParseError
 
@@ -136,3 +141,23 @@ def test_opposite_algebra_roundtrip():
     assert op.op() is a
     # the arrow is reversed
     assert op.quiver.arrows[0].source == a.quiver.arrows[0].target
+
+
+def test_caps_enter_only_through_the_algebra():
+    # every scan reads m.algebra.caps or u.algebra.caps; no other function
+    # or method takes a caps parameter
+    found = set()
+    for info in pkgutil.iter_modules(torsionheart.__path__):
+        mod = importlib.import_module(f"torsionheart.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{k}", v) for k, v in vars(obj).items()]
+            for qualname, fn in members:
+                fn = getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn) and \
+                        "caps" in inspect.signature(fn).parameters:
+                    found.add(f"{info.name}.{qualname}")
+    assert found == {"algebra.parse_algebra", "algebra.BoundQuiverAlgebra.__init__"}

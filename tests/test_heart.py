@@ -1,13 +1,18 @@
+import dataclasses
+
 import pytest
 
 from torsionheart import cotilting as co
 from torsionheart import heart as he
 from torsionheart import modules as mo
 from torsionheart import torsion as to
-from torsionheart.homology import hom_space
+from torsionheart.algebra import parse_algebra
+from torsionheart.config import DEFAULT_CAPS
+from torsionheart.exceptions import ResourceLimitError
+from torsionheart.homology import hom_space, injective_envelope
 from torsionheart.universe import bit_indices
 
-from conftest import module_by_dims
+from conftest import A3_TEXT, module_by_dims
 
 
 def _bits(u, *dims_list):
@@ -280,6 +285,17 @@ def test_essentiality_oracle(a2_universe):
     p1 = module_by_dims(u, (1, 1))
     total, incs, _ = mo.direct_sum([p1, s2])
     assert not he.essentiality_check(incs[1])
+
+
+def test_essentiality_check_honours_the_algebra_caps():
+    # the scan reads the caps the algebra was parsed with: I(3) on A3 is
+    # three-dimensional, above a submodule cap of 1
+    caps = dataclasses.replace(DEFAULT_CAPS, submodule_dim_cap=1)
+    a = parse_algebra(A3_TEXT, caps)
+    env = injective_envelope(mo.simple_module(a, 2))
+    assert env.target.total_dim == 3
+    with pytest.raises(ResourceLimitError):
+        he.essentiality_check(env)
 
 
 def test_fault_injection_oracle_mismatch(a2_ctx, monkeypatch):

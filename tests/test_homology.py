@@ -298,3 +298,38 @@ def test_ext_round_trip_two_dimensional(a3_universe):
         assert list(space.class_of(ses)) == list(coeffs)
         middles.add(ses.middle.dims)
     assert (1, 2, 1) in middles
+
+
+def test_approximation_twins_a3(a3_universe):
+    # left and right approximations share one body; check each on every
+    # indecomposable, and the left one against the right one of the duals
+    from torsionheart.krull import is_isomorphic
+    gens = list(a3_universe.indecs)
+    dual_gens = [mo.dual_module(g) for g in gens]
+    for m in a3_universe.indecs:
+        left = ho.minimal_left_approx(m, gens)
+        assert ho.is_left_approximation(left, gens)
+        assert ho.is_left_minimal(left)
+        right = ho.minimal_right_approx(m, gens)
+        assert ho.is_right_approximation(right, gens)
+        assert ho.is_right_minimal(right)
+        dual_right = ho.minimal_right_approx(mo.dual_module(m), dual_gens)
+        assert is_isomorphic(mo.dual_module(left.target), dual_right.source)
+
+
+def test_memo_dies_with_its_algebra():
+    # Hom and Ext spaces are memoized on their algebra, not in the process
+    import gc
+    import weakref
+
+    def build():
+        # labels no other test uses, so no other algebra shares its content key
+        a = parse_algebra("field 2\nvertices gc1 gc2\narrow gc: gc1 -> gc2\n")
+        simples, projectives, _ = mo.standard_modules(a)
+        assert ho.hom_space(projectives[0], simples[0]).dim == 1
+        assert ho.ext1(simples[0], simples[1]).dim == 1
+        return weakref.ref(a)
+
+    ref = build()
+    gc.collect()
+    assert ref() is None
