@@ -6,7 +6,8 @@ Subcommands:
   tors   <file>   the lattice of torsion classes with brick-labelled covers
   verify <file>   run every property suite; nonzero exit on any failure
 
-Exit codes: 0 success, 1 parse error, 2 resource limit, 3 incomplete universe.
+Exit codes: 0 success, 1 parse error, 2 resource limit, 3 incomplete universe,
+4 undetermined (a capped search found neither a witness nor a certificate).
 Output is deterministic: identical input and flags produce identical bytes.
 """
 
@@ -22,7 +23,7 @@ from .config import DEFAULT_CAPS, ResourceCaps
 from .cotilting import cotilting_from_pair, minimal_cotilting
 from .exceptions import (
     AdmissibilityError, IncompleteUniverseError, NotCotiltingError,
-    QuiverParseError, ResourceLimitError,
+    QuiverParseError, ResourceLimitError, UndeterminedError,
 )
 from .heart import NegIsolatedValue, classify_neg_isolated, heart_simples
 from .krull import is_brick
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_RESOURCE = 2
 EXIT_INCOMPLETE = 3
+EXIT_UNDETERMINED = 4
 
 
 def _dims_str(dims) -> str:
@@ -404,6 +406,9 @@ def main(argv=None) -> int:
     except IncompleteUniverseError as exc:
         print(f"incomplete universe: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
+    except UndeterminedError as exc:
+        print(f"undetermined: {exc}", file=sys.stderr)
+        return EXIT_UNDETERMINED
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ nonzero idempotents is nilpotent, which we check by iterating products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -394,13 +395,30 @@ def _annihilator(f: Morphism, side: str) -> list[Morphism]:
     return [end.from_coords(c) for c in ker]
 
 
+def fitting_idempotent(x: Morphism):
+    """Projection onto im x^n along ker x^n for n >= dim Y (Fitting's lemma),
+    or None when x is nilpotent or invertible."""
+    y = x.source
+    p = y.algebra.field.p
+    xn = x
+    for _ in range(y.total_dim.bit_length()):
+        xn = xn.then(xn)
+    if xn.is_zero() or xn.is_iso():
+        return None
+    maps = []
+    for a in xn.maps:  # e = B^-1 diag(1, 0) B for B = [im a; ker a]
+        im = linalg.row_space(a, p)
+        basis = np.concatenate([im, linalg.left_nullspace(a, p)], axis=0)
+        inv = linalg.inverse(basis, p)
+        maps.append(linalg.matmul(inv[:, :len(im)], im, p))
+    return Morphism(y, y, maps, check=False)
+
+
 def _find_idempotent(basis: list[Morphism], p: int):
     """None when span(basis) generates a nilpotent algebra, else a nonzero
     idempotent inside the generated algebra."""
     if not basis:
         return None
-    from .krull import operator_min_poly, poly_idempotent
-
     y = basis[0].source
     current = list(basis)
     prev_dim = None
@@ -409,35 +427,24 @@ def _find_idempotent(basis: list[Morphism], p: int):
         if not vecs:
             return None
         span = linalg.row_space(np.stack(vecs, axis=0), p)
-        if span.shape[0] == 0:
-            return None
+        current = [unvec_morphism(y, y, r) for r in span]
         if prev_dim == span.shape[0]:
-            current = [unvec_morphism(y, y, r) for r in span]
             break
         prev_dim = span.shape[0]
-        current = [unvec_morphism(y, y, r) for r in span]
         current = [a.then(b) for a in basis for b in current]
-    candidates = list(current)
-    candidates += [a.add(b) for i, a in enumerate(current)
-                   for b in current[i + 1:]]
-    for x in candidates:
-        mp = operator_min_poly(x, p)
-        if mp[0] % p:  # invertible element: the identity lies in the algebra
-            return identity_morphism(y)
-        e = poly_idempotent(x, p, zero_constant=True)
-        if e is not None and not e.is_zero():
-            return e
     d = len(current)
-    if p ** d <= y.algebra.caps.scan_count_cap:
-        mat = np.stack([m.vec() for m in current], axis=0)
-        for coeffs in linalg.nonzero_vectors(d, p):
-            x = unvec_morphism(y, y, (coeffs @ mat) % p)
-            mp = operator_min_poly(x, p)
-            if mp[0] % p:
-                return identity_morphism(y)
-            e = poly_idempotent(x, p, zero_constant=True)
-            if e is not None and not e.is_zero():
-                return e
+    mat = np.stack([m.vec() for m in current], axis=0)
+    exhaustible = p ** d <= y.algebra.caps.scan_count_cap
+    pairs = [a.add(b) for i, a in enumerate(current) for b in current[i + 1:]]
+    scan = (unvec_morphism(y, y, (coeffs @ mat) % p)
+            for coeffs in linalg.nonzero_vectors(d, p))
+    for x in chain(current, pairs, scan if exhaustible else ()):
+        if x.is_iso():  # the identity lies in the algebra
+            return identity_morphism(y)
+        e = fitting_idempotent(x)
+        if e is not None:
+            return e
+    if exhaustible:
         return None
     raise ResourceLimitError("idempotent search space too large")
 

@@ -1,12 +1,12 @@
 """Krull-Schmidt decomposition, isomorphism testing and brick detection.
 
-Idempotents are found by factoring minimal polynomials of endomorphisms: any
-element whose minimal polynomial splits into two coprime parts yields a
-nontrivial idempotent by CRT, and a decomposable module always exposes one
-(its projections are endomorphisms with minimal polynomial t(t-1)).  The
-search scans the basis, pairwise sums, seeded random combinations, and falls
-back to exhaustive enumeration while p^dim stays below the cap; beyond that
-it raises UndeterminedError rather than guessing.
+An endomorphism x with minimal polynomial mp splits by Berlekamp's method: a
+non-constant g in the fixed space of t -> t^p on F_p[t]/mp gives u = g(x),
+semisimple with eigenvalues in F_p, and 1 - (u - c)^(p-1) projects onto an
+eigenspace.  A decomposable module always exposes such an x (a projection).
+The search scans the basis, pairwise sums, seeded random combinations, and
+falls back to exhaustive enumeration while p^dim stays below the cap; beyond
+that it raises UndeterminedError rather than guessing.
 
 Brick detection is fully deterministic: a finite division ring is a field
 (Wedderburn), so End(M) is a division ring iff it is commutative, has zero
@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import sympy
 
 from . import linalg
 from .exceptions import UndeterminedError
@@ -27,8 +26,6 @@ from .homology import HomSpace, hom_space
 from .modules import (
     Module, Morphism, identity_morphism, submodule_from_rows, unvec_morphism,
 )
-
-_T = sympy.Symbol("t")
 
 
 def operator_matrix(f: Morphism) -> np.ndarray:
@@ -43,63 +40,57 @@ def operator_matrix(f: Morphism) -> np.ndarray:
     return out
 
 
-def operator_min_poly(f: Morphism, p: int) -> list[int]:
-    """Minimal polynomial of the endomorphism, low-degree-first coefficients."""
-    return linalg.minimal_polynomial(operator_matrix(f), p)
+def _mulmod(a: list[int], b: list[int], mp: list[int], p: int) -> list[int]:
+    """a*b modulo the monic mp, as deg mp low-first coefficients."""
+    d = len(mp) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        for j, mj in enumerate(mp):
+            prod[k - d + j] -= c * mj
+    return [c % p for c in (prod + [0] * d)[:d]]
 
 
-def _endo_from_poly(coeffs: list[int], f: Morphism, p: int) -> Morphism:
-    maps = [linalg.poly_eval_matrix(coeffs, f.maps[v], p)
-            for v in range(f.source.algebra.quiver.n)]
-    return Morphism(f.source, f.source, maps, check=False)
+def _berlekamp_matrix(mp: list[int], p: int) -> list[list[int]]:
+    """Rows t^(ip) mod mp for i < deg mp: the matrix of g(t) -> g(t^p)."""
+    t_p = [1]
+    for bit in bin(p)[2:]:
+        t_p = _mulmod(t_p, t_p, mp, p)
+        if bit == "1":
+            t_p = _mulmod(t_p, [0, 1], mp, p)
+    rows = [[1] + [0] * (len(mp) - 2)]
+    while len(rows) < len(mp) - 1:
+        rows.append(_mulmod(rows[-1], t_p, mp, p))
+    return rows
 
 
-def _low_coeffs(poly: sympy.Poly, p: int) -> list[int]:
-    return [int(c) % p for c in reversed(poly.all_coeffs())]
+def _eigen_projection(u: Morphism, p: int) -> Morphism:
+    """1 - (u - c)^(p-1) for the first c in F_p where it is nonzero: for u
+    with u^p = u, the projection onto the eigenspace of c."""
+    ident = identity_morphism(u.source)
+    for c in range(p):
+        e = ident.add(_endo_power(u.add(ident.scale(-c)), p - 1).scale(-1))
+        if not e.is_zero():
+            return e
+    raise AssertionError("an endomorphism with u^p = u has an eigenvalue")
 
 
-def _poly_from_low(coeffs: list[int], p: int) -> sympy.Poly:
-    return sympy.Poly(list(reversed(coeffs)), _T, modulus=p)
-
-
-def _crt_idempotent_poly(f1: sympy.Poly, f2: sympy.Poly, p: int) -> list[int]:
-    """Low-first coefficients of u*f1 where u*f1 + v*f2 == 1."""
-    u, v, h = f1.gcdex(f2)
-    if h.degree() != 0:
-        raise AssertionError("expected coprime factors")
-    c = int(h.all_coeffs()[0]) % p
-    u = u * linalg.inv_mod(c, p)
-    return _low_coeffs(u * f1, p)
-
-
-def poly_idempotent(f: Morphism, p: int, zero_constant: bool = False):
-    """A nontrivial idempotent in k[f], or None when the minimal polynomial is
-    primary.  With zero_constant=True the split is (t^s, rest), so the result
-    has no constant term and stays inside any ideal containing f."""
-    mp = operator_min_poly(f, p)
-    if zero_constant:
-        deg = len(mp) - 1
-        s = 0
-        while s < len(mp) and mp[s] % p == 0:
-            s += 1
-        if s == 0 or s >= deg:
-            # s == 0: f invertible (caller's business); s == deg: f nilpotent
-            return None
-        f1 = _poly_from_low([0] * s + [1], p)
-        f2 = _poly_from_low(mp[s:], p)
-    else:
-        poly = _poly_from_low(mp, p)
-        _, factors = poly.factor_list()
-        if len(factors) < 2:
-            return None
-        base, mult = factors[0]
-        f1 = base ** mult
-        f2 = poly.div(f1)[0]
-    e_coeffs = _crt_idempotent_poly(f1, f2, p)
-    e = _endo_from_poly(e_coeffs, f, p)
-    if e.then(e) != e:
-        raise AssertionError("CRT element is not idempotent")
-    return e
+def split_idempotent(x: Morphism, p: int):
+    """A nontrivial idempotent in F_p[x], or None when the minimal
+    polynomial of x is primary."""
+    mp = linalg.minimal_polynomial(operator_matrix(x), p)
+    q = np.array(_berlekamp_matrix(mp, p), dtype=np.int64)
+    fixed = linalg.left_nullspace((q - linalg.eye(len(q))) % p, p)
+    g = next((row for row in fixed if row[1:].any()), None)
+    if g is None:
+        return None
+    u = Morphism(x.source, x.source,
+                 [linalg.poly_eval_matrix(list(g), a, p) for a in x.maps],
+                 check=False)
+    return _eigen_projection(u, p)
 
 
 def _seeded_rng(m: Module) -> random.Random:
@@ -145,12 +136,11 @@ def nontrivial_idempotent(m: Module):
     end = hom_space(m, m)
     if end.dim == 1:
         return None
-    ident = identity_morphism(m)
     exhausted = False
     for x, from_exhaustive in _idempotent_candidates(end, m, p):
         exhausted = from_exhaustive
-        e = poly_idempotent(x, p, zero_constant=False)
-        if e is not None and not e.is_zero() and e != ident:
+        e = split_idempotent(x, p)
+        if e is not None:
             return e
     if exhausted or p ** end.dim <= m.algebra.caps.scan_count_cap:
         return None
@@ -170,7 +160,7 @@ def _is_commutative(end: HomSpace, p: int) -> bool:
     return True
 
 
-def _endo_power(f: Morphism, e: int, p: int) -> Morphism:
+def _endo_power(f: Morphism, e: int) -> Morphism:
     result = identity_morphism(f.source)
     base = f
     while e:
@@ -183,7 +173,7 @@ def _endo_power(f: Morphism, e: int, p: int) -> Morphism:
 
 def _frobenius_matrix(end: HomSpace, p: int) -> np.ndarray:
     """Matrix of x -> x^p in basis coordinates (commutative End only)."""
-    rows = [end.coords_of(_endo_power(b, p, p)) for b in end.basis]
+    rows = [end.coords_of(_endo_power(b, p)) for b in end.basis]
     return np.stack(rows, axis=0)
 
 
@@ -210,10 +200,7 @@ def _commutative_idempotent(end: HomSpace, m: Module, p: int):
     for row in fixed:
         stacked = np.concatenate([id_coords, row.reshape(1, -1)], axis=0)
         if linalg.rank(stacked, p) == 2:
-            u = end.from_coords(row)
-            e = poly_idempotent(u, p, zero_constant=False)
-            if e is not None and not e.is_zero() and e != identity_morphism(m):
-                return e
+            return _eigen_projection(end.from_coords(row), p)
     raise AssertionError("commutative split promised but not found")
 
 

@@ -181,3 +181,32 @@ def test_verify_nakayama_zero_relation(tmp_path):
     assert out.returncode == 0
     assert "5 indecomposables closed" in out.stdout
     assert "2 cotilting pairs among 12 torsion classes" in out.stdout
+
+
+def test_ext_scan_over_cap_is_a_resource_limit():
+    out = run_cli("indec", str(FIXTURES / "a2.quiver"), "--cap-ext-dim", "0")
+    assert out.returncode == 2
+    assert out.stderr.startswith("resource limit:")
+
+
+def test_undetermined_search_exit_code(monkeypatch, capsys):
+    from torsionheart import cli, universe
+    from torsionheart.exceptions import UndeterminedError
+
+    def undetermined(m):
+        raise UndeterminedError("idempotent search exhausted its budget")
+
+    monkeypatch.setattr(universe, "is_indecomposable", undetermined)
+    assert cli.main(["indec", str(FIXTURES / "a2.quiver")]) == 4
+    err = capsys.readouterr().err
+    assert err == "undetermined: idempotent search exhausted its budget\n"
+
+
+def test_cli_import_leaves_sympy_out():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, torsionheart.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0
+    assert out.stdout == "False\n"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionheart import homology as ho
+from torsionheart import linalg
 from torsionheart import modules as mo
 from torsionheart.algebra import parse_algebra
 
@@ -333,3 +336,36 @@ def test_memo_dies_with_its_algebra():
     ref = build()
     gc.collect()
     assert ref() is None
+
+
+@pytest.fixture(scope="module")
+def a3_f3_end():
+    alg = parse_algebra(A3_TEXT, field_override=3)
+    simples, projectives, _ = mo.standard_modules(alg)
+    m = mo.direct_sum(
+        [projectives[0], projectives[0], projectives[1], simples[1]])[0]
+    end = ho.hom_space(m, m)
+    assert end.dim == 9
+    return end
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=9, max_size=9))
+def test_fitting_idempotent_properties(a3_f3_end, coeffs):
+    # M = P1 + P1 + P2 + S2 over A3/F_3: End(M) has nilpotent, invertible
+    # and mixed elements
+    m = a3_f3_end.source
+    one = mo.identity_morphism(m)
+    x = a3_f3_end.from_coords(coeffs)
+    xn = one
+    for _ in range(m.total_dim):
+        xn = xn.then(x)
+    e = ho.fitting_idempotent(x)
+    if e is None:
+        assert xn.is_zero() or xn.is_iso()
+        e = one if xn.is_iso() else mo.zero_morphism(m, m)
+    assert e.then(e) == e
+    assert e.then(x) == x.then(e)
+    assert one.add(e.scale(-1)).then(xn).is_zero()
+    for v in range(m.algebra.quiver.n):
+        assert linalg.rank(xn.maps[v], 3) == linalg.rank(e.maps[v], 3)

@@ -147,3 +147,27 @@ def test_every_epi_onto_projective_splits(a2, std):
         f = h.from_coords(coeffs)
         if f.is_epi():
             assert has_section(f)
+
+
+def test_split_without_roots_in_the_field():
+    # Kronecker quiver over F_3, M = R(t^2+1) + R(t^2+t+2) with R(f) the
+    # regular module (I, companion of f): End(M) = F_9 x F_9, and the minimal
+    # polynomial (t^2+1)(t^2+t+2) of x = diag(C1, C2) has no root in F_3
+    alg = parse_algebra(
+        "field 3\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
+    c1 = np.array([[0, 1], [2, 0]], dtype=np.int64)  # t^2 + 1
+    c2 = np.array([[0, 1], [1, 2]], dtype=np.int64)  # t^2 + t + 2
+    one = np.eye(2, dtype=np.int64)
+    r1 = mo.Module(alg, (2, 2), [one, c1])
+    r2 = mo.Module(alg, (2, 2), [one, c2])
+    m = mo.direct_sum([r1, r2], alg)[0]
+    diag = np.block([[c1, np.zeros((2, 2), dtype=np.int64)],
+                     [np.zeros((2, 2), dtype=np.int64), c2]])
+    x = mo.Morphism(m, m, [diag, diag])
+    e = kr.split_idempotent(x, 3)
+    assert e is not None and e.then(e) == e
+    assert not e.is_zero() and e != mo.identity_morphism(m)
+    assert kr.split_idempotent(mo.Morphism(r1, r1, [c1, c1]), 3) is None
+    pieces = kr.decompose(m)
+    assert [(piece.dims, mult) for piece, mult in pieces] == [((2, 2), 1)] * 2
+    assert not kr.is_isomorphic(pieces[0][0], pieces[1][0])
