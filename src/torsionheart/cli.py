@@ -6,8 +6,10 @@ Subcommands:
   tors   <file>   the lattice of torsion classes with brick-labelled covers
   verify <file>   run every property suite; nonzero exit on any failure
 
-Exit codes: 0 success, 1 parse error, 2 resource limit, 3 incomplete universe,
-4 undetermined (a capped search found neither a witness nor a certificate).
+Exit codes: 0 success, 1 parse error or not cotilting, 2 resource limit,
+3 incomplete universe, 4 undetermined (a capped search found neither a witness
+nor a certificate), 5 a verify suite failed, 6 internal error (a broken
+internal invariant).
 Output is deterministic: identical input and flags produce identical bytes.
 """
 
@@ -26,7 +28,7 @@ from .exceptions import (
     QuiverParseError, ResourceLimitError, UndeterminedError,
 )
 from .heart import NegIsolatedValue, classify_neg_isolated, heart_simples
-from .krull import is_brick
+from .krull import decompose, is_brick
 from .torsion import is_hereditary, pair_from_torsion_class, torsion_closure
 from .torslattice import enumerate_torsion_classes
 from .universe import IndecUniverse, bit_indices, enumerate_indecomposables
@@ -39,6 +41,8 @@ EXIT_PARSE = 1
 EXIT_RESOURCE = 2
 EXIT_INCOMPLETE = 3
 EXIT_UNDETERMINED = 4
+EXIT_VERIFY_FAIL = 5
+EXIT_INTERNAL = 6
 
 
 def _dims_str(dims) -> str:
@@ -49,7 +53,6 @@ def module_ref(u: IndecUniverse, m) -> dict:
     """JSON reference for a module: universe summands plus dimensions."""
     ref = {"dims": list(m.dims), "totalDim": m.total_dim}
     if not m.is_zero():
-        from .krull import decompose
         counts = {}
         for piece, mult in decompose(m):
             idx = u.index_of(piece)
@@ -277,11 +280,7 @@ def cmd_heart(args) -> int:
         print(f"universe incomplete: {u.witness}", file=sys.stderr)
         return EXIT_INCOMPLETE
     t_bits = _parse_generators(u, args.gens or "")
-    try:
-        payload, lines = heart_report(u, t_bits, oracle=args.oracle)
-    except NotCotiltingError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
+    payload, lines = heart_report(u, t_bits, oracle=args.oracle)
     payload["algebra"] = algebra_json(algebra)
     payload["universe"] = universe_json(u)
     _emit(payload, args.format, lines)
@@ -352,7 +351,7 @@ def cmd_verify(args) -> int:
     for result in results:
         print(result.line())
         failed = failed or not result.passed
-    return EXIT_PARSE if failed else EXIT_OK
+    return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
 # -- entry point ------------------------------------------------------------------
@@ -400,6 +399,9 @@ def main(argv=None) -> int:
     except (QuiverParseError, AdmissibilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except NotCotiltingError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -409,6 +411,10 @@ def main(argv=None) -> int:
     except UndeterminedError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
+    except AssertionError as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -34,10 +35,12 @@ from .homology import (
     SES, ext1, factor_through, has_retraction, hom_space, injective_envelope,
     pullback,
 )
-from .krull import is_isomorphic
-from .modules import Module, Morphism, cokernel, kernel, unvec_morphism
-from .torsion import TorsionPair, is_hereditary
-from .universe import IndecUniverse, bit_indices
+from .krull import decompose, is_indecomposable, is_isomorphic
+from .modules import (
+    Module, Morphism, cokernel, direct_sum, kernel, unvec_morphism,
+)
+from .torsion import TorsionPair, is_hereditary, submodule_summand_bits
+from .universe import IndecUniverse, all_submodules, bit_indices
 
 
 class HeartSimpleKind(enum.Enum):
@@ -470,7 +473,6 @@ def classify_neg_isolated(data: CotiltingData):
 
 
 def _class_submodule_closed(u: IndecUniverse, class_bits: int) -> bool:
-    from .torsion import submodule_summand_bits
     return cached(u, ("class_submodule_closed", class_bits), lambda: all(
         submodule_summand_bits(u, i) & ~class_bits == 0
         for i in bit_indices(class_bits)))
@@ -490,14 +492,11 @@ def _indec_split_injective_scan(m: Module, class_bits: int,
                                 u: IndecUniverse) -> bool:
     """Bounded literal scan: monos into sums of at most length(M) class
     members, one irredundant tuple at a time."""
-    from itertools import combinations_with_replacement
-
     length = m.total_dim
     members = [u.indecs[i] for i in bit_indices(class_bits)]
     p = m.algebra.field.p
     for k in range(1, length + 1):
         for tup in combinations_with_replacement(members, k):
-            from .modules import direct_sum
             target, incs, _ = direct_sum(list(tup), m.algebra)
             for g in _all_homs(m, target):
                 if g.is_mono() and not has_retraction(g):
@@ -514,7 +513,6 @@ def is_split_injective(m: Module, class_bits: int, u: IndecUniverse) -> bool:
     if not u.in_class(m, class_bits):
         raise ValueError("module must lie in the class")
     closed = _class_submodule_closed(u, class_bits)
-    from .krull import decompose
     for piece, _ in decompose(m):
         idx = u.index_of(piece)
         if closed:
@@ -564,9 +562,6 @@ def embedding_into_criticals(m: Module, criticals: list[Module],
             return None
     if len(chosen) > m.total_dim:
         raise AssertionError("witness uses more factors than the length bound")
-    from .modules import direct_sum
-    if not chosen:
-        chosen = []
     target, incs, _ = direct_sum([e for e, _ in chosen], m.algebra)
     maps = []
     for v in range(q.n):
@@ -599,7 +594,6 @@ class HereditaryCoverReport:
 
 def essentiality_check(f: Morphism) -> bool:
     """Every nonzero submodule of the target meets the image (oracle scan)."""
-    from .universe import all_submodules
     p = f.source.algebra.field.p
     img_rows = [linalg.row_space(f.maps[v], p)
                 for v in range(f.source.algebra.quiver.n)]
@@ -638,7 +632,6 @@ def hereditary_cover_check(q: Module, data: CotiltingData) -> HereditaryCoverRep
         is_isomorphic(env_of_cover.target, cover_e.middle)
         and essentiality_check(env_of_cover)
     )
-    from .krull import is_indecomposable
     kernel_indec = is_indecomposable(cover_q.left)
     return HereditaryCoverReport(
         simple=q,

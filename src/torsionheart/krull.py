@@ -24,7 +24,8 @@ from . import linalg
 from .exceptions import UndeterminedError
 from .homology import HomSpace, hom_space
 from .modules import (
-    Module, Morphism, identity_morphism, submodule_from_rows, unvec_morphism,
+    Module, Morphism, direct_sum, identity_morphism, submodule_from_rows,
+    unvec_morphism, zero_morphism,
 )
 
 
@@ -240,8 +241,6 @@ def indecomposable_summands(m: Module):
 
 def decompose_with_iso(m: Module):
     """(pieces, iso) with iso: (+) pieces -> M an explicit isomorphism."""
-    from .modules import direct_sum
-
     parts = indecomposable_summands(m)
     pieces = [piece for piece, _ in parts]
     total, _, prjs = direct_sum(pieces, m.algebra)
@@ -294,7 +293,6 @@ def isomorphism(m: Module, n: Module):
     if m.dims != n.dims:
         return None
     if m.is_zero():
-        from .modules import zero_morphism
         return zero_morphism(m, n)
     p = m.algebra.field.p
     caps = m.algebra.caps

@@ -19,13 +19,13 @@ from . import linalg
 from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
-    ar_translate, ar_translate_inverse, ext1, hom_dim,
+    ar_translate, ar_translate_inverse, ext1, hom_dim, hom_space,
     is_injective, is_projective,
 )
 from .krull import decompose, is_indecomposable, is_isomorphic
 from .modules import (
-    Module, direct_sum, quotient_by_rows, simple_module,
-    submodule_from_rows,
+    Module, cokernel, direct_sum, image, kernel, quotient_by_rows,
+    simple_module, submodule_from_rows, unvec_morphism,
 )
 
 
@@ -214,17 +214,18 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
                 continue
             if not _support_connected(cand) or _detached_simple(cand):
                 continue
-            if not is_indecomposable(cand):
-                continue
-            fp = _fingerprint(cand, simples)
-            is_new = True
-            for i, other_fp in enumerate(fingerprints):
-                if fp == other_fp and is_isomorphic(cand, found[i]):
-                    is_new = False
-                    break
-            if is_new:
-                found.append(cand)
-                fingerprints.append(fp)
+            # A rejected candidate's Hom spaces would otherwise stay in the
+            # algebra's memo for good; dicts pop their newest entries first.
+            mark = len(algebra.memo)
+            if is_indecomposable(cand):
+                fp = _fingerprint(cand, simples)
+                if not any(fp == other_fp and is_isomorphic(cand, other)
+                           for other, other_fp in zip(found, fingerprints)):
+                    found.append(cand)
+                    fingerprints.append(fp)
+                    continue
+            while len(algebra.memo) > mark:
+                algebra.memo.popitem()
     n = len(found)
     hom_table = np.zeros((n, n), dtype=np.int64)
     ext_table = np.zeros((n, n), dtype=np.int64)
@@ -254,8 +255,6 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
     """Closure of the universe under kernels, cokernels, images of all
     morphisms between members, middle-term summands of all Ext classes, AR
     translates where defined, and socles and tops."""
-    from .modules import cokernel, image, kernel
-
     u = universe
     p = u.algebra.field.p
 
@@ -267,7 +266,6 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
                 return f"{what} has summand of dims {piece.dims} outside"
         return None
 
-    from .homology import hom_space
     for i, x in enumerate(u.indecs):
         for j, y in enumerate(u.indecs):
             h = hom_space(x, y)
@@ -277,7 +275,6 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
             if p ** d > u.algebra.caps.scan_count_cap:
                 raise ResourceLimitError("morphism scan too large")
             mat = np.stack([b.vec() for b in h.basis], axis=0)
-            from .modules import unvec_morphism
             for coeffs in linalg.nonzero_vectors(d, p):
                 f = unvec_morphism(x, y, (coeffs @ mat) % p)
                 for m, what in ((kernel(f)[0], f"kernel of map {i}->{j}"),

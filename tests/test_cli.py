@@ -210,3 +210,49 @@ def test_cli_import_leaves_sympy_out():
     )
     assert out.returncode == 0
     assert out.stdout == "False\n"
+
+
+def test_verify_fail_exit_code(monkeypatch, capsys):
+    from torsionheart import cli, verify
+
+    def failing(ctx):
+        return verify.VerifyResult("brick-property", False, "injected witness")
+
+    suites = list(verify.ALL_SUITES)
+    suites[1] = failing
+    monkeypatch.setattr(verify, "ALL_SUITES", suites)
+    assert cli.main(["verify", str(FIXTURES / "loop.quiver")]) == 5
+    out, err = capsys.readouterr()
+    expected = (Path(__file__).parent / "golden" / "verify-loop.out") \
+        .read_text().splitlines()
+    expected[3] = "FAIL brick-property: injected witness"
+    assert out.splitlines() == expected
+    assert err == ""
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    from torsionheart import cli, universe
+
+    def broken(m):
+        raise AssertionError("decomposition glue map\nis not an isomorphism")
+
+    monkeypatch.setattr(universe, "is_indecomposable", broken)
+    assert cli.main(["indec", str(FIXTURES / "a2.quiver")]) == 6
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal error: decomposition glue map is not an "
+                   "isomorphism\n")
+
+
+def test_not_cotilting_outside_heart_exit_code(monkeypatch, capsys):
+    from torsionheart import cli
+    from torsionheart.exceptions import NotCotiltingError
+
+    def rejected(u):
+        raise NotCotiltingError("Ext^1(C, C) != 0")
+
+    monkeypatch.setattr(cli, "enumerate_torsion_classes", rejected)
+    assert cli.main(["tors", str(FIXTURES / "a2.quiver")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "not cotilting: Ext^1(C, C) != 0\n"

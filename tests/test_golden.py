@@ -1,0 +1,45 @@
+"""CLI stdout against golden files.
+
+Each file under tests/golden/ holds the stdout of one CLI run on a bundled
+fixture: the README examples, and indec, tors, heart and verify on a2, a3,
+loop and square.  For example, tests/golden/tors-a3-dot.out is the output of
+
+    heart-simples tors fixtures/a3.quiver --format dot
+
+A change to a kernel must leave every byte and exit code as it is; a golden
+file changes only with an intended change of the output.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from torsionheart import cli
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "indec-a2": ["indec", "a2.quiver"],
+    "heart-a2-gens-1.0": ["heart", "a2.quiver", "--gens", "1.0"],
+    "heart-a2-gens-1.0-json-oracle": [
+        "heart", "a2.quiver", "--gens", "1.0", "--format", "json", "--oracle"],
+    "tors-a3-dot": ["tors", "a3.quiver", "--format", "dot"],
+    "indec-a3": ["indec", "a3.quiver"],
+    "tors-a3": ["tors", "a3.quiver"],
+    "indec-loop": ["indec", "loop.quiver"],
+    "tors-loop": ["tors", "loop.quiver"],
+    "tors-square": ["tors", "square.quiver", "--dim-bound", "1,1,1,1"],
+    "heart-a3-gens-2": ["heart", "a3.quiver", "--gens", "2"],
+    "verify-a3": ["verify", "a3.quiver"],
+    "verify-loop": ["verify", "loop.quiver"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, capsys):
+    command, fixture, *flags = CASES[name]
+    code = cli.main([command, str(FIXTURES / fixture), *flags])
+    out, err = capsys.readouterr()
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

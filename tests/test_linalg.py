@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,3 +123,60 @@ def test_intersect_row_spaces():
     inter = linalg.intersect_row_spaces(a, b, 2)
     assert inter.shape[0] == 1
     assert np.array_equal(inter[0], np.array([0, 1, 0]))
+
+
+@st.composite
+def _system(draw):
+    """(p, a, b): entries in [-2p, 2p], shapes from 0x0 to 24x24, sparse or
+    dense, often rank-deficient; the rows of b lie in the row space of a or
+    are random."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m, n, k = (draw(st.integers(0, 24)) for _ in range(3))
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def entries(rows, cols):
+        vals = rng.integers(-2 * p, 2 * p + 1, size=(rows, cols))
+        return vals * (rng.random((rows, cols)) < density)
+
+    a = entries(m, n)
+    for i, j in rng.integers(0, m, size=(draw(st.integers(0, m // 2)), 2)):
+        a[j] = -a[i]
+    if draw(st.booleans()):
+        b = (entries(k, m) @ a) % p
+    else:
+        b = entries(k, n)
+    return p, a.astype(np.int64), b.astype(np.int64)
+
+
+def _on_both_paths(fn):
+    """fn() evaluated with every rref on numpy, then on int lists."""
+    out = []
+    for entries in (-1, 10 ** 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "SMALL_RREF_ENTRIES", entries)
+            out.append(fn())
+    return out
+
+
+def _same_array(x, y):
+    return x.dtype == y.dtype == np.int64 and x.shape == y.shape \
+        and np.array_equal(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_system())
+def test_list_kernel_matches_numpy_kernel(system):
+    p, a, b = system
+    (r_np, piv_np), (r_list, piv_list) = _on_both_paths(
+        lambda: linalg.rref(a, p))
+    assert _same_array(r_np, r_list)
+    assert piv_np == piv_list
+    rank_np, rank_list = _on_both_paths(lambda: linalg.rank(a, p))
+    assert rank_np == rank_list == len(piv_np)
+    null_np, null_list = _on_both_paths(lambda: linalg.nullspace(a, p))
+    assert _same_array(null_np, null_list)
+    x_np, x_list = _on_both_paths(lambda: linalg.solve_left(a, b, p))
+    assert (x_np is None) == (x_list is None)
+    if x_np is not None:
+        assert _same_array(x_np, x_list)

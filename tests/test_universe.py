@@ -6,7 +6,7 @@ from torsionheart import universe as un
 from torsionheart.algebra import parse_algebra
 from torsionheart.exceptions import IncompleteUniverseError, ResourceLimitError
 
-from conftest import A2_TEXT, module_by_dims
+from conftest import A2_TEXT, A3_TEXT, module_by_dims
 from oracles import brute_submodule_count
 
 
@@ -170,3 +170,22 @@ def test_empty_universe_completeness():
     )
     ok, witness = un.completeness_check(empty)
     assert ok and witness is None
+
+
+def test_scan_forgets_rejected_candidates():
+    # A3 over F_3 tries thousands of candidates for six indecomposables; the
+    # Hom spaces of the rejected ones must not stay in the algebra's memo.
+    alg = parse_algebra(A3_TEXT, field_override=3)
+    u = un.enumerate_indecomposables(alg, (2, 2, 2), check_completeness=False)
+    assert len(alg.memo) <= 3 * u.n ** 2
+    assert [m.dims for m in u.indecs] == [
+        (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1),
+    ]
+    assert u.hom_table.tolist() == [
+        [1, 0, 0, 1, 0, 1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0],
+        [0, 1, 0, 1, 1, 1], [0, 0, 1, 0, 1, 0], [0, 0, 1, 0, 1, 1],
+    ]
+    assert u.ext_table.tolist() == [
+        [0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0],
+    ]
