@@ -5,10 +5,9 @@ Conventions used throughout the package:
 * vectors are rows; a matrix A of shape (m, n) maps row vectors x of length m
   to x @ A of length n,
 * all arrays are numpy int64 reduced mod p after every operation,
-* every elimination goes through rref: a matrix of at most
-  SMALL_RREF_ENTRIES entries is reduced on lists of Python ints and converted
-  back, a larger one by numpy row operations; the reduced row echelon form is
-  unique, so both paths return the same int64 array and pivot list,
+* every elimination goes through rref, which reduces on lists of Python ints
+  and converts back; rank, nullspace and solve_left back-substitute on the
+  same lists,
 * "nullspace" always means the right nullspace {x column : A x = 0}, returned
   as rows N with A @ N.T == 0; the kernel of a row action x -> x @ A is the
   nullspace of A.T.
@@ -41,21 +40,14 @@ def inv_mod(x: int, p: int) -> int:
     return pow(int(x) % p, p - 2, p)
 
 
-# rref eliminates a matrix of at most this many entries on lists of Python
-# ints (_rref_rows), where numpy's per-call overhead would dominate, and a
-# larger one by numpy row operations.  Timed on a 2-vCPU x86-64 VM: the list
-# path took half numpy's time on the rref inputs recorded from the fixtures
-# (sparse, up to about 1500 entries) and broke even on dense random matrices
-# at about 250-300 entries.
-SMALL_RREF_ENTRIES = 400
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form. Returns (R, pivot_columns).
 
-
-def _rref_rows(rows: list[list[int]], n: int, p: int) -> list[int]:
-    """Gauss-Jordan elimination in place on rows of ints reduced mod p.
-
-    Returns the pivot columns; rows ends in reduced row echelon form.
+    Gauss-Jordan elimination on lists of Python ints: nearly every input is
+    small and sparse, where numpy's per-call overhead would dominate.
     """
-    m = len(rows)
+    m, n = a.shape
+    rows = (a % p).tolist()
     pivots: list[int] = []
     row = 0
     for col in range(n):
@@ -79,37 +71,7 @@ def _rref_rows(rows: list[list[int]], n: int, p: int) -> list[int]:
                 rows[i] = [(x - c * y) % p for x, y in zip(ri, prow)]
         pivots.append(col)
         row += 1
-    return pivots
-
-
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    m, n = a.shape
-    if a.size <= SMALL_RREF_ENTRIES:
-        rows = (a % p).tolist()
-        pivots = _rref_rows(rows, n, p)
-        return np.array(rows, dtype=np.int64).reshape(m, n), pivots
-    r = a.copy() % p
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        sel = row + int(nz[0])
-        if sel != row:
-            r[[row, sel]] = r[[sel, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], p)) % p
-        col_vals = r[:, col].copy()
-        col_vals[row] = 0
-        other = np.nonzero(col_vals)[0]
-        if other.size:
-            r[other] = (r[other] - np.outer(col_vals[other], r[row])) % p
-        pivots.append(col)
-        row += 1
-    return r, pivots
+    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .algebra import BoundQuiverAlgebra, cached
+from .algebra import BoundQuiverAlgebra, cached, memo_mark, memo_rollback
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
     ar_translate, ar_translate_inverse, ext1, hom_dim, hom_space,
@@ -215,8 +215,8 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
             if not _support_connected(cand) or _detached_simple(cand):
                 continue
             # A rejected candidate's Hom spaces would otherwise stay in the
-            # algebra's memo for good; dicts pop their newest entries first.
-            mark = len(algebra.memo)
+            # algebra's memo for good.
+            mark = memo_mark(algebra)
             if is_indecomposable(cand):
                 fp = _fingerprint(cand, simples)
                 if not any(fp == other_fp and is_isomorphic(cand, other)
@@ -224,8 +224,7 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
                     found.append(cand)
                     fingerprints.append(fp)
                     continue
-            while len(algebra.memo) > mark:
-                algebra.memo.popitem()
+            memo_rollback(algebra, mark)
     n = len(found)
     hom_table = np.zeros((n, n), dtype=np.int64)
     ext_table = np.zeros((n, n), dtype=np.int64)

@@ -4,7 +4,8 @@ Everything here avoids the package's linear algebra paths on purpose: hom
 dimensions come from full scans over all vertex-map tuples, subspaces from
 closure-checked subsets of vectors, the Euler form gives Ext dimensions over
 hereditary presentations, and indecomposability from full idempotent scans.
-Only usable at tiny sizes.
+Only usable at tiny sizes.  numpy_rref is the elimination by numpy row
+operations that linalg.rref replaced, kept as its reference.
 """
 
 from __future__ import annotations
@@ -12,6 +13,32 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+
+
+def numpy_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot columns by numpy row operations."""
+    m, n = a.shape
+    r = a.copy() % p
+    pivots: list[int] = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        sel = row + int(nz[0])
+        if sel != row:
+            r[[row, sel]] = r[[sel, row]]
+        r[row] = (r[row] * pow(int(r[row, col]), p - 2, p)) % p
+        col_vals = r[:, col].copy()
+        col_vals[row] = 0
+        other = np.nonzero(col_vals)[0]
+        if other.size:
+            r[other] = (r[other] - np.outer(col_vals[other], r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots
 
 
 def _all_matrices(rows: int, cols: int, p: int):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from torsionheart import linalg
 
+from oracles import numpy_rref
+
 
 def _random_matrix(draw, p, max_dim=4):
     rows = draw(st.integers(0, max_dim))
@@ -150,13 +152,11 @@ def _system(draw):
 
 
 def _on_both_paths(fn):
-    """fn() evaluated with every rref on numpy, then on int lists."""
-    out = []
-    for entries in (-1, 10 ** 9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "SMALL_RREF_ENTRIES", entries)
-            out.append(fn())
-    return out
+    """fn() evaluated with every rref on the numpy reference, then as is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rref", numpy_rref)
+        reference = fn()
+    return reference, fn()
 
 
 def _same_array(x, y):
