@@ -81,31 +81,53 @@ def injective_cogenerator(algebra) -> Module:
     )[0]
 
 
+def _injective_dimension_exceeds_1(m: Module) -> bool:
+    env = injective_envelope(m)
+    return not env.is_iso() and not is_injective(cokernel(env)[0])
+
+
+def _member(u, i: int) -> str:
+    """Universe index and dims of a member, as named in a rejection reason."""
+    return f"M{i} ({','.join(str(d) for d in u.indecs[i].dims)})"
+
+
+def _first_member(u, bits: int) -> str:
+    return _member(u, bit_indices(bits)[0])
+
+
 def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
     """Build and verify the cotilting structure of a torsion pair."""
     u = pair.universe
     u.require_complete()
     f_bits = pair.torsion_free_bits
+    if f_bits == 0:
+        raise NotCotiltingError("the torsion-free class has no Ext-injectives: "
+                                "it is zero")
     ext_inj = 0
     for i in bit_indices(f_bits):
         if all(u.ext_table[j, i] == 0 for j in bit_indices(f_bits)):
             ext_inj |= 1 << i
     if ext_inj == 0:
-        raise NotCotiltingError("the torsion-free class has no Ext-injectives")
+        i = bit_indices(f_bits)[0]
+        j = next(j for j in bit_indices(f_bits) if u.ext_table[j, i])
+        raise NotCotiltingError(
+            "the torsion-free class has no Ext-injectives: "
+            f"Ext^1({_member(u, j)}, {_member(u, i)}) != 0")
     summands = u.members(ext_inj)
     c = direct_sum(summands, u.algebra)[0]
 
     # condition (1): injective dimension at most one
-    env = injective_envelope(c)
-    if not env.is_iso():
-        cosyzygy = cokernel(env)[0]
-        if not is_injective(cosyzygy):
-            raise NotCotiltingError("injective dimension of C exceeds 1")
+    if _injective_dimension_exceeds_1(c):
+        i = next(i for i in bit_indices(ext_inj)
+                 if _injective_dimension_exceeds_1(u.indecs[i]))
+        raise NotCotiltingError(
+            f"injective dimension of C exceeds 1 at {_member(u, i)}")
     # condition (2): self-orthogonality, on indecomposable summands
     for i in bit_indices(ext_inj):
         for j in bit_indices(ext_inj):
             if u.ext_table[i, j]:
-                raise NotCotiltingError("Ext^1(C, C) != 0")
+                raise NotCotiltingError(
+                    f"Ext^1(C, C) != 0 at {_member(u, i)}, {_member(u, j)}")
     # class equality Cogen(C) = perp_1(C) = torsion-free class
     cogen = cogenerated_bits(u, c)
     perp1_of_c = 0
@@ -113,29 +135,38 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
         if all(u.ext_table[x, i] == 0 for i in bit_indices(ext_inj)):
             perp1_of_c |= 1 << x
     if cogen != perp1_of_c:
-        raise NotCotiltingError("Cogen(C) != perp(C)")
+        only, other = (("Cogen(C)", "perp(C)") if cogen & ~perp1_of_c
+                       else ("perp(C)", "Cogen(C)"))
+        raise NotCotiltingError(
+            f"Cogen(C) != perp(C) at {_first_member(u, cogen ^ perp1_of_c)}"
+            f": in {only}, not in {other}")
     if cogen != f_bits:
-        raise NotCotiltingError("cotilting class differs from the torsion-free class")
+        raise NotCotiltingError(
+            "cotilting class differs from the torsion-free class at "
+            f"{_first_member(u, cogen ^ f_bits)}")
     # perpendicular class of the cotilting class
     perp_bits = 0
     for x in range(u.n):
         if all(u.ext_table[i, x] == 0 for i in bit_indices(f_bits)):
             perp_bits |= 1 << x
     if ext_inj != (f_bits & perp_bits):
-        raise NotCotiltingError("add(C) differs from C-class intersect perp")
+        raise NotCotiltingError(
+            "add(C) differs from C-class intersect perp at "
+            f"{_first_member(u, ext_inj ^ (f_bits & perp_bits))}")
 
     # condition (3): special cover of the injective cogenerator
     inj = injective_cogenerator(u.algebra)
     g = minimal_right_approx(inj, summands)
     if not g.is_epi():
+        dims = ",".join(str(d) for d in cokernel(g)[0].dims)
         raise NotCotiltingError(
-            "the add(C)-approximation of the injective cogenerator is not onto"
-        )
+            "the add(C)-approximation of the injective cogenerator is not "
+            f"onto: its cokernel has dims ({dims})")
     c1, incl = kernel(g)
     if u.summand_bitset(c1) & ~ext_inj:
         raise NotCotiltingError(
-            "kernel of the injective-cogenerator cover leaves add(C)"
-        )
+            "kernel of the injective-cogenerator cover leaves add(C) at "
+            f"{_first_member(u, u.summand_bitset(c1) & ~ext_inj)}")
     cover = SES(c1, g.source, inj, incl, g)
     if not cover.validate():
         raise AssertionError("injective cover sequence is not exact")

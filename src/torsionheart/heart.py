@@ -17,6 +17,12 @@ pulling back along t(B) -> B and splitting off indecomposable summands; the
 oracle mode quantifies literally over all submodules, quotients, and bounded
 extension scans, and the acceptance suite insists the two modes agree
 everywhere.
+
+The oracle's bounded ATF2 scan realizes every non-split extension of T by a
+sum A of at most two indecomposables, skipping every torsion A.  The split
+class cannot witness a failure: its middle T + A keeps the non-torsion
+summands of A.  Dually, the AT2 scan skips every torsion-free B, so the split
+middle F + B is never torsion-free.
 """
 
 from __future__ import annotations
@@ -93,12 +99,22 @@ def _sum_descriptors(u: IndecUniverse):
     return out
 
 
+def _nonsplit_middles(u: IndecUniverse, right: Module, left: Module):
+    """[middle bitset] over the non-split classes of Ext^1(right, left)."""
+    return [u.summand_bitset(ses.middle)
+            for _, ses in ext1(right, left).nonsplit_classes()]
+
+
 def _ext_middles_sum(u: IndecUniverse, right_desc, left_desc):
-    """[(middle bitset)] over all classes in Ext^1(right, left) where both
-    arguments are described as (index, multiplicity) multisets; cached."""
+    """_nonsplit_middles for two sums of members, each described as an
+    (index, multiplicity) multiset; cached.  Ext^1 is additive, so no class
+    is non-split when Ext^1 vanishes between every pair of summands."""
     def compute():
-        space = ext1(u.sum_module(dict(right_desc)), u.sum_module(dict(left_desc)))
-        return [u.summand_bitset(ses.middle) for _, ses in space.all_classes()]
+        if not any(u.ext_table[r, l] for r, _ in right_desc
+                   for l, _ in left_desc):
+            return []
+        return _nonsplit_middles(u, u.sum_module(dict(right_desc)),
+                                 u.sum_module(dict(left_desc)))
     return cached(u, ("ext_middles_sum", tuple(right_desc), tuple(left_desc)),
                   compute)
 
@@ -108,6 +124,31 @@ def _bits_of_desc(desc) -> int:
     for i, _ in desc:
         bits |= 1 << i
     return bits
+
+
+def _ext_scan_finds_witness(u: IndecUniverse, m: Module, m_on_right: bool,
+                            class_bits: int) -> bool:
+    """Bounded ATF2/AT2 scan: some extension between M and a sum A of at most
+    two members with A outside add(class) has its middle term inside.
+
+    M is the right end (the quotient) of the extension when m_on_right, else
+    the left end.  Only non-split classes are realized: the split middle is
+    M + A, which lies outside add(class) because A does.  This needs no fast
+    criterion, only the skip of every A inside add(class).
+    """
+    idx = u.index_of(m)
+    for desc in _sum_descriptors(u):
+        if _bits_of_desc(desc) & ~class_bits == 0:
+            continue
+        if idx is not None:
+            ends = (((idx, 1),), desc) if m_on_right else (desc, ((idx, 1),))
+            middles = _ext_middles_sum(u, *ends)
+        else:
+            a = u.sum_module(dict(desc))
+            middles = _nonsplit_middles(u, *((m, a) if m_on_right else (a, m)))
+        if any(bits & ~class_bits == 0 for bits in middles):
+            return True
+    return False
 
 
 def is_almost_torsion_free(t: Module, pair: TorsionPair,
@@ -132,7 +173,7 @@ def is_almost_torsion_free(t: Module, pair: TorsionPair,
         # ATF2': no extension of T by a torsion-free indecomposable with
         # torsion middle term
         for f in bit_indices(pair.torsion_free_bits):
-            for _, middle_bits, _ in u.ext_middle_bitsets(idx, f):
+            for _, middle_bits in u.ext_middle_bitsets(idx, f):
                 if middle_bits & ~pair.torsion_bits == 0:
                     return False
         return True
@@ -146,22 +187,7 @@ def is_almost_torsion_free(t: Module, pair: TorsionPair,
             return False
     # ATF2, bounded scan: all extensions of T by sums of at most two
     # indecomposables; if the middle is torsion, so must be the kernel
-    idx = u.index_of(t)
-    for desc in _sum_descriptors(u):
-        a_bits = _bits_of_desc(desc)
-        a_torsion = a_bits & ~pair.torsion_bits == 0
-        if a_torsion:
-            continue
-        if idx is not None:
-            middles = _ext_middles_sum(u, ((idx, 1),), desc)
-        else:
-            space = ext1(t, u.sum_module(dict(desc)))
-            middles = [u.summand_bitset(ses.middle)
-                       for _, ses in space.all_classes()]
-        for middle_bits in middles:
-            if middle_bits & ~pair.torsion_bits == 0:
-                return False
-    return True
+    return not _ext_scan_finds_witness(u, t, True, pair.torsion_bits)
 
 
 def is_almost_torsion(f: Module, pair: TorsionPair, mode: str = "fast") -> bool:
@@ -187,7 +213,7 @@ def is_almost_torsion(f: Module, pair: TorsionPair, mode: str = "fast") -> bool:
         # AT2': no extension of a torsion indecomposable by F with
         # torsion-free middle term
         for t in bit_indices(pair.torsion_bits):
-            for _, middle_bits, _ in u.ext_middle_bitsets(t, idx):
+            for _, middle_bits in u.ext_middle_bitsets(t, idx):
                 if middle_bits & ~pair.torsion_free_bits == 0:
                     return False
         return True
@@ -201,22 +227,7 @@ def is_almost_torsion(f: Module, pair: TorsionPair, mode: str = "fast") -> bool:
             return False
     # AT2, bounded scan: all sequences 0 -> F -> A -> B -> 0 with B a sum of
     # at most two indecomposables; A torsion-free must force B torsion-free
-    idx = u.index_of(f)
-    for desc in _sum_descriptors(u):
-        b_bits = _bits_of_desc(desc)
-        b_torsion_free = b_bits & ~pair.torsion_free_bits == 0
-        if b_torsion_free:
-            continue
-        if idx is not None:
-            middles = _ext_middles_sum(u, desc, ((idx, 1),))
-        else:
-            space = ext1(u.sum_module(dict(desc)), f)
-            middles = [u.summand_bitset(ses.middle)
-                       for _, ses in space.all_classes()]
-        for middle_bits in middles:
-            if middle_bits & ~pair.torsion_free_bits == 0:
-                return False
-    return True
+    return not _ext_scan_finds_witness(u, f, False, pair.torsion_free_bits)
 
 
 def heart_simples(pair: TorsionPair, mode: str = "fast") -> list[HeartSimple]:
@@ -482,7 +493,7 @@ def _indec_split_injective(idx: int, class_bits: int, u: IndecUniverse) -> bool:
     """Ext criterion for a submodule-closed class: the member is split
     injective iff no nonzero extension by it has a middle term in the class."""
     for q in range(u.n):
-        for coeffs, middle_bits, _ in u.ext_middle_bitsets(q, idx):
+        for coeffs, middle_bits in u.ext_middle_bitsets(q, idx):
             if any(coeffs) and middle_bits & ~class_bits == 0:
                 return False
     return True

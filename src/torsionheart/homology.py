@@ -290,7 +290,12 @@ def is_projective(m: Module) -> bool:
 # -- Ext^1 ----------------------------------------------------------------------
 
 class Ext1Space:
-    """Ext^1(M, N) = Hom(K, N) / res Hom(P0, N) for the minimal syzygy of M."""
+    """Ext^1(M, N) = Hom(K, N) / res Hom(P0, N) for the minimal syzygy of M.
+
+    all_classes() realizes every class; nonsplit_classes() skips the zero
+    class, whose middle term is N + M by definition, for scans that know
+    what the split middle contributes.
+    """
 
     def __init__(self, m: Module, n: Module):
         self.m = m
@@ -356,14 +361,27 @@ class Ext1Space:
                                       self.p)
         return np.array([resid[i] for i in self.rep_indices], dtype=np.int64)
 
-    def all_classes(self):
-        """(coeffs, SES) for every class, zero class included."""
+    def _check_scan_cap(self):
         caps = self.m.algebra.caps
         d = self.dim
         if d > caps.ext_dim_cap or self.p ** d > caps.scan_count_cap:
             raise ResourceLimitError(f"ext scan of size {self.p}^{d} exceeds cap")
-        for coeffs in linalg.vectors(d, self.p):
+
+    def nonsplit_classes(self):
+        """(coeffs, SES) for every nonzero class, in lexicographic order of
+        the coefficients.  The scan cap is checked before any class is
+        realized."""
+        self._check_scan_cap()
+        for coeffs in linalg.nonzero_vectors(self.dim, self.p):
             yield coeffs, self.realize(coeffs)
+
+    def all_classes(self):
+        """(coeffs, SES) for every class: the zero (split) class first, then
+        nonsplit_classes() in the same order."""
+        self._check_scan_cap()
+        zero = np.zeros(self.dim, dtype=np.int64)
+        yield zero, self.realize(zero)
+        yield from self.nonsplit_classes()
 
 
 def ext1(m: Module, n: Module) -> Ext1Space:

@@ -31,7 +31,7 @@ def submodule_summand_bits(u: IndecUniverse, i: int) -> int:
 
 def ext_middle_union_bits(u: IndecUniverse, i: int, j: int) -> int:
     return cached(u, ("ext_middle_union_bits", i, j), lambda: _union(
-        bits for _, bits, _ in u.ext_middle_bitsets(i, j)))
+        bits for _, bits in u.ext_middle_bitsets(i, j)))
 
 
 def _union(bitsets) -> int:

@@ -156,11 +156,16 @@ class IndecUniverse:
                       lambda: simple_socle_quotients(self.indecs[i]))
 
     def ext_middle_bitsets(self, i: int, j: int):
-        """[(coeffs, middle bitset, middle)] over all classes in
-        Ext^1(indec_i, indec_j)."""
-        return cached(self, ("ext_middle_bitsets", i, j), lambda: [
-            (tuple(int(c) for c in coeffs), self.summand_bitset(ses.middle), ses)
-            for coeffs, ses in ext1(self.indecs[i], self.indecs[j]).all_classes()])
+        """[(coeffs, middle bitset)] over all classes in Ext^1(indec_i,
+        indec_j), zero class first.  The split middle X_j + X_i is not
+        realized: its summands are the two members themselves."""
+        def compute():
+            space = ext1(self.indecs[i], self.indecs[j])
+            nonsplit = [(tuple(int(c) for c in coeffs),
+                         self.summand_bitset(ses.middle))
+                        for coeffs, ses in space.nonsplit_classes()]
+            return [((0,) * space.dim, 1 << i | 1 << j)] + nonsplit
+        return cached(self, ("ext_middle_bitsets", i, j), compute)
 
 
 def bit_indices(bits: int) -> list[int]:
@@ -193,7 +198,8 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
     p = algebra.field.p
     found: list[Module] = []
     fingerprints: list[tuple] = []
-    simples = [simple_module(algebra, v) for v in range(q.n)]
+    # Every dimension vector is checked against the cap before any scan.
+    scans = []
     for dims in _dim_vectors(bound):
         shapes = [(dims[a.source], dims[a.target]) for a in q.arrows]
         entries = sum(r * c for r, c in shapes)
@@ -201,6 +207,9 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
             raise ResourceLimitError(
                 f"candidate scan at dims {dims} needs {p}^{entries} tuples"
             )
+        scans.append((dims, shapes, entries))
+    simples = [simple_module(algebra, v) for v in range(q.n)]
+    for dims, shapes, entries in scans:
         for flat in product(range(p), repeat=entries):
             maps = []
             off = 0
@@ -282,12 +291,11 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
                     w = check_member(m, what)
                     if w:
                         return False, w
+    # The split middle X_i + X_j is made of members, so only the non-split
+    # classes can leave the universe.
     for i in range(u.n):
         for j in range(u.n):
-            space = ext1(u.indecs[i], u.indecs[j])
-            if space.dim == 0:
-                continue
-            for coeffs, ses in space.all_classes():
+            for _, ses in ext1(u.indecs[i], u.indecs[j]).nonsplit_classes():
                 w = check_member(ses.middle, f"ext middle {i} by {j}")
                 if w:
                     return False, w

@@ -58,6 +58,18 @@ def test_a2_not_cotilting_cases(a2_universe):
         co.cotilting_from_pair(to.pair_from_torsion_class(u.all_bits, u))
 
 
+def test_rejection_names_the_member(a3_universe):
+    # the torsion class generated by P2 = (0,1,1) on A3 is not cotilting;
+    # the reason names the member in perp(C) that C does not cogenerate
+    u = a3_universe
+    p2 = u.index_of(module_by_dims(u, (0, 1, 1)))
+    pair = to.pair_from_torsion_class(to.torsion_closure([u.indecs[p2]], u), u)
+    with pytest.raises(NotCotiltingError) as info:
+        co.cotilting_from_pair(pair)
+    assert info.value.reason == (f"Cogen(C) != perp(C) at M{p2} (0,1,1): "
+                                 "in perp(C), not in Cogen(C)")
+
+
 def test_cogen_equals_perp_tables(a2_universe, a2_nontrivial):
     # X in Cogen(C) iff Ext(X, C) = 0, for every indecomposable
     u = a2_universe

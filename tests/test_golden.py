@@ -1,8 +1,9 @@
 """CLI stdout against golden files.
 
 Each file under tests/golden/ holds the stdout of one CLI run on a bundled
-fixture: the README examples, and indec, tors, heart and verify on a2, a3,
-loop and square.  For example, tests/golden/tors-a3-dot.out is the output of
+fixture: the README examples, indec, tors, heart and verify on a2, a3,
+loop and square, and verify on d4, the benchmark's headline command.  For
+example, tests/golden/tors-a3-dot.out is the output of
 
     heart-simples tors fixtures/a3.quiver --format dot
 
@@ -33,6 +34,7 @@ CASES = {
     "heart-a3-gens-2": ["heart", "a3.quiver", "--gens", "2"],
     "verify-a3": ["verify", "a3.quiver"],
     "verify-loop": ["verify", "loop.quiver"],
+    "verify-d4": ["verify", "d4.quiver"],
 }
 
 

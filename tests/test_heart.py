@@ -347,3 +347,42 @@ def test_split_injective_scan_agrees_a3(a3_universe):
         m = u.indecs[i]
         assert he._indec_split_injective(i, data.c_class_bits, u) == \
             he._indec_split_injective_scan(m, data.c_class_bits, u)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "d4"])
+def test_ext_middles_sum_plus_split_is_every_class(name, request):
+    # Differential check of the oracle's skip of the split class and of
+    # Ext^1 = 0 pairs: adding the split middle back gives the middles of
+    # every realized class, in both directions.
+    from torsionheart.homology import ext1
+    u = request.getfixturevalue(f"{name}_universe")
+    for i in range(u.n):
+        for desc in he._sum_descriptors(u):
+            split = 1 << i | he._bits_of_desc(desc)
+            for right, left in ((((i, 1),), desc), (desc, ((i, 1),))):
+                space = ext1(u.sum_module(dict(right)),
+                             u.sum_module(dict(left)))
+                every = {u.summand_bitset(ses.middle)
+                         for _, ses in space.all_classes()}
+                assert set(he._ext_middles_sum(u, right, left)) | {split} \
+                    == every, (right, left)
+
+
+def test_oracle_never_realizes_the_split_class(monkeypatch):
+    from torsionheart import verify as ve
+    from torsionheart.homology import Ext1Space
+    from torsionheart.universe import enumerate_indecomposables
+    # a fresh context, so that no oracle scan is served from the memo
+    ctx = ve.build_context(
+        enumerate_indecomposables(parse_algebra(A3_TEXT), (2, 2, 2)))
+    realize = Ext1Space.realize
+    calls = []
+
+    def guarded(self, coeffs):
+        assert any(int(c) for c in coeffs), "split class realized"
+        calls.append(coeffs)
+        return realize(self, coeffs)
+
+    monkeypatch.setattr(Ext1Space, "realize", guarded)
+    assert ve.suite_oracle_equivalence(ctx).passed
+    assert calls

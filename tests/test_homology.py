@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from torsionheart import homology as ho
 from torsionheart import linalg
 from torsionheart import modules as mo
 from torsionheart.algebra import parse_algebra
+from torsionheart.config import DEFAULT_CAPS
+from torsionheart.exceptions import ResourceLimitError
 
 from conftest import A2_TEXT, A3_TEXT
 from oracles import brute_ext_dim_hereditary
@@ -369,3 +373,26 @@ def test_fitting_idempotent_properties(a3_f3_end, coeffs):
     assert one.add(e.scale(-1)).then(xn).is_zero()
     for v in range(m.algebra.quiver.n):
         assert linalg.rank(xn.maps[v], 3) == linalg.rank(e.maps[v], 3)
+
+
+
+def _two_dimensional_ext(**caps):
+    # Ext^1(S1 + S2, S2 + S3) on A3 has two dimensions
+    alg = parse_algebra(A3_TEXT, dataclasses.replace(DEFAULT_CAPS, **caps))
+    s1, s2, s3 = mo.standard_modules(alg)[0]
+    return ho.ext1(mo.direct_sum([s1, s2])[0], mo.direct_sum([s2, s3])[0])
+
+
+def test_nonsplit_classes_follow_the_zero_class():
+    space = _two_dimensional_ext()
+    every = [tuple(int(c) for c in coeffs) for coeffs, _ in space.all_classes()]
+    assert every[0] == (0, 0)
+    assert every[1:] == [tuple(int(c) for c in coeffs)
+                         for coeffs, _ in space.nonsplit_classes()]
+
+
+def test_class_scans_check_the_cap_first():
+    space = _two_dimensional_ext(ext_dim_cap=1)
+    for scan in (space.all_classes(), space.nonsplit_classes()):
+        with pytest.raises(ResourceLimitError):
+            next(scan)

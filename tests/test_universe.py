@@ -156,8 +156,41 @@ def test_ext_middle_bitsets(a2_universe):
     p1 = u.index_of(module_by_dims(u, (1, 1)))
     entries = u.ext_middle_bitsets(s1, s2)
     assert len(entries) == 2  # zero class and the nonsplit one
-    bitsets = sorted(bits for _, bits, _ in entries)
+    bitsets = sorted(bits for _, bits in entries)
     assert bitsets == sorted([(1 << s1) | (1 << s2), 1 << p1])
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "d4"])
+def test_ext_middle_bitsets_split_entry(name, request):
+    # the synthesized split entry is the bitset of the realized zero class
+    from torsionheart.homology import ext1
+    u = request.getfixturevalue(f"{name}_universe")
+    for i in range(u.n):
+        for j in range(u.n):
+            coeffs, bits = u.ext_middle_bitsets(i, j)[0]
+            assert not any(coeffs)
+            zero, ses = next(ext1(u.indecs[i], u.indecs[j]).all_classes())
+            assert bits == u.summand_bitset(ses.middle), (i, j)
+
+
+def test_candidate_cap_checked_before_any_candidate(monkeypatch):
+    # Over F_2 with bound (2, 2) only the last dimension vector (2, 2), with
+    # 2^4 candidates, is over a cap of 8; no candidate may be built first.
+    import dataclasses
+    from torsionheart.config import DEFAULT_CAPS
+    alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
+                                                     candidate_cap=8))
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return mo.Module(*args, **kwargs)
+
+    monkeypatch.setattr(un, "Module", counting)
+    with pytest.raises(ResourceLimitError,
+                       match=r"candidate scan at dims \(2, 2\) needs 2\^4"):
+        un.enumerate_indecomposables(alg, (2, 2))
+    assert built == []
 
 
 def test_empty_universe_completeness():
