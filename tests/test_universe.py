@@ -169,7 +169,7 @@ def test_ext_middle_bitsets_split_entry(name, request):
         for j in range(u.n):
             coeffs, bits = u.ext_middle_bitsets(i, j)[0]
             assert not any(coeffs)
-            zero, ses = next(ext1(u.indecs[i], u.indecs[j]).all_classes())
+            _, ses = next(ext1(u.indecs[i], u.indecs[j]).all_classes())
             assert bits == u.summand_bitset(ses.middle), (i, j)
 
 
