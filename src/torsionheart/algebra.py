@@ -13,8 +13,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg
 from .config import DEFAULT_CAPS, ResourceCaps
 from .exceptions import AdmissibilityError, QuiverParseError
@@ -188,7 +186,7 @@ class BoundQuiverAlgebra:
                 break
         return out
 
-    def _ideal_rows(self, paths: list[Path], index: dict[Path, int], length: int) -> np.ndarray:
+    def _ideal_rows(self, paths: list[Path], index: dict[Path, int], length: int):
         """Span of trunc_L(u * r * v) over all relations r and paths u, v."""
         q = self.quiver
         p = self.field.p
@@ -208,18 +206,16 @@ class BoundQuiverAlgebra:
                 for v in by_source.get(rel_tgt, []):
                     if len(u[1]) + min_len + len(v[1]) > length:
                         continue
-                    vec = np.zeros(len(paths), dtype=np.int64)
+                    vec = [0] * len(paths)
                     hit = False
                     for coeff, mid in rel:
                         total = (u[0], u[1] + mid[1] + v[1])
                         if len(total[1]) <= length:
                             vec[index[total]] = (vec[index[total]] + coeff) % p
                             hit = True
-                    if hit and vec.any():
-                        rows.append(vec)
-        if not rows:
-            return linalg.zeros(0, len(paths))
-        return np.stack(rows, axis=0)
+                    if hit and any(vec):
+                        rows.append(tuple(vec))
+        return tuple(rows)
 
     def _build_basis(self):
         p = self.field.p
@@ -234,8 +230,9 @@ class BoundQuiverAlgebra:
             ideal = self._ideal_rows(paths, index, length)
             r, pivots = linalg.rref(ideal, p)
             r = r[: len(pivots)]
+            units = linalg.eye(len(paths))
             dead_top = all(
-                linalg.in_row_space(self._unit(index, path, len(paths)), r, pivots, p)
+                linalg.in_row_space(units[index[path]], r, pivots, p)
                 for path in top
             )
             if dead_top:
@@ -245,12 +242,6 @@ class BoundQuiverAlgebra:
             f"path basis did not stabilize below length {self.caps.length_cap}"
         )
 
-    @staticmethod
-    def _unit(index: dict[Path, int], path: Path, n: int) -> np.ndarray:
-        v = np.zeros(n, dtype=np.int64)
-        v[index[path]] = 1
-        return v
-
     def _finalize(self, paths, index, rref_rows, pivots, length):
         p = self.field.p
         # order columns so that longer paths are preferred as pivots: re-echelonize
@@ -258,12 +249,12 @@ class BoundQuiverAlgebra:
         # the shortest representatives.
         order = sorted(range(len(paths)), key=lambda i: (-len(paths[i][1]), paths[i]))
         inv_order = {c: k for k, c in enumerate(order)}
-        if rref_rows.shape[0]:
-            permuted = rref_rows[:, order]
+        if rref_rows:
+            permuted = [tuple(row[c] for c in order) for row in rref_rows]
             r2, piv2 = linalg.rref(permuted, p)
             r2 = r2[: len(piv2)]
         else:
-            r2, piv2 = linalg.zeros(0, len(paths)), []
+            r2, piv2 = (), []
         pivot_orig = {order[c] for c in piv2}
         basis_cols = [i for i in range(len(paths)) if i not in pivot_orig]
         basis_cols.sort(key=lambda i: (len(paths[i][1]), paths[i]))
@@ -272,10 +263,9 @@ class BoundQuiverAlgebra:
         self.basis_index = {path: i for i, path in enumerate(self.basis)}
         self._reduction: dict[Path, dict[int, int]] = {}
         # precompute the reduction of every enumerated path to basis coordinates
+        units = linalg.eye(len(paths))
         for i, path in enumerate(paths):
-            vec = np.zeros(len(paths), dtype=np.int64)
-            vec[i] = 1
-            resid = linalg.reduce_against(vec[order], r2, piv2, p)
+            resid = linalg.reduce_against(units[inv_order[i]], r2, piv2, p)
             expr: dict[int, int] = {}
             for k, c in enumerate(order):
                 if resid[inv_order[c]] % p:

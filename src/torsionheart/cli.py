@@ -132,8 +132,8 @@ def cmd_indec(args) -> int:
         "universe": universe_json(u),
         "dimBound": list(u.dim_bound),
         "complete": u.complete,
-        "homTable": u.hom_table.tolist(),
-        "extTable": u.ext_table.tolist(),
+        "homTable": u.hom_table,
+        "extTable": u.ext_table,
     }
     lines = [
         f"algebra over F_{algebra.field.p}: dim {algebra.dim}, "
@@ -143,10 +143,10 @@ def cmd_indec(args) -> int:
         lines.append(f"  M{i} dims {_dims_str(m.dims)} "
                      f"brick={'yes' if is_brick(m) else 'no'}")
     lines.append("hom table (rows map to columns):")
-    for row in u.hom_table.tolist():
+    for row in u.hom_table:
         lines.append("  " + " ".join(str(x) for x in row))
     lines.append("ext table:")
-    for row in u.ext_table.tolist():
+    for row in u.ext_table:
         lines.append("  " + " ".join(str(x) for x in row))
     _emit(payload, args.format, lines)
     return EXIT_OK

@@ -2,11 +2,11 @@
 sequences of the associated cotorsion pair.
 
 Detection is construct-then-verify: the candidate C is the sum of the
-Ext-injective indecomposables of the torsion-free class, and the three
-defining conditions (injective dimension at most one, self-orthogonality,
-an add(C)-coresolution of the injective cogenerator) plus the class equality
-Cogen(C) = {X : Ext^1(X, C) = 0} = F are all checked explicitly; any failure
-reports the failing condition.
+Ext-injective indecomposables of the torsion-free class, which makes it
+self-orthogonal by construction.  The other two defining conditions
+(injective dimension at most one, an add(C)-coresolution of the injective
+cogenerator) and the class equality Cogen(C) = {X : Ext^1(X, C) = 0} = F are
+checked explicitly; any failure reports the failing condition.
 
 Prod is read as add throughout: over a finite-dimensional algebra at desk
 scale the two closures agree on finite-dimensional modules.
@@ -15,8 +15,6 @@ scale the two closures agree on finite-dimensional modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg
 from .exceptions import NotCotiltingError
@@ -62,10 +60,7 @@ def cogenerated_bits(u, c: Module) -> int:
         for v in range(x.algebra.quiver.n):
             if x.dims[v] == 0:
                 continue
-            stacked = (
-                np.concatenate([f.maps[v] for f in basis], axis=1)
-                if basis else linalg.zeros(x.dims[v], 0)
-            )
+            stacked = linalg.hconcat([f.maps[v] for f in basis], x.dims[v])
             if linalg.rank(stacked, p) < x.dims[v]:
                 mono = False
                 break
@@ -105,11 +100,11 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
                                 "it is zero")
     ext_inj = 0
     for i in bit_indices(f_bits):
-        if all(u.ext_table[j, i] == 0 for j in bit_indices(f_bits)):
+        if all(u.ext_table[j][i] == 0 for j in bit_indices(f_bits)):
             ext_inj |= 1 << i
     if ext_inj == 0:
         i = bit_indices(f_bits)[0]
-        j = next(j for j in bit_indices(f_bits) if u.ext_table[j, i])
+        j = next(j for j in bit_indices(f_bits) if u.ext_table[j][i])
         raise NotCotiltingError(
             "the torsion-free class has no Ext-injectives: "
             f"Ext^1({_member(u, j)}, {_member(u, i)}) != 0")
@@ -122,17 +117,13 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
                  if _injective_dimension_exceeds_1(u.indecs[i]))
         raise NotCotiltingError(
             f"injective dimension of C exceeds 1 at {_member(u, i)}")
-    # condition (2): self-orthogonality, on indecomposable summands
-    for i in bit_indices(ext_inj):
-        for j in bit_indices(ext_inj):
-            if u.ext_table[i, j]:
-                raise NotCotiltingError(
-                    f"Ext^1(C, C) != 0 at {_member(u, i)}, {_member(u, j)}")
+    # condition (2), self-orthogonality, holds by construction: ext_inj is
+    # the members i of F with Ext^1(F, X_i) = 0, and C lies in F
     # class equality Cogen(C) = perp_1(C) = torsion-free class
     cogen = cogenerated_bits(u, c)
     perp1_of_c = 0
     for x in range(u.n):
-        if all(u.ext_table[x, i] == 0 for i in bit_indices(ext_inj)):
+        if all(u.ext_table[x][i] == 0 for i in bit_indices(ext_inj)):
             perp1_of_c |= 1 << x
     if cogen != perp1_of_c:
         only, other = (("Cogen(C)", "perp(C)") if cogen & ~perp1_of_c
@@ -144,15 +135,12 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
         raise NotCotiltingError(
             "cotilting class differs from the torsion-free class at "
             f"{_first_member(u, cogen ^ f_bits)}")
-    # perpendicular class of the cotilting class
+    # perpendicular class of the cotilting class; add(C) is its
+    # intersection with F by the definition of ext_inj
     perp_bits = 0
     for x in range(u.n):
-        if all(u.ext_table[i, x] == 0 for i in bit_indices(f_bits)):
+        if all(u.ext_table[i][x] == 0 for i in bit_indices(f_bits)):
             perp_bits |= 1 << x
-    if ext_inj != (f_bits & perp_bits):
-        raise NotCotiltingError(
-            "add(C) differs from C-class intersect perp at "
-            f"{_first_member(u, ext_inj ^ (f_bits & perp_bits))}")
 
     # condition (3): special cover of the injective cogenerator
     inj = injective_cogenerator(u.algebra)
@@ -219,11 +207,6 @@ def special_envelope(m: Module, data: CotiltingData) -> SES:
     if not ses.validate():
         raise AssertionError("special envelope is not exact")
     return ses
-
-
-def c0_c1(data: CotiltingData) -> tuple[Module, Module]:
-    """Middle and kernel of the special cover of the injective cogenerator."""
-    return data.c0, data.c1
 
 
 def minimal_cotilting(data: CotiltingData, envelope_modules: list[Module]) -> Module:

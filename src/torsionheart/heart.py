@@ -2,9 +2,7 @@
 
 The heart of the tilt of (T, F) is never materialized as complexes: the
 simple objects are detected on the module level as the torsion almost
-torsion-free modules (shifted) and the torsion-free almost torsion modules,
-and mono/epi questions are answered by the kernel/cokernel membership
-criteria.
+torsion-free modules (shifted) and the torsion-free almost torsion modules.
 
 Each detection ships in two modes.  The fast criteria
 
@@ -28,10 +26,9 @@ middle F + B is never torsion-free.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-
-import numpy as np
 
 from . import linalg
 from .algebra import cached
@@ -43,7 +40,7 @@ from .homology import (
 )
 from .krull import decompose, is_indecomposable, is_isomorphic
 from .modules import (
-    Module, Morphism, cokernel, direct_sum, kernel, unvec_morphism,
+    Module, Morphism, cokernel, direct_sum, unvec_morphism,
 )
 from .torsion import TorsionPair, is_hereditary, submodule_summand_bits
 from .universe import IndecUniverse, all_submodules, bit_indices
@@ -110,7 +107,7 @@ def _ext_middles_sum(u: IndecUniverse, right_desc, left_desc):
     (index, multiplicity) multiset; cached.  Ext^1 is additive, so no class
     is non-split when Ext^1 vanishes between every pair of summands."""
     def compute():
-        if not any(u.ext_table[r, l] for r, _ in right_desc
+        if not any(u.ext_table[r][l] for r, _ in right_desc
                    for l, _ in left_desc):
             return []
         return _nonsplit_middles(u, u.sum_module(dict(right_desc)),
@@ -168,7 +165,7 @@ def is_almost_torsion_free(t: Module, pair: TorsionPair,
             mbits = u.summand_bitset(msub)
             for s in bit_indices(mbits):
                 for x in bit_indices(pair.torsion_bits):
-                    if u.hom_table[x, s]:
+                    if u.hom_table[x][s]:
                         return False
         # ATF2': no extension of T by a torsion-free indecomposable with
         # torsion middle term
@@ -208,7 +205,7 @@ def is_almost_torsion(f: Module, pair: TorsionPair, mode: str = "fast") -> bool:
             qbits = u.summand_bitset(quot)
             for s in bit_indices(qbits):
                 for y in bit_indices(pair.torsion_free_bits):
-                    if u.hom_table[s, y]:
+                    if u.hom_table[s][y]:
                         return False
         # AT2': no extension of a torsion indecomposable by F with
         # torsion-free middle term
@@ -246,36 +243,6 @@ def heart_simples(pair: TorsionPair, mode: str = "fast") -> list[HeartSimple]:
     return out
 
 
-# -- heart-level mono/epi criteria ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class HeartMonoEpi:
-    mono_in_heart: bool
-    epi_in_heart: bool
-
-
-def heart_mono_epi(h: Morphism, pair: TorsionPair) -> HeartMonoEpi:
-    """Kernel/cokernel membership criteria for a map between two torsion-free
-    modules, or between two torsion modules (viewed in the heart via the
-    shift)."""
-    u = pair.universe
-    k = kernel(h)[0]
-    c = cokernel(h)[0]
-    both_free = (pair.is_torsion_free(h.source)
-                 and pair.is_torsion_free(h.target))
-    both_torsion = pair.is_torsion(h.source) and pair.is_torsion(h.target)
-    if both_free:
-        mono = k.is_zero() and pair.is_torsion_free(c)
-        epi = pair.is_torsion(c)
-        return HeartMonoEpi(mono, epi)
-    if both_torsion:
-        mono = pair.is_torsion_free(k)
-        epi = c.is_zero() and pair.is_torsion(k)
-        return HeartMonoEpi(mono, epi)
-    raise ValueError("source and target must both be torsion-free or both torsion")
-
-
 # -- left almost split morphisms -------------------------------------------------
 
 
@@ -285,12 +252,8 @@ def _all_homs(x: Module, y: Module):
     d = h.dim
     if p ** d > x.algebra.caps.scan_count_cap:
         raise ResourceLimitError(f"hom scan of size {p}^{d} exceeds cap")
-    if d == 0:
-        yield h.from_coords([])
-        return
-    mat = np.stack([b.vec() for b in h.basis], axis=0)
     for coeffs in linalg.vectors(d, p):
-        yield unvec_morphism(x, y, (coeffs @ mat) % p)
+        yield h.from_coords(coeffs)
 
 
 def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
@@ -313,9 +276,7 @@ def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool
                 continue
             hy = hom_space(f.target, target)
             rows = [hx.coords_of(f.then(b)) for b in hy.basis]
-            mat = (np.stack(rows, axis=0) if rows
-                   else linalg.zeros(0, hx.dim))
-            if linalg.rank(mat, p) < hx.dim:
+            if linalg.rank(rows, p) < hx.dim:
                 return False
         else:
             for g in _all_homs(x, target):
@@ -339,8 +300,7 @@ def is_strong_las(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
         if hy.dim == 0:
             continue
         rows = [f.then(b).vec() for b in hy.basis]
-        mat = np.stack(rows, axis=0)
-        if mat.shape[1] == 0 or linalg.rank(mat, p) < hy.dim:
+        if not rows[0] or linalg.rank(rows, p) < hy.dim:
             return False
     return True
 
@@ -359,8 +319,6 @@ def strong_las_uniqueness_scan(f: Morphism, class_bits: int,
     mono g out of the source, count the factorizations of g through f.
     The counting is batched: all composites f.then(h) are tabulated and each
     candidate g is looked up."""
-    from collections import Counter
-
     if not is_left_almost_split(f, class_bits, u):
         return False
     x = f.source
@@ -372,30 +330,19 @@ def strong_las_uniqueness_scan(f: Morphism, class_bits: int,
         for d in (hx.dim, hy.dim):
             if p ** d > x.algebra.caps.scan_count_cap:
                 raise ResourceLimitError(f"hom scan of size {p}^{d} exceeds cap")
-        amb = sum(x.dims[v] * target.dims[v]
-                  for v in range(x.algebra.quiver.n))
-        if hy.dim:
-            img_rows = np.stack([f.then(b).vec() for b in hy.basis], axis=0)
-            coeffs = np.stack(list(linalg.vectors(hy.dim, p)), axis=0)
-            images = (coeffs @ img_rows) % p
-        else:
-            images = np.zeros((1, amb), dtype=np.int64)
-        counts = Counter(row.tobytes() for row in images)
-        zero_len = amb
-        if hx.dim == 0:
-            # only g = 0; it must factor uniquely
-            if counts.get(np.zeros(zero_len, dtype=np.int64).tobytes(), 0) != 1:
-                return False
-            continue
-        basis_rows = np.stack([b.vec() for b in hx.basis], axis=0)
+        amb = sum(a * b for a, b in zip(x.dims, target.dims))
+        img_rows = [f.then(b).vec() for b in hy.basis]
+        counts = Counter(linalg.combination(c, img_rows, p, amb)
+                         for c in linalg.vectors(hy.dim, p))
+        # with hx.dim == 0 the only g is 0, and it must factor uniquely
+        basis_rows = hx.matrix()
         may_split = target.dims == x.dims
         for cvec in linalg.vectors(hx.dim, p):
-            gvec = (cvec @ basis_rows) % p
-            if may_split and cvec.any():
-                g = unvec_morphism(x, target, gvec)
-                if g.is_iso():
-                    continue
-            if counts.get(gvec.tobytes(), 0) != 1:
+            gvec = linalg.combination(cvec, basis_rows, p, amb)
+            if may_split and any(cvec) \
+                    and unvec_morphism(x, target, gvec).is_iso():
+                continue
+            if counts.get(gvec, 0) != 1:
                 return False
     return True
 
@@ -551,9 +498,8 @@ def embedding_into_criticals(m: Module, criticals: list[Module],
         for v in range(q.n):
             if m.dims[v] == 0:
                 continue
-            blocks = [f.maps[v] for _, f in maps_list]
-            stacked = (np.concatenate(blocks, axis=1) if blocks
-                       else linalg.zeros(m.dims[v], 0))
+            stacked = linalg.hconcat([f.maps[v] for _, f in maps_list],
+                                     m.dims[v])
             total += m.dims[v] - linalg.rank(stacked, p)
         return total
 
@@ -578,7 +524,8 @@ def embedding_into_criticals(m: Module, criticals: list[Module],
     for v in range(q.n):
         acc = linalg.zeros(m.dims[v], target.dims[v])
         for (e, f), inc in zip(chosen, incs):
-            acc = (acc + linalg.matmul(f.maps[v], inc.maps[v], p)) % p
+            acc = linalg.add(acc, linalg.matmul(f.maps[v], inc.maps[v], p,
+                                                target.dims[v]), p)
         maps.append(acc)
     witness = Morphism(m, target, maps, check=False)
     if not witness.is_mono():
@@ -614,7 +561,7 @@ def essentiality_check(f: Morphism) -> bool:
         meets = False
         for v in range(f.target.algebra.quiver.n):
             inter = linalg.intersect_row_spaces(incl.maps[v], img_rows[v], p)
-            if inter.shape[0]:
+            if inter:
                 meets = True
                 break
         if not meets:

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 from . import linalg
 from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import ResourceLimitError
@@ -27,6 +25,12 @@ from .modules import (
     injective_module, kernel, projective_module, quotient_by_rows,
     submodule_from_rows, unvec_morphism, zero_module, zero_morphism,
 )
+
+
+def _vec_len(m: Module, n: Module) -> int:
+    """Length of vec(f) for f: M -> N."""
+    return sum(a * b for a, b in zip(m.dims, n.dims))
+
 
 @dataclass(frozen=True)
 class HomSpace:
@@ -38,34 +42,28 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def matrix(self) -> np.ndarray:
-        n = sum(self.source.dims[v] * self.target.dims[v]
-                for v in range(self.source.algebra.quiver.n))
-        if not self.basis:
-            return linalg.zeros(0, n)
-        return np.stack([f.vec() for f in self.basis], axis=0)
+    def matrix(self):
+        return tuple(f.vec() for f in self.basis)
 
-    def coords_of(self, f: Morphism) -> np.ndarray:
+    def coords_of(self, f: Morphism) -> tuple[int, ...]:
         p = self.source.algebra.field.p
-        sol = linalg.solve_left(self.matrix(), f.vec().reshape(1, -1), p)
+        sol = linalg.solve_left(self.matrix(), (f.vec(),), p)
         if sol is None:
             raise ValueError("morphism is not in the hom space")
         return sol[0]
 
     def from_coords(self, coords) -> Morphism:
         p = self.source.algebra.field.p
-        n = sum(self.source.dims[v] * self.target.dims[v]
-                for v in range(self.source.algebra.quiver.n))
-        flat = np.zeros(n, dtype=np.int64)
-        for c, f in zip(coords, self.basis):
-            if c % p:
-                flat = (flat + (c % p) * f.vec()) % p
+        flat = linalg.combination(coords, self.matrix(), p,
+                                  _vec_len(self.source, self.target))
         return unvec_morphism(self.source, self.target, flat)
 
 
-def _hom_system(m: Module, n: Module) -> np.ndarray:
-    """Coefficient matrix of the intertwining equations in vec(f)."""
+def _hom_system(m: Module, n: Module) -> list[list[int]]:
+    """Coefficient rows of the intertwining equations in vec(f): for each
+    arrow a: v -> w, entry (i, j) of f_v @ N_a - M_a @ f_w."""
     q = m.algebra.quiver
+    p = m.algebra.field.p
     offs, total = [], 0
     for v in range(q.n):
         offs.append(total)
@@ -73,22 +71,24 @@ def _hom_system(m: Module, n: Module) -> np.ndarray:
     rows = []
     for ai, arrow in enumerate(q.arrows):
         v, w = arrow.source, arrow.target
-        r = m.dims[v] * n.dims[w]
-        if r == 0:
+        mv, nv, mw, nw = m.dims[v], n.dims[v], m.dims[w], n.dims[w]
+        if mv * nw == 0:
             continue
-        block = linalg.zeros(r, total)
-        if m.dims[v] and n.dims[v]:
-            block[:, offs[v]:offs[v] + m.dims[v] * n.dims[v]] = np.kron(
-                linalg.eye(m.dims[v]), n.maps[ai].T
-            )
-        if m.dims[w] and n.dims[w]:
-            block[:, offs[w]:offs[w] + m.dims[w] * n.dims[w]] -= np.kron(
-                m.maps[ai], linalg.eye(n.dims[w])
-            )
-        rows.append(block % m.algebra.field.p)
-    if not rows:
-        return linalg.zeros(0, total)
-    return np.concatenate(rows, axis=0)
+        n_cols = linalg.transpose(n.maps[ai], nw)  # column j of N_a
+        m_a = m.maps[ai]
+        for i in range(mv):
+            base = offs[v] + i * nv
+            m_row = m_a[i]
+            for j in range(nw):
+                row = [0] * total
+                row[base:base + nv] = n_cols[j]
+                for k in range(mw):
+                    c = m_row[k]
+                    if c:
+                        col = offs[w] + k * nw + j
+                        row[col] = (row[col] - c) % p
+                rows.append(row)
+    return rows
 
 
 def hom_space(m: Module, n: Module) -> HomSpace:
@@ -98,12 +98,12 @@ def hom_space(m: Module, n: Module) -> HomSpace:
 
 def _hom_space(m: Module, n: Module) -> HomSpace:
     p = m.algebra.field.p
-    system = _hom_system(m, n)
-    if system.shape[1] == 0:
+    total = _vec_len(m, n)
+    if total == 0:
         basis = ()
     else:
-        basis = tuple(unvec_morphism(m, n, row)
-                      for row in linalg.nullspace(system, p))
+        basis = tuple(unvec_morphism(m, n, row) for row
+                      in linalg.nullspace(_hom_system(m, n), p, total))
     return HomSpace(m, n, basis)
 
 
@@ -111,17 +111,17 @@ def hom_dim(m: Module, n: Module) -> int:
     return hom_space(m, n).dim
 
 
-def _affine_solve(a: np.ndarray, b: np.ndarray, p: int):
-    if a.shape[1] == 0:
-        return np.zeros(0, dtype=np.int64) if not (b % p).any() else None
-    aug = np.concatenate([a % p, (b % p).reshape(-1, 1)], axis=1)
-    r, pivots = linalg.rref(aug, p)
-    if pivots and pivots[-1] == a.shape[1]:
+def _affine_solve(rows, rhs, p: int, n: int):
+    """One x with rows @ x == rhs (free coordinates zero), or None."""
+    if n == 0:
+        return () if not any(rhs) else None
+    r, pivots = linalg.rref([row + [c] for row, c in zip(rows, rhs)], p)
+    if pivots and pivots[-1] == n:
         return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for i, col in enumerate(pivots):
-        x[col] = r[i, -1]
-    return x
+    x = [0] * n
+    for ri, col in zip(r, pivots):
+        x[col] = ri[n]
+    return tuple(x)
 
 
 def constrained_morphism(source: Module, target: Module, conditions):
@@ -135,24 +135,30 @@ def constrained_morphism(source: Module, target: Module, conditions):
     for v in range(q.n):
         offs.append(total)
         total += source.dims[v] * target.dims[v]
-    sys_rows = [_hom_system(source, target)]
-    rhs_rows = [np.zeros(sys_rows[0].shape[0], dtype=np.int64)]
-    for v, left, right, rhs in conditions:
-        left_m = linalg.eye(source.dims[v]) if left is None else np.asarray(left) % p
-        right_m = linalg.eye(target.dims[v]) if right is None else np.asarray(right) % p
-        r = left_m.shape[0] * right_m.shape[1]
-        if r == 0:
+    rows = _hom_system(source, target)
+    rhs = [0] * len(rows)
+    for v, left, right, want in conditions:
+        sd, td = source.dims[v], target.dims[v]
+        flat = linalg.flatten(want)
+        if not flat:
             continue
-        block = linalg.zeros(r, total)
-        if source.dims[v] and target.dims[v]:
-            block[:, offs[v]:offs[v] + source.dims[v] * target.dims[v]] = np.kron(
-                left_m, right_m.T
-            )
-        sys_rows.append(block % p)
-        rhs_rows.append(np.asarray(rhs, dtype=np.int64).reshape(-1) % p)
-    big = np.concatenate(sys_rows, axis=0)
-    rhs = np.concatenate(rhs_rows)
-    sol = _affine_solve(big, rhs, p)
+        # entry (i, j) of L @ f_v @ R is sum_{a, b} L[i][a] f[a][b] R[b][j]
+        left_m = linalg.eye(sd) if left is None else left
+        n_out = len(flat) // len(left_m)
+        right_t = (linalg.eye(td) if right is None
+                   else linalg.transpose(right, n_out))
+        for l_row in left_m:
+            for r_col in right_t:
+                row = [0] * total
+                for a, la in enumerate(l_row):
+                    if la:
+                        base = offs[v] + a * td
+                        for b, rb in enumerate(r_col):
+                            if rb:
+                                row[base + b] = (row[base + b] + la * rb) % p
+                rows.append(row)
+        rhs.extend(flat)
+    sol = _affine_solve(rows, rhs, p, total)
     if sol is None:
         return None
     return unvec_morphism(source, target, sol)
@@ -237,34 +243,27 @@ def projective_cover(m: Module):
     algebra = m.algebra
     p = algebra.field.p
     rad = m.radical_rows()
-    gens: list[tuple[int, np.ndarray]] = []
+    gens: list[tuple[int, int]] = []  # (vertex, basis index of a top lift)
     for v in range(algebra.quiver.n):
         r, pivots = linalg.rref(rad[v], p)
-        for j in range(m.dims[v]):
-            if j not in pivots:
-                e = np.zeros(m.dims[v], dtype=np.int64)
-                e[j] = 1
-                gens.append((v, e))
+        gens.extend((v, j) for j in range(m.dims[v]) if j not in pivots)
     summands = [projective_module(algebra, v) for v, _ in gens]
     total, incs, prjs = direct_sum(summands, algebra)
     comps = []
-    for (v, x), proj_mod in zip(gens, summands):
-        maps = []
-        for w in range(algebra.quiver.n):
-            bucket = algebra.basis_paths_between(v, w)
-            rows = [
-                linalg.matmul(x.reshape(1, -1),
-                              m.path_matrix(algebra.basis[bi]), p)[0]
-                for bi in bucket
-            ]
-            maps.append(np.stack(rows, axis=0) if rows
-                        else linalg.zeros(0, m.dims[w]))
+    for (v, j), proj_mod in zip(gens, summands):
+        # the generator e_j of M at v, moved along every basis path from v
+        maps = [
+            tuple(m.path_matrix(algebra.basis[bi])[j]
+                  for bi in algebra.basis_paths_between(v, w))
+            for w in range(algebra.quiver.n)
+        ]
         comps.append(Morphism(proj_mod, m, maps))
     cover_maps = []
     for v in range(algebra.quiver.n):
         acc = linalg.zeros(total.dims[v], m.dims[v])
         for prj, comp in zip(prjs, comps):
-            acc = (acc + linalg.matmul(prj.maps[v], comp.maps[v], p)) % p
+            acc = linalg.add(acc, linalg.matmul(prj.maps[v], comp.maps[v], p,
+                                                m.dims[v]), p)
         cover_maps.append(acc)
     cover = Morphism(total, m, cover_maps)
     if not cover.is_epi():
@@ -305,9 +304,7 @@ class Ext1Space:
         self.hom_kn = hom_space(self.k, n)
         hom_p0n = hom_space(self.cover.source, n)
         coords = [self.hom_kn.coords_of(self.incl.then(g)) for g in hom_p0n.basis]
-        mat = (np.stack(coords, axis=0) if coords
-               else linalg.zeros(0, self.hom_kn.dim))
-        r, pivots = linalg.rref(mat, self.p)
+        r, pivots = linalg.rref(coords, self.p)
         self.image_r = r[: len(pivots)]
         self.image_pivots = pivots
         self.rep_indices = [i for i in range(self.hom_kn.dim) if i not in pivots]
@@ -317,7 +314,7 @@ class Ext1Space:
         return len(self.rep_indices)
 
     def cocycle(self, coeffs) -> Morphism:
-        flat = np.zeros(self.hom_kn.dim, dtype=np.int64)
+        flat = [0] * self.hom_kn.dim
         for c, idx in zip(coeffs, self.rep_indices):
             flat[idx] = c % self.p
         return self.hom_kn.from_coords(flat)
@@ -328,12 +325,9 @@ class Ext1Space:
         w, from_p0, from_n = pushout(self.incl, h)
         maps = []
         for v in range(self.m.algebra.quiver.n):
-            dom = np.concatenate([from_p0.maps[v], from_n.maps[v]], axis=0)
-            rhs = np.concatenate(
-                [self.cover.maps[v], linalg.zeros(self.n.dims[v], self.m.dims[v])],
-                axis=0,
-            )
-            sol = linalg.solve_right(dom, rhs, self.p)
+            dom = from_p0.maps[v] + from_n.maps[v]
+            rhs = self.cover.maps[v] + linalg.zeros(self.n.dims[v], self.m.dims[v])
+            sol = linalg.solve_right(dom, rhs, self.p, w.dims[v], self.m.dims[v])
             if sol is None:
                 raise AssertionError("pushout mediator failed")
             maps.append(sol)
@@ -343,7 +337,7 @@ class Ext1Space:
             raise AssertionError("realized extension is not exact")
         return ses
 
-    def class_of(self, ses: SES) -> np.ndarray:
+    def class_of(self, ses: SES) -> tuple[int, ...]:
         """Coordinates (in the representative basis) of 0 -> N -> E -> M -> 0."""
         lift = factor_over(ses.surject, self.cover)
         if lift is None:
@@ -359,7 +353,7 @@ class Ext1Space:
         coords = self.hom_kn.coords_of(c)
         resid = linalg.reduce_against(coords, self.image_r, self.image_pivots,
                                       self.p)
-        return np.array([resid[i] for i in self.rep_indices], dtype=np.int64)
+        return tuple(resid[i] for i in self.rep_indices)
 
     def _check_scan_cap(self):
         caps = self.m.algebra.caps
@@ -379,7 +373,7 @@ class Ext1Space:
         """(coeffs, SES) for every class: the zero (split) class first, then
         nonsplit_classes() in the same order."""
         self._check_scan_cap()
-        zero = np.zeros(self.dim, dtype=np.int64)
+        zero = (0,) * self.dim
         yield zero, self.realize(zero)
         yield from self.nonsplit_classes()
 
@@ -406,10 +400,9 @@ def _annihilator(f: Morphism, side: str) -> list[Morphism]:
         (u.then(f) if side == "right" else f.then(u)).vec()
         for u in end.basis
     ]
-    comp = np.stack(rows, axis=0)
-    if comp.shape[1] == 0:
+    if not rows[0]:
         return list(end.basis)
-    ker = linalg.left_nullspace(comp, p)
+    ker = linalg.left_nullspace(rows, p)
     return [end.from_coords(c) for c in ker]
 
 
@@ -426,9 +419,9 @@ def fitting_idempotent(x: Morphism):
     maps = []
     for a in xn.maps:  # e = B^-1 diag(1, 0) B for B = [im a; ker a]
         im = linalg.row_space(a, p)
-        basis = np.concatenate([im, linalg.left_nullspace(a, p)], axis=0)
-        inv = linalg.inverse(basis, p)
-        maps.append(linalg.matmul(inv[:, :len(im)], im, p))
+        inv = linalg.inverse(im + linalg.left_nullspace(a, p), p)
+        k = len(im)
+        maps.append(linalg.matmul(tuple(row[:k] for row in inv), im, p, len(a)))
     return Morphism(y, y, maps, check=False)
 
 
@@ -444,17 +437,17 @@ def _find_idempotent(basis: list[Morphism], p: int):
         vecs = [m.vec() for m in current if not m.is_zero()]
         if not vecs:
             return None
-        span = linalg.row_space(np.stack(vecs, axis=0), p)
+        span = linalg.row_space(vecs, p)
         current = [unvec_morphism(y, y, r) for r in span]
-        if prev_dim == span.shape[0]:
+        if prev_dim == len(span):
             break
-        prev_dim = span.shape[0]
+        prev_dim = len(span)
         current = [a.then(b) for a in basis for b in current]
     d = len(current)
-    mat = np.stack([m.vec() for m in current], axis=0)
+    mat = [m.vec() for m in current]
     exhaustible = p ** d <= y.algebra.caps.scan_count_cap
     pairs = [a.add(b) for i, a in enumerate(current) for b in current[i + 1:]]
-    scan = (unvec_morphism(y, y, (coeffs @ mat) % p)
+    scan = (unvec_morphism(y, y, linalg.combination(coeffs, mat, p, len(mat[0])))
             for coeffs in linalg.nonzero_vectors(d, p))
     for x in chain(current, pairs, scan if exhaustible else ()):
         if x.is_iso():  # the identity lies in the algebra
@@ -493,7 +486,8 @@ def left_minimize(f: Morphism) -> Morphism:
         sub, incl = submodule_from_rows(f.target, rows)
         core_maps = []
         for v in range(f.target.algebra.quiver.n):
-            one_minus_e = (linalg.eye(f.target.dims[v]) - e.maps[v]) % p
+            one_minus_e = linalg.add(linalg.eye(f.target.dims[v]),
+                                     linalg.scale(p - 1, e.maps[v], p), p)
             sol = linalg.solve_left(incl.maps[v], one_minus_e, p)
             if sol is None:
                 raise AssertionError("complement of the idempotent image failed")
@@ -549,27 +543,24 @@ def _strip_components(m: Module, gens: list[Module], side: str):
     comps = [(g, b) for g in gens for b in hom_m(g).basis]
     if not comps:
         return comps
-    blocks: list[list[np.ndarray]] = []  # blocks[i][j]: rows for gen i, comp j
+    blocks: list[list[tuple]] = []  # blocks[i][j]: rows for gen i, comp j
     full_dims = []
     for gi in gens:
         full_dims.append(hom_m(gi).dim)
-        amb = sum(gi.dims[v] * m.dims[v] for v in range(m.algebra.quiver.n))
         row_blocks = []
         for gj, bj in comps:
             if right:
-                rows = [h.then(bj).vec() for h in hom_space(gi, gj).basis]
+                rows = tuple(h.then(bj).vec() for h in hom_space(gi, gj).basis)
             else:
-                rows = [bj.then(h).vec() for h in hom_space(gj, gi).basis]
-            row_blocks.append(np.stack(rows, axis=0) if rows
-                              else linalg.zeros(0, amb))
+                rows = tuple(bj.then(h).vec() for h in hom_space(gj, gi).basis)
+            row_blocks.append(rows)
         blocks.append(row_blocks)
 
     def covers(subset: list[int]) -> bool:
         for i, gi in enumerate(gens):
             if full_dims[i] == 0:
                 continue
-            stacked = np.concatenate([blocks[i][j] for j in subset], axis=0) \
-                if subset else blocks[i][0][:0]
+            stacked = tuple(chain.from_iterable(blocks[i][j] for j in subset))
             if linalg.rank(stacked, p) < full_dims[i]:
                 return False
         return True
@@ -628,8 +619,7 @@ def injective_envelope(m: Module) -> Morphism:
     for (v, row), inc in zip(copies, incs):
         bucket = algebra.basis_paths_between(v, v)
         triv = bucket.index(algebra.basis_index[(v, ())])
-        conditions.append((v, row.reshape(1, -1), None,
-                           inc.maps[v][triv].reshape(1, -1)))
+        conditions.append((v, (row,), None, (inc.maps[v][triv],)))
     f = constrained_morphism(m, total, conditions)
     if f is None or not f.is_mono():
         raise AssertionError("socle extension to the injective hull failed")
@@ -668,11 +658,11 @@ def _left_mult_morphism(algebra: BoundQuiverAlgebra, coeffs: dict[int, int],
         bucket_v = algebra.basis_paths_between(v, u)
         bucket_w = algebra.basis_paths_between(w, u)
         pos_w = {bi: k for k, bi in enumerate(bucket_w)}
-        mat = linalg.zeros(len(bucket_v), len(bucket_w))
+        mat = [[0] * len(bucket_w) for _ in bucket_v]
         for i, bi in enumerate(bucket_v):
             for xj, c in coeffs.items():
                 for bk, c2 in algebra.multiply_basis(xj, bi).items():
-                    mat[i, pos_w[bk]] = (mat[i, pos_w[bk]] + c * c2) % p
+                    mat[i][pos_w[bk]] = (mat[i][pos_w[bk]] + c * c2) % p
         maps.append(mat)
     return Morphism(pv, pw, maps)
 
@@ -687,8 +677,7 @@ def _path_coordinates(algebra: BoundQuiverAlgebra, f: Morphism,
             return {}
         raise AssertionError("nonzero projective map with empty path basis")
     mats = [_left_mult_morphism(algebra, {bi: 1}, v, w) for bi in basis_paths]
-    stack = np.stack([m.vec() for m in mats], axis=0)
-    sol = linalg.solve_left(stack, f.vec().reshape(1, -1), p)
+    sol = linalg.solve_left([m.vec() for m in mats], (f.vec(),), p)
     if sol is None:
         raise AssertionError("projective morphism outside the path span")
     return {bi: int(c) for bi, c in zip(basis_paths, sol[0]) if c % p}
@@ -705,8 +694,8 @@ def transpose(m: Module) -> Module:
     d = cover1.then(incl)
     op_p0 = [projective_module(op, w) for w in p0_vertices]
     op_p1 = [projective_module(op, v) for v in p1_vertices]
-    total0, incs0, _ = direct_sum(op_p0, op)
-    total1, _, prjs1 = direct_sum(op_p1, op)
+    total0, _, prjs0 = direct_sum(op_p0, op)
+    total1, incs1, _ = direct_sum(op_p1, op)
     t_maps = [linalg.zeros(total0.dims[u], total1.dims[u])
               for u in range(op.quiver.n)]
     for j, vj in enumerate(p1_vertices):
@@ -722,10 +711,10 @@ def transpose(m: Module) -> Module:
                     rev[bo] = (rev.get(bo, 0) + c * c2) % p
             comp_op = _left_mult_morphism(op, rev, wi, vj)
             for u in range(op.quiver.n):
-                t_maps[u] = (
-                    t_maps[u]
-                    + incs0[i].maps[u].T @ comp_op.maps[u] @ prjs1[j].maps[u].T
-                ) % p
+                block = linalg.matmul(prjs0[i].maps[u], comp_op.maps[u], p,
+                                      op_p1[j].dims[u])
+                t_maps[u] = linalg.add(t_maps[u], linalg.matmul(
+                    block, incs1[j].maps[u], p, total1.dims[u]), p)
     t = Morphism(total0, total1, t_maps)
     return cokernel(t)[0]
 

@@ -18,27 +18,25 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from . import linalg
 from .exceptions import UndeterminedError
 from .homology import HomSpace, hom_space
 from .modules import (
     Module, Morphism, direct_sum, identity_morphism, submodule_from_rows,
-    unvec_morphism, zero_morphism,
+    zero_morphism,
 )
 
 
-def operator_matrix(f: Morphism) -> np.ndarray:
+def operator_matrix(f: Morphism):
     """Block diagonal matrix of an endomorphism acting on the total space."""
     n = sum(f.source.dims)
-    out = linalg.zeros(n, n)
+    rows = []
     off = 0
-    for v in range(f.source.algebra.quiver.n):
-        d = f.source.dims[v]
-        out[off:off + d, off:off + d] = f.maps[v]
+    for d, block in zip(f.source.dims, f.maps):
+        left, right = (0,) * off, (0,) * (n - off - d)
+        rows.extend(left + row + right for row in block)
         off += d
-    return out
+    return tuple(rows)
 
 
 def _mulmod(a: list[int], b: list[int], mp: list[int], p: int) -> list[int]:
@@ -68,6 +66,12 @@ def _berlekamp_matrix(mp: list[int], p: int) -> list[list[int]]:
     return rows
 
 
+def _fixed_space(a, p: int):
+    """Rows x with x @ a == x, for a square matrix a."""
+    shifted = linalg.add(a, linalg.scale(p - 1, linalg.eye(len(a)), p), p)
+    return linalg.left_nullspace(shifted, p)
+
+
 def _eigen_projection(u: Morphism, p: int) -> Morphism:
     """1 - (u - c)^(p-1) for the first c in F_p where it is nonzero: for u
     with u^p = u, the projection onto the eigenspace of c."""
@@ -83,13 +87,12 @@ def split_idempotent(x: Morphism, p: int):
     """A nontrivial idempotent in F_p[x], or None when the minimal
     polynomial of x is primary."""
     mp = linalg.minimal_polynomial(operator_matrix(x), p)
-    q = np.array(_berlekamp_matrix(mp, p), dtype=np.int64)
-    fixed = linalg.left_nullspace((q - linalg.eye(len(q))) % p, p)
-    g = next((row for row in fixed if row[1:].any()), None)
+    fixed = _fixed_space(_berlekamp_matrix(mp, p), p)
+    g = next((row for row in fixed if any(row[1:])), None)
     if g is None:
         return None
     u = Morphism(x.source, x.source,
-                 [linalg.poly_eval_matrix(list(g), a, p) for a in x.maps],
+                 tuple(linalg.poly_eval_matrix(g, a, p) for a in x.maps),
                  check=False)
     return _eigen_projection(u, p)
 
@@ -112,17 +115,14 @@ def _idempotent_candidates(end: HomSpace, m: Module, p: int):
     exhaustible = p ** d <= caps.scan_count_cap
     if not exhaustible:
         rng = _seeded_rng(m)
-        mat = np.stack([b.vec() for b in basis], axis=0)
         for _ in range(caps.random_tries):
-            coeffs = np.array([rng.randrange(p) for _ in range(d)],
-                              dtype=np.int64)
-            if not coeffs.any():
+            coeffs = [rng.randrange(p) for _ in range(d)]
+            if not any(coeffs):
                 continue
-            yield unvec_morphism(m, m, (coeffs @ mat) % p), False
+            yield end.from_coords(coeffs), False
     else:
-        mat = np.stack([b.vec() for b in basis], axis=0)
         for coeffs in linalg.nonzero_vectors(d, p):
-            yield unvec_morphism(m, m, (coeffs @ mat) % p), True
+            yield end.from_coords(coeffs), True
 
 
 def nontrivial_idempotent(m: Module):
@@ -172,10 +172,9 @@ def _endo_power(f: Morphism, e: int) -> Morphism:
     return result
 
 
-def _frobenius_matrix(end: HomSpace, p: int) -> np.ndarray:
+def _frobenius_matrix(end: HomSpace, p: int):
     """Matrix of x -> x^p in basis coordinates (commutative End only)."""
-    rows = [end.coords_of(_endo_power(b, p)) for b in end.basis]
-    return np.stack(rows, axis=0)
+    return tuple(end.coords_of(_endo_power(b, p)) for b in end.basis)
 
 
 def _nilradical_dim(end: HomSpace, p: int) -> int:
@@ -193,14 +192,12 @@ def _nilradical_dim(end: HomSpace, p: int) -> int:
 
 def _commutative_idempotent(end: HomSpace, m: Module, p: int):
     """Deterministic idempotent search in a commutative End(M)."""
-    frob = _frobenius_matrix(end, p)
-    fixed = linalg.left_nullspace((frob - linalg.eye(end.dim)) % p, p)
-    if fixed.shape[0] <= 1:
+    fixed = _fixed_space(_frobenius_matrix(end, p), p)
+    if len(fixed) <= 1:
         return None  # local: the fixed space is spanned by the identity
-    id_coords = end.coords_of(identity_morphism(m)).reshape(1, -1)
+    id_coords = end.coords_of(identity_morphism(m))
     for row in fixed:
-        stacked = np.concatenate([id_coords, row.reshape(1, -1)], axis=0)
-        if linalg.rank(stacked, p) == 2:
+        if linalg.rank((id_coords, row), p) == 2:
             return _eigen_projection(end.from_coords(row), p)
     raise AssertionError("commutative split promised but not found")
 
@@ -249,7 +246,8 @@ def decompose_with_iso(m: Module):
     for v in range(m.algebra.quiver.n):
         acc = linalg.zeros(total.dims[v], m.dims[v])
         for prj, (_, incl) in zip(prjs, parts):
-            acc = (acc + linalg.matmul(prj.maps[v], incl.maps[v], p)) % p
+            acc = linalg.add(acc, linalg.matmul(prj.maps[v], incl.maps[v], p,
+                                                m.dims[v]), p)
         maps.append(acc)
     iso = Morphism(total, m, maps, check=False)
     if not iso.is_iso():
@@ -283,9 +281,7 @@ def is_brick(m: Module) -> bool:
         return False  # finite division rings are commutative
     if _nilradical_dim(end, p) > 0:
         return False
-    frob = _frobenius_matrix(end, p)
-    fixed = linalg.left_nullspace((frob - linalg.eye(end.dim)) % p, p)
-    return fixed.shape[0] == 1
+    return len(_fixed_space(_frobenius_matrix(end, p), p)) == 1
 
 
 def isomorphism(m: Module, n: Module):
@@ -303,18 +299,17 @@ def isomorphism(m: Module, n: Module):
         if b.is_iso():
             return b
     d = h.dim
-    mat = np.stack([b.vec() for b in h.basis], axis=0)
     rng = random.Random(int(m.key[:8] + n.key[:8], 16))
     for _ in range(caps.random_tries):
-        coeffs = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
-        if not coeffs.any():
+        coeffs = [rng.randrange(p) for _ in range(d)]
+        if not any(coeffs):
             continue
-        f = unvec_morphism(m, n, (coeffs @ mat) % p)
+        f = h.from_coords(coeffs)
         if f.is_iso():
             return f
     if p ** d <= caps.scan_count_cap:
         for coeffs in linalg.nonzero_vectors(d, p):
-            f = unvec_morphism(m, n, (coeffs @ mat) % p)
+            f = h.from_coords(coeffs)
             if f.is_iso():
                 return f
         return None

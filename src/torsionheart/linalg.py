@@ -1,13 +1,18 @@
-"""Dense exact linear algebra over a prime field F_p.
+"""Dense exact linear algebra over a prime field F_p, on Python ints.
 
 Conventions used throughout the package:
 
+* a matrix is a tuple of row tuples of ints, every entry already reduced
+  mod p; it is immutable, so matrices are shared freely and never copied,
 * vectors are rows; a matrix A of shape (m, n) maps row vectors x of length m
   to x @ A of length n,
-* all arrays are numpy int64 reduced mod p after every operation,
-* every elimination goes through rref, which reduces on lists of Python ints
-  and converts back; rank, nullspace and solve_left back-substitute on the
-  same lists,
+* a matrix with no rows is the empty tuple, whatever its column count; a
+  function that may meet one takes the column count from an explicit `ncols`
+  argument (callers read it from module dimensions),
+* functions accept any sequence of row tuples (rref also row lists) and
+  return tuples,
+* every elimination goes through rref; rank, nullspace and solve_left
+  back-substitute on its rows,
 * "nullspace" always means the right nullspace {x column : A x = 0}, returned
   as rows N with A @ N.T == 0; the kernel of a row action x -> x @ A is the
   nullspace of A.T.
@@ -15,39 +20,114 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import cache
+from itertools import chain, combinations, product
 
-import numpy as np
-
-
-def zeros(m: int, n: int) -> np.ndarray:
-    return np.zeros((m, n), dtype=np.int64)
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+@cache
+def zeros(m: int, n: int) -> Matrix:
+    return ((0,) * n,) * m
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return zeros(a.shape[0], b.shape[1])
-    return (a @ b) % p
+@cache
+def eye(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def transpose(a, ncols: int) -> Matrix:
+    """a.T; ncols is the column count of a, read only when a has no rows."""
+    return tuple(zip(*a)) if a else ((),) * ncols
+
+
+def hconcat(blocks, nrows: int) -> Matrix:
+    """The blocks side by side; each has nrows rows."""
+    if not blocks:
+        return ((),) * nrows
+    return tuple(tuple(chain.from_iterable(rows)) for rows in zip(*blocks))
+
+
+def flatten(a) -> tuple[int, ...]:
+    """The entries of a in row-major order."""
+    return tuple(chain.from_iterable(a))
+
+
+def reshape(flat, m: int, n: int) -> Matrix:
+    """The m x n matrix with the entries of the tuple flat in row-major order."""
+    if n == 0:
+        return ((),) * m
+    return tuple(flat[i:i + n] for i in range(0, m * n, n))
+
+
+def matmul(a, b, p: int, ncols: int | None = None) -> Matrix:
+    """a @ b mod p; ncols is the column count of b, read only when b has no
+    rows.  Zero entries of a are skipped, and a row of a with a single entry
+    1 reuses the row of b it selects."""
+    if not b:
+        if a and a[0]:
+            raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} @ 0x{ncols}")
+        if a and ncols is None:
+            raise ValueError("column count of an empty factor is unknown")
+        return zeros(len(a), ncols or 0)
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
+    n = len(b[0])
+    if n == 0:
+        return ((),) * len(a)
+    zero = (0,) * n
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                if acc is None:
+                    acc = brow if x == 1 else [x * y for y in brow]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        if acc is None:
+            out.append(zero)
+        elif type(acc) is tuple:  # one term, coefficient 1: a row of b
+            out.append(acc)
+        else:
+            out.append(tuple([s % p for s in acc]))
+    return tuple(out)
+
+
+def combination(coeffs, rows, p: int, n: int) -> tuple[int, ...]:
+    """coeffs @ rows mod p, a row of length n."""
+    acc = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [s + c * y for s, y in zip(acc, row)]
+    return tuple([s % p for s in acc])
+
+
+def add(a, b, p: int) -> Matrix:
+    """a + b mod p, entrywise."""
+    return tuple(tuple([(x + y) % p for x, y in zip(ra, rb)])
+                 for ra, rb in zip(a, b))
+
+
+def scale(c: int, a, p: int) -> Matrix:
+    """c * a mod p, entrywise."""
+    return tuple(tuple([c * x % p for x in row]) for row in a)
 
 
 def inv_mod(x: int, p: int) -> int:
     return pow(int(x) % p, p - 2, p)
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def rref(a, p: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form. Returns (R, pivot_columns).
 
     Gauss-Jordan elimination on lists of Python ints: nearly every input is
-    small and sparse, where numpy's per-call overhead would dominate.
+    small and sparse, where an array library's per-call overhead would
+    dominate.  R has as many rows as a, zero rows last.
     """
-    m, n = a.shape
-    rows = (a % p).tolist()
+    rows = list(a)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
     pivots: list[int] = []
     row = 0
     for col in range(n):
@@ -71,37 +151,38 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
                 rows[i] = [(x - c * y) % p for x, y in zip(ri, prow)]
         pivots.append(col)
         row += 1
-    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
+    return tuple(map(tuple, rows)), pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
+def rank(a, p: int) -> int:
+    if not a or not a[0]:
         return 0
     return len(rref(a, p)[1])
 
 
-def reduce_against(v: np.ndarray, r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+def reduce_against(v, r, pivots: list[int], p: int) -> tuple[int, ...]:
     """Residual of row v after eliminating along an rref basis (R, pivots)."""
-    w = v.copy() % p
-    for i, col in enumerate(pivots):
-        if w[col]:
-            w = (w - w[col] * r[i]) % p
-    return w
+    w = v
+    for ri, col in zip(r, pivots):
+        c = w[col]
+        if c:
+            w = [(x - c * y) % p for x, y in zip(w, ri)]
+    return tuple(w)
 
 
-def in_row_space(v: np.ndarray, r: np.ndarray, pivots: list[int], p: int) -> bool:
-    return not reduce_against(v, r, pivots, p).any()
+def in_row_space(v, r, pivots: list[int], p: int) -> bool:
+    return not any(reduce_against(v, r, pivots, p))
 
 
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {x : a @ x == 0}; shape (dim, a.shape[1])."""
-    m, n = a.shape
+def nullspace(a, p: int, ncols: int | None = None) -> Matrix:
+    """Rows spanning {x : a @ x == 0}; ncols is the column count of a, read
+    only when a has no rows."""
+    n = len(a[0]) if a else ncols
     if n == 0:
-        return zeros(0, 0)
-    if m == 0:
+        return ()
+    if not a:
         return eye(n)
-    r, pivots = rref(a, p)
-    rows = r.tolist()
+    rows, pivots = rref(a, p)
     pivot_set = set(pivots)
     basis = []
     for j in range(n):
@@ -111,92 +192,97 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
         v[j] = 1
         for ri, col in zip(rows, pivots):
             v[col] = -ri[j] % p
-        basis.append(v)
-    return np.array(basis, dtype=np.int64).reshape(len(basis), n)
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
-def left_nullspace(a: np.ndarray, p: int) -> np.ndarray:
+def left_nullspace(a, p: int) -> Matrix:
     """Rows y with y @ a == 0."""
-    return nullspace(a.T.copy(), p)
+    if not a:
+        return ()
+    if not a[0]:
+        return eye(len(a))
+    return nullspace(tuple(zip(*a)), p)
 
 
-def solve_left(a: np.ndarray, b: np.ndarray, p: int):
+def solve_left(a, b, p: int):
     """One X with X @ a == b, or None. Rows of b are expressed in rowspace(a)."""
-    m, n = a.shape
-    k = b.shape[0]
-    if b.shape[1] != n:
-        raise ValueError(f"shape mismatch solve_left {a.shape} vs {b.shape}")
+    if a and b and len(a[0]) != len(b[0]):
+        raise ValueError(
+            f"shape mismatch solve_left {len(a)}x{len(a[0])} vs {len(b)}x{len(b[0])}")
+    if not b:
+        return ()
+    m = len(a)
+    n = len(b[0])
     # rref with transform: [a | I] so residual coefficients are tracked
-    aug = np.concatenate([a % p, eye(m)], axis=1)
-    r, pivots = rref(aug, p)
-    rows = r.tolist()
+    rows, pivots = rref([ai + ei for ai, ei in zip(a, eye(m))], p)
     pivots = [c for c in pivots if c < n]
+    tail = [0] * m
     x = []
-    for bi in (b % p).tolist():
-        w = bi + [0] * m
+    for bi in b:
+        w = list(bi) + tail
         for ri, col in zip(rows, pivots):
             c = w[col]
             if c:
                 w = [(s - c * t) % p for s, t in zip(w, ri)]
         if any(w[:n]):
             return None
-        x.append([-s % p for s in w[n:]])
-    return np.array(x, dtype=np.int64).reshape(k, m)
+        x.append(tuple([-s % p for s in w[n:]]))
+    return tuple(x)
 
 
-def solve_right(a: np.ndarray, b: np.ndarray, p: int):
-    """One X with a @ X == b, or None."""
-    xt = solve_left(a.T.copy(), b.T.copy(), p)
-    return None if xt is None else xt.T.copy()
+def solve_right(a, b, p: int, ncols_a: int, ncols_b: int):
+    """One X with a @ X == b, or None; shape (ncols_a, ncols_b)."""
+    xt = solve_left(transpose(a, ncols_a), transpose(b, ncols_b), p)
+    return None if xt is None else transpose(xt, ncols_a)
 
 
-def inverse(a: np.ndarray, p: int):
-    n = a.shape[0]
-    if a.shape[1] != n:
+def inverse(a, p: int):
+    n = len(a)
+    if n and len(a[0]) != n:
         return None
     if n == 0:
-        return zeros(0, 0)
+        return ()
     x = solve_left(a, eye(n), p)
-    if x is None or not np.array_equal(matmul(a, x, p), eye(n)):
+    if x is None or matmul(a, x, p) != eye(n):
         return None
     return x
 
 
-def row_space(a: np.ndarray, p: int) -> np.ndarray:
+def row_space(a, p: int) -> Matrix:
     """Canonical rref basis of the row space (zero rows dropped)."""
     r, pivots = rref(a, p)
-    return r[: len(pivots)].copy()
+    return r[: len(pivots)]
 
 
-def sum_row_spaces(mats: list[np.ndarray], n: int, p: int) -> np.ndarray:
+def sum_row_spaces(mats, n: int, p: int) -> Matrix:
     if not mats:
-        return zeros(0, n)
-    return row_space(np.concatenate(mats, axis=0), p)
+        return ()
+    return row_space(tuple(chain.from_iterable(mats)), p)
 
 
-def intersect_row_spaces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def intersect_row_spaces(a, b, p: int) -> Matrix:
     """Canonical basis of rowspace(a) n rowspace(b)."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return zeros(0, a.shape[1])
+    if not a or not b:
+        return ()
     # y @ [a; -b] == 0  <=>  y[:ka] @ a == y[ka:] @ b, a point of the intersection
-    stacked = np.concatenate([a, (-b) % p], axis=0)
+    ka = len(a)
+    stacked = tuple(a) + tuple(tuple([-x % p for x in row]) for row in b)
     ker = left_nullspace(stacked, p)
-    ka = a.shape[0]
-    if ker.shape[0] == 0:
-        return zeros(0, a.shape[1])
-    pts = matmul(ker[:, :ka], a, p)
+    if not ker:
+        return ()
+    pts = matmul(tuple(k[:ka] for k in ker), a, p)
     return row_space(pts, p)
 
 
 def vectors(dim: int, p: int):
     """All row vectors of F_p^dim in lexicographic order (includes zero)."""
-    for tup in product(range(p), repeat=dim):
-        yield np.array(tup, dtype=np.int64)
+    return product(range(p), repeat=dim)
 
 
 def nonzero_vectors(dim: int, p: int):
     for v in vectors(dim, p):
-        if v.any():
+        if any(v):
             yield v
 
 
@@ -206,7 +292,7 @@ def subspace_bases(dim: int, p: int):
     Enumerates by rank and pivot-column pattern; free entries sit strictly to
     the right of their pivot and outside pivot columns.
     """
-    yield zeros(0, dim)
+    yield ()
     for r in range(1, dim + 1):
         for pivots in combinations(range(dim), r):
             free_pos = [
@@ -216,40 +302,37 @@ def subspace_bases(dim: int, p: int):
                 if j not in pivots
             ]
             for vals in product(range(p), repeat=len(free_pos)):
-                b = zeros(r, dim)
+                b = [[0] * dim for _ in range(r)]
                 for i, c in enumerate(pivots):
-                    b[i, c] = 1
+                    b[i][c] = 1
                 for (i, j), v in zip(free_pos, vals):
-                    b[i, j] = v
-                yield b
+                    b[i][j] = v
+                yield tuple(map(tuple, b))
 
 
-def minimal_polynomial(a: np.ndarray, p: int) -> list[int]:
+def minimal_polynomial(a, p: int) -> list[int]:
     """Monic minimal polynomial of a square matrix, low-degree-first coefficients."""
-    n = a.shape[0]
+    n = len(a)
     if n == 0:
         return [0, 1]  # t, by convention: the zero operator on the zero space
     power = eye(n)
-    flat = [power.reshape(-1).copy()]
+    flat = [flatten(power)]
     while True:
         power = matmul(power, a, p)
-        target = power.reshape(-1)
-        stack = np.stack(flat, axis=0)
-        coeffs = solve_left(stack, target.reshape(1, -1), p)
+        target = flatten(power)
+        coeffs = solve_left(flat, (target,), p)
         if coeffs is not None:
-            c = coeffs[0]
-            poly = [(-int(c[i])) % p for i in range(len(flat))] + [1]
-            return poly
-        flat.append(target.copy())
+            return [-c % p for c in coeffs[0]] + [1]
+        flat.append(target)
 
 
-def poly_eval_matrix(coeffs: list[int], a: np.ndarray, p: int) -> np.ndarray:
+def poly_eval_matrix(coeffs: list[int], a, p: int) -> Matrix:
     """Evaluate a polynomial (low-first coefficients) at a square matrix."""
-    n = a.shape[0]
+    n = len(a)
     out = zeros(n, n)
     power = eye(n)
     for c in coeffs:
         if c % p:
-            out = (out + (c % p) * power) % p
+            out = add(out, scale(c % p, power, p), p)
         power = matmul(power, a, p)
     return out

@@ -6,40 +6,53 @@ f: M -> N is a family of vertex matrices f_v of shape (dims_M[v], dims_N[v])
 with f_v @ N_a == M_a @ f_w for every arrow a: v -> w.  Composition is written
 left to right, matching path composition.
 
-All values are immutable after construction.
+Every matrix is a tuple of row tuples of ints reduced mod p (see linalg),
+so all values are immutable after construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-import numpy as np
+from array import array
+from itertools import chain
 
 from . import linalg
 from .algebra import BoundQuiverAlgebra, Path, path_target
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    a.setflags(write=False)
-    return a
+def _matrices(maps, shapes, p: int):
+    """maps as linalg matrices reduced mod p, checked against shapes."""
+    if len(maps) != len(shapes):
+        raise ValueError(f"expected {len(shapes)} matrices, got {len(maps)}")
+    out = []
+    for m, (r, c) in zip(maps, shapes):
+        rows = tuple(tuple([int(x) % p for x in row]) for row in m)
+        if len(rows) != r or any(len(row) != c for row in rows):
+            raise ValueError(f"matrix is not of shape {r}x{c}")
+        out.append(rows)
+    return tuple(out)
 
 
 class Module:
+    """A representation: dims per vertex and one matrix per arrow.
+
+    With check=False, dims and maps are taken as they are: ints, and one
+    linalg matrix per arrow.  With check=True, nested sequences of ints are
+    accepted and reduced mod p, and the shapes and the relations are
+    verified.
+    """
+
     __slots__ = ("algebra", "dims", "maps", "_key")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, maps, check: bool = True):
         self.algebra = algebra
-        self.dims = tuple(int(d) for d in dims)
-        p = algebra.field.p
-        frozen = []
-        for ai, arrow in enumerate(algebra.quiver.arrows):
-            m = np.asarray(maps[ai], dtype=np.int64) % p
-            want = (self.dims[arrow.source], self.dims[arrow.target])
-            if m.shape != want:
-                m = m.reshape(want)
-            frozen.append(_freeze(m))
-        self.maps = tuple(frozen)
+        if check:
+            dims = tuple(int(d) for d in dims)
+            maps = _matrices(maps, [(dims[a.source], dims[a.target])
+                                    for a in algebra.quiver.arrows],
+                             algebra.field.p)
+        self.dims = tuple(dims)
+        self.maps = tuple(maps)
         self._key = None
         if check and not self.satisfies_relations():
             raise ValueError("arrow maps violate a relation")
@@ -55,12 +68,15 @@ class Module:
 
     @property
     def key(self) -> str:
+        """SHA-1 of the algebra key, the dims and every arrow matrix as
+        native int64 bytes in row-major order.  krull seeds its idempotent
+        search from the key, so these bytes must not change."""
         if self._key is None:
             h = hashlib.sha1()
             h.update(self.algebra.key.encode())
             h.update(repr(self.dims).encode())
             for m in self.maps:
-                h.update(m.tobytes())
+                h.update(array("q", linalg.flatten(m)).tobytes())
             self._key = h.hexdigest()
         return self._key
 
@@ -72,7 +88,7 @@ class Module:
             and (self.algebra is other.algebra
                  or self.algebra.key == other.algebra.key)
             and self.dims == other.dims
-            and all(np.array_equal(a, b) for a, b in zip(self.maps, other.maps))
+            and self.maps == other.maps
         )
 
     def __hash__(self):
@@ -88,23 +104,23 @@ class Module:
             tgt = path_target(self.algebra.quiver, rel[0][1])
             acc = linalg.zeros(self.dims[src], self.dims[tgt])
             for coeff, path in rel:
-                acc = (acc + coeff * self.path_matrix(path)) % p
-            if acc.any():
+                acc = linalg.add(acc, linalg.scale(coeff, self.path_matrix(path), p), p)
+            if any(map(any, acc)):
                 return False
         return True
 
-    def path_matrix(self, path: Path) -> np.ndarray:
+    def path_matrix(self, path: Path):
         """Matrix of the right action of a path, shape (dim_src, dim_tgt)."""
         p = self.algebra.field.p
-        v = path[0]
-        out = linalg.eye(self.dims[v])
+        arrows = self.algebra.quiver.arrows
+        out = linalg.eye(self.dims[path[0]])
         for ai in path[1]:
-            out = linalg.matmul(out, self.maps[ai], p)
+            out = linalg.matmul(out, self.maps[ai], p, self.dims[arrows[ai].target])
         return out
 
     # -- structural submodules --------------------------------------------
 
-    def radical_rows(self) -> list[np.ndarray]:
+    def radical_rows(self) -> list:
         """Per-vertex basis rows of rad M = sum of arrow images."""
         out = []
         p = self.algebra.field.p
@@ -112,12 +128,12 @@ class Module:
             mats = [
                 self.maps[ai]
                 for ai, arrow in enumerate(self.algebra.quiver.arrows)
-                if arrow.target == w and self.maps[ai].shape[0] > 0
+                if arrow.target == w and self.maps[ai]
             ]
             out.append(linalg.sum_row_spaces(mats, self.dims[w], p))
         return out
 
-    def socle_rows(self) -> list[np.ndarray]:
+    def socle_rows(self) -> list:
         """Per-vertex basis rows of soc M = joint kernel of the arrows."""
         out = []
         p = self.algebra.field.p
@@ -130,27 +146,25 @@ class Module:
             if not blocks:
                 out.append(linalg.eye(self.dims[v]))
                 continue
-            stacked = np.concatenate(blocks, axis=1)
+            stacked = linalg.hconcat(blocks, self.dims[v])
             out.append(linalg.left_nullspace(stacked, p))
         return out
 
 
 class Morphism:
-    __slots__ = ("source", "target", "maps", "_key")
+    """Vertex matrices f_v of shape (dims_M[v], dims_N[v]); check as for
+    Module, with the intertwining equations in place of the relations."""
+
+    __slots__ = ("source", "target", "maps", "_vec")
 
     def __init__(self, source: Module, target: Module, maps, check: bool = True):
         self.source = source
         self.target = target
-        p = source.algebra.field.p
-        frozen = []
-        for v in range(source.algebra.quiver.n):
-            m = np.asarray(maps[v], dtype=np.int64) % p
-            want = (source.dims[v], target.dims[v])
-            if m.shape != want:
-                m = m.reshape(want)
-            frozen.append(_freeze(m))
-        self.maps = tuple(frozen)
-        self._key = None
+        if check:
+            maps = _matrices(maps, list(zip(source.dims, target.dims)),
+                             source.algebra.field.p)
+        self.maps = tuple(maps)
+        self._vec = None
         if check and not self.intertwines():
             raise ValueError("vertex maps do not intertwine the arrow actions")
 
@@ -158,9 +172,11 @@ class Morphism:
         p = self.source.algebra.field.p
         for ai, arrow in enumerate(self.source.algebra.quiver.arrows):
             v, w = arrow.source, arrow.target
-            lhs = linalg.matmul(self.maps[v], self.target.maps[ai], p)
-            rhs = linalg.matmul(self.source.maps[ai], self.maps[w], p)
-            if not np.array_equal(lhs, rhs):
+            lhs = linalg.matmul(self.maps[v], self.target.maps[ai], p,
+                                self.target.dims[w])
+            rhs = linalg.matmul(self.source.maps[ai], self.maps[w], p,
+                                self.target.dims[w])
+            if lhs != rhs:
                 return False
         return True
 
@@ -172,7 +188,8 @@ class Morphism:
         return Morphism(
             self.source,
             other.target,
-            [linalg.matmul(a, b, p) for a, b in zip(self.maps, other.maps)],
+            tuple(linalg.matmul(a, b, p, d) for a, b, d
+                  in zip(self.maps, other.maps, other.target.dims)),
             check=False,
         )
 
@@ -180,89 +197,90 @@ class Morphism:
         p = self.source.algebra.field.p
         return Morphism(
             self.source, self.target,
-            [(a + b) % p for a, b in zip(self.maps, other.maps)], check=False,
+            tuple(linalg.add(a, b, p) for a, b in zip(self.maps, other.maps)),
+            check=False,
         )
 
     def scale(self, c: int) -> "Morphism":
         p = self.source.algebra.field.p
         return Morphism(
-            self.source, self.target, [(c * a) % p for a in self.maps], check=False,
+            self.source, self.target,
+            tuple(linalg.scale(c % p, a, p) for a in self.maps), check=False,
         )
 
     def is_zero(self) -> bool:
-        return all(not m.any() for m in self.maps)
+        return not any(self.vec())
 
     def is_mono(self) -> bool:
         p = self.source.algebra.field.p
         return all(
-            linalg.rank(m, p) == m.shape[0] for m in self.maps
+            linalg.rank(m, p) == d for m, d in zip(self.maps, self.source.dims)
         )
 
     def is_epi(self) -> bool:
         p = self.source.algebra.field.p
         return all(
-            linalg.rank(m, p) == m.shape[1] for m in self.maps
+            linalg.rank(m, p) == d for m, d in zip(self.maps, self.target.dims)
         )
 
     def is_iso(self) -> bool:
         return self.source.dims == self.target.dims and self.is_mono()
 
-    def vec(self) -> np.ndarray:
-        if not self.maps:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([m.reshape(-1) for m in self.maps])
+    def vec(self) -> tuple[int, ...]:
+        """All entries, vertex by vertex in row-major order."""
+        if self._vec is None:
+            self._vec = tuple(chain.from_iterable(chain.from_iterable(self.maps)))
+        return self._vec
 
     def __eq__(self, other):
         return (
             isinstance(other, Morphism)
             and self.source == other.source
             and self.target == other.target
-            and all(np.array_equal(a, b) for a, b in zip(self.maps, other.maps))
+            and self.maps == other.maps
         )
 
     def __hash__(self):
-        return hash((self.source.key, self.target.key, bytes(self.vec().tobytes())))
+        return hash((self.source.key, self.target.key, self.maps))
 
     def __repr__(self):
         return f"Morphism({self.source.dims} -> {self.target.dims})"
 
 
-def unvec_morphism(source: Module, target: Module, flat: np.ndarray) -> Morphism:
+def unvec_morphism(source: Module, target: Module, flat) -> Morphism:
+    """The morphism with entries flat (a tuple, as vec() returns)."""
     maps = []
     off = 0
-    for v in range(source.algebra.quiver.n):
-        size = source.dims[v] * target.dims[v]
-        maps.append(flat[off:off + size].reshape(source.dims[v], target.dims[v]))
-        off += size
-    return Morphism(source, target, maps, check=False)
+    for r, c in zip(source.dims, target.dims):
+        maps.append(linalg.reshape(flat[off:off + r * c], r, c))
+        off += r * c
+    return Morphism(source, target, tuple(maps), check=False)
 
 
 def zero_module(algebra: BoundQuiverAlgebra) -> Module:
-    n = algebra.quiver.n
-    return Module(algebra, [0] * n,
-                  [linalg.zeros(0, 0) for _ in algebra.quiver.arrows], check=False)
+    return Module(algebra, (0,) * algebra.quiver.n,
+                  ((),) * len(algebra.quiver.arrows), check=False)
 
 
 def zero_morphism(source: Module, target: Module) -> Morphism:
     return Morphism(
         source, target,
-        [linalg.zeros(source.dims[v], target.dims[v])
-         for v in range(source.algebra.quiver.n)],
+        tuple(linalg.zeros(r, c) for r, c in zip(source.dims, target.dims)),
         check=False,
     )
 
 
 def identity_morphism(m: Module) -> Morphism:
-    return Morphism(m, m, [linalg.eye(d) for d in m.dims], check=False)
+    return Morphism(m, m, tuple(linalg.eye(d) for d in m.dims), check=False)
 
 
 # -- standard modules ------------------------------------------------------
 
 def simple_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
-    dims = [1 if u == v else 0 for u in range(algebra.quiver.n)]
-    maps = [
+    dims = tuple(int(u == v) for u in range(algebra.quiver.n))
+    maps = tuple(
         linalg.zeros(dims[a.source], dims[a.target]) for a in algebra.quiver.arrows
-    ]
+    )
     return Module(algebra, dims, maps, check=False)
 
 
@@ -275,14 +293,14 @@ def projective_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
     maps = []
     for ai, arrow in enumerate(q.arrows):
         w, u = arrow.source, arrow.target
-        m = linalg.zeros(dims[w], dims[u])
+        m = [[0] * dims[u] for _ in range(dims[w])]
         for row, bi in enumerate(buckets[w]):
             path = algebra.basis[bi]
             extended = (path[0], path[1] + (ai,))
             if len(extended[1]) >= algebra.stabilized_length:
                 continue
             for bj, coeff in algebra.reduce_path(extended).items():
-                m[row, pos[u][bj]] = coeff
+                m[row][pos[u][bj]] = coeff
         maps.append(m)
     return Module(algebra, dims, maps)
 
@@ -298,14 +316,14 @@ def injective_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
     for ai, arrow in enumerate(q.arrows):
         w, u = arrow.source, arrow.target
         # entry [i, j] = coefficient of (paths w->v)[i] in a * (paths u->v)[j]
-        m = linalg.zeros(dims[w], dims[u])
+        m = [[0] * dims[u] for _ in range(dims[w])]
         for col, bj in enumerate(buckets[u]):
             path = algebra.basis[bj]
             extended = (w, (ai,) + path[1])
             if len(extended[1]) >= algebra.stabilized_length:
                 continue
             for bi, coeff in algebra.reduce_path(extended).items():
-                m[pos[w][bi], col] = coeff
+                m[pos[w][bi]][col] = coeff
         maps.append(m)
     return Module(algebra, dims, maps)
 
@@ -330,52 +348,50 @@ def direct_sum(summands: list[Module], algebra=None):
         return zero_module(algebra), [], []
     algebra = summands[0].algebra
     q = algebra.quiver
-    dims = [sum(m.dims[v] for m in summands) for v in range(q.n)]
+    dims = tuple(sum(m.dims[v] for m in summands) for v in range(q.n))
     maps = []
-    for ai in range(len(q.arrows)):
-        blocks = [m.maps[ai] for m in summands]
-        arrow = q.arrows[ai]
-        big = linalg.zeros(dims[arrow.source], dims[arrow.target])
-        ro = co = 0
-        for b in blocks:
-            big[ro:ro + b.shape[0], co:co + b.shape[1]] = b
-            ro += b.shape[0]
-            co += b.shape[1]
-        maps.append(big)
-    total = Module(algebra, dims, maps, check=False)
+    for ai, arrow in enumerate(q.arrows):
+        width = dims[arrow.target]
+        rows = []
+        co = 0
+        for m in summands:
+            c = m.dims[arrow.target]
+            left, right = (0,) * co, (0,) * (width - co - c)
+            rows.extend(left + row + right for row in m.maps[ai])
+            co += c
+        maps.append(tuple(rows))
+    total = Module(algebra, dims, tuple(maps), check=False)
     inclusions, projections = [], []
     offsets = [0] * q.n
     for m in summands:
-        inc = [linalg.zeros(m.dims[v], dims[v]) for v in range(q.n)]
-        prj = [linalg.zeros(dims[v], m.dims[v]) for v in range(q.n)]
+        inc, prj = [], []
         for v in range(q.n):
-            o = offsets[v]
-            for i in range(m.dims[v]):
-                inc[v][i, o + i] = 1
-                prj[v][o + i, i] = 1
-            offsets[v] += m.dims[v]
-        inclusions.append(Morphism(m, total, inc, check=False))
-        projections.append(Morphism(total, m, prj, check=False))
+            o, d, n = offsets[v], m.dims[v], dims[v]
+            inc.append(linalg.eye(n)[o:o + d])
+            prj.append(linalg.zeros(o, d) + linalg.eye(d)
+                       + linalg.zeros(n - o - d, d))
+            offsets[v] += d
+        inclusions.append(Morphism(m, total, tuple(inc), check=False))
+        projections.append(Morphism(total, m, tuple(prj), check=False))
     return total, inclusions, projections
 
 
-def submodule_from_rows(parent: Module, rows: list[np.ndarray]):
+def submodule_from_rows(parent: Module, rows: list):
     """Subrepresentation spanned per vertex by the given rows (must be
     arrow-stable).  Returns (module, inclusion)."""
     p = parent.algebra.field.p
     q = parent.algebra.quiver
-    bases = [linalg.row_space(r, p) if r.shape[0] else linalg.zeros(0, parent.dims[v])
-             for v, r in enumerate(rows)]
-    dims = [b.shape[0] for b in bases]
+    bases = tuple(linalg.row_space(r, p) if r else () for r in rows)
+    dims = tuple(len(b) for b in bases)
     maps = []
     for ai, arrow in enumerate(q.arrows):
         v, w = arrow.source, arrow.target
-        image = linalg.matmul(bases[v], parent.maps[ai], p)
+        image = linalg.matmul(bases[v], parent.maps[ai], p, parent.dims[w])
         sol = linalg.solve_left(bases[w], image, p)
         if sol is None:
             raise ValueError("rows are not arrow-stable")
         maps.append(sol)
-    sub = Module(parent.algebra, dims, maps, check=False)
+    sub = Module(parent.algebra, dims, tuple(maps), check=False)
     incl = Morphism(sub, parent, bases, check=False)
     return sub, incl
 
@@ -383,88 +399,56 @@ def submodule_from_rows(parent: Module, rows: list[np.ndarray]):
 def kernel(f: Morphism):
     """(K, inclusion) with inclusion mono and inclusion.then(f) == 0."""
     p = f.source.algebra.field.p
-    rows = [linalg.left_nullspace(f.maps[v], p)
-            for v in range(f.source.algebra.quiver.n)]
+    rows = [linalg.left_nullspace(m, p) for m in f.maps]
     return submodule_from_rows(f.source, rows)
 
 
 def image(f: Morphism):
     """(Im, inclusion into target)."""
     p = f.source.algebra.field.p
-    rows = [linalg.row_space(f.maps[v], p)
-            for v in range(f.source.algebra.quiver.n)]
+    rows = [linalg.row_space(m, p) for m in f.maps]
     return submodule_from_rows(f.target, rows)
 
 
-def quotient_by_rows(parent: Module, rows: list[np.ndarray]):
+def quotient_by_rows(parent: Module, rows: list):
     """(Q, projection) by the arrow-stable subspace spanned by rows."""
     p = parent.algebra.field.p
     q = parent.algebra.quiver
-    reduced = [linalg.rref(r, p) if r.shape[0] else (linalg.zeros(0, parent.dims[v]), [])
-               for v, r in enumerate(rows)]
     projs = []
     survivors = []
-    for v in range(q.n):
-        r, pivots = reduced[v]
-        free = [j for j in range(parent.dims[v]) if j not in pivots]
+    for v, r in enumerate(rows):
+        basis, pivots = linalg.rref(r, p) if r else ((), [])
+        basis = basis[: len(pivots)]
+        d = parent.dims[v]
+        free = [j for j in range(d) if j not in pivots]
         survivors.append(free)
-        pr = linalg.zeros(parent.dims[v], len(free))
-        for j in range(parent.dims[v]):
-            resid = linalg.reduce_against(
-                np.eye(parent.dims[v], dtype=np.int64)[j], r[: len(pivots)], pivots, p,
-            )
-            for k, col in enumerate(free):
-                pr[j, k] = resid[col]
-        projs.append(pr)
-    dims = [len(s) for s in survivors]
+        pr = []
+        for unit in linalg.eye(d):
+            resid = linalg.reduce_against(unit, basis, pivots, p)
+            pr.append(tuple([resid[col] for col in free]))
+        projs.append(tuple(pr))
+    dims = tuple(len(s) for s in survivors)
     maps = []
     for ai, arrow in enumerate(q.arrows):
         v, w = arrow.source, arrow.target
-        m = linalg.zeros(dims[v], dims[w])
-        for k, j in enumerate(survivors[v]):
-            row = linalg.matmul(
-                np.eye(parent.dims[v], dtype=np.int64)[j:j + 1], parent.maps[ai], p,
-            )
-            m[k] = linalg.matmul(row, projs[w], p)[0]
-        maps.append(m)
-    quot = Module(parent.algebra, dims, maps, check=False)
-    proj = Morphism(parent, quot, projs, check=False)
+        kept = tuple(parent.maps[ai][j] for j in survivors[v])
+        maps.append(linalg.matmul(kept, projs[w], p, dims[w]))
+    quot = Module(parent.algebra, dims, tuple(maps), check=False)
+    proj = Morphism(parent, quot, tuple(projs), check=False)
     return quot, proj
 
 
 def cokernel(f: Morphism):
     """(C, projection) with f.then(projection) == 0 and projection epi."""
     p = f.source.algebra.field.p
-    rows = [linalg.row_space(f.maps[v], p)
-            for v in range(f.source.algebra.quiver.n)]
+    rows = [linalg.row_space(m, p) for m in f.maps]
     return quotient_by_rows(f.target, rows)
-
-
-def image_factorization(f: Morphism):
-    """f = epi.then(mono) through the image. Returns (im, epi, mono)."""
-    im, incl = image(f)
-    p = f.source.algebra.field.p
-    epi_maps = []
-    for v in range(f.source.algebra.quiver.n):
-        sol = linalg.solve_left(incl.maps[v], f.maps[v], p)
-        if sol is None:
-            raise AssertionError("image factorization failed")
-        epi_maps.append(sol)
-    return im, Morphism(f.source, im, epi_maps, check=False), incl
 
 
 # -- duality ---------------------------------------------------------------
 
 def dual_module(m: Module) -> Module:
     """D(M) over the opposite algebra: transpose every arrow matrix."""
-    op = m.algebra.op()
-    maps = [m.maps[ai].T.copy() for ai in range(len(op.quiver.arrows))]
-    return Module(op, m.dims, maps, check=False)
-
-
-def dual_morphism(f: Morphism) -> Morphism:
-    """D is contravariant: D(f): D(target) -> D(source)."""
-    return Morphism(
-        dual_module(f.target), dual_module(f.source),
-        [mv.T.copy() for mv in f.maps], check=False,
-    )
+    maps = tuple(linalg.transpose(a, m.dims[arrow.target])
+                 for a, arrow in zip(m.maps, m.algebra.quiver.arrows))
+    return Module(m.algebra.op(), m.dims, maps, check=False)

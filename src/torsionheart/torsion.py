@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .algebra import cached
-from .homology import SES, hom_space
-from .modules import Module, cokernel, submodule_from_rows
+from .modules import Module
 from .universe import IndecUniverse, bit_indices
 
 
@@ -102,7 +100,7 @@ def pair_from_torsion_class(t_bits: int, u: IndecUniverse) -> TorsionPair:
                          "extensions")
     f_bits = 0
     for x in range(u.n):
-        if all(u.hom_table[t, x] == 0 for t in bit_indices(t_bits)):
+        if all(u.hom_table[t][x] == 0 for t in bit_indices(t_bits)):
             f_bits |= 1 << x
     pair = TorsionPair(u, t_bits, f_bits)
     _validate_pair(pair)
@@ -113,7 +111,7 @@ def _validate_pair(pair: TorsionPair):
     u = pair.universe
     for t in bit_indices(pair.torsion_bits):
         for f in bit_indices(pair.torsion_free_bits):
-            if u.hom_table[t, f]:
+            if u.hom_table[t][f]:
                 raise AssertionError("Hom(T, F) != 0 in a torsion pair")
     for i in bit_indices(pair.torsion_free_bits):
         if submodule_summand_bits(u, i) & ~pair.torsion_free_bits:
@@ -121,28 +119,6 @@ def _validate_pair(pair: TorsionPair):
         for j in bit_indices(pair.torsion_free_bits):
             if ext_middle_union_bits(u, i, j) & ~pair.torsion_free_bits:
                 raise AssertionError("torsion-free class not closed under extensions")
-
-
-def torsion_part(x: Module, pair: TorsionPair):
-    """(t(X), inclusion, canonical SES 0 -> t(X) -> X -> X/t(X) -> 0)."""
-    u = pair.universe
-    p = x.algebra.field.p
-    mats = [[] for _ in range(x.algebra.quiver.n)]
-    for t in bit_indices(pair.torsion_bits):
-        for f in hom_space(u.indecs[t], x).basis:
-            for v in range(x.algebra.quiver.n):
-                mats[v].append(f.maps[v])
-    rows = [
-        linalg.sum_row_spaces(mats[v], x.dims[v], p)
-        for v in range(x.algebra.quiver.n)
-    ]
-    t_x, incl = submodule_from_rows(x, rows)
-    quot, proj = cokernel(incl)
-    if not u.in_class(t_x, pair.torsion_bits):
-        raise AssertionError("trace is not torsion")
-    if not u.in_class(quot, pair.torsion_free_bits):
-        raise AssertionError("canonical quotient is not torsion-free")
-    return t_x, incl, SES(t_x, x, quot, incl, proj)
 
 
 def is_hereditary(pair: TorsionPair) -> bool:

@@ -18,7 +18,6 @@ from .algebra import cached
 from .exceptions import ResourceLimitError
 from .heart import heart_simples
 from .krull import is_brick
-from .modules import Module
 from .torsion import TorsionPair, pair_from_torsion_class, torsion_closure
 from .universe import IndecUniverse, bit_indices, popcount
 
@@ -105,7 +104,7 @@ def _cover_label(lattice: TorsLattice, upper_bits: int, lower_bits: int) -> int:
         s = simple.index
         perp = 0
         for x in range(u.n):
-            if u.hom_table[x, s] == 0:
+            if u.hom_table[x][s] == 0:
                 perp |= 1 << x
         if upper_bits & perp == lower_bits:
             candidates.append(s)
@@ -118,25 +117,6 @@ def _cover_label(lattice: TorsLattice, upper_bits: int, lower_bits: int) -> int:
     if not is_brick(u.indecs[label]):
         raise AssertionError("cover label is not a brick")
     return label
-
-
-def brick_labels(lattice: TorsLattice) -> list[Cover]:
-    """Recompute and validate the label of every Hasse cover.
-
-    The labels are already attached during enumeration; this re-derives each
-    one from its defining property and checks existence and uniqueness again,
-    so it doubles as a consistency audit of the lattice."""
-    out = []
-    u = lattice.universe
-    for cover in lattice.covers:
-        label = _cover_label(lattice, lattice.classes[cover.upper],
-                             lattice.classes[cover.lower])
-        if label != cover.label_index:
-            raise AssertionError(
-                f"label of cover {cover.upper} > {cover.lower} changed on "
-                f"recomputation: {label} vs {cover.label_index}")
-        out.append(Cover(cover.upper, cover.lower, label))
-    return out
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-import numpy as np
-
 from . import linalg
 from .algebra import BoundQuiverAlgebra, cached, memo_mark, memo_rollback
 from .exceptions import IncompleteUniverseError, ResourceLimitError
@@ -25,7 +23,7 @@ from .homology import (
 from .krull import decompose, is_indecomposable, is_isomorphic
 from .modules import (
     Module, cokernel, direct_sum, image, kernel, quotient_by_rows,
-    simple_module, submodule_from_rows, unvec_morphism,
+    simple_module, submodule_from_rows,
 )
 
 
@@ -49,7 +47,7 @@ def _support_connected(m: Module) -> bool:
         return x
 
     for ai, arrow in enumerate(q.arrows):
-        if m.dims[arrow.source] and m.dims[arrow.target] and m.maps[ai].any():
+        if any(map(any, m.maps[ai])):
             a, b = find(arrow.source), find(arrow.target)
             parent[a] = b
     return len({find(v) for v in supp}) == 1
@@ -63,9 +61,9 @@ def _detached_simple(m: Module) -> bool:
     rad = m.radical_rows()
     soc = m.socle_rows()
     for v in range(m.algebra.quiver.n):
-        if soc[v].shape[0] == 0:
+        if not soc[v]:
             continue
-        joint = np.concatenate([rad[v], soc[v]], axis=0)
+        joint = rad[v] + soc[v]
         if linalg.rank(joint, p) > linalg.rank(rad[v], p):
             return True
     return False
@@ -76,8 +74,8 @@ class IndecUniverse:
     algebra: BoundQuiverAlgebra
     dim_bound: tuple[int, ...]
     indecs: tuple[Module, ...]
-    hom_table: np.ndarray
-    ext_table: np.ndarray
+    hom_table: tuple[tuple[int, ...], ...]   # [i][j] = dim Hom(X_i, X_j)
+    ext_table: tuple[tuple[int, ...], ...]   # [i][j] = dim Ext^1(X_i, X_j)
     complete: bool
     witness: str | None
     memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -214,12 +212,10 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
             maps = []
             off = 0
             for r, c in shapes:
-                maps.append(np.array(flat[off:off + r * c],
-                                     dtype=np.int64).reshape(r, c))
+                maps.append(linalg.reshape(flat[off:off + r * c], r, c))
                 off += r * c
-            try:
-                cand = Module(algebra, dims, maps, check=True)
-            except ValueError:
+            cand = Module(algebra, dims, tuple(maps), check=False)
+            if not cand.satisfies_relations():
                 continue
             if not _support_connected(cand) or _detached_simple(cand):
                 continue
@@ -234,15 +230,16 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
                     fingerprints.append(fp)
                     continue
             memo_rollback(algebra, mark)
-    n = len(found)
-    hom_table = np.zeros((n, n), dtype=np.int64)
-    ext_table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            hom_table[i, j] = hom_dim(found[i], found[j])
-            ext_table[i, j] = ext1(found[i], found[j]).dim
-    universe = IndecUniverse(algebra, bound, tuple(found), hom_table,
-                             ext_table, complete=False, witness=None)
+    hom_table, ext_table = [], []
+    for x in found:
+        hom_row, ext_row = [], []
+        for y in found:
+            hom_row.append(hom_dim(x, y))
+            ext_row.append(ext1(x, y).dim)
+        hom_table.append(tuple(hom_row))
+        ext_table.append(tuple(ext_row))
+    universe = IndecUniverse(algebra, bound, tuple(found), tuple(hom_table),
+                             tuple(ext_table), complete=False, witness=None)
     if check_completeness:
         ok, witness = completeness_check(universe)
         universe.complete = ok
@@ -282,9 +279,8 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
                 continue
             if p ** d > u.algebra.caps.scan_count_cap:
                 raise ResourceLimitError("morphism scan too large")
-            mat = np.stack([b.vec() for b in h.basis], axis=0)
             for coeffs in linalg.nonzero_vectors(d, p):
-                f = unvec_morphism(x, y, (coeffs @ mat) % p)
+                f = h.from_coords(coeffs)
                 for m, what in ((kernel(f)[0], f"kernel of map {i}->{j}"),
                                 (image(f)[0], f"image of map {i}->{j}"),
                                 (cokernel(f)[0], f"cokernel of map {i}->{j}")):
@@ -313,7 +309,7 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
         top_dims = []
         rad = x.radical_rows()
         for v in range(u.algebra.quiver.n):
-            if soc[v].shape[0] and u.index_of(simple_module(u.algebra, v)) is None:
+            if soc[v] and u.index_of(simple_module(u.algebra, v)) is None:
                 return False, f"socle simple at vertex {v} outside"
             if x.dims[v] - linalg.rank(rad[v], p) > 0 \
                     and u.index_of(simple_module(u.algebra, v)) is None:
@@ -339,9 +335,9 @@ def all_submodules(m: Module):
         stable = True
         for ai, arrow in enumerate(q.arrows):
             v, w = arrow.source, arrow.target
-            if choice[v].shape[0] == 0:
+            if not choice[v]:
                 continue
-            img = linalg.matmul(choice[v], m.maps[ai], p)
+            img = linalg.matmul(choice[v], m.maps[ai], p, m.dims[w])
             if linalg.solve_left(choice[w], img, p) is None:
                 stable = False
                 break
@@ -371,15 +367,11 @@ def maximal_submodules(m: Module) -> list[Module]:
         t = len(lifts)
         if t == 0:
             continue
-        lift_mat = linalg.zeros(t, m.dims[v])
-        for k, j in enumerate(lifts):
-            lift_mat[k, j] = 1
+        lift_mat = tuple(linalg.eye(m.dims[v])[j] for j in lifts)
         for hyper in linalg.subspace_bases(t, p):
-            if hyper.shape[0] != t - 1:
+            if len(hyper) != t - 1:
                 continue
-            rows_v = np.concatenate(
-                [rad[v], linalg.matmul(hyper, lift_mat, p)], axis=0,
-            ) if hyper.shape[0] else rad[v]
+            rows_v = rad[v] + linalg.matmul(hyper, lift_mat, p)
             rows = [
                 linalg.eye(m.dims[w]) if w != v else rows_v
                 for w in range(q.n)
@@ -395,16 +387,13 @@ def simple_socle_quotients(m: Module) -> list[Module]:
     soc = m.socle_rows()
     out = []
     for v in range(q.n):
-        s = soc[v].shape[0]
+        s = len(soc[v])
         if s == 0:
             continue
         for line in linalg.subspace_bases(s, p):
-            if line.shape[0] != 1:
+            if len(line) != 1:
                 continue
-            rows = [
-                linalg.zeros(0, m.dims[w]) if w != v
-                else linalg.matmul(line, soc[v], p)
-                for w in range(q.n)
-            ]
+            rows = [() if w != v else linalg.matmul(line, soc[v], p)
+                    for w in range(q.n)]
             out.append(quotient_by_rows(m, rows)[0])
     return out

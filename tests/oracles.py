@@ -6,6 +6,10 @@ closure-checked subsets of vectors, the Euler form gives Ext dimensions over
 hereditary presentations, and indecomposability from full idempotent scans.
 Only usable at tiny sizes.  numpy_rref is the elimination by numpy row
 operations that linalg.rref replaced, kept as its reference.
+
+Two checks here do use the package: torsion_part builds the canonical
+sequence of a torsion pair from the trace of the torsion class, and
+brick_labels re-derives every Hasse label of a lattice.
 """
 
 from __future__ import annotations
@@ -41,6 +45,13 @@ def numpy_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
+def arrow_arrays(m):
+    """The arrow matrices of a module as numpy int64 arrays of their shapes."""
+    return [np.array(a, dtype=np.int64).reshape(m.dims[arrow.source],
+                                                m.dims[arrow.target])
+            for a, arrow in zip(m.maps, m.algebra.quiver.arrows)]
+
+
 def _all_matrices(rows: int, cols: int, p: int):
     for flat in product(range(p), repeat=rows * cols):
         yield np.array(flat, dtype=np.int64).reshape(rows, cols)
@@ -52,14 +63,14 @@ def brute_hom_count(m, n) -> int:
     p = algebra.field.p
     q = algebra.quiver
     spaces = [list(_all_matrices(m.dims[v], n.dims[v], p)) for v in range(q.n)]
+    m_maps, n_maps = arrow_arrays(m), arrow_arrays(n)
     count = 0
     for choice in product(*spaces):
         ok = True
         for ai, arrow in enumerate(q.arrows):
             v, w = arrow.source, arrow.target
-            lhs = (choice[v] @ n.maps[ai]) % p if choice[v].size or True else None
-            lhs = (choice[v] @ n.maps[ai]) % p
-            rhs = (m.maps[ai] @ choice[w]) % p
+            lhs = (choice[v] @ n_maps[ai]) % p
+            rhs = (m_maps[ai] @ choice[w]) % p
             if lhs.shape != rhs.shape or not np.array_equal(lhs, rhs):
                 ok = False
                 break
@@ -128,6 +139,7 @@ def brute_submodule_count(m) -> int:
     q = algebra.quiver
     per_vertex = [sorted(brute_subspaces(m.dims[v], p), key=sorted)
                   for v in range(q.n)]
+    maps = arrow_arrays(m)
     count = 0
     for choice in product(*per_vertex):
         stable = True
@@ -136,7 +148,7 @@ def brute_submodule_count(m) -> int:
             for vec in choice[v]:
                 img = tuple(
                     int(x) % p
-                    for x in (np.array(vec, dtype=np.int64) @ m.maps[ai]))
+                    for x in (np.array(vec, dtype=np.int64) @ maps[ai]))
                 if img not in choice[w]:
                     stable = False
                     break
@@ -153,13 +165,14 @@ def brute_endomorphisms(m):
     p = algebra.field.p
     q = algebra.quiver
     spaces = [list(_all_matrices(m.dims[v], m.dims[v], p)) for v in range(q.n)]
+    maps = arrow_arrays(m)
     out = []
     for choice in product(*spaces):
         ok = True
         for ai, arrow in enumerate(q.arrows):
             v, w = arrow.source, arrow.target
-            if not np.array_equal((choice[v] @ m.maps[ai]) % p,
-                                  (m.maps[ai] @ choice[w]) % p):
+            if not np.array_equal((choice[v] @ maps[ai]) % p,
+                                  (maps[ai] @ choice[w]) % p):
                 ok = False
                 break
         if ok:
@@ -222,10 +235,58 @@ def subset_scan_lattice(u):
             bricks = [
                 x for x in range(u.n)
                 if upper >> x & 1 and not lower >> x & 1
-                and all(u.hom_table[t, x] == 0
+                and all(u.hom_table[t][x] == 0
                         for t in range(u.n) if lower >> t & 1)
                 and is_brick(u.indecs[x])
             ]
             assert len(bricks) == 1, f"cover {a} > {b} has bricks {bricks}"
             covers.append((a, b, bricks[0]))
     return classes, covers
+
+
+def torsion_part(x, pair):
+    """(t(X), inclusion, canonical SES 0 -> t(X) -> X -> X/t(X) -> 0), with
+    t(X) the trace of the torsion class in X."""
+    from torsionheart import linalg
+    from torsionheart.homology import SES, hom_space
+    from torsionheart.modules import cokernel, submodule_from_rows
+    from torsionheart.universe import bit_indices
+
+    u = pair.universe
+    p = x.algebra.field.p
+    mats = [[] for _ in range(x.algebra.quiver.n)]
+    for t in bit_indices(pair.torsion_bits):
+        for f in hom_space(u.indecs[t], x).basis:
+            for v in range(x.algebra.quiver.n):
+                mats[v].append(f.maps[v])
+    rows = [
+        linalg.sum_row_spaces(mats[v], x.dims[v], p)
+        for v in range(x.algebra.quiver.n)
+    ]
+    t_x, incl = submodule_from_rows(x, rows)
+    quot, proj = cokernel(incl)
+    if not u.in_class(t_x, pair.torsion_bits):
+        raise AssertionError("trace is not torsion")
+    if not u.in_class(quot, pair.torsion_free_bits):
+        raise AssertionError("canonical quotient is not torsion-free")
+    return t_x, incl, SES(t_x, x, quot, incl, proj)
+
+
+def brick_labels(lattice):
+    """Recompute and validate the label of every Hasse cover.
+
+    The labels are already attached during enumeration; this re-derives each
+    one from its defining property and checks existence and uniqueness again,
+    so it doubles as a consistency audit of the lattice."""
+    from torsionheart.torslattice import Cover, _cover_label
+
+    out = []
+    for cover in lattice.covers:
+        label = _cover_label(lattice, lattice.classes[cover.upper],
+                             lattice.classes[cover.lower])
+        if label != cover.label_index:
+            raise AssertionError(
+                f"label of cover {cover.upper} > {cover.lower} changed on "
+                f"recomputation: {label} vs {cover.label_index}")
+        out.append(Cover(cover.upper, cover.lower, label))
+    return out

@@ -212,6 +212,17 @@ def test_cli_import_leaves_sympy_out():
     assert out.stdout == "False\n"
 
 
+def test_cli_import_leaves_numpy_out():
+    # the package computes on Python ints; numpy is a test-only dependency
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, torsionheart.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0
+    assert out.stdout == "False\n"
+
+
 def test_verify_fail_exit_code(monkeypatch, capsys):
     from torsionheart import cli, verify
 

@@ -2,11 +2,13 @@ import pytest
 
 from torsionheart import cotilting as co
 from torsionheart import torsion as to
+from torsionheart.algebra import parse_algebra
 from torsionheart.exceptions import NotCotiltingError
 from torsionheart.homology import injective_dimension
-from torsionheart.universe import bit_indices
+from torsionheart.torslattice import enumerate_torsion_classes
+from torsionheart.universe import bit_indices, enumerate_indecomposables
 
-from conftest import module_by_dims
+from conftest import FIXTURES, module_by_dims
 
 
 def _bits(u, *dims_list):
@@ -77,7 +79,7 @@ def test_cogen_equals_perp_tables(a2_universe, a2_nontrivial):
     cogen = co.cogenerated_bits(u, data.cotilting)
     for x in range(u.n):
         ext_vanishes = all(
-            u.ext_table[x, i] == 0 for i in bit_indices(data.add_c_bits))
+            u.ext_table[x][i] == 0 for i in bit_indices(data.add_c_bits))
         assert bool((cogen >> x) & 1) == ext_vanishes
 
 
@@ -125,7 +127,7 @@ def test_special_envelope_a2(a2_universe, a2_nontrivial):
 
 
 def test_c0_c1(a2_universe, a2_nontrivial):
-    c0, c1 = co.c0_c1(a2_nontrivial)
+    c0, c1 = a2_nontrivial.c0, a2_nontrivial.c1
     assert c0.dims == (2, 2) and c1.dims == (0, 1)
 
 
@@ -175,3 +177,22 @@ def test_a3_minimal_cotilting_matches_construction(a3_universe):
     mods = [s.envelope for s in criticals] + [s.envelope for s in specials]
     tilde = co.minimal_cotilting(data, mods)
     assert u.summand_bitset(tilde) == data.add_c_bits
+
+
+@pytest.mark.parametrize("fixture, bound", [
+    ("a2", (2, 2)), ("a3", (2, 2, 2)), ("d4", (2, 2, 2, 2)), ("loop", (2,)),
+    ("square", (1, 1, 1, 1))])
+def test_ext_injectives_need_no_orthogonality_check(fixture, bound):
+    """On every torsion pair (T, F), the Ext-injectives E of F (the members
+    i of F with Ext^1(F, X_i) = 0) satisfy Ext^1(E, E) = 0 and
+    F intersect perp(F) = E, so cotilting_from_pair checks neither."""
+    u = enumerate_indecomposables(
+        parse_algebra((FIXTURES / f"{fixture}.quiver").read_text()), bound)
+    ext = u.ext_table
+    lattice = enumerate_torsion_classes(u)
+    for k in range(lattice.n):
+        f = bit_indices(lattice.pair_of(k).torsion_free_bits)
+        ext_inj = [i for i in f if all(ext[j][i] == 0 for j in f)]
+        assert all(ext[i][j] == 0 for i in ext_inj for j in ext_inj)
+        perp = [x for x in range(u.n) if all(ext[i][x] == 0 for i in f)]
+        assert [x for x in f if x in perp] == ext_inj

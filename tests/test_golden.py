@@ -2,8 +2,9 @@
 
 Each file under tests/golden/ holds the stdout of one CLI run on a bundled
 fixture: the README examples, indec, tors, heart and verify on a2, a3,
-loop and square, and verify on d4, the benchmark's headline command.  For
-example, tests/golden/tors-a3-dot.out is the output of
+loop and square, verify on d4, the benchmark's headline command, indec on a3
+over F_3, the benchmark's odd-prime scan, and the JSON reports of indec and
+tors on d4.  For example, tests/golden/tors-a3-dot.out is the output of
 
     heart-simples tors fixtures/a3.quiver --format dot
 
@@ -27,6 +28,9 @@ CASES = {
         "heart", "a2.quiver", "--gens", "1.0", "--format", "json", "--oracle"],
     "tors-a3-dot": ["tors", "a3.quiver", "--format", "dot"],
     "indec-a3": ["indec", "a3.quiver"],
+    "indec-a3-field-3": ["indec", "a3.quiver", "--field", "3"],
+    "indec-d4-json": ["indec", "d4.quiver", "--format", "json"],
+    "tors-d4-json": ["tors", "d4.quiver", "--format", "json"],
     "tors-a3": ["tors", "a3.quiver"],
     "indec-loop": ["indec", "loop.quiver"],
     "tors-loop": ["tors", "loop.quiver"],

@@ -93,30 +93,6 @@ def test_heart_simples_all_torsion_pair(a2_universe):
     assert all(s.shifted for s in simples)
 
 
-def test_heart_mono_epi(a2_universe, a2_data):
-    u = a2_universe
-    pair = a2_data.pair
-    s2 = module_by_dims(u, (0, 1))
-    p1 = module_by_dims(u, (1, 1))
-    incl = hom_space(s2, p1).basis[0]
-    flags = he.heart_mono_epi(incl, pair)
-    assert not flags.mono_in_heart  # cokernel S1 is not torsion-free
-    assert flags.epi_in_heart       # cokernel S1 is torsion
-    ident = mo.identity_morphism(p1)
-    flags2 = he.heart_mono_epi(ident, pair)
-    assert flags2.mono_in_heart and flags2.epi_in_heart
-    # both-torsion case: zero map S1 -> S1 for the all-torsion pair
-    pair_all = to.pair_from_torsion_class(u.all_bits, u)
-    s1 = module_by_dims(u, (1, 0))
-    zero = mo.zero_morphism(s1, s1)
-    flags3 = he.heart_mono_epi(zero, pair_all)
-    assert not flags3.mono_in_heart  # kernel S1 is not torsion-free here
-    # mixed membership is rejected: P1 is torsion-free, S1 torsion
-    proj = hom_space(p1, s1).basis[0]
-    with pytest.raises(ValueError):
-        he.heart_mono_epi(proj, pair)
-
-
 def test_left_almost_split_a2(a2_universe, a2_data):
     u = a2_universe
     data = a2_data
@@ -322,18 +298,6 @@ def test_oracle_mode_on_non_member(a2_universe, a2_data):
     s1 = module_by_dims(a2_universe, (1, 0))
     both = mo.direct_sum([s1, s1])[0]
     assert not he.is_almost_torsion_free(both, a2_data.pair, "oracle")
-
-
-def test_heart_mono_epi_both_torsion_nonzero(a2_universe):
-    # projection P1 -> S1 for the all-torsion pair: the shifted map is epi
-    # but not mono in the heart (kernel S2 is torsion, not torsion-free)
-    u = a2_universe
-    pair = to.pair_from_torsion_class(u.all_bits, u)
-    p1 = module_by_dims(u, (1, 1))
-    s1 = module_by_dims(u, (1, 0))
-    proj = hom_space(p1, s1).basis[0]
-    flags = he.heart_mono_epi(proj, pair)
-    assert flags.epi_in_heart and not flags.mono_in_heart
 
 
 def test_split_injective_scan_agrees_a3(a3_universe):

@@ -1,6 +1,5 @@
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,7 +76,7 @@ def test_ext_round_trip_all_pairs_a2(std):
             space = ho.ext1(x, y)
             for coeffs, ses in space.all_classes():
                 back = space.class_of(ses)
-                assert np.array_equal(back, np.array(coeffs, dtype=np.int64))
+                assert back == tuple(coeffs)
 
 
 def test_ext_round_trip_f3():
@@ -87,7 +86,7 @@ def test_ext_round_trip_f3():
     assert space.dim == 1
     for c in range(3):
         ses = space.realize([c])
-        assert space.class_of(ses).tolist() == [c]
+        assert space.class_of(ses) == (c,)
 
 
 def test_ext_additive_in_cocycle(std):
@@ -95,7 +94,7 @@ def test_ext_additive_in_cocycle(std):
     space = ho.ext1(simples[0], simples[1])
     a = space.realize([1])
     # over F_2 the class 1+1 = 0 is split
-    assert space.class_of(space.realize([0])).tolist() == [0]
+    assert space.class_of(space.realize([0])) == (0,)
 
 
 def test_nonhereditary_ext_self_extension():
@@ -122,7 +121,7 @@ def test_pushout_pullback(std):
     w2, a, b = ho.pushout(incl, mo.identity_morphism(s2))
     assert w2.dims == p1.dims
     # pullback of projection along the inclusion of the image
-    proj = mo.Morphism(p1, s1, [np.array([[1]]), np.zeros((1, 0))])
+    proj = mo.Morphism(p1, s1, [[[1]], [[]]])
     w3, to_p1, to_s1 = ho.pullback(proj, mo.identity_morphism(s1))
     assert w3.dims == p1.dims
 
@@ -263,14 +262,13 @@ def test_ext_presentation_independence(std):
     p = 2
     # non-minimal: P0' = P(1) + P(2), K' = ker(P0' -> S1)
     p0, covers, _ = mo.direct_sum([projectives[0], projectives[1]])
-    cover = mo.Morphism(p0, s1, [np.array([[1]]), np.zeros((2, 0))])
+    cover = mo.Morphism(p0, s1, [[[1]], [[], []]])
     k, incl = mo.kernel(cover)
     hom_kn = ho.hom_space(k, s2)
     hom_p0n = ho.hom_space(p0, s2)
     from torsionheart import linalg
     coords = [hom_kn.coords_of(incl.then(g)) for g in hom_p0n.basis]
-    mat = np.stack(coords, axis=0) if coords else linalg.zeros(0, hom_kn.dim)
-    dim = hom_kn.dim - linalg.rank(mat, p)
+    dim = hom_kn.dim - linalg.rank(coords, p)
     assert dim == space.dim
 
 

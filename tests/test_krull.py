@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from torsionheart import krull as kr
@@ -21,7 +20,7 @@ def std(a2):
 
 def test_decompose_known_sum(a2, std):
     simples, projectives, _ = std
-    m = mo.Module(a2, (2, 1), [np.array([[1], [0]])])
+    m = mo.Module(a2, (2, 1), [[[1], [0]]])
     pieces = sorted((x.dims, mult) for x, mult in kr.decompose(m))
     assert pieces == [((1, 0), 1), ((1, 1), 1)]
 
@@ -39,7 +38,7 @@ def test_decompose_zero(a2):
 
 def test_decompose_idempotent(a2, std):
     simples, projectives, _ = std
-    m = mo.Module(a2, (2, 1), [np.array([[1], [0]])])
+    m = mo.Module(a2, (2, 1), [[[1], [0]]])
     for piece, mult in kr.decompose(m):
         again = kr.decompose(piece)
         assert len(again) == 1 and again[0][1] == 1
@@ -47,7 +46,7 @@ def test_decompose_idempotent(a2, std):
 
 
 def test_decompose_iso_certificate(a2, std):
-    m = mo.Module(a2, (2, 2), [np.array([[1, 0], [0, 0]])])
+    m = mo.Module(a2, (2, 2), [[[1, 0], [0, 0]]])
     pieces, iso = kr.decompose_with_iso(m)
     assert iso.is_iso()
     assert sorted(x.total_dim for x in pieces) in ([1, 1, 2], [1, 3], [2, 2], [1, 1, 1, 1])
@@ -63,7 +62,7 @@ def test_indecomposability_matches_brute_oracle(a2):
             if d1 + d2 == 0:
                 continue
             for flat in product(range(2), repeat=d1 * d2):
-                mat = np.array(flat, dtype=np.int64).reshape(d1, d2)
+                mat = [flat[i * d2:(i + 1) * d2] for i in range(d1)]
                 m = mo.Module(a2, (d1, d2), [mat])
                 assert kr.is_indecomposable(m) == brute_is_indecomposable(m)
 
@@ -87,8 +86,8 @@ def test_frobenius_brick_certificate():
         "field 2\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
     # regular module of the Kronecker quiver at the "irreducible quadratic"
     # point: maps (I, C) with C the companion matrix of t^2 + t + 1
-    comp = np.array([[0, 1], [1, 1]], dtype=np.int64)
-    m = mo.Module(alg, (2, 2), [np.eye(2, dtype=np.int64), comp])
+    comp = [[0, 1], [1, 1]]
+    m = mo.Module(alg, (2, 2), [[[1, 0], [0, 1]], comp])
     from torsionheart.homology import hom_space
     assert hom_space(m, m).dim == 2  # End = F_4
     assert kr.is_indecomposable(m)
@@ -100,8 +99,8 @@ def test_not_brick_with_nilpotents():
         "field 2\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
     # regular module with nilpotent endomorphisms: maps (I, J) with J a
     # nilpotent Jordan block; End = F_2[eps]
-    jordan = np.array([[0, 1], [0, 0]], dtype=np.int64)
-    m = mo.Module(alg, (2, 2), [np.eye(2, dtype=np.int64), jordan])
+    jordan = [[0, 1], [0, 0]]
+    m = mo.Module(alg, (2, 2), [[[1, 0], [0, 1]], jordan])
     from torsionheart.homology import hom_space
     assert hom_space(m, m).dim == 2
     assert kr.is_indecomposable(m)
@@ -113,10 +112,10 @@ def test_is_isomorphic(a2, std):
     p1 = projectives[0]
     # another presentation of P(1) after base change (trivial over F_2 at
     # dims (1,1), so build (2,2) examples instead)
-    m1 = mo.Module(a2, (2, 2), [np.array([[1, 0], [0, 1]])])
-    m2 = mo.Module(a2, (2, 2), [np.array([[0, 1], [1, 0]])])
+    m1 = mo.Module(a2, (2, 2), [[[1, 0], [0, 1]]])
+    m2 = mo.Module(a2, (2, 2), [[[0, 1], [1, 0]]])
     assert kr.is_isomorphic(m1, m2)
-    m3 = mo.Module(a2, (2, 2), [np.array([[1, 0], [0, 0]])])
+    m3 = mo.Module(a2, (2, 2), [[[1, 0], [0, 0]]])
     assert not kr.is_isomorphic(m1, m3)
     assert not kr.is_isomorphic(simples[0], simples[1])
     assert kr.is_isomorphic(mo.zero_module(a2), mo.zero_module(a2))
@@ -128,8 +127,8 @@ def test_hom_fingerprint_consistency(a2_universe=None):
     from torsionheart.homology import hom_dim
     alg = parse_algebra(A2_TEXT)
     u = enumerate_indecomposables(alg, (2, 2))
-    m1 = mo.Module(alg, (2, 2), [np.array([[1, 0], [0, 1]])])
-    m2 = mo.Module(alg, (2, 2), [np.array([[0, 1], [1, 0]])])
+    m1 = mo.Module(alg, (2, 2), [[[1, 0], [0, 1]]])
+    m2 = mo.Module(alg, (2, 2), [[[0, 1], [1, 0]]])
     for x in u.indecs:
         assert hom_dim(m1, x) == hom_dim(m2, x)
         assert hom_dim(x, m1) == hom_dim(x, m2)
@@ -155,14 +154,13 @@ def test_split_without_roots_in_the_field():
     # polynomial (t^2+1)(t^2+t+2) of x = diag(C1, C2) has no root in F_3
     alg = parse_algebra(
         "field 3\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
-    c1 = np.array([[0, 1], [2, 0]], dtype=np.int64)  # t^2 + 1
-    c2 = np.array([[0, 1], [1, 2]], dtype=np.int64)  # t^2 + t + 2
-    one = np.eye(2, dtype=np.int64)
+    c1 = [[0, 1], [2, 0]]  # t^2 + 1
+    c2 = [[0, 1], [1, 2]]  # t^2 + t + 2
+    one = [[1, 0], [0, 1]]
     r1 = mo.Module(alg, (2, 2), [one, c1])
     r2 = mo.Module(alg, (2, 2), [one, c2])
     m = mo.direct_sum([r1, r2], alg)[0]
-    diag = np.block([[c1, np.zeros((2, 2), dtype=np.int64)],
-                     [np.zeros((2, 2), dtype=np.int64), c2]])
+    diag = [row + [0, 0] for row in c1] + [[0, 0] + row for row in c2]
     x = mo.Morphism(m, m, [diag, diag])
     e = kr.split_idempotent(x, 3)
     assert e is not None and e.then(e) == e

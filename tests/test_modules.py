@@ -1,8 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsionheart import linalg
 from torsionheart import modules as mo
 from torsionheart.algebra import parse_algebra
 
@@ -24,7 +24,7 @@ def test_standard_modules_a2(std):
     simples, projectives, injectives = std
     assert simples[0].dims == (1, 0) and simples[1].dims == (0, 1)
     assert projectives[0].dims == (1, 1)
-    assert np.array_equal(projectives[0].maps[0], np.array([[1]]))
+    assert projectives[0].maps[0] == ((1,),)
     assert projectives[1].dims == (0, 1)
     assert injectives[0].dims == (1, 0)  # I(1) = S(1)
     assert injectives[1].dims == (1, 1)  # I(2) = P(1)
@@ -37,20 +37,19 @@ def test_loop_algebra_standard_modules():
     assert i[0].dims == (2,)
     assert s[0].dims == (1,)
     # nilpotent action on the projective
-    sq = (p[0].maps[0] @ p[0].maps[0]) % 3
-    assert not sq.any()
+    sq = linalg.matmul(p[0].maps[0], p[0].maps[0], 3)
+    assert not any(map(any, sq))
 
 
 def test_relation_violation_rejected():
     alg = parse_algebra("field 2\nvertices v\narrow x: v -> v\nrelation x*x\n")
     with pytest.raises(ValueError):
-        mo.Module(alg, (2,), [np.array([[0, 1], [1, 0]])])
+        mo.Module(alg, (2,), [[[0, 1], [1, 0]]])
 
 
 def test_kernel_cokernel_image_a2(a2, std):
     simples, projectives, _ = std
-    proj = mo.Morphism(projectives[0], simples[0],
-                       [np.array([[1]]), np.zeros((1, 0))])
+    proj = mo.Morphism(projectives[0], simples[0], [[[1]], [[]]])
     k, incl = mo.kernel(proj)
     assert k.dims == (0, 1)
     assert incl.then(proj).is_zero()
@@ -72,7 +71,7 @@ def test_kernel_cokernel_image_a2(a2, std):
 def test_rank_nullity_per_vertex(a2, std):
     _, projectives, _ = std
     f = mo.Morphism(projectives[0], projectives[0],
-                    [np.array([[0]]), np.array([[0]])])
+                    [[[0]], [[0]]])
     k, _ = mo.kernel(f)
     im, _ = mo.image(f)
     for v in range(2):
@@ -88,22 +87,13 @@ def test_direct_sum_structure(std):
     assert incs[0].then(prjs[1]).is_zero()
 
 
-def test_image_factorization(a2, std):
-    simples, projectives, _ = std
-    proj = mo.Morphism(projectives[0], simples[0],
-                       [np.array([[1]]), np.zeros((1, 0))])
-    im, epi, mono = mo.image_factorization(proj)
-    assert epi.is_epi() and mono.is_mono()
-    assert epi.then(mono) == proj
-
-
 def test_socle_radical(std):
     _, projectives, _ = std
     p1 = projectives[0]
     soc = p1.socle_rows()
-    assert soc[0].shape[0] == 0 and soc[1].shape[0] == 1
+    assert len(soc[0]) == 0 and len(soc[1]) == 1
     rad = p1.radical_rows()
-    assert rad[0].shape[0] == 0 and rad[1].shape[0] == 1
+    assert len(rad[0]) == 0 and len(rad[1]) == 1
 
 
 def test_duality_roundtrip(std):
@@ -113,23 +103,13 @@ def test_duality_roundtrip(std):
     dd = mo.dual_module(d)
     assert dd.algebra is p1.algebra
     assert dd.dims == p1.dims
-    assert all(np.array_equal(a, b) for a, b in zip(dd.maps, p1.maps))
-
-
-def test_dual_morphism_contravariant(a2, std):
-    simples, projectives, _ = std
-    proj = mo.Morphism(projectives[0], simples[0],
-                       [np.array([[1]]), np.zeros((1, 0))])
-    df = mo.dual_morphism(proj)
-    assert df.source.dims == simples[0].dims
-    assert df.target.dims == projectives[0].dims
-    assert df.is_mono()
+    assert dd.maps == p1.maps
 
 
 # composition invariants on random A2 modules (no relations, so any maps work)
 
 def _a2_module(alg, d1, d2, flat):
-    mat = np.array(flat[: d1 * d2], dtype=np.int64).reshape(d1, d2)
+    mat = [flat[i * d2:(i + 1) * d2] for i in range(d1)]
     return mo.Module(alg, (d1, d2), [mat])
 
 
@@ -187,3 +167,45 @@ relation a*b - c*d
         (1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1)]
     assert [i.dims for i in injectives] == [
         (1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)]
+
+
+# SHA-1 of Module.key for every projective, every injective and every member
+# of the complete universe of fixtures/d4.quiver at bound (2, 2, 2, 2).  The
+# key hashes each arrow matrix as little-endian int64 bytes in row-major
+# order, and krull seeds its idempotent search from it, so a changed key can
+# change which idempotent is found and with it the CLI output.
+D4_PROJECTIVE_KEYS = [
+    "3912cbc6a280fd376026108705e3993ed806a46b",
+    "d63b3c66fd22adc8f0a1bf0d6b67d64e0ef3fc3f",
+    "d54b5bd26af32b7c6db461f23dae76a3e4211152",
+    "5dcd8a86b584695c600cd21b35f95fbc9d57f3a4",
+]
+D4_INJECTIVE_KEYS = [
+    "3ca9ff2f05f08ba6a4380e08000422dff857bda3",
+    "4464150d61aca309cfdb2e095ad5488f71a4081c",
+    "655458cd2707101451bf59a91bc64544c3e48cd4",
+    "7532e736801ec4081fc7c4d5c7cf1d10b551f236",
+]
+D4_UNIVERSE_KEYS = [
+    ((0, 0, 0, 1), "5dcd8a86b584695c600cd21b35f95fbc9d57f3a4"),
+    ((0, 0, 1, 0), "655458cd2707101451bf59a91bc64544c3e48cd4"),
+    ((0, 1, 0, 0), "4464150d61aca309cfdb2e095ad5488f71a4081c"),
+    ((1, 0, 0, 0), "3ca9ff2f05f08ba6a4380e08000422dff857bda3"),
+    ((0, 0, 1, 1), "d54b5bd26af32b7c6db461f23dae76a3e4211152"),
+    ((0, 1, 0, 1), "d63b3c66fd22adc8f0a1bf0d6b67d64e0ef3fc3f"),
+    ((1, 0, 0, 1), "3912cbc6a280fd376026108705e3993ed806a46b"),
+    ((0, 1, 1, 1), "1b768c92f7b8b0909fc244f0e4edaccc644b621d"),
+    ((1, 0, 1, 1), "b6826c60e59e52727e6df386430ca02d1ac14ca5"),
+    ((1, 1, 0, 1), "afcc30ce46c8ad0f1c4833fd8152cff36e17a9ff"),
+    ((1, 1, 1, 1), "7532e736801ec4081fc7c4d5c7cf1d10b551f236"),
+    ((1, 1, 1, 2), "8059b37035e05242f400228094eaa9e97450af9f"),
+]
+
+
+def test_module_keys_are_pinned(d4, d4_universe):
+    n = d4.quiver.n
+    assert [mo.projective_module(d4, v).key for v in range(n)] \
+        == D4_PROJECTIVE_KEYS
+    assert [mo.injective_module(d4, v).key for v in range(n)] \
+        == D4_INJECTIVE_KEYS
+    assert [(m.dims, m.key) for m in d4_universe.indecs] == D4_UNIVERSE_KEYS

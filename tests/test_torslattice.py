@@ -10,7 +10,7 @@ from torsionheart.krull import is_brick
 from torsionheart.universe import enumerate_indecomposables, popcount
 
 from conftest import module_by_dims
-from oracles import subset_scan_lattice
+from oracles import brick_labels, subset_scan_lattice
 
 A5_TEXT = ("field 2\nvertices 1 2 3 4 5\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
            "arrow c: 3 -> 4\narrow d: 4 -> 5\n")
@@ -146,7 +146,7 @@ def test_incidence_single_vertex_algebra():
 
 
 def test_brick_labels_recompute(a2_universe, a2_lattice):
-    covers = tl.brick_labels(a2_lattice)
+    covers = brick_labels(a2_lattice)
     assert [(c.upper, c.lower, c.label_index) for c in covers] == \
         [(c.upper, c.lower, c.label_index) for c in a2_lattice.covers]
 
