@@ -39,9 +39,6 @@ class PrimeField:
         if not (2 <= self.p <= 251) or not _is_prime(self.p):
             raise ValueError(f"field order must be a prime in [2, 251], got {self.p}")
 
-    def inv(self, x: int) -> int:
-        return linalg.inv_mod(x, self.p)
-
 
 @dataclass(frozen=True)
 class Arrow:

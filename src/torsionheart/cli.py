@@ -6,10 +6,10 @@ Subcommands:
   tors   <file>   the lattice of torsion classes with brick-labelled covers
   verify <file>   run every property suite; nonzero exit on any failure
 
-Exit codes: 0 success, 1 parse error or not cotilting, 2 resource limit,
-3 incomplete universe, 4 undetermined (a capped search found neither a witness
-nor a certificate), 5 a verify suite failed, 6 internal error (a broken
-internal invariant).
+Exit codes: 0 success, 1 parse error, usage error or not cotilting,
+2 resource limit, 3 incomplete universe, 4 undetermined (a capped search found
+neither a witness nor a certificate), 5 a verify suite failed, 6 internal
+error (a broken internal invariant).
 Output is deterministic: identical input and flags produce identical bytes.
 """
 
@@ -27,7 +27,7 @@ from .exceptions import (
     AdmissibilityError, IncompleteUniverseError, NotCotiltingError,
     QuiverParseError, ResourceLimitError, UndeterminedError,
 )
-from .heart import NegIsolatedValue, classify_neg_isolated, heart_simples
+from .heart import classify_neg_isolated, heart_simples
 from .krull import decompose, is_brick
 from .torsion import is_hereditary, pair_from_torsion_class, torsion_closure
 from .torslattice import enumerate_torsion_classes
@@ -94,12 +94,26 @@ def _build_universe(args):
         text = fh.read()
     algebra = parse_algebra(text, _caps_from_args(args),
                             field_override=args.field)
+    n = algebra.quiver.n
     if args.dim_bound:
-        bound = tuple(int(x) for x in args.dim_bound.split(","))
+        bound = tuple(_int_tokens(args.dim_bound, ",", "--dim-bound",
+                                  "comma separated integers"))
+        if len(bound) != n:
+            raise QuiverParseError(
+                f"--dim-bound {args.dim_bound} has {len(bound)} entries, "
+                f"the quiver has {n} vertices")
     else:
-        bound = tuple(2 for _ in algebra.quiver.vertices)
+        bound = (2,) * n
     universe = enumerate_indecomposables(algebra, bound)
     return algebra, universe
+
+
+def _int_tokens(text: str, sep: str, what: str, expected: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(sep)]
+    except ValueError:
+        raise QuiverParseError(
+            f"{what} {text!r}: expected {expected}") from None
 
 
 def _caps_from_args(args) -> ResourceCaps:
@@ -164,16 +178,18 @@ def _parse_generators(u: IndecUniverse, tokens: str) -> int:
         token = token.strip()
         if not token:
             continue
+        values = _int_tokens(token, ".", "generator",
+                             "a universe index or a dot-separated dim vector")
         if "." in token:
-            dims = tuple(int(x) for x in token.split("."))
-            matches = [i for i, m in enumerate(u.indecs) if m.dims == dims]
+            matches = [i for i, m in enumerate(u.indecs)
+                       if m.dims == tuple(values)]
             if len(matches) != 1:
                 raise QuiverParseError(
                     f"dim vector {token} matches {len(matches)} modules; "
                     "use an index instead")
             bits |= 1 << matches[0]
         else:
-            idx = int(token)
+            idx = values[0]
             if not (0 <= idx < u.n):
                 raise QuiverParseError(f"generator index {idx} out of range")
             bits |= 1 << idx
@@ -195,9 +211,7 @@ def heart_report(u: IndecUniverse, t_bits: int,
     simples = heart_simples(pair)
     criticals, specials = classify_neg_isolated(data)
     tilde = minimal_cotilting(
-        data,
-        [s.envelope for s in criticals] + [s.envelope for s in specials],
-    )
+        data, [s.envelope for s in criticals + specials])
     pair_json = {
         "torsion": sorted(bit_indices(pair.torsion_bits)),
         "torsionFree": sorted(bit_indices(pair.torsion_free_bits)),
@@ -205,21 +219,20 @@ def heart_report(u: IndecUniverse, t_bits: int,
     }
     sequences = []
     for seq in criticals + specials:
-        kind = ("critical" if seq.kind.value is NegIsolatedValue.CRITICAL
-                else "special")
         sequences.append({
-            "kind": kind,
+            "kind": seq.kind,
             "simple": {"index": seq.simple.index,
                        "dims": list(seq.simple.module.dims),
                        "shifted": seq.simple.shifted},
             "envelope": module_ref(u, seq.envelope),
             "sequence": ses_json(u, seq.sequence),
         })
+    crit_idx = {s.envelope_index for s in criticals}
+    spec_idx = {s.envelope_index for s in specials}
     checks = [
-        {"name": "envelopes-disjoint", "passed": True},
+        {"name": "envelopes-disjoint", "passed": not crit_idx & spec_idx},
         {"name": "envelopes-exhaust-C",
-         "passed": {s.envelope_index for s in criticals + specials}
-         == set(bit_indices(data.add_c_bits))},
+         "passed": crit_idx | spec_idx == set(bit_indices(data.add_c_bits))},
     ]
     if oracle:
         oracle_simples = sorted(
@@ -238,7 +251,7 @@ def heart_report(u: IndecUniverse, t_bits: int,
         },
         "heartSimples": [
             {"index": s.index, "dims": list(s.module.dims),
-             "shifted": s.shifted, "kind": s.kind.value}
+             "shifted": s.shifted, "kind": s.kind}
             for s in simples
         ],
         "sequences": sequences,
@@ -260,7 +273,7 @@ def heart_report(u: IndecUniverse, t_bits: int,
     for s in simples:
         shift = "[-1]" if s.shifted else ""
         lines.append(f"  M{s.index}{shift} dims {_dims_str(s.module.dims)} "
-                     f"({s.kind.value})")
+                     f"({s.kind})")
     lines.append("sequences:")
     for entry in sequences:
         seq = entry["sequence"]
@@ -364,18 +377,19 @@ def make_parser() -> argparse.ArgumentParser:
                     "algebras, with brute-force verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [("indec", cmd_indec), ("heart", cmd_heart),
-                     ("tors", cmd_tors), ("verify", cmd_verify)]:
+    # (name, handler, --format choices); each flag only where it is read
+    for name, fn, formats in [("indec", cmd_indec, ["text", "json"]),
+                              ("heart", cmd_heart, ["text", "json"]),
+                              ("tors", cmd_tors, ["text", "json", "dot"]),
+                              ("verify", cmd_verify, None)]:
         p = sub.add_parser(name)
         p.add_argument("path", help="quiver file")
         p.add_argument("--field", type=int, default=None,
                        help="override the field order")
         p.add_argument("--dim-bound", default=None,
                        help="comma separated per-vertex bound (default 2,...)")
-        p.add_argument("--oracle", action="store_true",
-                       help="run detection in literal oracle mode as well")
-        p.add_argument("--format", choices=["text", "json", "dot"],
-                       default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--cap-ext-dim", type=int,
                        default=DEFAULT_CAPS.ext_dim_cap,
                        help="largest Ext^1 dimension whose classes are "
@@ -388,12 +402,17 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--gens", default="",
                            help="torsion class generators: universe indices "
                                 "or dot-separated dim vectors, comma list")
+            p.add_argument("--oracle", action="store_true",
+                           help="run detection in literal oracle mode as well")
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:    # --help exits 0, a usage error 2
+        return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (QuiverParseError, AdmissibilityError, OSError) as exc:

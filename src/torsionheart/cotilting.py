@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from . import linalg
 from .exceptions import NotCotiltingError
 from .homology import (
-    SES, cokernel, hom_space, injective_envelope, is_injective,
-    minimal_left_approx, minimal_right_approx,
+    SES, cokernel, hom_space, injective_envelope, is_injective, minimal_approx,
 )
 from .modules import Module, direct_sum, injective_module, kernel
 from .torsion import TorsionPair
@@ -144,7 +143,7 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
 
     # condition (3): special cover of the injective cogenerator
     inj = injective_cogenerator(u.algebra)
-    g = minimal_right_approx(inj, summands)
+    g = minimal_approx(inj, summands, "right")
     if not g.is_epi():
         dims = ",".join(str(d) for d in cokernel(g)[0].dims)
         raise NotCotiltingError(
@@ -175,7 +174,7 @@ def special_cover(m: Module, data: CotiltingData) -> SES:
     """0 -> X -> Y -> M -> 0 with Y in the cotilting class, X in its perp,
     and the epi right minimal."""
     u = data.universe
-    f = minimal_right_approx(m, data.c_class_members())
+    f = minimal_approx(m, data.c_class_members(), "right")
     if not f.is_epi():
         raise AssertionError("cotilting-class approximation is not onto")
     x, incl = kernel(f)
@@ -194,7 +193,7 @@ def special_envelope(m: Module, data: CotiltingData) -> SES:
     """0 -> M -> X' -> Y' -> 0 with X' in the perp class, Y' in the cotilting
     class, and the mono left minimal."""
     u = data.universe
-    f = minimal_left_approx(m, data.perp_members())
+    f = minimal_approx(m, data.perp_members(), "left")
     if not f.is_mono():
         raise AssertionError("perp-class approximation is not mono")
     y, proj = cokernel(f)

@@ -14,7 +14,11 @@ and their duals are reductions obtained by pushing out along A -> A/t(A),
 pulling back along t(B) -> B and splitting off indecomposable summands; the
 oracle mode quantifies literally over all submodules, quotients, and bounded
 extension scans, and the acceptance suite insists the two modes agree
-everywhere.
+everywhere.  One body, `_is_almost`, serves both detections in both modes:
+the almost torsion conditions are the almost torsion-free ones with T and F,
+submodules and quotients, and the two ends of Hom and Ext swapped.
+Likewise one `heart_sequence` builds the special cover of a shifted simple and
+the special envelope of an unshifted one.
 
 The oracle's bounded ATF2 scan realizes every non-split extension of T by a
 sum A of at most two indecomposables, skipping every torsion A.  The split
@@ -25,7 +29,6 @@ middle F + B is never torsion-free.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -43,43 +46,46 @@ from .modules import (
     Module, Morphism, cokernel, direct_sum, unvec_morphism,
 )
 from .torsion import TorsionPair, is_hereditary, submodule_summand_bits
-from .universe import IndecUniverse, all_submodules, bit_indices
-
-
-class HeartSimpleKind(enum.Enum):
-    TORSION_FREE_ALMOST_TORSION = "torsion-free almost torsion"
-    TORSION_ALMOST_TORSION_FREE_SHIFTED = "torsion almost torsion-free, shifted"
+from .universe import (
+    IndecUniverse, all_quotients, all_submodules, bit_indices,
+)
 
 
 @dataclass(frozen=True)
 class HeartSimple:
-    kind: HeartSimpleKind
     module: Module
     index: int
+    shifted: bool      # torsion ATF, a heart simple as S[-1]
 
     @property
-    def shifted(self) -> bool:
-        return self.kind is HeartSimpleKind.TORSION_ALMOST_TORSION_FREE_SHIFTED
-
-
-class NegIsolatedValue(enum.Enum):
-    CRITICAL = "critical"
-    SPECIAL = "special"
-
-
-@dataclass(frozen=True)
-class NegIsolatedKind:
-    value: NegIsolatedValue
-    witness: SES
+    def kind(self) -> str:
+        return ("torsion almost torsion-free, shifted" if self.shifted
+                else "torsion-free almost torsion")
 
 
 @dataclass(frozen=True)
 class HeartSequence:
+    """The special cover 0 -> N -> M -> S -> 0 of a shifted simple S, or the
+    special envelope 0 -> S -> N -> M -> 0 of an unshifted one.  N is the
+    heart injective envelope of the simple; its strong left almost split
+    morphism is the mono of the cover, resp. the epi of the envelope."""
     simple: HeartSimple
-    envelope: Module          # the heart injective envelope of the simple
-    envelope_index: int
     sequence: SES
-    kind: NegIsolatedKind
+    envelope_index: int
+
+    @property
+    def kind(self) -> str:
+        return "special" if self.simple.shifted else "critical"
+
+    @property
+    def envelope(self) -> Module:
+        ses = self.sequence
+        return ses.left if self.simple.shifted else ses.middle
+
+    @property
+    def strong_las(self) -> Morphism:
+        ses = self.sequence
+        return ses.inject if self.simple.shifted else ses.surject
 
 
 # -- almost torsion(-free) detection -------------------------------------------
@@ -148,99 +154,74 @@ def _ext_scan_finds_witness(u: IndecUniverse, m: Module, m_on_right: bool,
     return False
 
 
-def is_almost_torsion_free(t: Module, pair: TorsionPair,
-                           mode: str = "fast") -> bool:
-    """ATF1 + ATF2 for the torsion pair; `mode` is 'fast' or 'oracle'."""
-    if t.is_zero():
+def _is_almost(m: Module, pair: TorsionPair, mode: str, torsion: bool) -> bool:
+    """ATF1 + ATF2 for a torsion M (torsion=True), else AT1 + AT2.  The two
+    are dual: T and F swap, submodules and quotients swap, and so do the
+    two ends of every Hom and Ext."""
+    if m.is_zero():
         raise ValueError("the zero module is neither almost torsion-free "
                          "nor almost torsion")
     u = pair.universe
+    # own: the class of M; other: the class its proper pieces must lie in
+    own, other = ((pair.torsion_bits, pair.torsion_free_bits) if torsion
+                  else (pair.torsion_free_bits, pair.torsion_bits))
     if mode == "fast":
-        idx = u.index_of(t)
+        idx = u.index_of(m)
         if idx is None:
             raise ValueError("fast mode needs a universe member")
         # ATF1': no nonzero non-surjective map from a torsion indecomposable,
-        # i.e. no torsion indecomposable maps nonzero into a maximal submodule
-        for msub in u.maximal_submodules(idx):
-            mbits = u.summand_bitset(msub)
-            for s in bit_indices(mbits):
-                for x in bit_indices(pair.torsion_bits):
-                    if u.hom_table[x][s]:
+        # i.e. none maps nonzero into a maximal submodule of T.  AT1': no
+        # nonzero non-injective map into a torsion-free indecomposable, i.e.
+        # no quotient of F by a simple maps nonzero into one.
+        pieces = (u.maximal_submodules(idx) if torsion
+                  else u.simple_socle_quotients(idx))
+        for piece in pieces:
+            for s in bit_indices(u.summand_bitset(piece)):
+                for x in bit_indices(own):
+                    if u.hom_table[x][s] if torsion else u.hom_table[s][x]:
                         return False
         # ATF2': no extension of T by a torsion-free indecomposable with
-        # torsion middle term
-        for f in bit_indices(pair.torsion_free_bits):
-            for _, middle_bits in u.ext_middle_bitsets(idx, f):
-                if middle_bits & ~pair.torsion_bits == 0:
+        # torsion middle term; AT2': no extension of a torsion indecomposable
+        # by F with torsion-free middle term
+        for x in bit_indices(other):
+            for _, middle_bits in u.ext_middle_bitsets(
+                    *((idx, x) if torsion else (x, idx))):
+                if middle_bits & ~own == 0:
                     return False
         return True
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
-    # ATF1, literally: every proper submodule lies in the torsion-free class
-    for sub, _ in u.all_submodules(t):
-        if sub.dims == t.dims:
-            continue
-        if u.summand_bitset(sub) & ~pair.torsion_free_bits:
+    # ATF1, literally: every proper submodule of T is torsion-free; AT1:
+    # every proper quotient of F is torsion
+    for piece, _ in u.all_submodules(m) if torsion else all_quotients(m):
+        if piece.dims != m.dims and u.summand_bitset(piece) & ~other:
             return False
-    # ATF2, bounded scan: all extensions of T by sums of at most two
-    # indecomposables; if the middle is torsion, so must be the kernel
-    return not _ext_scan_finds_witness(u, t, True, pair.torsion_bits)
+    # ATF2/AT2, bounded scan: all extensions of T by (of F by) sums of at
+    # most two indecomposables; a middle term in the class of M forces the
+    # other end into it as well
+    return not _ext_scan_finds_witness(u, m, torsion, own)
+
+
+def is_almost_torsion_free(t: Module, pair: TorsionPair,
+                           mode: str = "fast") -> bool:
+    """ATF1 + ATF2 for the torsion pair; `mode` is 'fast' or 'oracle'."""
+    return _is_almost(t, pair, mode, torsion=True)
 
 
 def is_almost_torsion(f: Module, pair: TorsionPair, mode: str = "fast") -> bool:
     """AT1 + AT2 for the torsion pair; `mode` is 'fast' or 'oracle'."""
-    if f.is_zero():
-        raise ValueError("the zero module is neither almost torsion-free "
-                         "nor almost torsion")
-    u = pair.universe
-    if mode == "fast":
-        idx = u.index_of(f)
-        if idx is None:
-            raise ValueError("fast mode needs a universe member")
-        # AT1': no nonzero non-injective map into a torsion-free
-        # indecomposable, i.e. no quotient by a simple maps nonzero into F
-        for quot in u.simple_socle_quotients(idx):
-            if quot.is_zero():
-                continue
-            qbits = u.summand_bitset(quot)
-            for s in bit_indices(qbits):
-                for y in bit_indices(pair.torsion_free_bits):
-                    if u.hom_table[s][y]:
-                        return False
-        # AT2': no extension of a torsion indecomposable by F with
-        # torsion-free middle term
-        for t in bit_indices(pair.torsion_bits):
-            for _, middle_bits in u.ext_middle_bitsets(t, idx):
-                if middle_bits & ~pair.torsion_free_bits == 0:
-                    return False
-        return True
-    if mode != "oracle":
-        raise ValueError(f"unknown mode {mode!r}")
-    # AT1, literally: every proper quotient lies in the torsion class
-    for quot, _ in u.all_quotients(f):
-        if quot.dims == f.dims:
-            continue
-        if u.summand_bitset(quot) & ~pair.torsion_bits:
-            return False
-    # AT2, bounded scan: all sequences 0 -> F -> A -> B -> 0 with B a sum of
-    # at most two indecomposables; A torsion-free must force B torsion-free
-    return not _ext_scan_finds_witness(u, f, False, pair.torsion_free_bits)
+    return _is_almost(f, pair, mode, torsion=False)
 
 
 def heart_simples(pair: TorsionPair, mode: str = "fast") -> list[HeartSimple]:
-    """All simple objects of the heart, as tagged modules."""
+    """All simple objects of the heart: the torsion-free almost torsion
+    members, then the torsion almost torsion-free ones (shifted)."""
     u = pair.universe
-    out = []
-    for i in bit_indices(pair.torsion_free_bits):
-        if is_almost_torsion(u.indecs[i], pair, mode):
-            out.append(HeartSimple(
-                HeartSimpleKind.TORSION_FREE_ALMOST_TORSION, u.indecs[i], i))
-    for i in bit_indices(pair.torsion_bits):
-        if is_almost_torsion_free(u.indecs[i], pair, mode):
-            out.append(HeartSimple(
-                HeartSimpleKind.TORSION_ALMOST_TORSION_FREE_SHIFTED,
-                u.indecs[i], i))
-    return out
+    return [HeartSimple(u.indecs[i], i, shifted)
+            for shifted, bits, detect in (
+                (False, pair.torsion_free_bits, is_almost_torsion),
+                (True, pair.torsion_bits, is_almost_torsion_free))
+            for i in bit_indices(bits) if detect(u.indecs[i], pair, mode)]
 
 
 # -- left almost split morphisms -------------------------------------------------
@@ -347,83 +328,50 @@ def strong_las_uniqueness_scan(f: Morphism, class_bits: int,
     return True
 
 
-# -- the two sequence constructions ----------------------------------------------
+# -- the heart sequences ---------------------------------------------------------
 
 
-def special_cover_sequence(s: Module, data: CotiltingData) -> HeartSequence:
-    """For a torsion almost torsion-free S: the special cover
-    0 -> N -> M -> S -> 0; N is the heart injective envelope of the shifted
-    simple, and the mono is a strong left almost split morphism in the
-    cotilting class."""
+def heart_sequence(simple: HeartSimple, data: CotiltingData) -> HeartSequence:
+    """For a shifted (torsion almost torsion-free) simple S its special cover
+    0 -> N -> M -> S -> 0, else (torsion-free almost torsion S) its special
+    envelope 0 -> S -> N -> M -> 0.  N is the heart injective envelope of
+    the simple, and the strong las morphism is strong left almost split in
+    the cotilting class."""
     u = data.universe
     pair = data.pair
-    if not pair.is_torsion(s):
-        raise ValueError("expected a torsion module")
-    if not is_almost_torsion_free(s, pair):
-        raise ValueError("expected an almost torsion-free module")
-    ses = special_cover(s, data)
-    if u.summand_bitset(ses.left) & ~data.add_c_bits:
+    s = simple.module
+    if simple.shifted:
+        if not pair.is_torsion(s):
+            raise ValueError("expected a torsion module")
+        if not is_almost_torsion_free(s, pair):
+            raise ValueError("expected an almost torsion-free module")
+        ses = special_cover(s, data)
+    else:
+        if not pair.is_torsion_free(s):
+            raise ValueError("expected a torsion-free module")
+        if not is_almost_torsion(s, pair):
+            raise ValueError("expected an almost torsion module")
+        ses = special_envelope(s, data)
+    seq = HeartSequence(simple, ses, -1)
+    if u.summand_bitset(seq.envelope) & ~data.add_c_bits:
         raise AssertionError("envelope module leaves add(C)")
-    if not is_strong_las_fast(ses.inject, data):
-        raise AssertionError("cover inclusion is not strong left almost split")
-    idx = u.index_of(ses.left)
-    simple = HeartSimple(
-        HeartSimpleKind.TORSION_ALMOST_TORSION_FREE_SHIFTED, s,
-        u.index_of(s) if u.index_of(s) is not None else -1,
-    )
-    return HeartSequence(
-        simple=simple, envelope=ses.left,
-        envelope_index=-1 if idx is None else idx,
-        sequence=ses,
-        kind=NegIsolatedKind(NegIsolatedValue.SPECIAL, ses),
-    )
-
-
-def critical_envelope_sequence(s: Module, data: CotiltingData) -> HeartSequence:
-    """For a torsion-free almost torsion S: the special envelope
-    0 -> S -> N -> M -> 0; N is the heart injective envelope of the simple,
-    and the epi is a strong left almost split morphism in the cotilting
-    class."""
-    u = data.universe
-    pair = data.pair
-    if not pair.is_torsion_free(s):
-        raise ValueError("expected a torsion-free module")
-    if not is_almost_torsion(s, pair):
-        raise ValueError("expected an almost torsion module")
-    ses = special_envelope(s, data)
-    if u.summand_bitset(ses.middle) & ~data.add_c_bits:
-        raise AssertionError("envelope module leaves add(C)")
-    if not is_strong_las_fast(ses.surject, data):
-        raise AssertionError("envelope cokernel map is not strong left almost split")
-    idx = u.index_of(ses.middle)
-    simple = HeartSimple(
-        HeartSimpleKind.TORSION_FREE_ALMOST_TORSION, s,
-        u.index_of(s) if u.index_of(s) is not None else -1,
-    )
-    return HeartSequence(
-        simple=simple, envelope=ses.middle,
-        envelope_index=-1 if idx is None else idx,
-        sequence=ses,
-        kind=NegIsolatedKind(NegIsolatedValue.CRITICAL, ses),
-    )
+    if not is_strong_las_fast(seq.strong_las, data):
+        raise AssertionError(
+            f"{seq.kind} sequence map is not strong left almost split")
+    idx = u.index_of(seq.envelope)
+    return HeartSequence(simple, ses, -1 if idx is None else idx)
 
 
 def classify_neg_isolated(data: CotiltingData):
-    """(criticals, specials): heart-simple injective envelopes sorted by the
-    strong-las dichotomy; the two sets are disjoint and exhaust the
-    indecomposable summands of the cotilting module."""
-    pair = data.pair
+    """(criticals, specials): the heart sequences of the unshifted and of the
+    shifted heart simples, sorted by the strong-las dichotomy.  Their
+    envelope sets are disjoint and exhaust the indecomposable summands of
+    the cotilting module; the callers that report this check it."""
     criticals: list[HeartSequence] = []
     specials: list[HeartSequence] = []
-    for simple in heart_simples(pair):
-        if simple.shifted:
-            specials.append(special_cover_sequence(simple.module, data))
-        else:
-            criticals.append(critical_envelope_sequence(simple.module, data))
-    crit_idx = {seq.envelope_index for seq in criticals}
-    spec_idx = {seq.envelope_index for seq in specials}
-    if crit_idx & spec_idx:
-        raise AssertionError("critical and special envelope sets intersect")
+    for simple in heart_simples(data.pair):
+        (specials if simple.shifted else criticals).append(
+            heart_sequence(simple, data))
     return criticals, specials
 
 

@@ -3,7 +3,8 @@
 Ext^1(M, N) is presented against the syzygy 0 -> K -> P0 -> M -> 0 of a
 minimal projective cover: classes are morphisms K -> N modulo restrictions of
 morphisms P0 -> N.  Realization is the pushout of the syzygy inclusion along
-a cocycle; the round trip class_of(realize(c)) == c is a tested identity.
+a cocycle; the tests check that reading the class back off a realized
+extension returns the cocycle class.
 
 Minimal right/left approximations are built as full approximations and then
 minimized.  Minimality is certified, not assumed: a right approximation
@@ -173,23 +174,9 @@ def factor_through(f: Morphism, g: Morphism):
     return constrained_morphism(f.target, g.target, conditions)
 
 
-def factor_over(f: Morphism, g: Morphism):
-    """h: g.source -> f.source with g == h.then(f); None if impossible."""
-    conditions = [
-        (v, None, f.maps[v], g.maps[v])
-        for v in range(f.source.algebra.quiver.n)
-    ]
-    return constrained_morphism(g.source, f.source, conditions)
-
-
 def has_retraction(f: Morphism) -> bool:
     """True iff f: X -> Y is a split mono (some r with f.then(r) == id)."""
     return factor_through(f, identity_morphism(f.source)) is not None
-
-
-def has_section(f: Morphism) -> bool:
-    """True iff f: X -> Y is a split epi."""
-    return factor_over(f, identity_morphism(f.target)) is not None
 
 
 # -- short exact sequences ----------------------------------------------------
@@ -210,9 +197,6 @@ class SES:
             self.middle.dims[v] == self.left.dims[v] + self.right.dims[v]
             for v in range(self.middle.algebra.quiver.n)
         )
-
-    def is_split(self) -> bool:
-        return has_section(self.surject)
 
 
 def pushout(f: Morphism, g: Morphism):
@@ -291,9 +275,9 @@ def is_projective(m: Module) -> bool:
 class Ext1Space:
     """Ext^1(M, N) = Hom(K, N) / res Hom(P0, N) for the minimal syzygy of M.
 
-    all_classes() realizes every class; nonsplit_classes() skips the zero
-    class, whose middle term is N + M by definition, for scans that know
-    what the split middle contributes.
+    nonsplit_classes() realizes every class but the zero one, whose middle
+    term is N + M by definition: scans know what the split middle
+    contributes.
     """
 
     def __init__(self, m: Module, n: Module):
@@ -337,24 +321,6 @@ class Ext1Space:
             raise AssertionError("realized extension is not exact")
         return ses
 
-    def class_of(self, ses: SES) -> tuple[int, ...]:
-        """Coordinates (in the representative basis) of 0 -> N -> E -> M -> 0."""
-        lift = factor_over(ses.surject, self.cover)
-        if lift is None:
-            raise AssertionError("projective lift along the epi failed")
-        g = self.incl.then(lift)
-        maps = []
-        for v in range(self.k.algebra.quiver.n):
-            sol = linalg.solve_left(ses.inject.maps[v], g.maps[v], self.p)
-            if sol is None:
-                raise AssertionError("cocycle does not land in the subobject")
-            maps.append(sol)
-        c = Morphism(self.k, self.n, maps)
-        coords = self.hom_kn.coords_of(c)
-        resid = linalg.reduce_against(coords, self.image_r, self.image_pivots,
-                                      self.p)
-        return tuple(resid[i] for i in self.rep_indices)
-
     def _check_scan_cap(self):
         caps = self.m.algebra.caps
         d = self.dim
@@ -369,21 +335,9 @@ class Ext1Space:
         for coeffs in linalg.nonzero_vectors(self.dim, self.p):
             yield coeffs, self.realize(coeffs)
 
-    def all_classes(self):
-        """(coeffs, SES) for every class: the zero (split) class first, then
-        nonsplit_classes() in the same order."""
-        self._check_scan_cap()
-        zero = (0,) * self.dim
-        yield zero, self.realize(zero)
-        yield from self.nonsplit_classes()
-
 
 def ext1(m: Module, n: Module) -> Ext1Space:
     return cached(m.algebra, ("ext1", m.key, n.key), lambda: Ext1Space(m, n))
-
-
-def ext_dim(m: Module, n: Module) -> int:
-    return ext1(m, n).dim
 
 
 # -- minimality machinery --------------------------------------------------------
@@ -460,75 +414,35 @@ def _find_idempotent(basis: list[Morphism], p: int):
     raise ResourceLimitError("idempotent search space too large")
 
 
-def right_minimize(f: Morphism) -> Morphism:
-    """Split off source summands killed by f until it is right minimal."""
+def _minimize(f: Morphism, side: str) -> Morphism:
+    """Split off the source summands killed by f (side='right') or the
+    target summands missed by f (side='left') until f is minimal."""
+    right = side == "right"
     p = f.source.algebra.field.p
-    while not f.source.is_zero():
-        e = _find_idempotent(_annihilator(f, "right"), p)
+    while not (f.source if right else f.target).is_zero():
+        e = _find_idempotent(_annihilator(f, side), p)
         if e is None:
             return f
-        rows = [linalg.left_nullspace(e.maps[v], p)
-                for v in range(f.source.algebra.quiver.n)]
-        _, incl = submodule_from_rows(f.source, rows)
-        f = incl.then(f)
-    return f
-
-
-def left_minimize(f: Morphism) -> Morphism:
-    """Split off target summands missed by f until it is left minimal."""
-    p = f.source.algebra.field.p
-    while not f.target.is_zero():
-        e = _find_idempotent(_annihilator(f, "left"), p)
-        if e is None:
-            return f
-        rows = [linalg.left_nullspace(e.maps[v], p)
-                for v in range(f.target.algebra.quiver.n)]
-        sub, incl = submodule_from_rows(f.target, rows)
-        core_maps = []
-        for v in range(f.target.algebra.quiver.n):
-            one_minus_e = linalg.add(linalg.eye(f.target.dims[v]),
-                                     linalg.scale(p - 1, e.maps[v], p), p)
-            sol = linalg.solve_left(incl.maps[v], one_minus_e, p)
+        # ker e is a complement of the summand im e
+        y = e.source
+        rows = [linalg.left_nullspace(a, p) for a in e.maps]
+        sub, incl = submodule_from_rows(y, rows)
+        if right:
+            f = incl.then(f)
+            continue
+        core_maps = []  # 1 - e, the projection onto ker e along im e
+        for a, d, inc in zip(e.maps, y.dims, incl.maps):
+            one_minus_e = linalg.add(linalg.eye(d),
+                                     linalg.scale(p - 1, a, p), p)
+            sol = linalg.solve_left(inc, one_minus_e, p)
             if sol is None:
                 raise AssertionError("complement of the idempotent image failed")
             core_maps.append(sol)
-        core = Morphism(f.target, sub, core_maps, check=False)
-        f = f.then(core)
+        f = f.then(Morphism(y, sub, core_maps, check=False))
     return f
 
 
-def is_right_minimal(f: Morphism) -> bool:
-    p = f.source.algebra.field.p
-    return _find_idempotent(_annihilator(f, "right"), p) is None
-
-
-def is_left_minimal(f: Morphism) -> bool:
-    p = f.source.algebra.field.p
-    return _find_idempotent(_annihilator(f, "left"), p) is None
-
-
 # -- approximations ----------------------------------------------------------------
-
-def is_right_approximation(f: Morphism, gens: list[Module]) -> bool:
-    """Every map from add(gens) into f's target factors through f."""
-    for g in gens:
-        if g.is_zero():
-            continue
-        for b in hom_space(g, f.target).basis:
-            if factor_over(f, b) is None:
-                return False
-    return True
-
-
-def is_left_approximation(f: Morphism, gens: list[Module]) -> bool:
-    for g in gens:
-        if g.is_zero():
-            continue
-        for b in hom_space(f.source, g).basis:
-            if factor_through(f, b) is None:
-                return False
-    return True
-
 
 def _strip_components(m: Module, gens: list[Module], side: str):
     """Greedy pre-pass: keep a small set of component maps G_j -> M
@@ -584,26 +498,15 @@ def _assemble(m: Module, comps, side: str) -> Morphism:
     return acc
 
 
-def minimal_right_approx(m: Module, gens: list[Module]) -> Morphism:
-    """Right minimal add(gens)-approximation Y -> M."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return zero_morphism(zero_module(m.algebra), m)
-    comps = _strip_components(m, gens, "right")
+def minimal_approx(m: Module, gens: list[Module], side: str) -> Morphism:
+    """Minimal add(gens)-approximation: right Y -> M (side='right') or left
+    M -> Y (side='left')."""
+    comps = _strip_components(m, [g for g in gens if not g.is_zero()], side)
     if not comps:
-        return zero_morphism(zero_module(m.algebra), m)
-    return right_minimize(_assemble(m, comps, "right"))
-
-
-def minimal_left_approx(m: Module, gens: list[Module]) -> Morphism:
-    """Left minimal add(gens)-approximation M -> Y."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return zero_morphism(m, zero_module(m.algebra))
-    comps = _strip_components(m, gens, "left")
-    if not comps:
-        return zero_morphism(m, zero_module(m.algebra))
-    return left_minimize(_assemble(m, comps, "left"))
+        zero = zero_module(m.algebra)
+        return (zero_morphism(zero, m) if side == "right"
+                else zero_morphism(m, zero))
+    return _minimize(_assemble(m, comps, side), side)
 
 
 # -- injective envelopes -------------------------------------------------------------
@@ -628,20 +531,6 @@ def injective_envelope(m: Module) -> Morphism:
 
 def is_injective(m: Module) -> bool:
     return injective_envelope(m).is_iso()
-
-
-def injective_dimension(m: Module, cap: int = 64) -> int:
-    x = m
-    d = 0
-    while not x.is_zero():
-        env = injective_envelope(x)
-        if env.is_iso():
-            return d
-        x = cokernel(env)[0]
-        d += 1
-        if d > cap:
-            raise ResourceLimitError(f"injective dimension exceeds {cap}")
-    return d
 
 
 # -- transpose and AR translate --------------------------------------------------------

@@ -114,10 +114,6 @@ def scale(c: int, a, p: int) -> Matrix:
     return tuple(tuple([c * x % p for x in row]) for row in a)
 
 
-def inv_mod(x: int, p: int) -> int:
-    return pow(int(x) % p, p - 2, p)
-
-
 def rref(a, p: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form. Returns (R, pivot_columns).
 

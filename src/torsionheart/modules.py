@@ -328,16 +328,6 @@ def injective_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
     return Module(algebra, dims, maps)
 
 
-def standard_modules(algebra: BoundQuiverAlgebra):
-    """(simples, projectives, injectives), each indexed by vertex."""
-    n = algebra.quiver.n
-    return (
-        [simple_module(algebra, v) for v in range(n)],
-        [projective_module(algebra, v) for v in range(n)],
-        [injective_module(algebra, v) for v in range(n)],
-    )
-
-
 # -- sums, kernels, cokernels ----------------------------------------------
 
 def direct_sum(summands: list[Module], algebra=None):

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from .algebra import cached
 from .modules import Module
-from .universe import IndecUniverse, bit_indices
+from .universe import IndecUniverse, all_quotients, bit_indices
 
 
 def quotient_summand_bits(u: IndecUniverse, i: int) -> int:
     return cached(u, ("quotient_summand_bits", i), lambda: _union(
-        u.summand_bitset(quot) for quot, _ in u.all_quotients(u.indecs[i])))
+        u.summand_bitset(quot) for quot, _ in all_quotients(u.indecs[i])))
 
 
 def submodule_summand_bits(u: IndecUniverse, i: int) -> int:

@@ -142,9 +142,6 @@ class IndecUniverse:
         return cached(self, ("all_submodules", m.key),
                       lambda: all_submodules(m))
 
-    def all_quotients(self, m: Module):
-        return all_quotients(m)
-
     def maximal_submodules(self, i: int) -> list[Module]:
         return cached(self, ("maximal_submodules", i),
                       lambda: maximal_submodules(self.indecs[i]))

@@ -12,10 +12,10 @@ from .algebra import cached
 from .cotilting import CotiltingData, cotilting_from_pair, minimal_cotilting
 from .exceptions import NotCotiltingError
 from .heart import (
-    NegIsolatedValue, classify_neg_isolated, embedding_into_criticals,
-    heart_simples, hereditary_cover_check, is_almost_torsion,
-    is_almost_torsion_free, is_split_injective, is_strong_las,
-    is_strong_las_fast, strong_las_uniqueness_scan,
+    classify_neg_isolated, embedding_into_criticals, heart_simples,
+    hereditary_cover_check, is_almost_torsion, is_almost_torsion_free,
+    is_split_injective, is_strong_las, is_strong_las_fast,
+    strong_las_uniqueness_scan,
 )
 from .homology import hom_space
 from .krull import is_brick
@@ -69,27 +69,19 @@ def suite_oracle_equivalence(ctx: AnalysisContext) -> VerifyResult:
     for data in ctx.cotilting_pairs:
         pair = data.pair
         for m in u.indecs:
-            if pair.is_torsion(m):
-                fast = is_almost_torsion_free(m, pair, "fast")
-                oracle = is_almost_torsion_free(m, pair, "oracle")
-                if fast != oracle:
+            for name, in_class, detect in (
+                    ("ATF", pair.is_torsion, is_almost_torsion_free),
+                    ("AT", pair.is_torsion_free, is_almost_torsion)):
+                if not in_class(m):
+                    continue
+                if detect(m, pair, "fast") != detect(m, pair, "oracle"):
                     return VerifyResult(
                         "oracle-equivalence", False,
-                        f"ATF mismatch at dims {m.dims}, pair {pair}")
-                checked += 1
-            if pair.is_torsion_free(m):
-                fast = is_almost_torsion(m, pair, "fast")
-                oracle = is_almost_torsion(m, pair, "oracle")
-                if fast != oracle:
-                    return VerifyResult(
-                        "oracle-equivalence", False,
-                        f"AT mismatch at dims {m.dims}, pair {pair}")
+                        f"{name} mismatch at dims {m.dims}, pair {pair}")
                 checked += 1
         criticals, specials = ctx.classified(data)
         for seq in criticals + specials:
-            f = (seq.sequence.surject
-                 if seq.kind.value is NegIsolatedValue.CRITICAL
-                 else seq.sequence.inject)
+            f = seq.strong_las
             fast = is_strong_las_fast(f, data)
             linear = is_strong_las(f, data.c_class_bits, u)
             brute = strong_las_uniqueness_scan(f, data.c_class_bits, u)
@@ -140,9 +132,7 @@ def suite_dichotomy(ctx: AnalysisContext) -> VerifyResult:
     for data in ctx.cotilting_pairs:
         criticals, specials = ctx.classified(data)
         for seq in criticals + specials:
-            f = (seq.sequence.surject
-                 if seq.kind.value is NegIsolatedValue.CRITICAL
-                 else seq.sequence.inject)
+            f = seq.strong_las
             if not (f.is_mono() or f.is_epi()):
                 return VerifyResult("dichotomy", False,
                                     "strong las morphism neither mono nor epi")
@@ -164,18 +154,14 @@ def suite_c0_c1_summands(ctx: AnalysisContext) -> VerifyResult:
     u = ctx.universe
     for data in ctx.cotilting_pairs:
         criticals, specials = ctx.classified(data)
-        c0_bits = u.summand_bitset(data.c0)
-        c1_bits = u.summand_bitset(data.c1)
-        for seq in criticals:
-            if not (c0_bits >> seq.envelope_index) & 1:
+        bits = {"C0": u.summand_bitset(data.c0),
+                "C1": u.summand_bitset(data.c1)}
+        for seq in criticals + specials:
+            c = "C1" if seq.simple.shifted else "C0"
+            if not (bits[c] >> seq.envelope_index) & 1:
                 return VerifyResult(
                     "c0-c1-summands", False,
-                    f"critical {seq.envelope.dims} not a summand of C0")
-        for seq in specials:
-            if not (c1_bits >> seq.envelope_index) & 1:
-                return VerifyResult(
-                    "c0-c1-summands", False,
-                    f"special {seq.envelope.dims} not a summand of C1")
+                    f"{seq.kind} {seq.envelope.dims} not a summand of {c}")
     return VerifyResult("c0-c1-summands", True,
                         f"{len(ctx.cotilting_pairs)} pairs checked")
 
@@ -285,8 +271,8 @@ def suite_minimal_cotilting(ctx: AnalysisContext) -> VerifyResult:
     u = ctx.universe
     for data in ctx.cotilting_pairs:
         criticals, specials = ctx.classified(data)
-        mods = [s.envelope for s in criticals] + [s.envelope for s in specials]
-        tilde = minimal_cotilting(data, mods)
+        tilde = minimal_cotilting(
+            data, [s.envelope for s in criticals + specials])
         if u.summand_bitset(tilde) != data.add_c_bits:
             return VerifyResult(
                 "minimal-cotilting", False,

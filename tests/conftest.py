@@ -6,6 +6,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from torsionheart.algebra import parse_algebra
+from torsionheart.modules import (
+    injective_module, projective_module, simple_module,
+)
 from torsionheart.universe import enumerate_indecomposables
 from torsionheart.verify import build_context
 
@@ -68,6 +71,13 @@ def a3_ctx(a3_universe):
 @pytest.fixture(scope="session")
 def d4_ctx(d4_universe):
     return build_context(d4_universe)
+
+
+def standard_modules(algebra):
+    """(simples, projectives, injectives), each indexed by vertex."""
+    vertices = range(algebra.quiver.n)
+    makers = (simple_module, projective_module, injective_module)
+    return tuple([make(algebra, v) for v in vertices] for make in makers)
 
 
 def module_by_dims(universe, dims):

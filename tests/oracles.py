@@ -10,6 +10,11 @@ operations that linalg.rref replaced, kept as its reference.
 Two checks here do use the package: torsion_part builds the canonical
 sequence of a torsion pair from the trace of the torsion class, and
 brick_labels re-derives every Hasse label of a lattice.
+
+The checkers at the end use it too.  They are the definitions the tests hold
+the package's constructions to, and nothing in the package calls them:
+approximation and minimality of a morphism, split epis, the class of a
+realized extension, all classes of an Ext space, and injective dimension.
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+
+from torsionheart import homology as ho
+from torsionheart import linalg
+from torsionheart.exceptions import ResourceLimitError
+from torsionheart.modules import Morphism, cokernel, identity_morphism
 
 
 def numpy_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -290,3 +300,87 @@ def brick_labels(lattice):
                 f"recomputation: {label} vs {cover.label_index}")
         out.append(Cover(cover.upper, cover.lower, label))
     return out
+
+
+# -- checkers of the package's constructions --------------------------------
+
+
+def factor_over(f, g):
+    """h: g.source -> f.source with g == h.then(f); None if impossible."""
+    conditions = [(v, None, f.maps[v], g.maps[v])
+                  for v in range(f.source.algebra.quiver.n)]
+    return ho.constrained_morphism(g.source, f.source, conditions)
+
+
+def has_section(f) -> bool:
+    """True iff f: X -> Y is a split epi."""
+    return factor_over(f, identity_morphism(f.target)) is not None
+
+
+def is_right_approximation(f, gens) -> bool:
+    """Every map from add(gens) into f's target factors through f."""
+    return all(factor_over(f, b) is not None
+               for g in gens if not g.is_zero()
+               for b in ho.hom_space(g, f.target).basis)
+
+
+def is_left_approximation(f, gens) -> bool:
+    """Every map from f's source into add(gens) factors through f."""
+    return all(ho.factor_through(f, b) is not None
+               for g in gens if not g.is_zero()
+               for b in ho.hom_space(f.source, g).basis)
+
+
+def is_right_minimal(f) -> bool:
+    """No nonzero idempotent u of End(source) with u.then(f) == 0."""
+    p = f.source.algebra.field.p
+    return ho._find_idempotent(ho._annihilator(f, "right"), p) is None
+
+
+def is_left_minimal(f) -> bool:
+    """No nonzero idempotent u of End(target) with f.then(u) == 0."""
+    p = f.source.algebra.field.p
+    return ho._find_idempotent(ho._annihilator(f, "left"), p) is None
+
+
+def ext_class_of(space, ses) -> tuple[int, ...]:
+    """Coordinates, in the representative basis of the Ext1Space
+    Ext^1(M, N), of the class of 0 -> N -> E -> M -> 0."""
+    p = space.p
+    lift = factor_over(ses.surject, space.cover)
+    if lift is None:
+        raise AssertionError("projective lift along the epi failed")
+    g = space.incl.then(lift)
+    maps = []
+    for v in range(space.k.algebra.quiver.n):
+        sol = linalg.solve_left(ses.inject.maps[v], g.maps[v], p)
+        if sol is None:
+            raise AssertionError("cocycle does not land in the subobject")
+        maps.append(sol)
+    coords = space.hom_kn.coords_of(Morphism(space.k, space.n, maps))
+    resid = linalg.reduce_against(coords, space.image_r, space.image_pivots, p)
+    return tuple(resid[i] for i in space.rep_indices)
+
+
+def all_ext_classes(space):
+    """(coeffs, SES) for every class of an Ext1Space: the zero (split) class
+    first, then space.nonsplit_classes() in its order."""
+    zero = (0,) * space.dim
+    yield zero, space.realize(zero)
+    yield from space.nonsplit_classes()
+
+
+def injective_dimension(m, cap: int = 64) -> int:
+    """Length of the minimal injective coresolution of M, by iterated
+    injective envelopes; raises once it exceeds cap."""
+    x = m
+    d = 0
+    while not x.is_zero():
+        env = ho.injective_envelope(x)
+        if env.is_iso():
+            return d
+        x = cokernel(env)[0]
+        d += 1
+        if d > cap:
+            raise ResourceLimitError(f"injective dimension exceeds {cap}")
+    return d

@@ -267,3 +267,73 @@ def test_not_cotilting_outside_heart_exit_code(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "not cotilting: Ext^1(C, C) != 0\n"
+
+
+def _overlapping(classify):
+    """classify_neg_isolated with every critical sequence also a special."""
+    def overlapping(data):
+        criticals, specials = classify(data)
+        return criticals, specials + criticals
+    return overlapping
+
+
+def test_heart_reports_intersecting_envelopes(monkeypatch, capsys):
+    from torsionheart import cli
+    monkeypatch.setattr(cli, "classify_neg_isolated",
+                        _overlapping(cli.classify_neg_isolated))
+    assert cli.main(["heart", str(FIXTURES / "a2.quiver"), "--gens", "1.0",
+                     "--format", "json"]) == 0
+    checks = {c["name"]: c["passed"]
+              for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks == {"envelopes-disjoint": False, "envelopes-exhaust-C": True}
+
+
+def test_dichotomy_reports_intersecting_envelopes(monkeypatch):
+    from torsionheart import verify
+    from torsionheart.algebra import parse_algebra
+    from torsionheart.universe import enumerate_indecomposables
+    # a fresh universe, so that no classification is served from the memo
+    u = enumerate_indecomposables(
+        parse_algebra((FIXTURES / "a2.quiver").read_text()), (2, 2))
+    monkeypatch.setattr(verify, "classify_neg_isolated",
+                        _overlapping(verify.classify_neg_isolated))
+    result = verify.suite_dichotomy(verify.build_context(u))
+    assert not result.passed
+    assert result.detail.startswith("E and M sets intersect")
+
+
+def _error_lines(capsys, argv):
+    from torsionheart import cli
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines()
+
+
+def test_bad_values_are_parse_errors(capsys):
+    a2 = str(FIXTURES / "a2.quiver")
+    for argv in (["indec", a2, "--dim-bound", "2,x"],
+                 ["indec", a2, "--dim-bound", "2"],
+                 ["heart", a2, "--gens", "x"],
+                 ["heart", a2, "--gens", "1.x"]):
+        code, out, err = _error_lines(capsys, argv)
+        assert (code, out, len(err)) == (1, "", 1), argv
+        assert err[0].startswith("error: "), argv
+
+
+def test_flags_only_where_read(capsys):
+    a2 = str(FIXTURES / "a2.quiver")
+    for argv in (["verify", a2, "--oracle"],
+                 ["verify", a2, "--format", "json"],
+                 ["indec", a2, "--format", "dot"],
+                 ["heart", a2, "--format", "dot"],
+                 ["tors", a2, "--oracle"]):
+        code, out, err = _error_lines(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err[-1].startswith("heart-simples") and "error:" in err[-1]
+
+
+def test_help_exits_zero(capsys):
+    from torsionheart import cli
+    for argv in (["--help"], ["heart", "--help"]):
+        assert cli.main(argv) == 0
+        assert "usage: heart-simples" in capsys.readouterr().out

@@ -4,11 +4,11 @@ from torsionheart import cotilting as co
 from torsionheart import torsion as to
 from torsionheart.algebra import parse_algebra
 from torsionheart.exceptions import NotCotiltingError
-from torsionheart.homology import injective_dimension
 from torsionheart.torslattice import enumerate_torsion_classes
 from torsionheart.universe import bit_indices, enumerate_indecomposables
 
 from conftest import FIXTURES, module_by_dims
+from oracles import injective_dimension
 
 
 def _bits(u, *dims_list):
@@ -102,14 +102,14 @@ def test_special_cover_a2(a2_universe, a2_nontrivial):
 
 def test_special_cover_unique_up_to_iso(a2_universe, a2_nontrivial):
     # re-running with a permuted generator list gives an isomorphic cover
-    from torsionheart.homology import kernel, minimal_right_approx
+    from torsionheart.homology import kernel, minimal_approx
     from torsionheart.krull import is_isomorphic
     u = a2_universe
     data = a2_nontrivial
     s1 = module_by_dims(u, (1, 0))
     gens = data.c_class_members()
-    f1 = minimal_right_approx(s1, gens)
-    f2 = minimal_right_approx(s1, list(reversed(gens)))
+    f1 = minimal_approx(s1, gens, "right")
+    f2 = minimal_approx(s1, list(reversed(gens)), "right")
     assert is_isomorphic(f1.source, f2.source)
     assert is_isomorphic(kernel(f1)[0], kernel(f2)[0])
 

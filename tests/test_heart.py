@@ -13,6 +13,7 @@ from torsionheart.homology import hom_space, injective_envelope
 from torsionheart.universe import bit_indices
 
 from conftest import A3_TEXT, module_by_dims
+from oracles import all_ext_classes
 
 
 def _bits(u, *dims_list):
@@ -115,27 +116,33 @@ def test_left_almost_split_a2(a2_universe, a2_data):
     assert not he.is_left_almost_split(s2_to_zero, data.c_class_bits, u)
 
 
+def _simple(u, dims, shifted):
+    m = module_by_dims(u, dims)
+    return he.HeartSimple(m, u.index_of(m), shifted)
+
+
 def test_sequences_a2(a2_universe, a2_data):
     u = a2_universe
     data = a2_data
-    s1 = module_by_dims(u, (1, 0))
-    seq = he.special_cover_sequence(s1, data)
+    seq = he.heart_sequence(_simple(u, (1, 0), True), data)
     assert seq.sequence.left.dims == (0, 1)
     assert seq.sequence.middle.dims == (1, 1)
-    assert seq.kind.value is he.NegIsolatedValue.SPECIAL
-    p1 = module_by_dims(u, (1, 1))
-    seq2 = he.critical_envelope_sequence(p1, data)
+    assert seq.kind == "special"
+    assert seq.envelope is seq.sequence.left
+    assert seq.strong_las is seq.sequence.inject
+    seq2 = he.heart_sequence(_simple(u, (1, 1), False), data)
     assert seq2.sequence.middle.dims == (1, 1)
     assert seq2.sequence.right.is_zero()
-    assert seq2.kind.value is he.NegIsolatedValue.CRITICAL
+    assert seq2.kind == "critical"
+    assert seq2.envelope is seq2.sequence.middle
+    assert seq2.strong_las is seq2.sequence.surject
     # preconditions
-    s2 = module_by_dims(u, (0, 1))
     with pytest.raises(ValueError):
-        he.special_cover_sequence(s2, data)          # not torsion
+        he.heart_sequence(_simple(u, (0, 1), True), data)   # not torsion
     with pytest.raises(ValueError):
-        he.critical_envelope_sequence(s1, data)      # not torsion-free
+        he.heart_sequence(_simple(u, (1, 0), False), data)  # not torsion-free
     with pytest.raises(ValueError):
-        he.critical_envelope_sequence(s2, data)      # torsion-free but not AT
+        he.heart_sequence(_simple(u, (0, 1), False), data)  # F, but not AT
 
 
 def test_sequence_round_trip_a2(a2_universe, a2_data):
@@ -144,7 +151,7 @@ def test_sequence_round_trip_a2(a2_universe, a2_data):
     u = a2_universe
     data = a2_data
     s1 = module_by_dims(u, (1, 0))
-    seq = he.special_cover_sequence(s1, data)
+    seq = he.heart_sequence(_simple(u, (1, 0), True), data)
     coker = mo.cokernel(seq.sequence.inject)[0]
     assert coker.dims == s1.dims
     assert he.is_almost_torsion_free(coker, data.pair, "oracle")
@@ -327,7 +334,7 @@ def test_ext_middles_sum_plus_split_is_every_class(name, request):
                 space = ext1(u.sum_module(dict(right)),
                              u.sum_module(dict(left)))
                 every = {u.summand_bitset(ses.middle)
-                         for _, ses in space.all_classes()}
+                         for _, ses in all_ext_classes(space)}
                 assert set(he._ext_middles_sum(u, right, left)) | {split} \
                     == every, (right, left)
 

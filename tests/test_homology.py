@@ -11,8 +11,12 @@ from torsionheart.algebra import parse_algebra
 from torsionheart.config import DEFAULT_CAPS
 from torsionheart.exceptions import ResourceLimitError
 
-from conftest import A2_TEXT, A3_TEXT
-from oracles import brute_ext_dim_hereditary
+from conftest import A2_TEXT, A3_TEXT, standard_modules
+from oracles import (
+    all_ext_classes, brute_ext_dim_hereditary, ext_class_of, factor_over,
+    has_section, injective_dimension, is_left_approximation, is_left_minimal,
+    is_right_approximation, is_right_minimal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +26,7 @@ def a2():
 
 @pytest.fixture(scope="module")
 def std(a2):
-    return mo.standard_modules(a2)
+    return standard_modules(a2)
 
 
 def test_hom_dims_a2(std):
@@ -49,11 +53,11 @@ def test_ext_dims_match_euler_oracle(std):
     mods = [simples[0], simples[1], projectives[0]]
     for x in mods:
         for y in mods:
-            assert ho.ext_dim(x, y) == brute_ext_dim_hereditary(x, y)
+            assert ho.ext1(x, y).dim == brute_ext_dim_hereditary(x, y)
     # projective source kills ext
     for y in mods:
-        assert ho.ext_dim(projectives[0], y) == 0
-        assert ho.ext_dim(projectives[1], y) == 0
+        assert ho.ext1(projectives[0], y).dim == 0
+        assert ho.ext1(projectives[1], y).dim == 0
 
 
 def test_ext_s1_s2_realization(std):
@@ -62,10 +66,10 @@ def test_ext_s1_s2_realization(std):
     assert space.dim == 1
     ses = space.realize([1])
     assert ses.middle.dims == (1, 1)
-    assert not ses.is_split()
+    assert not has_section(ses.surject)
     assert ses.validate()
     split = space.realize([0])
-    assert split.is_split()
+    assert has_section(split.surject)
 
 
 def test_ext_round_trip_all_pairs_a2(std):
@@ -74,19 +78,19 @@ def test_ext_round_trip_all_pairs_a2(std):
     for x in mods:
         for y in mods:
             space = ho.ext1(x, y)
-            for coeffs, ses in space.all_classes():
-                back = space.class_of(ses)
+            for coeffs, ses in all_ext_classes(space):
+                back = ext_class_of(space, ses)
                 assert back == tuple(coeffs)
 
 
 def test_ext_round_trip_f3():
     alg = parse_algebra(A2_TEXT, field_override=3)
-    simples, _, _ = mo.standard_modules(alg)
+    simples, _, _ = standard_modules(alg)
     space = ho.ext1(simples[0], simples[1])
     assert space.dim == 1
     for c in range(3):
         ses = space.realize([c])
-        assert space.class_of(ses) == (c,)
+        assert ext_class_of(space, ses) == (c,)
 
 
 def test_ext_additive_in_cocycle(std):
@@ -94,7 +98,7 @@ def test_ext_additive_in_cocycle(std):
     space = ho.ext1(simples[0], simples[1])
     a = space.realize([1])
     # over F_2 the class 1+1 = 0 is split
-    assert space.class_of(space.realize([0])) == (0,)
+    assert ext_class_of(space, space.realize([0])) == (0,)
 
 
 def test_nonhereditary_ext_self_extension():
@@ -105,7 +109,7 @@ def test_nonhereditary_ext_self_extension():
     assert space.dim == 1
     ses = space.realize([1])
     assert ses.middle.dims == (2,)
-    assert not ses.is_split()
+    assert not has_section(ses.surject)
 
 
 def test_pushout_pullback(std):
@@ -164,9 +168,9 @@ def test_injective_envelope_a2(std):
     assert env.is_mono()
     # envelope of an injective is an iso
     assert ho.injective_envelope(projectives[0]).is_iso()
-    assert ho.injective_dimension(s2) == 1
-    assert ho.injective_dimension(projectives[0]) == 0
-    assert ho.injective_dimension(simples[0]) == 0  # S(1) = I(1)
+    assert injective_dimension(s2) == 1
+    assert injective_dimension(projectives[0]) == 0
+    assert injective_dimension(simples[0]) == 0  # S(1) = I(1)
 
 
 def test_injective_dimension_infinite_raises():
@@ -174,36 +178,36 @@ def test_injective_dimension_infinite_raises():
     alg = parse_algebra("field 2\nvertices v\narrow x: v -> v\nrelation x*x\n")
     s = mo.simple_module(alg, 0)
     with pytest.raises(ResourceLimitError):
-        ho.injective_dimension(s, cap=8)
+        injective_dimension(s, cap=8)
 
 
 def test_minimal_right_approx_a2(std):
     simples, projectives, _ = std
     s1, s2, p1 = simples[0], simples[1], projectives[0]
-    f = ho.minimal_right_approx(s1, [s2, p1])
+    f = ho.minimal_approx(s1, [s2, p1], "right")
     assert f.source.dims == (1, 1)
     assert f.is_epi()
-    assert ho.is_right_minimal(f)
-    assert ho.is_right_approximation(f, [s2, p1])
+    assert is_right_minimal(f)
+    assert is_right_approximation(f, [s2, p1])
     # M inside add(gens): identity-like split epi
-    g = ho.minimal_right_approx(p1, [s2, p1])
+    g = ho.minimal_approx(p1, [s2, p1], "right")
     assert g.is_iso()
     # empty generators
-    z = ho.minimal_right_approx(s1, [mo.zero_module(s1.algebra)])
+    z = ho.minimal_approx(s1, [mo.zero_module(s1.algebra)], "right")
     assert z.source.is_zero()
 
 
 def test_minimal_left_approx_a2(std):
     simples, projectives, _ = std
     s1, s2, p1 = simples[0], simples[1], projectives[0]
-    f = ho.minimal_left_approx(s2, [p1])
+    f = ho.minimal_approx(s2, [p1], "left")
     assert f.target.dims == (1, 1)
     assert f.is_mono()
-    assert ho.is_left_minimal(f)
-    assert ho.is_left_approximation(f, [p1])
-    g = ho.minimal_left_approx(p1, [s2, p1])
+    assert is_left_minimal(f)
+    assert is_left_approximation(f, [p1])
+    g = ho.minimal_approx(p1, [s2, p1], "left")
     assert g.is_iso()
-    z = ho.minimal_left_approx(s1, [])
+    z = ho.minimal_approx(s1, [], "left")
     assert z.target.is_zero()
 
 
@@ -211,17 +215,17 @@ def test_approximation_hom_surjectivity(std):
     # the induced map Hom(G, Y) -> Hom(G, M) is onto for every generator
     simples, projectives, _ = std
     s1, s2, p1 = simples[0], simples[1], projectives[0]
-    f = ho.minimal_right_approx(s1, [s2, p1])
+    f = ho.minimal_approx(s1, [s2, p1], "right")
     for g in (s2, p1):
         for b in ho.hom_space(g, s1).basis:
-            assert ho.factor_over(f, b) is not None
+            assert factor_over(f, b) is not None
 
 
 def test_right_minimality_certificate(std):
     # any h with h.then(f) == f is an isomorphism once minimized
     simples, projectives, _ = std
     s1, s2, p1 = simples[0], simples[1], projectives[0]
-    f = ho.minimal_right_approx(s1, [s2, p1])
+    f = ho.minimal_approx(s1, [s2, p1], "right")
     end = ho.hom_space(f.source, f.source)
     from torsionheart import linalg
     p = 2
@@ -243,7 +247,7 @@ def test_ar_translate_a2(std):
 
 def test_ar_translate_a3():
     alg = parse_algebra(A3_TEXT)
-    simples, projectives, _ = mo.standard_modules(alg)
+    simples, projectives, _ = standard_modules(alg)
     t = ho.ar_translate(simples[0])
     assert t.dims == (0, 1, 0)  # knitting: tau S1 = S2
     t2 = ho.ar_translate(simples[1])
@@ -284,8 +288,8 @@ def test_ext_round_trip_all_pairs_a3(a3_universe):
     for x in a3_universe.indecs:
         for y in a3_universe.indecs:
             space = ho.ext1(x, y)
-            for coeffs, ses in space.all_classes():
-                assert list(space.class_of(ses)) == list(coeffs)
+            for coeffs, ses in all_ext_classes(space):
+                assert list(ext_class_of(space, ses)) == list(coeffs)
 
 
 def test_ext_round_trip_two_dimensional(a3_universe):
@@ -299,8 +303,8 @@ def test_ext_round_trip_two_dimensional(a3_universe):
     space = ho.ext1(src, tgt)
     assert space.dim == 2
     middles = set()
-    for coeffs, ses in space.all_classes():
-        assert list(space.class_of(ses)) == list(coeffs)
+    for coeffs, ses in all_ext_classes(space):
+        assert list(ext_class_of(space, ses)) == list(coeffs)
         middles.add(ses.middle.dims)
     assert (1, 2, 1) in middles
 
@@ -312,13 +316,13 @@ def test_approximation_twins_a3(a3_universe):
     gens = list(a3_universe.indecs)
     dual_gens = [mo.dual_module(g) for g in gens]
     for m in a3_universe.indecs:
-        left = ho.minimal_left_approx(m, gens)
-        assert ho.is_left_approximation(left, gens)
-        assert ho.is_left_minimal(left)
-        right = ho.minimal_right_approx(m, gens)
-        assert ho.is_right_approximation(right, gens)
-        assert ho.is_right_minimal(right)
-        dual_right = ho.minimal_right_approx(mo.dual_module(m), dual_gens)
+        left = ho.minimal_approx(m, gens, "left")
+        assert is_left_approximation(left, gens)
+        assert is_left_minimal(left)
+        right = ho.minimal_approx(m, gens, "right")
+        assert is_right_approximation(right, gens)
+        assert is_right_minimal(right)
+        dual_right = ho.minimal_approx(mo.dual_module(m), dual_gens, "right")
         assert is_isomorphic(mo.dual_module(left.target), dual_right.source)
 
 
@@ -330,7 +334,7 @@ def test_memo_dies_with_its_algebra():
     def build():
         # labels no other test uses, so no other algebra shares its content key
         a = parse_algebra("field 2\nvertices gc1 gc2\narrow gc: gc1 -> gc2\n")
-        simples, projectives, _ = mo.standard_modules(a)
+        simples, projectives, _ = standard_modules(a)
         assert ho.hom_space(projectives[0], simples[0]).dim == 1
         assert ho.ext1(simples[0], simples[1]).dim == 1
         return weakref.ref(a)
@@ -343,7 +347,7 @@ def test_memo_dies_with_its_algebra():
 @pytest.fixture(scope="module")
 def a3_f3_end():
     alg = parse_algebra(A3_TEXT, field_override=3)
-    simples, projectives, _ = mo.standard_modules(alg)
+    simples, projectives, _ = standard_modules(alg)
     m = mo.direct_sum(
         [projectives[0], projectives[0], projectives[1], simples[1]])[0]
     end = ho.hom_space(m, m)
@@ -377,20 +381,22 @@ def test_fitting_idempotent_properties(a3_f3_end, coeffs):
 def _two_dimensional_ext(**caps):
     # Ext^1(S1 + S2, S2 + S3) on A3 has two dimensions
     alg = parse_algebra(A3_TEXT, dataclasses.replace(DEFAULT_CAPS, **caps))
-    s1, s2, s3 = mo.standard_modules(alg)[0]
+    s1, s2, s3 = standard_modules(alg)[0]
     return ho.ext1(mo.direct_sum([s1, s2])[0], mo.direct_sum([s2, s3])[0])
 
 
 def test_nonsplit_classes_follow_the_zero_class():
+    # every nonzero class once, in lexicographic order, and none splits
     space = _two_dimensional_ext()
-    every = [tuple(int(c) for c in coeffs) for coeffs, _ in space.all_classes()]
-    assert every[0] == (0, 0)
-    assert every[1:] == [tuple(int(c) for c in coeffs)
-                         for coeffs, _ in space.nonsplit_classes()]
+    classes = [(tuple(int(c) for c in coeffs), ses)
+               for coeffs, ses in space.nonsplit_classes()]
+    assert [coeffs for coeffs, _ in classes] == [(0, 1), (1, 0), (1, 1)]
+    for coeffs, ses in classes:
+        assert ext_class_of(space, ses) == coeffs
+        assert not has_section(ses.surject)
 
 
 def test_class_scans_check_the_cap_first():
     space = _two_dimensional_ext(ext_dim_cap=1)
-    for scan in (space.all_classes(), space.nonsplit_classes()):
-        with pytest.raises(ResourceLimitError):
-            next(scan)
+    with pytest.raises(ResourceLimitError):
+        next(space.nonsplit_classes())

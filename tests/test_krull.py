@@ -4,8 +4,8 @@ from torsionheart import krull as kr
 from torsionheart import modules as mo
 from torsionheart.algebra import parse_algebra
 
-from conftest import A2_TEXT
-from oracles import brute_is_indecomposable
+from conftest import A2_TEXT, standard_modules
+from oracles import brute_is_indecomposable, has_section
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,7 @@ def a2():
 
 @pytest.fixture(scope="module")
 def std(a2):
-    return mo.standard_modules(a2)
+    return standard_modules(a2)
 
 
 def test_decompose_known_sum(a2, std):
@@ -136,7 +136,7 @@ def test_hom_fingerprint_consistency(a2_universe=None):
 
 def test_every_epi_onto_projective_splits(a2, std):
     # solve for a section of each epi onto P(v)
-    from torsionheart.homology import has_section, hom_space
+    from torsionheart.homology import hom_space
     from torsionheart import linalg
     simples, projectives, _ = std
     p1 = projectives[0]

@@ -6,7 +6,7 @@ from torsionheart import linalg
 from torsionheart import modules as mo
 from torsionheart.algebra import parse_algebra
 
-from conftest import A2_TEXT
+from conftest import A2_TEXT, standard_modules
 from oracles import brute_hom_dim
 
 
@@ -17,7 +17,7 @@ def a2():
 
 @pytest.fixture(scope="module")
 def std(a2):
-    return mo.standard_modules(a2)
+    return standard_modules(a2)
 
 
 def test_standard_modules_a2(std):
@@ -32,7 +32,7 @@ def test_standard_modules_a2(std):
 
 def test_loop_algebra_standard_modules():
     alg = parse_algebra("field 3\nvertices v\narrow x: v -> v\nrelation x*x\n")
-    s, p, i = mo.standard_modules(alg)
+    s, p, i = standard_modules(alg)
     assert p[0].dims == (2,)
     assert i[0].dims == (2,)
     assert s[0].dims == (1,)
@@ -160,7 +160,7 @@ arrow c: 1 -> 3
 arrow d: 3 -> 4
 relation a*b - c*d
 """)
-    simples, projectives, injectives = mo.standard_modules(alg)
+    simples, projectives, injectives = standard_modules(alg)
     assert projectives[0].dims == (1, 1, 1, 1)
     assert injectives[3].dims == (1, 1, 1, 1)
     assert [p.dims for p in projectives] == [
