@@ -150,7 +150,7 @@ class BoundQuiverAlgebra:
                 raise QuiverParseError("empty relation")
             src = rel[0][1][0]
             tgt = path_target(q, rel[0][1])
-            for coeff, path in rel:
+            for _, path in rel:
                 if len(path[1]) < 2:
                     raise AdmissibilityError(
                         "relation involves a path of length < 2; ideal not admissible"
@@ -315,7 +315,7 @@ class BoundQuiverAlgebra:
         """Opposite algebra: reversed arrows and reversed relation paths."""
         if self._op is None:
             rev_relations = [
-                [(coeff, self._reverse_path(path)) for coeff, path in rel]
+                [(coeff, self.reverse_path(path)) for coeff, path in rel]
                 for rel in self.relations
             ]
             self._op = BoundQuiverAlgebra(
@@ -324,12 +324,9 @@ class BoundQuiverAlgebra:
             self._op._op = self
         return self._op
 
-    def _reverse_path(self, path: Path) -> Path:
+    def reverse_path(self, path: Path) -> Path:
         src = path_target(self.quiver, path)
         return (src, tuple(reversed(path[1])))
-
-    def reverse_path(self, path: Path) -> Path:
-        return self._reverse_path(path)
 
     def __repr__(self):
         return (

@@ -102,6 +102,9 @@ def _build_universe(args):
             raise QuiverParseError(
                 f"--dim-bound {args.dim_bound} has {len(bound)} entries, "
                 f"the quiver has {n} vertices")
+        if min(bound) < 0:
+            raise QuiverParseError(
+                f"--dim-bound {args.dim_bound}: entries must be nonnegative")
     else:
         bound = (2,) * n
     universe = enumerate_indecomposables(algebra, bound)
@@ -137,9 +140,7 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]):
 
 def cmd_indec(args) -> int:
     algebra, u = _build_universe(args)
-    if not u.complete:
-        print(f"universe incomplete: {u.witness}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    u.require_complete()
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "algebra": algebra_json(algebra),
@@ -289,9 +290,7 @@ def heart_report(u: IndecUniverse, t_bits: int,
 
 def cmd_heart(args) -> int:
     algebra, u = _build_universe(args)
-    if not u.complete:
-        print(f"universe incomplete: {u.witness}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    u.require_complete()
     t_bits = _parse_generators(u, args.gens or "")
     payload, lines = heart_report(u, t_bits, oracle=args.oracle)
     payload["algebra"] = algebra_json(algebra)
@@ -318,9 +317,7 @@ def lattice_dot(u: IndecUniverse, lattice) -> str:
 
 def cmd_tors(args) -> int:
     algebra, u = _build_universe(args)
-    if not u.complete:
-        print(f"universe incomplete: {u.witness}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    u.require_complete()
     lattice = enumerate_torsion_classes(u)
     if args.format == "dot":
         print(lattice_dot(u, lattice))
@@ -351,7 +348,7 @@ def cmd_tors(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    algebra, u = _build_universe(args)
+    _, u = _build_universe(args)
     if not u.complete:
         print(f"FAIL universe-completeness: {u.witness}")
         return EXIT_INCOMPLETE
@@ -425,7 +422,7 @@ def main(argv=None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except IncompleteUniverseError as exc:
-        print(f"incomplete universe: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_INCOMPLETE
     except UndeterminedError as exc:
         print(f"undetermined: {exc}", file=sys.stderr)

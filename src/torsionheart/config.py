@@ -1,7 +1,10 @@
 """Resource caps for the exact enumeration kernels.
 
 All scans are exhaustive within these gates and raise ResourceLimitError
-beyond them; nothing is ever sampled silently.
+beyond them; nothing is ever sampled silently.  `scan_count_cap` is read
+only by `homology.scannable`, the gate of every Hom and Ext scan, and
+`random_tries` only by `homology.candidates`, for its seeded draws beyond
+the scan cap.
 
 Caps are set once, when the algebra is parsed (`parse_algebra`, or the
 `BoundQuiverAlgebra` constructor), and every scan reads them from the
@@ -27,11 +30,11 @@ class ResourceCaps:
     candidate_cap: int = 1 << 20
     # submodule oracle gate: total dimension of the scanned module
     submodule_dim_cap: int = 12
-    # ext scans enumerate all q^d classes only while d stays below this
+    # ext scans enumerate all p^d classes only while d stays within this
     ext_dim_cap: int = 12
-    # and while q^d stays below this element count
+    # a scan of a d-dimensional space runs only while p^d stays within this
     scan_count_cap: int = 1 << 16
-    # retries for seeded random searches before exhaustion / undetermined
+    # seeded random draws of a candidate search beyond the scan cap
     random_tries: int = 64
     # universe size gate for the torsion-class lattice search
     lattice_indec_cap: int = 24

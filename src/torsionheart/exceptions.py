@@ -30,4 +30,5 @@ class NotCotiltingError(ValueError):
 
 
 class UndeterminedError(RuntimeError):
-    """A randomized-then-exhaustive search hit its cap without a certificate."""
+    """A candidate search beyond the scan cap found neither a witness nor a
+    certificate."""

@@ -36,14 +36,13 @@ from itertools import combinations_with_replacement
 from . import linalg
 from .algebra import cached
 from .cotilting import CotiltingData, special_cover, special_envelope
-from .exceptions import ResourceLimitError
 from .homology import (
     SES, ext1, factor_through, has_retraction, hom_space, injective_envelope,
     pullback,
 )
 from .krull import decompose, is_indecomposable, is_isomorphic
 from .modules import (
-    Module, Morphism, cokernel, direct_sum, unvec_morphism,
+    Module, Morphism, assemble, cokernel, direct_sum, unvec_morphism,
 )
 from .torsion import TorsionPair, is_hereditary, submodule_summand_bits
 from .universe import (
@@ -227,16 +226,6 @@ def heart_simples(pair: TorsionPair, mode: str = "fast") -> list[HeartSimple]:
 # -- left almost split morphisms -------------------------------------------------
 
 
-def _all_homs(x: Module, y: Module):
-    h = hom_space(x, y)
-    p = x.algebra.field.p
-    d = h.dim
-    if p ** d > x.algebra.caps.scan_count_cap:
-        raise ResourceLimitError(f"hom scan of size {p}^{d} exceeds cap")
-    for coeffs in linalg.vectors(d, p):
-        yield h.from_coords(coeffs)
-
-
 def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
     """f is not a split mono, and every non-split-mono out of its source into
     a class member factors through it.  Quantification over indecomposable
@@ -260,7 +249,7 @@ def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool
             if linalg.rank(rows, p) < hx.dim:
                 return False
         else:
-            for g in _all_homs(x, target):
+            for g in hom_space(x, target).elements():
                 if has_retraction(g):
                     continue
                 if factor_through(f, g) is None:
@@ -308,17 +297,15 @@ def strong_las_uniqueness_scan(f: Morphism, class_bits: int,
         target = u.indecs[i]
         hx = hom_space(x, target)
         hy = hom_space(f.target, target)
-        for d in (hx.dim, hy.dim):
-            if p ** d > x.algebra.caps.scan_count_cap:
-                raise ResourceLimitError(f"hom scan of size {p}^{d} exceeds cap")
+        x_coords, y_coords = hx.coords(), hy.coords()
         amb = sum(a * b for a, b in zip(x.dims, target.dims))
         img_rows = [f.then(b).vec() for b in hy.basis]
         counts = Counter(linalg.combination(c, img_rows, p, amb)
-                         for c in linalg.vectors(hy.dim, p))
+                         for c in y_coords)
         # with hx.dim == 0 the only g is 0, and it must factor uniquely
         basis_rows = hx.matrix()
         may_split = target.dims == x.dims
-        for cvec in linalg.vectors(hx.dim, p):
+        for cvec in x_coords:
             gvec = linalg.combination(cvec, basis_rows, p, amb)
             if may_split and any(cvec) \
                     and unvec_morphism(x, target, gvec).is_iso():
@@ -400,11 +387,10 @@ def _indec_split_injective_scan(m: Module, class_bits: int,
     members, one irredundant tuple at a time."""
     length = m.total_dim
     members = [u.indecs[i] for i in bit_indices(class_bits)]
-    p = m.algebra.field.p
     for k in range(1, length + 1):
         for tup in combinations_with_replacement(members, k):
-            target, incs, _ = direct_sum(list(tup), m.algebra)
-            for g in _all_homs(m, target):
+            target = direct_sum(list(tup), m.algebra)[0]
+            for g in hom_space(m, target).elements():
                 if g.is_mono() and not has_retraction(g):
                     return False
     return True
@@ -467,15 +453,7 @@ def embedding_into_criticals(m: Module, criticals: list[Module],
             return None
     if len(chosen) > m.total_dim:
         raise AssertionError("witness uses more factors than the length bound")
-    target, incs, _ = direct_sum([e for e, _ in chosen], m.algebra)
-    maps = []
-    for v in range(q.n):
-        acc = linalg.zeros(m.dims[v], target.dims[v])
-        for (e, f), inc in zip(chosen, incs):
-            acc = linalg.add(acc, linalg.matmul(f.maps[v], inc.maps[v], p,
-                                                target.dims[v]), p)
-        maps.append(acc)
-    witness = Morphism(m, target, maps, check=False)
+    witness = assemble(m, chosen, "left")
     if not witness.is_mono():
         raise AssertionError("greedy embedding is not mono")
     return witness

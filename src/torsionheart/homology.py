@@ -11,10 +11,15 @@ minimized.  Minimality is certified, not assumed: a right approximation
 f: Y -> M is minimal iff the annihilator {u in End(Y) : u.then(f) = 0}
 contains no nonzero idempotent, and a finite-dimensional algebra without
 nonzero idempotents is nilpotent, which we check by iterating products.
+
+Every exhaustive scan of the package passes one gate, `scan`, which raises
+ResourceLimitError before any work beyond the scan cap; `candidates` is the
+one order in which the idempotent and isomorphism searches try elements.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import chain
 
@@ -22,15 +27,35 @@ from . import linalg
 from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import ResourceLimitError
 from .modules import (
-    Module, Morphism, cokernel, direct_sum, dual_module, identity_morphism,
-    injective_module, kernel, projective_module, quotient_by_rows,
-    submodule_from_rows, unvec_morphism, zero_module, zero_morphism,
+    Module, Morphism, assemble, cokernel, direct_sum, dual_module,
+    identity_morphism, injective_module, kernel, projective_module,
+    quotient_by_rows, submodule_from_rows, unvec_morphism, zero_module,
+    zero_morphism,
 )
 
 
 def _vec_len(m: Module, n: Module) -> int:
     """Length of vec(f) for f: M -> N."""
     return sum(a * b for a, b in zip(m.dims, n.dims))
+
+
+# -- the scan gate ---------------------------------------------------------------
+
+def scannable(algebra: BoundQuiverAlgebra, d: int) -> bool:
+    """True iff the p^d vectors of a d-dimensional space fit the scan cap."""
+    return algebra.field.p ** d <= algebra.caps.scan_count_cap
+
+
+def scan(algebra: BoundQuiverAlgebra, d: int, what: str, nonzero: bool = False):
+    """Every vector of F_p^d, or every nonzero one, in lexicographic order.
+    Raises ResourceLimitError when the space is over the scan cap, before
+    any vector is produced."""
+    p = algebra.field.p
+    if not scannable(algebra, d):
+        raise ResourceLimitError(f"{what} scan of size {p}^{d} exceeds cap")
+    if nonzero:
+        return linalg.nonzero_vectors(d, p)
+    return linalg.vectors(d, p)
 
 
 @dataclass(frozen=True)
@@ -58,6 +83,37 @@ class HomSpace:
         flat = linalg.combination(coords, self.matrix(), p,
                                   _vec_len(self.source, self.target))
         return unvec_morphism(self.source, self.target, flat)
+
+    def coords(self, nonzero: bool = False):
+        """Coordinates of every element, or of every nonzero one, through
+        the scan gate."""
+        return scan(self.source.algebra, self.dim, "hom", nonzero)
+
+    def elements(self, nonzero: bool = False):
+        """Every element, or every nonzero one, through the scan gate."""
+        return map(self.from_coords, self.coords(nonzero))
+
+
+def candidates(space: HomSpace, seed=None):
+    """Elements of the space for a search to try, in a fixed order: the
+    basis, the pairwise sums, then every nonzero element when the space is
+    scannable.  Otherwise, given a seed, random_tries seeded random draws
+    follow; an all-zero draw is skipped but spends its try."""
+    basis = space.basis
+    yield from basis
+    for i, a in enumerate(basis):
+        for b in basis[i + 1:]:
+            yield a.add(b)
+    algebra = space.source.algebra
+    if scannable(algebra, space.dim):
+        yield from space.elements(nonzero=True)
+    elif seed is not None:
+        p = algebra.field.p
+        rng = random.Random(seed)
+        for _ in range(algebra.caps.random_tries):
+            coeffs = [rng.randrange(p) for _ in range(space.dim)]
+            if any(coeffs):
+                yield space.from_coords(coeffs)
 
 
 def _hom_system(m: Module, n: Module) -> list[list[int]]:
@@ -214,7 +270,7 @@ def pullback(f: Morphism, g: Morphism):
     """Pullback of f: X -> Z and g: Y -> Z; returns (W, to_X, to_Y)."""
     x, y = f.source, g.source
     p = x.algebra.field.p
-    total, _, (px, py) = direct_sum([x, y], x.algebra)
+    _, _, (px, py) = direct_sum([x, y], x.algebra)
     h = px.then(f).add(py.then(g).scale(p - 1))
     w, incl = kernel(h)
     return w, incl.then(px), incl.then(py)
@@ -223,36 +279,29 @@ def pullback(f: Morphism, g: Morphism):
 # -- projective covers and syzygies --------------------------------------------
 
 def projective_cover(m: Module):
-    """Minimal projective cover.  Returns (P, cover, vertices, incs, prjs)."""
+    """Minimal projective cover P -> M, and the vertex of each summand of P
+    in the order of the direct sum."""
     algebra = m.algebra
     p = algebra.field.p
     rad = m.radical_rows()
     gens: list[tuple[int, int]] = []  # (vertex, basis index of a top lift)
     for v in range(algebra.quiver.n):
-        r, pivots = linalg.rref(rad[v], p)
+        _, pivots = linalg.rref(rad[v], p)
         gens.extend((v, j) for j in range(m.dims[v]) if j not in pivots)
-    summands = [projective_module(algebra, v) for v, _ in gens]
-    total, incs, prjs = direct_sum(summands, algebra)
     comps = []
-    for (v, j), proj_mod in zip(gens, summands):
+    for v, j in gens:
         # the generator e_j of M at v, moved along every basis path from v
         maps = [
             tuple(m.path_matrix(algebra.basis[bi])[j]
                   for bi in algebra.basis_paths_between(v, w))
             for w in range(algebra.quiver.n)
         ]
-        comps.append(Morphism(proj_mod, m, maps))
-    cover_maps = []
-    for v in range(algebra.quiver.n):
-        acc = linalg.zeros(total.dims[v], m.dims[v])
-        for prj, comp in zip(prjs, comps):
-            acc = linalg.add(acc, linalg.matmul(prj.maps[v], comp.maps[v], p,
-                                                m.dims[v]), p)
-        cover_maps.append(acc)
-    cover = Morphism(total, m, cover_maps)
+        proj_mod = projective_module(algebra, v)
+        comps.append((proj_mod, Morphism(proj_mod, m, maps)))
+    cover = assemble(m, comps, "right")
     if not cover.is_epi():
         raise AssertionError("projective cover is not epi")
-    return total, cover, [v for v, _ in gens], incs, prjs
+    return cover, [v for v, _ in gens]
 
 
 def syzygy(m: Module):
@@ -261,7 +310,7 @@ def syzygy(m: Module):
 
 
 def _syzygy(m: Module):
-    p0, cover, _, _, _ = projective_cover(m)
+    cover, _ = projective_cover(m)
     k, incl = kernel(cover)
     return (k, incl, cover)
 
@@ -321,18 +370,14 @@ class Ext1Space:
             raise AssertionError("realized extension is not exact")
         return ses
 
-    def _check_scan_cap(self):
-        caps = self.m.algebra.caps
-        d = self.dim
-        if d > caps.ext_dim_cap or self.p ** d > caps.scan_count_cap:
-            raise ResourceLimitError(f"ext scan of size {self.p}^{d} exceeds cap")
-
     def nonsplit_classes(self):
         """(coeffs, SES) for every nonzero class, in lexicographic order of
-        the coefficients.  The scan cap is checked before any class is
+        the coefficients.  The caps are checked before any class is
         realized."""
-        self._check_scan_cap()
-        for coeffs in linalg.nonzero_vectors(self.dim, self.p):
+        algebra, d = self.m.algebra, self.dim
+        if d > algebra.caps.ext_dim_cap:
+            raise ResourceLimitError(f"ext scan of size {self.p}^{d} exceeds cap")
+        for coeffs in scan(algebra, d, "ext", nonzero=True):
             yield coeffs, self.realize(coeffs)
 
 
@@ -397,19 +442,13 @@ def _find_idempotent(basis: list[Morphism], p: int):
             break
         prev_dim = len(span)
         current = [a.then(b) for a in basis for b in current]
-    d = len(current)
-    mat = [m.vec() for m in current]
-    exhaustible = p ** d <= y.algebra.caps.scan_count_cap
-    pairs = [a.add(b) for i, a in enumerate(current) for b in current[i + 1:]]
-    scan = (unvec_morphism(y, y, linalg.combination(coeffs, mat, p, len(mat[0])))
-            for coeffs in linalg.nonzero_vectors(d, p))
-    for x in chain(current, pairs, scan if exhaustible else ()):
+    for x in candidates(HomSpace(y, y, tuple(current))):
         if x.is_iso():  # the identity lies in the algebra
             return identity_morphism(y)
         e = fitting_idempotent(x)
         if e is not None:
             return e
-    if exhaustible:
+    if scannable(y.algebra, len(current)):
         return None
     raise ResourceLimitError("idempotent search space too large")
 
@@ -471,11 +510,11 @@ def _strip_components(m: Module, gens: list[Module], side: str):
         blocks.append(row_blocks)
 
     def covers(subset: list[int]) -> bool:
-        for i, gi in enumerate(gens):
-            if full_dims[i] == 0:
+        for i, full_dim in enumerate(full_dims):
+            if full_dim == 0:
                 continue
             stacked = tuple(chain.from_iterable(blocks[i][j] for j in subset))
-            if linalg.rank(stacked, p) < full_dims[i]:
+            if linalg.rank(stacked, p) < full_dim:
                 return False
         return True
 
@@ -487,17 +526,6 @@ def _strip_components(m: Module, gens: list[Module], side: str):
     return [comps[j] for j in keep]
 
 
-def _assemble(m: Module, comps, side: str) -> Morphism:
-    """The sum of the components: (+) G_j -> M (side='right') or
-    M -> (+) G_j (side='left')."""
-    right = side == "right"
-    total, incs, prjs = direct_sum([g for g, _ in comps], m.algebra)
-    acc = zero_morphism(total, m) if right else zero_morphism(m, total)
-    for inc, prj, (_, b) in zip(incs, prjs, comps):
-        acc = acc.add(prj.then(b) if right else b.then(inc))
-    return acc
-
-
 def minimal_approx(m: Module, gens: list[Module], side: str) -> Morphism:
     """Minimal add(gens)-approximation: right Y -> M (side='right') or left
     M -> Y (side='left')."""
@@ -506,7 +534,7 @@ def minimal_approx(m: Module, gens: list[Module], side: str) -> Morphism:
         zero = zero_module(m.algebra)
         return (zero_morphism(zero, m) if side == "right"
                 else zero_morphism(m, zero))
-    return _minimize(_assemble(m, comps, side), side)
+    return _minimize(assemble(m, comps, side), side)
 
 
 # -- injective envelopes -------------------------------------------------------------
@@ -577,10 +605,14 @@ def transpose(m: Module) -> Module:
     algebra = m.algebra
     op = algebra.op()
     p = algebra.field.p
-    p0, cover0, p0_vertices, p0_incs, p0_prjs = projective_cover(m)
+    cover0, p0_vertices = projective_cover(m)
     k, incl = kernel(cover0)
-    p1, cover1, p1_vertices, p1_incs, p1_prjs = projective_cover(k)
+    cover1, p1_vertices = projective_cover(k)
     d = cover1.then(incl)
+    _, p1_incs, _ = direct_sum(
+        [projective_module(algebra, v) for v in p1_vertices], algebra)
+    _, _, p0_prjs = direct_sum(
+        [projective_module(algebra, w) for w in p0_vertices], algebra)
     op_p0 = [projective_module(op, w) for w in p0_vertices]
     op_p1 = [projective_module(op, v) for v in p1_vertices]
     total0, _, prjs0 = direct_sum(op_p0, op)

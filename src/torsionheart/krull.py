@@ -4,9 +4,12 @@ An endomorphism x with minimal polynomial mp splits by Berlekamp's method: a
 non-constant g in the fixed space of t -> t^p on F_p[t]/mp gives u = g(x),
 semisimple with eigenvalues in F_p, and 1 - (u - c)^(p-1) projects onto an
 eigenspace.  A decomposable module always exposes such an x (a projection).
-The search scans the basis, pairwise sums, seeded random combinations, and
-falls back to exhaustive enumeration while p^dim stays below the cap; beyond
-that it raises UndeterminedError rather than guessing.
+The search tries the candidates of `homology.candidates`: the basis, the
+pairwise sums, then either every nonzero element, while p^dim stays within
+the scan cap, or seeded random combinations beyond it.  A search that ends
+beyond the cap without a witness raises UndeterminedError rather than
+guessing, unless End(M) is commutative, where a deterministic search decides.
+The isomorphism search tries the same candidates of Hom(M, N).
 
 Brick detection is fully deterministic: a finite division ring is a field
 (Wedderburn), so End(M) is a division ring iff it is commutative, has zero
@@ -16,13 +19,11 @@ dimensional.  Both kernels are F_p-linear in the commutative case.
 
 from __future__ import annotations
 
-import random
-
 from . import linalg
 from .exceptions import UndeterminedError
-from .homology import HomSpace, hom_space
+from .homology import HomSpace, candidates, hom_space, scannable
 from .modules import (
-    Module, Morphism, direct_sum, identity_morphism, submodule_from_rows,
+    Module, Morphism, assemble, identity_morphism, submodule_from_rows,
     zero_morphism,
 )
 
@@ -97,34 +98,6 @@ def split_idempotent(x: Morphism, p: int):
     return _eigen_projection(u, p)
 
 
-def _seeded_rng(m: Module) -> random.Random:
-    return random.Random(int(m.key[:12], 16))
-
-
-def _idempotent_candidates(end: HomSpace, m: Module, p: int):
-    """Yield nonzero elements of End(M) in a deterministic order: basis,
-    pairwise sums, seeded random combinations, then exhaustive if feasible."""
-    caps = m.algebra.caps
-    basis = list(end.basis)
-    for b in basis:
-        yield b, False
-    for i, a in enumerate(basis):
-        for b in basis[i + 1:]:
-            yield a.add(b), False
-    d = len(basis)
-    exhaustible = p ** d <= caps.scan_count_cap
-    if not exhaustible:
-        rng = _seeded_rng(m)
-        for _ in range(caps.random_tries):
-            coeffs = [rng.randrange(p) for _ in range(d)]
-            if not any(coeffs):
-                continue
-            yield end.from_coords(coeffs), False
-    else:
-        for coeffs in linalg.nonzero_vectors(d, p):
-            yield end.from_coords(coeffs), True
-
-
 def nontrivial_idempotent(m: Module):
     """A nontrivial idempotent endomorphism, or None when End(M) is local.
 
@@ -137,13 +110,11 @@ def nontrivial_idempotent(m: Module):
     end = hom_space(m, m)
     if end.dim == 1:
         return None
-    exhausted = False
-    for x, from_exhaustive in _idempotent_candidates(end, m, p):
-        exhausted = from_exhaustive
+    for x in candidates(end, int(m.key[:12], 16)):
         e = split_idempotent(x, p)
         if e is not None:
             return e
-    if exhausted or p ** end.dim <= m.algebra.caps.scan_count_cap:
+    if scannable(m.algebra, end.dim):
         return None
     if _is_commutative(end, p):
         return _commutative_idempotent(end, m, p)
@@ -239,20 +210,10 @@ def indecomposable_summands(m: Module):
 def decompose_with_iso(m: Module):
     """(pieces, iso) with iso: (+) pieces -> M an explicit isomorphism."""
     parts = indecomposable_summands(m)
-    pieces = [piece for piece, _ in parts]
-    total, _, prjs = direct_sum(pieces, m.algebra)
-    p = m.algebra.field.p
-    maps = []
-    for v in range(m.algebra.quiver.n):
-        acc = linalg.zeros(total.dims[v], m.dims[v])
-        for prj, (_, incl) in zip(prjs, parts):
-            acc = linalg.add(acc, linalg.matmul(prj.maps[v], incl.maps[v], p,
-                                                m.dims[v]), p)
-        maps.append(acc)
-    iso = Morphism(total, m, maps, check=False)
+    iso = assemble(m, parts, "right")
     if not iso.is_iso():
         raise AssertionError("decomposition glue map is not an isomorphism")
-    return pieces, iso
+    return [piece for piece, _ in parts], iso
 
 
 def decompose(m: Module):
@@ -290,28 +251,13 @@ def isomorphism(m: Module, n: Module):
         return None
     if m.is_zero():
         return zero_morphism(m, n)
-    p = m.algebra.field.p
-    caps = m.algebra.caps
     h = hom_space(m, n)
     if h.dim == 0 or hom_dim_pair_mismatch(m, n):
         return None
-    for b in h.basis:
-        if b.is_iso():
-            return b
-    d = h.dim
-    rng = random.Random(int(m.key[:8] + n.key[:8], 16))
-    for _ in range(caps.random_tries):
-        coeffs = [rng.randrange(p) for _ in range(d)]
-        if not any(coeffs):
-            continue
-        f = h.from_coords(coeffs)
+    for f in candidates(h, int(m.key[:8] + n.key[:8], 16)):
         if f.is_iso():
             return f
-    if p ** d <= caps.scan_count_cap:
-        for coeffs in linalg.nonzero_vectors(d, p):
-            f = h.from_coords(coeffs)
-            if f.is_iso():
-                return f
+    if scannable(m.algebra, h.dim):
         return None
     raise UndeterminedError("isomorphism search exhausted its budget")
 

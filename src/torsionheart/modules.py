@@ -366,6 +366,18 @@ def direct_sum(summands: list[Module], algebra=None):
     return total, inclusions, projections
 
 
+def assemble(m: Module, comps, side: str) -> Morphism:
+    """The sum of components (G_j, b_j) over the direct sum of the G_j:
+    (+) G_j -> M for b_j: G_j -> M (side='right'), or M -> (+) G_j for
+    b_j: M -> G_j (side='left')."""
+    right = side == "right"
+    total, incs, prjs = direct_sum([g for g, _ in comps], m.algebra)
+    acc = zero_morphism(total, m) if right else zero_morphism(m, total)
+    for inc, prj, (_, b) in zip(incs, prjs, comps):
+        acc = acc.add(prj.then(b) if right else b.then(inc))
+    return acc
+
+
 def submodule_from_rows(parent: Module, rows: list):
     """Subrepresentation spanned per vertex by the given rows (must be
     arrow-stable).  Returns (module, inclusion)."""

@@ -256,7 +256,9 @@ def _fingerprint(m: Module, simples: list[Module]) -> tuple:
 def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
     """Closure of the universe under kernels, cokernels, images of all
     morphisms between members, middle-term summands of all Ext classes, AR
-    translates where defined, and socles and tops."""
+    translates where defined, and socles and tops; every simple must be a
+    member.  Raises ResourceLimitError when a Hom space between members is
+    over the scan cap."""
     u = universe
     p = u.algebra.field.p
 
@@ -270,14 +272,7 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
 
     for i, x in enumerate(u.indecs):
         for j, y in enumerate(u.indecs):
-            h = hom_space(x, y)
-            d = h.dim
-            if d == 0:
-                continue
-            if p ** d > u.algebra.caps.scan_count_cap:
-                raise ResourceLimitError("morphism scan too large")
-            for coeffs in linalg.nonzero_vectors(d, p):
-                f = h.from_coords(coeffs)
+            for f in hom_space(x, y).elements(nonzero=True):
                 for m, what in ((kernel(f)[0], f"kernel of map {i}->{j}"),
                                 (image(f)[0], f"image of map {i}->{j}"),
                                 (cokernel(f)[0], f"cokernel of map {i}->{j}")):
@@ -303,7 +298,6 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
                 return False, w
     for i, x in enumerate(u.indecs):
         soc = x.socle_rows()
-        top_dims = []
         rad = x.radical_rows()
         for v in range(u.algebra.quiver.n):
             if soc[v] and u.index_of(simple_module(u.algebra, v)) is None:
@@ -311,6 +305,10 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
             if x.dims[v] - linalg.rank(rad[v], p) > 0 \
                     and u.index_of(simple_module(u.algebra, v)) is None:
                 return False, f"top simple at vertex {v} outside"
+    # without this, a universe with no members is vacuously closed
+    for v in range(u.algebra.quiver.n):
+        if u.index_of(simple_module(u.algebra, v)) is None:
+            return False, f"simple at vertex {v} outside"
     return True, None
 
 
@@ -346,7 +344,7 @@ def all_submodules(m: Module):
 def all_quotients(m: Module):
     """Every quotient exactly once, as (module, projection)."""
     out = []
-    for sub, incl in all_submodules(m):
+    for _, incl in all_submodules(m):
         rows = [incl.maps[v] for v in range(m.algebra.quiver.n)]
         out.append(quotient_by_rows(m, rows))
     return out
@@ -359,7 +357,7 @@ def maximal_submodules(m: Module) -> list[Module]:
     rad = m.radical_rows()
     out = []
     for v in range(q.n):
-        r, pivots = linalg.rref(rad[v], p)
+        _, pivots = linalg.rref(rad[v], p)
         lifts = [j for j in range(m.dims[v]) if j not in pivots]
         t = len(lifts)
         if t == 0:

@@ -98,7 +98,6 @@ def suite_oracle_equivalence(ctx: AnalysisContext) -> VerifyResult:
 def suite_brick_property(ctx: AnalysisContext) -> VerifyResult:
     """Heart simples are bricks; nonzero maps between two torsion almost
     torsion-free modules of one pair are isomorphisms."""
-    u = ctx.universe
     checked = 0
     for data in ctx.cotilting_pairs:
         simples = heart_simples(data.pair)
@@ -128,7 +127,6 @@ def suite_brick_property(ctx: AnalysisContext) -> VerifyResult:
 def suite_dichotomy(ctx: AnalysisContext) -> VerifyResult:
     """Strong las morphisms are mono or epi; criticals and specials are
     disjoint and together exhaust the summands of the cotilting module."""
-    u = ctx.universe
     for data in ctx.cotilting_pairs:
         criticals, specials = ctx.classified(data)
         for seq in criticals + specials:

@@ -5,6 +5,10 @@ must be referenced somewhere other than inside its own definition: in the
 package, in scripts/, or as a target of the outside tracer
 (perfbench/tracer.py's TARGETS, which wraps functions by name).  Checkers
 that only the tests use live in tests/oracles.py, not in the package.
+
+Two more guards read the package the same way: every local a function binds
+is read (names starting with `_` are exempt), and every exhaustive scan and
+candidate search goes through the one scan gate in homology.py.
 """
 
 import ast
@@ -57,3 +61,91 @@ def test_every_function_has_a_caller():
             if refs[name] - _names(node)[name] == 0:
                 callerless.append(f"{path.name}:{node.lineno} {name}")
     assert callerless == []
+
+
+def _bound_names(func) -> dict[str, int]:
+    """Names a function binds by assignment, unpacking or a for target,
+    outside its nested functions, with the line of the first binding."""
+    out: dict[str, int] = {}
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda, ast.ClassDef)):
+                continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = (child.targets if isinstance(child, ast.Assign)
+                           else [child.target])
+            elif isinstance(child, (ast.For, ast.AsyncFor)):
+                targets = [child.target]
+            else:
+                targets = []
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                        out.setdefault(sub.id, sub.lineno)
+            visit(child)
+
+    visit(func)
+    return out
+
+
+def test_every_local_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # reads in nested functions count: closures read their free names
+            read = {sub.id for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            for name, line in _bound_names(node).items():
+                if not name.startswith("_") and name not in read:
+                    unread.append(f"{path.name}:{line} {node.name}: {name}")
+    assert unread == []
+
+
+def _innermost_readers(names: set[str]) -> dict[str, set[str]]:
+    """For each name, the innermost package functions that read it, as an
+    attribute or a variable; linalg.py, which defines the vector scans, is
+    left out."""
+    out = {name: set() for name in names}
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module: str):
+            self.stack = [f"{module} top level"]
+
+        def visit_FunctionDef(self, node):
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Attribute(self, node):
+            if node.attr in names:
+                out[node.attr].add(self.stack[-1])
+            self.generic_visit(node)
+
+        def visit_Name(self, node):
+            if node.id in names and isinstance(node.ctx, ast.Load):
+                out[node.id].add(self.stack[-1])
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "linalg.py":
+            Visitor(path.name).visit(ast.parse(path.read_text()))
+    return out
+
+
+def test_one_scan_gate():
+    """Every exhaustive scan and every candidate search goes through
+    homology's gate: the scan cap is read only in `scannable`, the random
+    tries only in `candidates`, and the vector scans are called only in
+    `scan`."""
+    assert _innermost_readers({"scan_count_cap", "random_tries", "vectors",
+                               "nonzero_vectors"}) == {
+        "scan_count_cap": {"scannable"},
+        "random_tries": {"candidates"},
+        "vectors": {"scan"},
+        "nonzero_vectors": {"scan"},
+    }

@@ -155,6 +155,28 @@ def test_verify_incomplete_universe_exit3():
     assert "FAIL universe-completeness" in out.stdout
 
 
+def test_zero_dim_bound_is_incomplete():
+    # no module fits the bound, so the simples are missing
+    out = run_cli("indec", str(FIXTURES / "a2.quiver"), "--dim-bound", "0,0")
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == "universe incomplete: simple at vertex 0 outside\n"
+
+
+def test_verify_zero_dim_bound_fails_completeness():
+    out = run_cli("verify", str(FIXTURES / "a2.quiver"), "--dim-bound", "0,0")
+    assert out.returncode == 3
+    assert out.stdout == "FAIL universe-completeness: simple at vertex 0 outside\n"
+
+
+def test_negative_dim_bound_is_a_parse_error():
+    out = run_cli("indec", str(FIXTURES / "a2.quiver"), "--dim-bound=-1,2")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == ("error: --dim-bound -1,2: entries must be "
+                          "nonnegative\n")
+
+
 def test_field_override_flag():
     out = run_cli("indec", str(FIXTURES / "a2.quiver"), "--field", "3",
                   "--format", "json")

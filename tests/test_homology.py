@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -400,3 +401,48 @@ def test_class_scans_check_the_cap_first():
     space = _two_dimensional_ext(ext_dim_cap=1)
     with pytest.raises(ResourceLimitError):
         next(space.nonsplit_classes())
+
+
+def _end_of_s1_s1_s2(caps):
+    """End(S1 + S1 + S2) over A2: M_2(F_2) x F_2, of dimension 5."""
+    alg = parse_algebra(A2_TEXT, caps)
+    s1, s2 = mo.simple_module(alg, 0), mo.simple_module(alg, 1)
+    m = mo.direct_sum([s1, s1, s2], alg)[0]
+    return alg, ho.hom_space(m, m)
+
+
+def test_candidates_order_within_the_scan_cap():
+    alg, end = _end_of_s1_s1_s2(DEFAULT_CAPS)
+    assert end.dim == 5 and ho.scannable(alg, end.dim)
+    basis = list(end.basis)
+    pairs = [a.add(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
+    every = [end.from_coords(c) for c in linalg.vectors(5, 2) if any(c)]
+    assert list(ho.candidates(end, 7)) == basis + pairs + every
+
+
+def test_candidates_order_beyond_the_scan_cap():
+    # beyond the cap the basis and the pairwise sums come first, then
+    # random_tries seeded draws, all-zero draws skipped; without a seed, none
+    caps = dataclasses.replace(DEFAULT_CAPS, scan_count_cap=1)
+    alg, end = _end_of_s1_s1_s2(caps)
+    assert not ho.scannable(alg, end.dim)
+    basis = list(end.basis)
+    pairs = [a.add(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
+    rng = random.Random(7)
+    draws = [[rng.randrange(2) for _ in range(5)]
+             for _ in range(caps.random_tries)]
+    expected = basis + pairs + [end.from_coords(c) for c in draws if any(c)]
+    first = list(ho.candidates(end, 7))
+    assert first == expected
+    assert list(ho.candidates(end, 7)) == first
+    assert list(ho.candidates(end)) == basis + pairs
+
+
+def test_scan_gate_raises_before_any_vector():
+    alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
+                                                     scan_count_cap=8))
+    assert list(ho.scan(alg, 3, "hom", nonzero=True)) == [
+        v for v in linalg.vectors(3, 2) if any(v)]
+    with pytest.raises(ResourceLimitError,
+                       match=r"^ext scan of size 2\^4 exceeds cap$"):
+        ho.scan(alg, 4, "ext")

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from torsionheart import modules as mo
 from torsionheart import universe as un
 from torsionheart.algebra import parse_algebra
+from torsionheart.config import DEFAULT_CAPS
 from torsionheart.exceptions import IncompleteUniverseError, ResourceLimitError
 
 from conftest import A2_TEXT, A3_TEXT, module_by_dims
@@ -175,8 +178,6 @@ def test_ext_middle_bitsets_split_entry(name, request):
 def test_candidate_cap_checked_before_any_candidate(monkeypatch):
     # Over F_2 with bound (2, 2) only the last dimension vector (2, 2), with
     # 2^4 candidates, is over a cap of 8; no candidate may be built first.
-    import dataclasses
-    from torsionheart.config import DEFAULT_CAPS
     alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
                                                      candidate_cap=8))
     built = []
@@ -193,13 +194,22 @@ def test_candidate_cap_checked_before_any_candidate(monkeypatch):
 
 
 def test_empty_universe_completeness():
-    # nothing to check: an artificially empty universe is trivially closed
+    # an artificially empty universe is closed under every operation, but
+    # it misses the simples
     alg = parse_algebra(A2_TEXT)
     empty = un.IndecUniverse(
         alg, (0, 0), (), (), (), complete=False, witness=None,
     )
-    ok, witness = un.completeness_check(empty)
-    assert ok and witness is None
+    assert un.completeness_check(empty) == (False, "simple at vertex 0 outside")
+
+
+def test_completeness_check_gates_the_hom_scan():
+    alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
+                                                     scan_count_cap=1))
+    u = un.enumerate_indecomposables(alg, (2, 2), check_completeness=False)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^hom scan of size 2\^1 exceeds cap$"):
+        un.completeness_check(u)
 
 
 def test_scan_forgets_rejected_candidates():
