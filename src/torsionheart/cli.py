@@ -28,7 +28,7 @@ from .exceptions import (
     QuiverParseError, ResourceLimitError, UndeterminedError,
 )
 from .heart import classify_neg_isolated, heart_simples
-from .krull import decompose, is_brick
+from .krull import is_brick
 from .torsion import is_hereditary, pair_from_torsion_class, torsion_closure
 from .torslattice import enumerate_torsion_classes
 from .universe import IndecUniverse, bit_indices, enumerate_indecomposables
@@ -51,16 +51,8 @@ def _dims_str(dims) -> str:
 
 def module_ref(u: IndecUniverse, m) -> dict:
     """JSON reference for a module: universe summands plus dimensions."""
-    ref = {"dims": list(m.dims), "totalDim": m.total_dim}
-    if not m.is_zero():
-        counts = {}
-        for piece, mult in decompose(m):
-            idx = u.index_of(piece)
-            counts[str(idx)] = counts.get(str(idx), 0) + mult
-        ref["summands"] = dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
-    else:
-        ref["summands"] = {}
-    return ref
+    return {"dims": list(m.dims), "totalDim": m.total_dim,
+            "summands": {str(i): c for i, c in sorted(u.summands(m).items())}}
 
 
 def universe_json(u: IndecUniverse) -> list[dict]:
@@ -120,6 +112,10 @@ def _int_tokens(text: str, sep: str, what: str, expected: str) -> list[int]:
 
 
 def _caps_from_args(args) -> ResourceCaps:
+    for flag, value in (("--cap-ext-dim", args.cap_ext_dim),
+                        ("--cap-submodule-dim", args.cap_submodule_dim)):
+        if value < 0:
+            raise QuiverParseError(f"{flag} {value}: must be nonnegative")
     return dataclasses.replace(
         DEFAULT_CAPS,
         ext_dim_cap=args.cap_ext_dim,

@@ -25,25 +25,27 @@ sum A of at most two indecomposables, skipping every torsion A.  The split
 class cannot witness a failure: its middle T + A keeps the non-torsion
 summands of A.  Dually, the AT2 scan skips every torsion-free B, so the split
 middle F + B is never torsion-free.
+
+Every Ext middle, fast or oracle, is read through the universe
+(`IndecUniverse.ext_middles` for sums of members, `nonsplit_middles` for a
+module outside the listing), so each non-split class between two sums of
+members is realized once per universe.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from . import linalg
 from .algebra import cached
 from .cotilting import CotiltingData, special_cover, special_envelope
 from .homology import (
-    SES, ext1, factor_through, has_retraction, hom_space, injective_envelope,
+    SES, factor_through, has_retraction, hom_space, injective_envelope,
     pullback,
 )
-from .krull import decompose, is_indecomposable, is_isomorphic
-from .modules import (
-    Module, Morphism, assemble, cokernel, direct_sum, unvec_morphism,
-)
+from .krull import is_indecomposable, is_isomorphic
+from .modules import Module, Morphism, assemble, cokernel, unvec_morphism
 from .torsion import TorsionPair, is_hereditary, submodule_summand_bits
 from .universe import (
     IndecUniverse, all_quotients, all_submodules, bit_indices,
@@ -90,42 +92,14 @@ class HeartSequence:
 # -- almost torsion(-free) detection -------------------------------------------
 
 
-def _sum_descriptors(u: IndecUniverse):
-    """Multiset descriptors of nonzero sums of at most two indecomposables."""
-    out = []
+def _sum_bags(u: IndecUniverse):
+    """(bag, bits) over the nonzero sums of at most two members: the bag is
+    the sorted tuple of their indices, bits the set of them."""
     for i in range(u.n):
-        out.append(((i, 1),))
-        out.append(((i, 2),))
+        yield (i,), 1 << i
+        yield (i, i), 1 << i
         for j in range(i + 1, u.n):
-            out.append(((i, 1), (j, 1)))
-    return out
-
-
-def _nonsplit_middles(u: IndecUniverse, right: Module, left: Module):
-    """[middle bitset] over the non-split classes of Ext^1(right, left)."""
-    return [u.summand_bitset(ses.middle)
-            for _, ses in ext1(right, left).nonsplit_classes()]
-
-
-def _ext_middles_sum(u: IndecUniverse, right_desc, left_desc):
-    """_nonsplit_middles for two sums of members, each described as an
-    (index, multiplicity) multiset; cached.  Ext^1 is additive, so no class
-    is non-split when Ext^1 vanishes between every pair of summands."""
-    def compute():
-        if not any(u.ext_table[r][l] for r, _ in right_desc
-                   for l, _ in left_desc):
-            return []
-        return _nonsplit_middles(u, u.sum_module(dict(right_desc)),
-                                 u.sum_module(dict(left_desc)))
-    return cached(u, ("ext_middles_sum", tuple(right_desc), tuple(left_desc)),
-                  compute)
-
-
-def _bits_of_desc(desc) -> int:
-    bits = 0
-    for i, _ in desc:
-        bits |= 1 << i
-    return bits
+            yield (i, j), 1 << i | 1 << j
 
 
 def _ext_scan_finds_witness(u: IndecUniverse, m: Module, m_on_right: bool,
@@ -139,15 +113,15 @@ def _ext_scan_finds_witness(u: IndecUniverse, m: Module, m_on_right: bool,
     criterion, only the skip of every A inside add(class).
     """
     idx = u.index_of(m)
-    for desc in _sum_descriptors(u):
-        if _bits_of_desc(desc) & ~class_bits == 0:
+    for bag, bag_bits in _sum_bags(u):
+        if bag_bits & ~class_bits == 0:
             continue
         if idx is not None:
-            ends = (((idx, 1),), desc) if m_on_right else (desc, ((idx, 1),))
-            middles = _ext_middles_sum(u, *ends)
+            middles = u.ext_middles(
+                *(((idx,), bag) if m_on_right else (bag, (idx,))))
         else:
-            a = u.sum_module(dict(desc))
-            middles = _nonsplit_middles(u, *((m, a) if m_on_right else (a, m)))
+            a = u.sum_module(bag)
+            middles = u.nonsplit_middles(*((m, a) if m_on_right else (a, m)))
         if any(bits & ~class_bits == 0 for bits in middles):
             return True
     return False
@@ -183,8 +157,8 @@ def _is_almost(m: Module, pair: TorsionPair, mode: str, torsion: bool) -> bool:
         # torsion middle term; AT2': no extension of a torsion indecomposable
         # by F with torsion-free middle term
         for x in bit_indices(other):
-            for _, middle_bits in u.ext_middle_bitsets(
-                    *((idx, x) if torsion else (x, idx))):
+            for middle_bits in u.ext_middles(
+                    *(((idx,), (x,)) if torsion else ((x,), (idx,)))):
                 if middle_bits & ~own == 0:
                     return False
         return True
@@ -373,47 +347,25 @@ def _class_submodule_closed(u: IndecUniverse, class_bits: int) -> bool:
 
 def _indec_split_injective(idx: int, class_bits: int, u: IndecUniverse) -> bool:
     """Ext criterion for a submodule-closed class: the member is split
-    injective iff no nonzero extension by it has a middle term in the class."""
-    for q in range(u.n):
-        for coeffs, middle_bits in u.ext_middle_bitsets(q, idx):
-            if any(coeffs) and middle_bits & ~class_bits == 0:
-                return False
-    return True
-
-
-def _indec_split_injective_scan(m: Module, class_bits: int,
-                                u: IndecUniverse) -> bool:
-    """Bounded literal scan: monos into sums of at most length(M) class
-    members, one irredundant tuple at a time."""
-    length = m.total_dim
-    members = [u.indecs[i] for i in bit_indices(class_bits)]
-    for k in range(1, length + 1):
-        for tup in combinations_with_replacement(members, k):
-            target = direct_sum(list(tup), m.algebra)[0]
-            for g in hom_space(m, target).elements():
-                if g.is_mono() and not has_retraction(g):
-                    return False
-    return True
+    injective iff no non-split extension by it has a middle term in the
+    class."""
+    return not any(middle_bits & ~class_bits == 0
+                   for q in range(u.n)
+                   for middle_bits in u.ext_middles((q,), (idx,)))
 
 
 def is_split_injective(m: Module, class_bits: int, u: IndecUniverse) -> bool:
-    """Every mono from M into a class member splits.  For submodule-closed
-    classes this reduces to an exact Ext scan over indecomposable quotients;
-    otherwise a bounded literal scan is used."""
+    """Every mono from M into a class member splits.  The class must be
+    closed under submodules; this reduces to an exact Ext scan over
+    indecomposable quotients."""
     if m.is_zero():
         return True
     if not u.in_class(m, class_bits):
         raise ValueError("module must lie in the class")
-    closed = _class_submodule_closed(u, class_bits)
-    for piece, _ in decompose(m):
-        idx = u.index_of(piece)
-        if closed:
-            if not _indec_split_injective(idx, class_bits, u):
-                return False
-        else:
-            if not _indec_split_injective_scan(piece, class_bits, u):
-                return False
-    return True
+    if not _class_submodule_closed(u, class_bits):
+        raise ValueError("the class must be closed under submodules")
+    return all(_indec_split_injective(idx, class_bits, u)
+               for idx in u.summands(m))
 
 
 # -- cogeneration by criticals --------------------------------------------------------

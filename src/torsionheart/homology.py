@@ -586,18 +586,11 @@ def _left_mult_morphism(algebra: BoundQuiverAlgebra, coeffs: dict[int, int],
 
 def _path_coordinates(algebra: BoundQuiverAlgebra, f: Morphism,
                       v: int, w: int) -> dict[int, int]:
-    """Express f: P(v) -> P(w) as an element on basis paths w -> v."""
-    p = algebra.field.p
-    basis_paths = algebra.basis_paths_between(w, v)
-    if not basis_paths:
-        if f.is_zero():
-            return {}
-        raise AssertionError("nonzero projective map with empty path basis")
-    mats = [_left_mult_morphism(algebra, {bi: 1}, v, w) for bi in basis_paths]
-    sol = linalg.solve_left([m.vec() for m in mats], (f.vec(),), p)
-    if sol is None:
-        raise AssertionError("projective morphism outside the path span")
-    return {bi: int(c) for bi, c in zip(basis_paths, sol[0]) if c % p}
+    """Express f: P(v) -> P(w) as an element on basis paths w -> v: the
+    image of the generator e_v, which determines f."""
+    triv = algebra.basis_paths_between(v, v).index(algebra.basis_index[(v, ())])
+    return {bi: c for bi, c in zip(algebra.basis_paths_between(w, v),
+                                   f.maps[v][triv]) if c}
 
 
 def transpose(m: Module) -> Module:

@@ -2,10 +2,13 @@
 
 Classes are bitsets over universe indices.  The closure operator iterates two
 precomputed tables, indecomposable summands of quotients of single members and
-of middle terms of extensions between pairs of members; iterated to a
+of middle terms of non-split extensions between pairs of members, both read
+through the universe (`summand_bitset`, `ext_middles`); iterated to a
 fixpoint this generates the torsion class (any finite filtration is built
 from two-step extensions), and the tests discharge the closure axioms against
-arbitrary members by the brute-force oracles.
+arbitrary members by the brute-force oracles.  The split middle of two
+members is never read: every caller unions the table into a set that holds
+both members already.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ def submodule_summand_bits(u: IndecUniverse, i: int) -> int:
 
 
 def ext_middle_union_bits(u: IndecUniverse, i: int, j: int) -> int:
-    return cached(u, ("ext_middle_union_bits", i, j), lambda: _union(
-        bits for _, bits in u.ext_middle_bitsets(i, j)))
+    """Members in the non-split middles of Ext^1(X_i, X_j); the split
+    middle X_j + X_i adds only i and j."""
+    return cached(u, ("ext_middle_union_bits", i, j),
+                  lambda: _union(u.ext_middles((i,), (j,))))
 
 
 def _union(bitsets) -> int:

@@ -6,6 +6,12 @@ lexicographic order, pruned by two exact decomposability filters (a detached
 simple summand at a vertex, and a disconnected support graph) before the full
 idempotent test.  Completeness is a certificate for representation-finite
 algebras with a big enough bound, not a decision procedure.
+
+The universe is the one reader of modules and Ext classes as sums of
+members: `summands` maps a module to the multiplicities of its members, and
+`ext_middles` lists the middle terms of the non-split classes between two
+sums of members as member bitsets.  The heart, torsion and completeness
+layers ask these two and never decompose a module themselves.
 """
 
 from __future__ import annotations
@@ -102,26 +108,28 @@ class IndecUniverse:
             (i for i, x in enumerate(self.indecs)
              if x.dims == m.dims and is_isomorphic(m, x)), None))
 
-    def summand_bitset(self, m: Module) -> int:
-        """Bitset of the iso classes of the indecomposable summands of M.
+    def summands(self, m: Module) -> dict[int, int]:
+        """Multiplicity of each member among the indecomposable summands of
+        M, by universe index; uncached.
 
         Raises IncompleteUniverseError when a summand escapes the universe.
         """
+        counts: dict[int, int] = {}
         if m.is_zero():
-            return 0
-        return cached(self, ("summand_bitset", m.key),
-                      lambda: self._summand_bitset(m))
-
-    def _summand_bitset(self, m: Module) -> int:
-        bits = 0
-        for piece, _ in decompose(m):
+            return counts
+        for piece, mult in decompose(m):
             idx = self.index_of(piece)
             if idx is None:
                 raise IncompleteUniverseError(
-                    f"summand of dims {piece.dims} is outside the universe"
-                )
-            bits |= 1 << idx
-        return bits
+                    f"summand of dims {piece.dims} outside")
+            counts[idx] = counts.get(idx, 0) + mult
+        return counts
+
+    def summand_bitset(self, m: Module) -> int:
+        """Bitset of the members that are summands of M; cached.  Raises
+        like `summands`."""
+        return cached(self, ("summand_bitset", m.key),
+                      lambda: sum(1 << i for i in self.summands(m)))
 
     def in_class(self, m: Module, bits: int) -> bool:
         """Module lies in add of the members flagged by bits."""
@@ -130,11 +138,10 @@ class IndecUniverse:
     def members(self, bits: int) -> list[Module]:
         return [self.indecs[i] for i in bit_indices(bits)]
 
-    def sum_module(self, counts: dict[int, int]) -> Module:
-        parts = []
-        for i in sorted(counts):
-            parts.extend([self.indecs[i]] * counts[i])
-        return direct_sum(parts, self.algebra)[0]
+    def sum_module(self, bag: tuple[int, ...]) -> Module:
+        """The direct sum of the members of a bag, a sorted tuple of
+        universe indices with repetition."""
+        return direct_sum([self.indecs[i] for i in bag], self.algebra)[0]
 
     # -- oracles ----------------------------------------------------------
 
@@ -150,17 +157,26 @@ class IndecUniverse:
         return cached(self, ("simple_socle_quotients", i),
                       lambda: simple_socle_quotients(self.indecs[i]))
 
-    def ext_middle_bitsets(self, i: int, j: int):
-        """[(coeffs, middle bitset)] over all classes in Ext^1(indec_i,
-        indec_j), zero class first.  The split middle X_j + X_i is not
-        realized: its summands are the two members themselves."""
+    # -- extensions -----------------------------------------------------
+
+    def nonsplit_middles(self, right: Module, left: Module) -> list[int]:
+        """Middle bitsets of the non-split classes of Ext^1(right, left), in
+        the order of nonsplit_classes; uncached."""
+        return [self.summand_bitset(ses.middle)
+                for _, ses in ext1(right, left).nonsplit_classes()]
+
+    def ext_middles(self, right: tuple[int, ...],
+                    left: tuple[int, ...]) -> list[int]:
+        """nonsplit_middles of the sums of two bags of members; cached.  The
+        split middle is the sum of the two bags.  Ext^1 is additive, so no
+        class is non-split when Ext^1 vanishes between every pair of
+        summands, and then no sum is built."""
         def compute():
-            space = ext1(self.indecs[i], self.indecs[j])
-            nonsplit = [(tuple(int(c) for c in coeffs),
-                         self.summand_bitset(ses.middle))
-                        for coeffs, ses in space.nonsplit_classes()]
-            return [((0,) * space.dim, 1 << i | 1 << j)] + nonsplit
-        return cached(self, ("ext_middle_bitsets", i, j), compute)
+            if not any(self.ext_table[r][l] for r in right for l in left):
+                return []
+            return self.nonsplit_middles(self.sum_module(right),
+                                         self.sum_module(left))
+        return cached(self, ("ext_middles", right, left), compute)
 
 
 def bit_indices(bits: int) -> list[int]:
@@ -255,19 +271,17 @@ def _fingerprint(m: Module, simples: list[Module]) -> tuple:
 
 def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
     """Closure of the universe under kernels, cokernels, images of all
-    morphisms between members, middle-term summands of all Ext classes, AR
-    translates where defined, and socles and tops; every simple must be a
-    member.  Raises ResourceLimitError when a Hom space between members is
-    over the scan cap."""
+    morphisms between members, middle-term summands of all Ext classes and
+    AR translates where defined; every simple must be a member.  Raises
+    ResourceLimitError when a Hom space between members is over the scan
+    cap."""
     u = universe
-    p = u.algebra.field.p
 
     def check_member(m: Module, what: str):
-        if m.is_zero():
-            return None
-        for piece, _ in decompose(m):
-            if u.index_of(piece) is None:
-                return f"{what} has summand of dims {piece.dims} outside"
+        try:
+            u.summands(m)
+        except IncompleteUniverseError as exc:
+            return f"{what} has {exc.witness}"
         return None
 
     for i, x in enumerate(u.indecs):
@@ -283,10 +297,10 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
     # classes can leave the universe.
     for i in range(u.n):
         for j in range(u.n):
-            for _, ses in ext1(u.indecs[i], u.indecs[j]).nonsplit_classes():
-                w = check_member(ses.middle, f"ext middle {i} by {j}")
-                if w:
-                    return False, w
+            try:
+                u.ext_middles((i,), (j,))
+            except IncompleteUniverseError as exc:
+                return False, f"ext middle {i} by {j} has {exc.witness}"
     for i, x in enumerate(u.indecs):
         if not is_projective(x):
             w = check_member(ar_translate(x), f"AR translate of {i}")
@@ -296,15 +310,6 @@ def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
             w = check_member(ar_translate_inverse(x), f"inverse AR translate of {i}")
             if w:
                 return False, w
-    for i, x in enumerate(u.indecs):
-        soc = x.socle_rows()
-        rad = x.radical_rows()
-        for v in range(u.algebra.quiver.n):
-            if soc[v] and u.index_of(simple_module(u.algebra, v)) is None:
-                return False, f"socle simple at vertex {v} outside"
-            if x.dims[v] - linalg.rank(rad[v], p) > 0 \
-                    and u.index_of(simple_module(u.algebra, v)) is None:
-                return False, f"top simple at vertex {v} outside"
     # without this, a universe with no members is vacuously closed
     for v in range(u.algebra.quiver.n):
         if u.index_of(simple_module(u.algebra, v)) is None:

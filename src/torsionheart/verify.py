@@ -19,7 +19,6 @@ from .heart import (
 )
 from .homology import hom_space
 from .krull import is_brick
-from .modules import simple_module
 from .torsion import is_hereditary
 from .torslattice import TorsLattice, enumerate_torsion_classes, incident_arrows_vs_heart
 from .universe import IndecUniverse, bit_indices
@@ -249,10 +248,8 @@ def suite_brick_labels(ctx: AnalysisContext) -> VerifyResult:
                                 f"label {label.dims} not torsion-free-AT below")
     top = lat.class_index(u.all_bits)
     down, _ = lat.covers_of(top)
-    n_simples = sum(
-        1 for v in range(u.algebra.quiver.n)
-        if u.index_of(simple_module(u.algebra, v)) is not None
-    )
+    # completeness requires every simple S(v) to be a member
+    n_simples = u.algebra.quiver.n
     if len(down) != n_simples:
         return VerifyResult(
             "brick-labels", False,

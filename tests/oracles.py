@@ -14,19 +14,23 @@ brick_labels re-derives every Hasse label of a lattice.
 The checkers at the end use it too.  They are the definitions the tests hold
 the package's constructions to, and nothing in the package calls them:
 approximation and minimality of a morphism, split epis, the class of a
-realized extension, all classes of an Ext space, and injective dimension.
+realized extension, all classes of an Ext space, split injectivity by
+the literal mono scan, and injective dimension.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from torsionheart import homology as ho
 from torsionheart import linalg
 from torsionheart.exceptions import ResourceLimitError
-from torsionheart.modules import Morphism, cokernel, identity_morphism
+from torsionheart.modules import (
+    Morphism, cokernel, direct_sum, identity_morphism,
+)
+from torsionheart.universe import bit_indices
 
 
 def numpy_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -368,6 +372,21 @@ def all_ext_classes(space):
     zero = (0,) * space.dim
     yield zero, space.realize(zero)
     yield from space.nonsplit_classes()
+
+
+def split_injective_scan(m, class_bits, u) -> bool:
+    """Every mono from M into a sum of at most length(M) class members
+    splits: the literal bounded scan, one irredundant tuple at a time, for
+    any class; heart.is_split_injective reads Ext middles instead and needs
+    a class closed under submodules."""
+    members = [u.indecs[i] for i in bit_indices(class_bits)]
+    for k in range(1, m.total_dim + 1):
+        for tup in combinations_with_replacement(members, k):
+            target = direct_sum(list(tup), m.algebra)[0]
+            for g in ho.hom_space(m, target).elements():
+                if g.is_mono() and not ho.has_retraction(g):
+                    return False
+    return True
 
 
 def injective_dimension(m, cap: int = 64) -> int:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
@@ -175,6 +177,31 @@ def test_negative_dim_bound_is_a_parse_error():
     assert out.stdout == ""
     assert out.stderr == ("error: --dim-bound -1,2: entries must be "
                           "nonnegative\n")
+
+
+@pytest.mark.parametrize("flag", ["--cap-ext-dim", "--cap-submodule-dim"])
+def test_negative_cap_is_a_parse_error(flag):
+    out = run_cli("verify", str(FIXTURES / "a2.quiver"), flag, "-1")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: {flag} -1: must be nonnegative\n"
+
+
+@pytest.mark.parametrize("args, stdout, stderr", [
+    (("indec", "a2.quiver", "--dim-bound", "1,0"), "",
+     "universe incomplete: AR translate of 0 has summand of dims (0, 1) "
+     "outside\n"),
+    (("indec", "loop.quiver", "--dim-bound", "1"), "",
+     "universe incomplete: ext middle 0 by 0 has summand of dims (2,) "
+     "outside\n"),
+    (("verify", "d4.quiver", "--dim-bound", "1,1,1,1"),
+     "FAIL universe-completeness: ext middle 7 by 6 has summand of dims "
+     "(1, 1, 1, 2) outside\n", ""),
+], ids=["ar-translate-a2", "ext-middle-loop", "ext-middle-d4"])
+def test_completeness_witness(args, stdout, stderr):
+    cmd, name, *rest = args
+    out = run_cli(cmd, str(FIXTURES / name), *rest)
+    assert (out.returncode, out.stdout, out.stderr) == (3, stdout, stderr)
 
 
 def test_field_override_flag():

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,8 @@ from torsionheart.exceptions import ResourceLimitError
 from torsionheart.homology import hom_space, injective_envelope
 from torsionheart.universe import bit_indices
 
-from conftest import A3_TEXT, module_by_dims
-from oracles import all_ext_classes
+from conftest import A3_TEXT, FIXTURES, module_by_dims
+from oracles import all_ext_classes, split_injective_scan
 
 
 def _bits(u, *dims_list):
@@ -187,11 +188,14 @@ def test_split_injective_a2(a2_universe, a2_data):
 
 
 def test_split_injective_singleton_class(a2_universe):
-    # class consisting of one brick: only split monos are available
+    # class consisting of one brick: only split monos are available, but
+    # {P1} misses the submodule S2 of P1, so the Ext criterion refuses it
     u = a2_universe
     p1 = module_by_dims(u, (1, 1))
     bits = 1 << u.index_of(p1)
-    assert he.is_split_injective(p1, bits, u)
+    assert split_injective_scan(p1, bits, u)
+    with pytest.raises(ValueError):
+        he.is_split_injective(p1, bits, u)
 
 
 def test_split_injective_scan_agrees(a2_universe, a2_data):
@@ -201,7 +205,7 @@ def test_split_injective_scan_agrees(a2_universe, a2_data):
     for i in bit_indices(data.c_class_bits):
         m = u.indecs[i]
         assert he._indec_split_injective(i, data.c_class_bits, u) == \
-            he._indec_split_injective_scan(m, data.c_class_bits, u)
+            split_injective_scan(m, data.c_class_bits, u)
 
 
 def test_embedding_into_criticals(a2_universe, a2_data):
@@ -317,7 +321,7 @@ def test_split_injective_scan_agrees_a3(a3_universe):
     for i in bit_indices(data.c_class_bits):
         m = u.indecs[i]
         assert he._indec_split_injective(i, data.c_class_bits, u) == \
-            he._indec_split_injective_scan(m, data.c_class_bits, u)
+            split_injective_scan(m, data.c_class_bits, u)
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "d4"])
@@ -328,14 +332,13 @@ def test_ext_middles_sum_plus_split_is_every_class(name, request):
     from torsionheart.homology import ext1
     u = request.getfixturevalue(f"{name}_universe")
     for i in range(u.n):
-        for desc in he._sum_descriptors(u):
-            split = 1 << i | he._bits_of_desc(desc)
-            for right, left in ((((i, 1),), desc), (desc, ((i, 1),))):
-                space = ext1(u.sum_module(dict(right)),
-                             u.sum_module(dict(left)))
+        for bag, bits in he._sum_bags(u):
+            split = 1 << i | bits
+            for right, left in (((i,), bag), (bag, (i,))):
+                space = ext1(u.sum_module(right), u.sum_module(left))
                 every = {u.summand_bitset(ses.middle)
                          for _, ses in all_ext_classes(space)}
-                assert set(he._ext_middles_sum(u, right, left)) | {split} \
+                assert set(u.ext_middles(right, left)) | {split} \
                     == every, (right, left)
 
 
@@ -357,3 +360,21 @@ def test_oracle_never_realizes_the_split_class(monkeypatch):
     monkeypatch.setattr(Ext1Space, "realize", guarded)
     assert ve.suite_oracle_equivalence(ctx).passed
     assert calls
+
+
+def test_every_ext_class_is_realized_once(monkeypatch):
+    # the completeness check, the lattice, the fast criteria and the oracle
+    # all read Ext middles through the universe, which realizes each class
+    # of each pair of modules once per run
+    from torsionheart.cli import main
+    from torsionheart.homology import Ext1Space
+    realize = Ext1Space.realize
+    seen = Counter()
+
+    def counted(self, coeffs):
+        seen[self.m.key, self.n.key, tuple(coeffs)] += 1
+        return realize(self, coeffs)
+
+    monkeypatch.setattr(Ext1Space, "realize", counted)
+    assert main(["verify", str(FIXTURES / "a3.quiver")]) == 0
+    assert seen and max(seen.values()) == 1

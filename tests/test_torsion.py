@@ -66,17 +66,16 @@ def test_closure_operator_properties(a2_universe):
 def test_closure_under_pair_sum_extensions(a2_universe):
     # scanning extensions between sums of <= 2 members adds nothing beyond
     # the single-member fixpoint
-    from torsionheart.heart import _ext_middles_sum
     u = a2_universe
     for s in range(1 << u.n):
         closed = to.torsion_closure(s, u)
         members = bit_indices(closed)
-        descs = [((i, 1),) for i in members] + [((i, 2),) for i in members] + [
-            ((i, 1), (j, 1)) for i in members for j in members if i < j
+        bags = [(i,) for i in members] + [(i, i) for i in members] + [
+            (i, j) for i in members for j in members if i < j
         ]
-        for right in descs:
-            for left in descs:
-                for mid_bits in _ext_middles_sum(u, right, left):
+        for right in bags:
+            for left in bags:
+                for mid_bits in u.ext_middles(right, left):
                     assert mid_bits & ~closed == 0
 
 

@@ -9,7 +9,7 @@ from torsionheart.config import DEFAULT_CAPS
 from torsionheart.exceptions import IncompleteUniverseError, ResourceLimitError
 
 from conftest import A2_TEXT, A3_TEXT, module_by_dims
-from oracles import all_ext_classes, brute_submodule_count
+from oracles import brute_submodule_count
 
 
 def test_a2_universe_frozen(a2_universe):
@@ -132,6 +132,9 @@ def test_index_and_bitset(a2_universe):
     assert u.in_class(both, (1 << i_p1) | (1 << i_s1))
     assert not u.in_class(both, 1 << i_p1)
     assert u.summand_bitset(mo.zero_module(u.algebra)) == 0
+    twice = mo.direct_sum([s1, s1, p1])[0]
+    assert u.summands(twice) == {i_s1: 2, i_p1: 1}
+    assert u.summands(mo.zero_module(u.algebra)) == {}
 
 
 def test_maximal_submodules(a2_universe):
@@ -151,28 +154,14 @@ def test_simple_socle_quotients(a2_universe):
     assert [q.dims for q in quots] == [(1, 0)]
 
 
-def test_ext_middle_bitsets(a2_universe):
+def test_ext_middles(a2_universe):
+    # Ext^1(S1, S2) has one non-split class, with middle P1; Ext^1(S2, S1) = 0
     u = a2_universe
     s1 = u.index_of(module_by_dims(u, (1, 0)))
     s2 = u.index_of(module_by_dims(u, (0, 1)))
     p1 = u.index_of(module_by_dims(u, (1, 1)))
-    entries = u.ext_middle_bitsets(s1, s2)
-    assert len(entries) == 2  # zero class and the nonsplit one
-    bitsets = sorted(bits for _, bits in entries)
-    assert bitsets == sorted([(1 << s1) | (1 << s2), 1 << p1])
-
-
-@pytest.mark.parametrize("name", ["a2", "a3", "d4"])
-def test_ext_middle_bitsets_split_entry(name, request):
-    # the synthesized split entry is the bitset of the realized zero class
-    from torsionheart.homology import ext1
-    u = request.getfixturevalue(f"{name}_universe")
-    for i in range(u.n):
-        for j in range(u.n):
-            coeffs, bits = u.ext_middle_bitsets(i, j)[0]
-            assert not any(coeffs)
-            _, ses = next(all_ext_classes(ext1(u.indecs[i], u.indecs[j])))
-            assert bits == u.summand_bitset(ses.middle), (i, j)
+    assert u.ext_middles((s1,), (s2,)) == [1 << p1]
+    assert u.ext_middles((s2,), (s1,)) == []
 
 
 def test_candidate_cap_checked_before_any_candidate(monkeypatch):
