@@ -98,28 +98,12 @@ def cached(owner, key, compute):
     Every memo entry lives on the object that defines its key: the algebra
     for Hom, Ext, syzygies and basis products, keyed by module keys; the
     universe for what depends on its members, keyed by universe indices,
-    bitsets or the keys of the modules it classifies.  Entries are only
-    inserted, never replaced or deleted except by memo_rollback, which relies
-    on that."""
+    bitsets or the keys of the modules it classifies.  The package only
+    inserts entries: it never replaces or deletes one."""
     got = owner.memo.get(key, _MISSING)
     if got is _MISSING:
         got = owner.memo[key] = compute()
     return got
-
-
-def memo_mark(owner) -> int:
-    """A mark for memo_rollback: the number of entries cached on owner."""
-    return len(owner.memo)
-
-
-def memo_rollback(owner, mark: int) -> None:
-    """Forget the entries cached on owner since memo_mark returned mark.
-
-    cached inserts only, on a miss, and never deletes or overwrites, so the
-    entries added since the mark are the newest of the dict, and popitem
-    drops them newest first."""
-    while len(owner.memo) > mark:
-        owner.memo.popitem()
 
 
 # a relation is a list of (coefficient, Path); all paths parallel, length >= 2

@@ -26,8 +26,6 @@ class ResourceCaps:
     path_count_cap: int = 20000
     # per-vertex bound allowed for universe enumeration
     dim_bound_cap: int = 8
-    # raw arrow-matrix tuples scanned per dimension vector
-    candidate_cap: int = 1 << 20
     # submodule oracle gate: total dimension of the scanned module
     submodule_dim_cap: int = 12
     # ext scans enumerate all p^d classes only while d stays within this

@@ -80,13 +80,14 @@ def _injective_dimension_exceeds_1(m: Module) -> bool:
     return not env.is_iso() and not is_injective(cokernel(env)[0])
 
 
-def _member(u, i: int) -> str:
-    """Universe index and dims of a member, as named in a rejection reason."""
+def member_name(u, i: int) -> str:
+    """Universe index and dims of a member, as named in a rejection reason
+    or a verify FAIL line."""
     return f"M{i} ({','.join(str(d) for d in u.indecs[i].dims)})"
 
 
 def _first_member(u, bits: int) -> str:
-    return _member(u, bit_indices(bits)[0])
+    return member_name(u, bit_indices(bits)[0])
 
 
 def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
@@ -106,7 +107,7 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
         j = next(j for j in bit_indices(f_bits) if u.ext_table[j][i])
         raise NotCotiltingError(
             "the torsion-free class has no Ext-injectives: "
-            f"Ext^1({_member(u, j)}, {_member(u, i)}) != 0")
+            f"Ext^1({member_name(u, j)}, {member_name(u, i)}) != 0")
     summands = u.members(ext_inj)
     c = direct_sum(summands, u.algebra)[0]
 
@@ -115,7 +116,7 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
         i = next(i for i in bit_indices(ext_inj)
                  if _injective_dimension_exceeds_1(u.indecs[i]))
         raise NotCotiltingError(
-            f"injective dimension of C exceeds 1 at {_member(u, i)}")
+            f"injective dimension of C exceeds 1 at {member_name(u, i)}")
     # condition (2), self-orthogonality, holds by construction: ext_inj is
     # the members i of F with Ext^1(F, X_i) = 0, and C lies in F
     # class equality Cogen(C) = perp_1(C) = torsion-free class

@@ -1,17 +1,32 @@
-"""Enumerate all indecomposables under a dimension bound and certify that the
-collection is closed under the operations the torsion-theoretic layers need.
+"""Build every indecomposable under a dimension bound by generate-and-close;
+the closure is also the certificate that the collection is closed under the
+operations the torsion-theoretic layers need.
 
-The enumeration is a plain scan over arrow-matrix tuples in deterministic
-lexicographic order, pruned by two exact decomposability filters (a detached
-simple summand at a vertex, and a disconnected support graph) before the full
-idempotent test.  Completeness is a certificate for representation-finite
+The closure starts from the simple, projective and injective modules that
+fit the bound; a seed outside the bound is dropped.  Each member is dequeued
+once and gets its AR translates and, against every member dequeued before it
+and itself, in both directions, the kernel, image and cokernel of every
+nonzero map and the middle of every non-split extension.  Every result is
+decomposed, once per `Module.key`: a summand that fits the bound and is new
+up to isomorphism becomes a member, a summand outside the bound is an
+escape.  The universe is complete iff nothing escapes and every simple is a
+member.  A finite component of the AR quiver of a connected algebra is the
+whole quiver (Auslander), so a complete universe holds every indecomposable
+within the bound; completeness is a certificate for representation-finite
 algebras with a big enough bound, not a decision procedure.
+
+Members are listed by (total dimension, dims), stably.  The witness of an
+incomplete universe is the escape met first in this order, by final member
+indices: the kernel, image and cokernel of each map i -> j, the Ext middles
+of i by j, the AR translates of i, then a missing simple.
 
 The universe is the one reader of modules and Ext classes as sums of
 members: `summands` maps a module to the multiplicities of its members, and
 `ext_middles` lists the middle terms of the non-split classes between two
 sums of members as member bitsets.  The heart, torsion and completeness
-layers ask these two and never decompose a module themselves.
+layers ask these two and never decompose a module themselves.  The closure
+leaves what it read in their caches: the member bitset of every module it
+decomposed and the Ext middles of every pair of members.
 """
 
 from __future__ import annotations
@@ -20,59 +35,17 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import linalg
-from .algebra import BoundQuiverAlgebra, cached, memo_mark, memo_rollback
+from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
     ar_translate, ar_translate_inverse, ext1, hom_dim, hom_space,
     is_injective, is_projective,
 )
-from .krull import decompose, is_indecomposable, is_isomorphic
+from .krull import decompose, is_isomorphic
 from .modules import (
-    Module, cokernel, direct_sum, image, kernel, quotient_by_rows,
-    simple_module, submodule_from_rows,
+    Module, cokernel, direct_sum, image, injective_module, kernel,
+    projective_module, quotient_by_rows, simple_module, submodule_from_rows,
 )
-
-
-def _dim_vectors(bound: tuple[int, ...]):
-    """Nonzero dimension vectors <= bound in graded lexicographic order."""
-    all_vecs = [v for v in product(*(range(b + 1) for b in bound)) if sum(v)]
-    return sorted(all_vecs, key=lambda v: (sum(v), v))
-
-
-def _support_connected(m: Module) -> bool:
-    q = m.algebra.quiver
-    supp = [v for v in range(q.n) if m.dims[v]]
-    if len(supp) <= 1:
-        return True
-    parent = {v: v for v in supp}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ai, arrow in enumerate(q.arrows):
-        if any(map(any, m.maps[ai])):
-            a, b = find(arrow.source), find(arrow.target)
-            parent[a] = b
-    return len({find(v) for v in supp}) == 1
-
-
-def _detached_simple(m: Module) -> bool:
-    """True when some S(v) splits off: socle not inside the radical at v."""
-    if m.total_dim <= 1:
-        return False
-    p = m.algebra.field.p
-    rad = m.radical_rows()
-    soc = m.socle_rows()
-    for v in range(m.algebra.quiver.n):
-        if not soc[v]:
-            continue
-        joint = rad[v] + soc[v]
-        if linalg.rank(joint, p) > linalg.rank(rad[v], p):
-            return True
-    return False
 
 
 @dataclass
@@ -195,126 +168,124 @@ def popcount(bits: int) -> int:
 
 
 def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
-                              dim_bound,
-                              check_completeness: bool = True) -> IndecUniverse:
+                              dim_bound) -> IndecUniverse:
     bound = tuple(int(b) for b in dim_bound)
-    q = algebra.quiver
     caps = algebra.caps
-    if len(bound) != q.n:
+    if len(bound) != algebra.quiver.n:
         raise ValueError("dimension bound length does not match the vertex count")
     if any(b > caps.dim_bound_cap for b in bound):
         raise ResourceLimitError(
             f"dimension bound exceeds the per-vertex cap {caps.dim_bound_cap}"
         )
-    p = algebra.field.p
-    found: list[Module] = []
-    fingerprints: list[tuple] = []
-    # Every dimension vector is checked against the cap before any scan.
-    scans = []
-    for dims in _dim_vectors(bound):
-        shapes = [(dims[a.source], dims[a.target]) for a in q.arrows]
-        entries = sum(r * c for r, c in shapes)
-        if p ** entries > caps.candidate_cap:
-            raise ResourceLimitError(
-                f"candidate scan at dims {dims} needs {p}^{entries} tuples"
-            )
-        scans.append((dims, shapes, entries))
-    simples = [simple_module(algebra, v) for v in range(q.n)]
-    for dims, shapes, entries in scans:
-        for flat in product(range(p), repeat=entries):
-            maps = []
-            off = 0
-            for r, c in shapes:
-                maps.append(linalg.reshape(flat[off:off + r * c], r, c))
-                off += r * c
-            cand = Module(algebra, dims, tuple(maps), check=False)
-            if not cand.satisfies_relations():
-                continue
-            if not _support_connected(cand) or _detached_simple(cand):
-                continue
-            # A rejected candidate's Hom spaces would otherwise stay in the
-            # algebra's memo for good.
-            mark = memo_mark(algebra)
-            if is_indecomposable(cand):
-                fp = _fingerprint(cand, simples)
-                if not any(fp == other_fp and is_isomorphic(cand, other)
-                           for other, other_fp in zip(found, fingerprints)):
-                    found.append(cand)
-                    fingerprints.append(fp)
-                    continue
-            memo_rollback(algebra, mark)
-    hom_table, ext_table = [], []
-    for x in found:
-        hom_row, ext_row = [], []
-        for y in found:
-            hom_row.append(hom_dim(x, y))
-            ext_row.append(ext1(x, y).dim)
-        hom_table.append(tuple(hom_row))
-        ext_table.append(tuple(ext_row))
-    universe = IndecUniverse(algebra, bound, tuple(found), tuple(hom_table),
-                             tuple(ext_table), complete=False, witness=None)
-    if check_completeness:
-        ok, witness = completeness_check(universe)
-        universe.complete = ok
-        universe.witness = witness
-    return universe
+    found, witness, memo = completeness_check(algebra, bound)
+    hom_table = tuple(tuple(hom_dim(x, y) for y in found) for x in found)
+    ext_table = tuple(tuple(ext1(x, y).dim for y in found) for x in found)
+    return IndecUniverse(algebra, bound, found, hom_table, ext_table,
+                         complete=witness is None, witness=witness, memo=memo)
 
 
-def _fingerprint(m: Module, simples: list[Module]) -> tuple:
-    return (
-        m.dims,
-        hom_dim(m, m),
-        tuple(hom_dim(m, s) for s in simples),
-        tuple(hom_dim(s, m) for s in simples),
-    )
+# The three results of a map, in the order of the witnesses.
+_MAP_RESULTS = ((kernel, "kernel"), (image, "image"), (cokernel, "cokernel"))
 
 
-def completeness_check(universe: IndecUniverse) -> tuple[bool, str | None]:
-    """Closure of the universe under kernels, cokernels, images of all
-    morphisms between members, middle-term summands of all Ext classes and
-    AR translates where defined; every simple must be a member.  Raises
-    ResourceLimitError when a Hom space between members is over the scan
-    cap."""
-    u = universe
+def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
+    """The closure of the seeds inside the bound, as (members sorted by
+    (total dim, dims), witness or None, universe memo entries).  Raises
+    ResourceLimitError when a Hom or Ext space between members is over the
+    scan cap."""
+    found: list[Module] = []        # members, in the order they were found
+    member_of: dict[str, int] = {}  # Module.key of a member or piece -> member
+    pieces: dict[str, list] = {}    # Module.key -> [(member or None, dims)]
+    escapes: list[tuple] = []       # (place, members, label, dims)
+    middles: dict[tuple[int, int], list] = {}
 
-    def check_member(m: Module, what: str):
-        try:
-            u.summands(m)
-        except IncompleteUniverseError as exc:
-            return f"{what} has {exc.witness}"
-        return None
+    def fits(m: Module) -> bool:
+        return all(d <= b for d, b in zip(m.dims, bound))
 
-    for i, x in enumerate(u.indecs):
-        for j, y in enumerate(u.indecs):
-            for f in hom_space(x, y).elements(nonzero=True):
-                for m, what in ((kernel(f)[0], f"kernel of map {i}->{j}"),
-                                (image(f)[0], f"image of map {i}->{j}"),
-                                (cokernel(f)[0], f"cokernel of map {i}->{j}")):
-                    w = check_member(m, what)
-                    if w:
-                        return False, w
-    # The split middle X_i + X_j is made of members, so only the non-split
-    # classes can leave the universe.
-    for i in range(u.n):
-        for j in range(u.n):
-            try:
-                u.ext_middles((i,), (j,))
-            except IncompleteUniverseError as exc:
-                return False, f"ext middle {i} by {j} has {exc.witness}"
-    for i, x in enumerate(u.indecs):
+    def member(piece: Module) -> int:
+        idx = member_of.get(piece.key)
+        if idx is None:
+            idx = next((i for i, x in enumerate(found)
+                        if x.dims == piece.dims and is_isomorphic(piece, x)),
+                       len(found))
+            if idx == len(found):
+                found.append(piece)
+            member_of[piece.key] = idx
+        return idx
+
+    def read(m: Module, place: tuple, ids: tuple, label: str) -> list:
+        """Members of the summands of a step's result, None for a summand
+        outside the bound; the first such summand is the step's escape, at
+        `place` in the witness order once `ids` are final indices."""
+        if m.is_zero():
+            return []
+        got = pieces.get(m.key)
+        if got is None:
+            got = pieces[m.key] = [
+                (member(piece) if fits(piece) else None, piece.dims)
+                for piece, _ in decompose(m)]
+        dims = next((d for idx, d in got if idx is None), None)
+        if dims is not None:
+            escapes.append((place, ids, label, dims))
+        return got
+
+    for v in range(algebra.quiver.n):
+        for make in (simple_module, projective_module, injective_module):
+            seed = make(algebra, v)
+            if fits(seed):
+                member(seed)
+    k = 0
+    while k < len(found):
+        x = found[k]
         if not is_projective(x):
-            w = check_member(ar_translate(x), f"AR translate of {i}")
-            if w:
-                return False, w
+            read(ar_translate(x), (2, 0), (k,), "AR translate of {}")
         if not is_injective(x):
-            w = check_member(ar_translate_inverse(x), f"inverse AR translate of {i}")
-            if w:
-                return False, w
-    # without this, a universe with no members is vacuously closed
-    for v in range(u.algebra.quiver.n):
-        if u.index_of(simple_module(u.algebra, v)) is None:
-            return False, f"simple at vertex {v} outside"
-    return True, None
+            read(ar_translate_inverse(x), (2, 1), (k,),
+                 "inverse AR translate of {}")
+        for j in range(k + 1):
+            for a, b in dict.fromkeys(((k, j), (j, k))):
+                for n, f in enumerate(hom_space(found[a], found[b])
+                                      .elements(nonzero=True)):
+                    for step, (op, name) in enumerate(_MAP_RESULTS):
+                        read(op(f)[0], (0, n, step), (a, b),
+                             name + " of map {}->{}")
+                space = ext1(found[a], found[b])
+                middles[a, b] = [
+                    read(ses.middle, (1, n), (a, b), "ext middle {} by {}")
+                    for n, (_, ses) in enumerate(space.nonsplit_classes())
+                ] if space.dim else []
+        k += 1
+
+    order = sorted(range(len(found)),
+                   key=lambda i: (found[i].total_dim, found[i].dims))
+    rank = {old: new for new, old in enumerate(order)}
+    witnesses = []
+    for (kind, *rest), ids, label, dims in escapes:
+        at = [rank[i] for i in ids]
+        witnesses.append(((kind, *at, *rest), label.format(*at)
+                          + f" has summand of dims {dims} outside"))
+    witnesses += [((3, v), f"simple at vertex {v} outside")
+                  for v, b in enumerate(bound) if not b]
+
+    def bits(got) -> int | None:
+        """Member bitset of a result, None when a summand escaped."""
+        if any(idx is None for idx, _ in got):
+            return None
+        return sum(1 << rank[idx] for idx, _ in got)
+
+    memo: dict = {}
+    for key, idx in member_of.items():
+        memo["index_of", key] = rank[idx]
+        memo["summand_bitset", key] = 1 << rank[idx]
+    for key, got in pieces.items():
+        if bits(got) is not None:
+            memo["summand_bitset", key] = bits(got)
+    for (a, b), got in middles.items():
+        mids = [bits(mid) for mid in got]
+        if None not in mids:
+            memo["ext_middles", (rank[a],), (rank[b],)] = mids
+    return (tuple(found[i] for i in order),
+            min(witnesses)[1] if witnesses else None, memo)
 
 
 # -- brute-force oracles ------------------------------------------------------

@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import cached
-from .cotilting import CotiltingData, cotilting_from_pair, minimal_cotilting
+from .cotilting import (
+    CotiltingData, cotilting_from_pair, member_name, minimal_cotilting,
+)
 from .exceptions import NotCotiltingError
 from .heart import (
     classify_neg_isolated, embedding_into_criticals, heart_simples,
@@ -131,8 +133,11 @@ def suite_dichotomy(ctx: AnalysisContext) -> VerifyResult:
         for seq in criticals + specials:
             f = seq.strong_las
             if not (f.is_mono() or f.is_epi()):
-                return VerifyResult("dichotomy", False,
-                                    "strong las morphism neither mono nor epi")
+                return VerifyResult(
+                    "dichotomy", False,
+                    f"strong las morphism of {seq.kind} envelope "
+                    f"{member_name(ctx.universe, seq.envelope_index)} neither "
+                    f"mono nor epi for {data.pair}")
         crit_idx = {s.envelope_index for s in criticals}
         spec_idx = {s.envelope_index for s in specials}
         if crit_idx & spec_idx:
@@ -158,7 +163,8 @@ def suite_c0_c1_summands(ctx: AnalysisContext) -> VerifyResult:
             if not (bits[c] >> seq.envelope_index) & 1:
                 return VerifyResult(
                     "c0-c1-summands", False,
-                    f"{seq.kind} {seq.envelope.dims} not a summand of {c}")
+                    f"{seq.kind} envelope {member_name(u, seq.envelope_index)} "
+                    f"not a summand of {c} for {data.pair}")
     return VerifyResult("c0-c1-summands", True,
                         f"{len(ctx.cotilting_pairs)} pairs checked")
 

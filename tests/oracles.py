@@ -7,7 +7,9 @@ hereditary presentations, and indecomposability from full idempotent scans.
 Only usable at tiny sizes.  numpy_rref is the elimination by numpy row
 operations that linalg.rref replaced, kept as its reference.
 
-Two checks here do use the package: torsion_part builds the canonical
+Three checks here do use the package: scan_indecomposables lists the
+indecomposables under a bound by the exhaustive arrow-matrix scan that the
+universe's generate-and-close replaced, torsion_part builds the canonical
 sequence of a torsion pair from the trace of the torsion class, and
 brick_labels re-derives every Hasse label of a lattice.
 
@@ -27,8 +29,9 @@ import numpy as np
 from torsionheart import homology as ho
 from torsionheart import linalg
 from torsionheart.exceptions import ResourceLimitError
+from torsionheart.krull import is_indecomposable, is_isomorphic
 from torsionheart.modules import (
-    Morphism, cokernel, direct_sum, identity_morphism,
+    Module, Morphism, cokernel, direct_sum, identity_morphism, simple_module,
 )
 from torsionheart.universe import bit_indices
 
@@ -210,6 +213,101 @@ def brute_is_indecomposable(m) -> bool:
             if not is_zero and not is_id:
                 return False
     return True
+
+
+def _dim_vectors(bound):
+    """Nonzero dimension vectors <= bound in graded lexicographic order."""
+    all_vecs = [v for v in product(*(range(b + 1) for b in bound)) if sum(v)]
+    return sorted(all_vecs, key=lambda v: (sum(v), v))
+
+
+def _support_connected(m) -> bool:
+    q = m.algebra.quiver
+    supp = [v for v in range(q.n) if m.dims[v]]
+    if len(supp) <= 1:
+        return True
+    parent = {v: v for v in supp}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ai, arrow in enumerate(q.arrows):
+        if any(map(any, m.maps[ai])):
+            parent[find(arrow.source)] = find(arrow.target)
+    return len({find(v) for v in supp}) == 1
+
+
+def _detached_simple(m) -> bool:
+    """True when some S(v) splits off: socle not inside the radical at v."""
+    if m.total_dim <= 1:
+        return False
+    p = m.algebra.field.p
+    rad = m.radical_rows()
+    soc = m.socle_rows()
+    for v in range(m.algebra.quiver.n):
+        if not soc[v]:
+            continue
+        joint = rad[v] + soc[v]
+        if linalg.rank(joint, p) > linalg.rank(rad[v], p):
+            return True
+    return False
+
+
+def _fingerprint(m, simples) -> tuple:
+    return (
+        m.dims,
+        ho.hom_dim(m, m),
+        tuple(ho.hom_dim(m, s) for s in simples),
+        tuple(ho.hom_dim(s, m) for s in simples),
+    )
+
+
+def scan_indecomposables(algebra, bound, candidate_cap: int = 1 << 20):
+    """Every indecomposable with dims <= bound, one per iso class, by a scan
+    over all arrow-matrix tuples in graded lexicographic order of the
+    dimension vectors.  Every dimension vector is checked against
+    candidate_cap, the arrow-matrix tuples allowed per vector, before the
+    first candidate is built.  The Hom spaces of a rejected candidate are
+    dropped from the algebra's memo again."""
+    q = algebra.quiver
+    p = algebra.field.p
+    scans = []
+    for dims in _dim_vectors(bound):
+        shapes = [(dims[a.source], dims[a.target]) for a in q.arrows]
+        entries = sum(r * c for r, c in shapes)
+        if p ** entries > candidate_cap:
+            raise ResourceLimitError(
+                f"candidate scan at dims {dims} needs {p}^{entries} tuples")
+        scans.append((dims, shapes, entries))
+    simples = [simple_module(algebra, v) for v in range(q.n)]
+    found, fingerprints = [], []
+    for dims, shapes, entries in scans:
+        for flat in product(range(p), repeat=entries):
+            maps, off = [], 0
+            for r, c in shapes:
+                maps.append(linalg.reshape(flat[off:off + r * c], r, c))
+                off += r * c
+            cand = Module(algebra, dims, tuple(maps), check=False)
+            if not cand.satisfies_relations():
+                continue
+            if not _support_connected(cand) or _detached_simple(cand):
+                continue
+            # the memo only grows, so the entries since the mark are its
+            # newest, and popitem drops them
+            mark = len(algebra.memo)
+            if is_indecomposable(cand):
+                fp = _fingerprint(cand, simples)
+                if not any(fp == other_fp and is_isomorphic(cand, other)
+                           for other, other_fp in zip(found, fingerprints)):
+                    found.append(cand)
+                    fingerprints.append(fp)
+                    continue
+            while len(algebra.memo) > mark:
+                algebra.memo.popitem()
+    return found
 
 
 def subset_scan_lattice(u):

@@ -245,7 +245,7 @@ def test_undetermined_search_exit_code(monkeypatch, capsys):
     def undetermined(m):
         raise UndeterminedError("idempotent search exhausted its budget")
 
-    monkeypatch.setattr(universe, "is_indecomposable", undetermined)
+    monkeypatch.setattr(universe, "decompose", undetermined)
     assert cli.main(["indec", str(FIXTURES / "a2.quiver")]) == 4
     err = capsys.readouterr().err
     assert err == "undetermined: idempotent search exhausted its budget\n"
@@ -296,7 +296,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def broken(m):
         raise AssertionError("decomposition glue map\nis not an isomorphism")
 
-    monkeypatch.setattr(universe, "is_indecomposable", broken)
+    monkeypatch.setattr(universe, "decompose", broken)
     assert cli.main(["indec", str(FIXTURES / "a2.quiver")]) == 6
     out, err = capsys.readouterr()
     assert out == ""

@@ -3,8 +3,11 @@
 Each file under tests/golden/ holds the stdout of one CLI run on a bundled
 fixture: the README examples, indec, tors, heart and verify on a2, a3,
 loop and square, verify on d4, the benchmark's headline command, indec on a3
-over F_3, the benchmark's odd-prime scan, and the JSON reports of indec and
-tors on d4.  For example, tests/golden/tors-a3-dot.out is the output of
+over F_3, the benchmark's odd-prime scan, the JSON reports of indec and
+tors on d4, and indec on the two scale fixtures, linear A4 over F_3 and D5
+over F_2.  The scale goldens were written by the exhaustive arrow-matrix
+scan that generate-and-close replaced (about 160 s for A4 over F_3), so they
+pin the closure's universe to the scan's at scale.  For example, tests/golden/tors-a3-dot.out is the output of
 
     heart-simples tors fixtures/a3.quiver --format dot
 
@@ -39,6 +42,8 @@ CASES = {
     "verify-a3": ["verify", "a3.quiver"],
     "verify-loop": ["verify", "loop.quiver"],
     "verify-d4": ["verify", "d4.quiver"],
+    "indec-a4": ["indec", "a4.quiver"],
+    "indec-d5": ["indec", "d5.quiver"],
 }
 
 

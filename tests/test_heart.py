@@ -303,6 +303,38 @@ def test_fault_injection_oracle_mismatch(a2_ctx, monkeypatch):
     assert "ATF mismatch" in result.detail
 
 
+def test_c0_c1_failure_names_the_pair(a2_ctx, monkeypatch):
+    # a critical whose envelope is not a summand of C0 must be named with
+    # its member and its pair
+    from torsionheart import verify as ve
+
+    classified = ve.AnalysisContext.classified
+
+    def misplaced(self, data):
+        criticals, specials = classified(self, data)
+        return ([dataclasses.replace(seq, envelope_index=0)
+                 for seq in criticals], specials)
+
+    monkeypatch.setattr(ve.AnalysisContext, "classified", misplaced)
+    result = ve.suite_c0_c1_summands(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "critical envelope M0 (0,1) not a summand of C0 for "
+               "TorsionPair(T=[], F=[0, 1, 2])")
+
+
+def test_dichotomy_failure_names_the_pair_and_envelope(a2_ctx, monkeypatch):
+    # a strong las morphism that is neither mono nor epi must be named with
+    # its envelope member and its pair
+    from torsionheart import verify as ve
+
+    monkeypatch.setattr(he.HeartSequence, "strong_las", property(
+        lambda seq: mo.zero_morphism(seq.envelope, seq.envelope)))
+    result = ve.suite_dichotomy(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "strong las morphism of critical envelope M2 (1,1) neither "
+               "mono nor epi for TorsionPair(T=[], F=[0, 1, 2])")
+
+
 def test_oracle_mode_on_non_member(a2_universe, a2_data):
     # oracle mode accepts modules outside the universe listing
     p1 = module_by_dims(a2_universe, (1, 1))

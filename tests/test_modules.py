@@ -198,7 +198,7 @@ D4_UNIVERSE_KEYS = [
     ((1, 0, 1, 1), "b6826c60e59e52727e6df386430ca02d1ac14ca5"),
     ((1, 1, 0, 1), "afcc30ce46c8ad0f1c4833fd8152cff36e17a9ff"),
     ((1, 1, 1, 1), "7532e736801ec4081fc7c4d5c7cf1d10b551f236"),
-    ((1, 1, 1, 2), "8059b37035e05242f400228094eaa9e97450af9f"),
+    ((1, 1, 1, 2), "9cde7d366a782352fc9b335e7ca1dc743b1e9b84"),
 ]
 
 

@@ -7,9 +7,10 @@ from torsionheart import universe as un
 from torsionheart.algebra import parse_algebra
 from torsionheart.config import DEFAULT_CAPS
 from torsionheart.exceptions import IncompleteUniverseError, ResourceLimitError
+from torsionheart.krull import decompose, is_isomorphic
 
-from conftest import A2_TEXT, A3_TEXT, module_by_dims
-from oracles import brute_submodule_count
+from conftest import A2_TEXT, A3_TEXT, D4_TEXT, FIXTURES, module_by_dims
+from oracles import brute_submodule_count, scan_indecomposables
 
 
 def test_a2_universe_frozen(a2_universe):
@@ -164,48 +165,28 @@ def test_ext_middles(a2_universe):
     assert u.ext_middles((s2,), (s1,)) == []
 
 
-def test_candidate_cap_checked_before_any_candidate(monkeypatch):
-    # Over F_2 with bound (2, 2) only the last dimension vector (2, 2), with
-    # 2^4 candidates, is over a cap of 8; no candidate may be built first.
-    alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
-                                                     candidate_cap=8))
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return mo.Module(*args, **kwargs)
-
-    monkeypatch.setattr(un, "Module", counting)
-    with pytest.raises(ResourceLimitError,
-                       match=r"candidate scan at dims \(2, 2\) needs 2\^4"):
-        un.enumerate_indecomposables(alg, (2, 2))
-    assert built == []
-
-
 def test_empty_universe_completeness():
-    # an artificially empty universe is closed under every operation, but
-    # it misses the simples
+    # no module fits a zero bound: nothing escapes, but the simples are missing
     alg = parse_algebra(A2_TEXT)
-    empty = un.IndecUniverse(
-        alg, (0, 0), (), (), (), complete=False, witness=None,
-    )
-    assert un.completeness_check(empty) == (False, "simple at vertex 0 outside")
+    u = un.enumerate_indecomposables(alg, (0, 0))
+    assert (u.indecs, u.complete, u.witness) == (
+        (), False, "simple at vertex 0 outside")
 
 
 def test_completeness_check_gates_the_hom_scan():
     alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
                                                      scan_count_cap=1))
-    u = un.enumerate_indecomposables(alg, (2, 2), check_completeness=False)
     with pytest.raises(ResourceLimitError,
                        match=r"^hom scan of size 2\^1 exceeds cap$"):
-        un.completeness_check(u)
+        un.enumerate_indecomposables(alg, (2, 2))
 
 
-def test_scan_forgets_rejected_candidates():
-    # A3 over F_3 tries thousands of candidates for six indecomposables; the
-    # Hom spaces of the rejected ones must not stay in the algebra's memo.
+def test_closure_memo_is_bounded_by_the_universe():
+    # A3 over F_3: what the closure caches on the algebra stays within a
+    # few entries per pair of members
     alg = parse_algebra(A3_TEXT, field_override=3)
-    u = un.enumerate_indecomposables(alg, (2, 2, 2), check_completeness=False)
+    u = un.enumerate_indecomposables(alg, (2, 2, 2))
+    assert u.complete
     assert len(alg.memo) <= 3 * u.n ** 2
     assert [m.dims for m in u.indecs] == [
         (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1),
@@ -218,3 +199,65 @@ def test_scan_forgets_rejected_candidates():
         [0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0],
         [0, 0, 0, 0, 0, 0], [1, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0],
     ]
+
+
+def test_closure_decomposes_each_key_once(monkeypatch):
+    keys = []
+
+    def counted(m):
+        keys.append(m.key)
+        return decompose(m)
+
+    monkeypatch.setattr(un, "decompose", counted)
+    alg = parse_algebra(D4_TEXT)
+    assert un.enumerate_indecomposables(alg, (2, 2, 2, 2)).complete
+    assert keys and len(keys) == len(set(keys))
+
+
+# Every bundled fixture at its default bound, and every incomplete bound of
+# test_cli.py, as (fixture, field override, bound).
+SCAN_CASES = [
+    ("a2", None, (2, 2)), ("a3", None, (2, 2, 2)), ("a3", 3, (2, 2, 2)),
+    ("d4", None, (2, 2, 2, 2)), ("loop", None, (2,)),
+    ("square", None, (2, 2, 2, 2)), ("square", None, (1, 1, 1, 1)),
+    ("a2", None, (1, 0)), ("a2", None, (0, 0)), ("loop", None, (1,)),
+    ("d4", None, (1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("name, field, bound", SCAN_CASES)
+def test_closure_matches_the_scan(name, field, bound):
+    text = (FIXTURES / f"{name}.quiver").read_text()
+    closed = un.enumerate_indecomposables(
+        parse_algebra(text, field_override=field), bound).indecs
+    scanned = scan_indecomposables(parse_algebra(text, field_override=field),
+                                   bound)
+    assert [m.dims for m in closed] == [m.dims for m in scanned]
+    assert all(is_isomorphic(x, y) for x, y in zip(closed, scanned))
+
+
+def test_scan_forgets_rejected_candidates():
+    # A3 over F_3 tries thousands of candidates for six indecomposables; the
+    # Hom spaces of the rejected ones must not stay in the algebra's memo.
+    alg = parse_algebra(A3_TEXT, field_override=3)
+    found = scan_indecomposables(alg, (2, 2, 2))
+    assert len(found) == 6
+    assert len(alg.memo) <= 3 * len(found) ** 2
+
+
+def test_candidate_cap_checked_before_any_candidate(monkeypatch):
+    # Over F_2 with bound (2, 2) only the last dimension vector (2, 2), with
+    # 2^4 candidates, is over a cap of 8; no candidate may be built first.
+    import oracles
+    alg = parse_algebra(A2_TEXT)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return mo.Module(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "Module", counting)
+    with pytest.raises(ResourceLimitError,
+                       match=r"candidate scan at dims \(2, 2\) needs 2\^4"):
+        scan_indecomposables(alg, (2, 2), candidate_cap=8)
+    assert built == []
