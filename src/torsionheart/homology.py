@@ -12,6 +12,10 @@ f: Y -> M is minimal iff the annihilator {u in End(Y) : u.then(f) = 0}
 contains no nonzero idempotent, and a finite-dimensional algebra without
 nonzero idempotents is nilpotent, which we check by iterating products.
 
+One cached minimal projective presentation P1 -> P0 -> M -> 0,
+`presentation`, serves the transpose, and so both AR translates, and
+`hom_dims_into`, which reads dim Hom(X, M) as dim Hom(P0, M) minus one rank.
+
 Every exhaustive scan of the package passes one gate, `scan`, which raises
 ResourceLimitError before any work beyond the scan cap; `candidates` is the
 one order in which the idempotent and isomorphism searches try elements.
@@ -593,11 +597,16 @@ def _path_coordinates(algebra: BoundQuiverAlgebra, f: Morphism,
                                    f.maps[v][triv]) if c}
 
 
-def transpose(m: Module) -> Module:
-    """Tr M over the opposite algebra, from a minimal projective presentation."""
+def presentation(m: Module):
+    """A minimal projective presentation P1 -> P0 -> M -> 0, as (vertices of
+    the summands of P0, vertices of those of P1, components): components[k][j]
+    holds the path coordinates of the component P(v_k) -> P(w_j), an element
+    on basis paths w_j -> v_k; cached."""
+    return cached(m.algebra, ("presentation", m.key), lambda: _presentation(m))
+
+
+def _presentation(m: Module):
     algebra = m.algebra
-    op = algebra.op()
-    p = algebra.field.p
     cover0, p0_vertices = projective_cover(m)
     k, incl = kernel(cover0)
     cover1, p1_vertices = projective_cover(k)
@@ -606,6 +615,54 @@ def transpose(m: Module) -> Module:
         [projective_module(algebra, v) for v in p1_vertices], algebra)
     _, _, p0_prjs = direct_sum(
         [projective_module(algebra, w) for w in p0_vertices], algebra)
+    components = tuple(
+        tuple(_path_coordinates(algebra, inc.then(d).then(prj), v, w)
+              for prj, w in zip(p0_prjs, p0_vertices))
+        for inc, v in zip(p1_incs, p1_vertices))
+    return p0_vertices, p1_vertices, components
+
+
+def hom_dims_into(sources, m: Module) -> list[int]:
+    """dim Hom(X, M) for each X in sources, each one rank from the
+    presentation P1 -> P0 -> X -> 0: Hom(P(w), M) = M_w, so Hom(X, M) is the
+    kernel of Hom(P0, M) -> Hom(P1, M), whose block (j, k) is the action on
+    M of the component P(v_k) -> P(w_j).  The action of each basis path on
+    M is computed once per call."""
+    algebra = m.algebra
+    p = algebra.field.p
+    dims = m.dims
+    actions: dict[int, tuple] = {}
+    out = []
+    for x in sources:
+        p0_vertices, p1_vertices, components = presentation(x)
+        rows = []
+        for j, w in enumerate(p0_vertices):
+            terms = []   # (column offset, coefficient, action)
+            off = 0
+            for comp, v in zip(components, p1_vertices):
+                for bi, c in comp[j].items():
+                    act = actions.get(bi)
+                    if act is None:
+                        act = actions[bi] = m.path_matrix(algebra.basis[bi])
+                    terms.append((off, c, act))
+                off += dims[v]
+            for r in range(dims[w]):
+                row = [0] * off
+                for start, c, act in terms:
+                    for s, e in enumerate(act[r], start):
+                        row[s] += c * e
+                rows.append([e % p for e in row])
+        out.append(sum(dims[w] for w in p0_vertices) - linalg.rank(rows, p))
+    return out
+
+
+def transpose(m: Module) -> Module:
+    """Tr M over the opposite algebra, from the minimal projective
+    presentation of M."""
+    algebra = m.algebra
+    op = algebra.op()
+    p = algebra.field.p
+    p0_vertices, p1_vertices, components = presentation(m)
     op_p0 = [projective_module(op, w) for w in p0_vertices]
     op_p1 = [projective_module(op, v) for v in p1_vertices]
     total0, _, prjs0 = direct_sum(op_p0, op)
@@ -614,8 +671,7 @@ def transpose(m: Module) -> Module:
               for u in range(op.quiver.n)]
     for j, vj in enumerate(p1_vertices):
         for i, wi in enumerate(p0_vertices):
-            comp = p1_incs[j].then(d).then(p0_prjs[i])
-            coords = _path_coordinates(algebra, comp, vj, wi)
+            coords = components[j][i]
             if not coords:
                 continue
             rev: dict[int, int] = {}

@@ -27,19 +27,34 @@ sums of members as member bitsets.  The heart, torsion and completeness
 layers ask these two and never decompose a module themselves.  The closure
 leaves what it read in their caches: the member bitset of every module it
 decomposed and the Ext middles of every pair of members.
+
+The closure is the only place that decomposes a module, since completeness
+is not known while it runs.  On a complete universe `summands` reads M off
+its Hom vector h = [dim Hom(X_i, M)]_i instead.  A complete universe holds
+every indecomposable, and over a representation-finite algebra the Hom
+vector against all of them determines a module up to isomorphism
+(M. Auslander, Contemp. Math. 13, 1982; K. Bongartz, Bull. LMS 21, 1989).
+So the Hom table H, with H[i][j] = dim Hom(X_i, X_j), is invertible, and the
+multiplicities of M are the solution x of H x = h.  The integer inverse of H
+is cached, and each dim Hom(X_i, M) is one rank over F_p from the projective
+presentation of X_i (`homology.hom_dims_into`).  Every reading is checked:
+x must be integral and nonnegative, and the members it names must add up to
+the dims of M.  A reading that fails a check is an internal error; it never
+falls back to a decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import gcd
 
 from . import linalg
 from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
-    ar_translate, ar_translate_inverse, ext1, hom_dim, hom_space,
-    is_injective, is_projective,
+    ar_translate, ar_translate_inverse, ext1, hom_dim, hom_dims_into,
+    hom_space, is_injective, is_projective,
 )
 from .krull import decompose, is_isomorphic
 from .modules import (
@@ -81,21 +96,39 @@ class IndecUniverse:
             (i for i, x in enumerate(self.indecs)
              if x.dims == m.dims and is_isomorphic(m, x)), None))
 
+    def hom_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, G) with hom_table @ G == den * I: the integer inverse of the
+        Hom table scaled by the lcm of its denominators; cached."""
+        return cached(self, ("hom_inverse",),
+                      lambda: _integer_inverse(self.hom_table))
+
     def summands(self, m: Module) -> dict[int, int]:
         """Multiplicity of each member among the indecomposable summands of
-        M, by universe index; uncached.
+        M, by universe index; uncached.  Read off the Hom vector of M, with
+        every reading checked: a reading that is not a sum of members is an
+        internal error.
 
-        Raises IncompleteUniverseError when a summand escapes the universe.
+        Raises IncompleteUniverseError on an incomplete universe.
         """
+        self.require_complete()
         counts: dict[int, int] = {}
         if m.is_zero():
             return counts
-        for piece, mult in decompose(m):
-            idx = self.index_of(piece)
-            if idx is None:
-                raise IncompleteUniverseError(
-                    f"summand of dims {piece.dims} outside")
-            counts[idx] = counts.get(idx, 0) + mult
+        den, inverse = self.hom_inverse()
+        h = hom_dims_into(self.indecs, m)
+        dims = [0] * len(m.dims)
+        for i, row in enumerate(inverse):
+            mult, rest = divmod(sum(a * b for a, b in zip(row, h)), den)
+            if rest or mult < 0:
+                raise AssertionError(
+                    f"Hom vector of dims {m.dims} is not a sum of members")
+            if mult:
+                counts[i] = mult
+                dims = [d + mult * e for d, e in zip(dims, self.indecs[i].dims)]
+        if tuple(dims) != m.dims:
+            raise AssertionError(
+                f"members read off the Hom vector of dims {m.dims} sum to "
+                f"dims {tuple(dims)}")
         return counts
 
     def summand_bitset(self, m: Module) -> int:
@@ -165,6 +198,35 @@ def bit_indices(bits: int) -> list[int]:
 
 def popcount(bits: int) -> int:
     return bin(bits).count("1")
+
+
+def _integer_inverse(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, G) with a @ G == den * I and den > 0 least, for a square integer
+    matrix a.  Fraction-free Gauss-Jordan elimination on Python ints
+    (Bareiss): every division is exact, and the pivot of the last step is
+    +-det a, with the right half of [a | I] turned into that pivot times the
+    inverse."""
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        sel = next((r for r in range(k, n) if rows[r][k]), None)
+        if sel is None:
+            raise AssertionError("the Hom table of the universe is singular")
+        rows[k], rows[sel] = rows[sel], rows[k]
+        pivot = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                c = row[k]
+                rows[i] = [(pivot[k] * x - c * y) // prev
+                           for x, y in zip(row, pivot)]
+        prev = pivot[k]
+    det = prev
+    g = gcd(det, *(x for row in rows for x in row[n:]))
+    sign = 1 if det > 0 else -1
+    return (abs(det) // g,
+            tuple(tuple(sign * x // g for x in row[n:]) for row in rows))
 
 
 def enumerate_indecomposables(algebra: BoundQuiverAlgebra,

@@ -143,10 +143,12 @@ def suite_dichotomy(ctx: AnalysisContext) -> VerifyResult:
         if crit_idx & spec_idx:
             return VerifyResult("dichotomy", False,
                                 f"E and M sets intersect for pair {data.pair}")
-        if crit_idx | spec_idx != set(bit_indices(data.add_c_bits)):
+        differ = (crit_idx | spec_idx) ^ set(bit_indices(data.add_c_bits))
+        if differ:
             return VerifyResult(
                 "dichotomy", False,
-                f"envelope set differs from the summands of C for {data.pair}")
+                f"envelope set differs from the summands of C at "
+                f"{member_name(ctx.universe, min(differ))} for {data.pair}")
     return VerifyResult("dichotomy", True,
                         f"{len(ctx.cotilting_pairs)} pairs checked")
 
@@ -181,10 +183,12 @@ def suite_split_injectivity(ctx: AnalysisContext) -> VerifyResult:
         crit_bits = 0
         for seq in criticals:
             crit_bits |= 1 << seq.envelope_index
-        if u.summand_bitset(data.c0) != crit_bits:
+        differ = u.summand_bitset(data.c0) ^ crit_bits
+        if differ:
             return VerifyResult(
                 "split-injectivity", False,
-                f"add(C0) differs from add(criticals) for {data.pair}")
+                f"add(C0) differs from add(criticals) at "
+                f"{member_name(u, bit_indices(differ)[0])} for {data.pair}")
     return VerifyResult("split-injectivity", True,
                         f"{len(ctx.cotilting_pairs)} pairs checked")
 
@@ -274,10 +278,12 @@ def suite_minimal_cotilting(ctx: AnalysisContext) -> VerifyResult:
         criticals, specials = ctx.classified(data)
         tilde = minimal_cotilting(
             data, [s.envelope for s in criticals + specials])
-        if u.summand_bitset(tilde) != data.add_c_bits:
+        differ = u.summand_bitset(tilde) ^ data.add_c_bits
+        if differ:
             return VerifyResult(
                 "minimal-cotilting", False,
-                f"summands of the minimal cotilting module differ for {data.pair}")
+                f"summands of the minimal cotilting module differ at "
+                f"{member_name(u, bit_indices(differ)[0])} for {data.pair}")
     return VerifyResult("minimal-cotilting", True,
                         f"{len(ctx.cotilting_pairs)} pairs checked")
 

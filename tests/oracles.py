@@ -17,7 +17,8 @@ The checkers at the end use it too.  They are the definitions the tests hold
 the package's constructions to, and nothing in the package calls them:
 approximation and minimality of a morphism, split epis, the class of a
 realized extension, all classes of an Ext space, split injectivity by
-the literal mono scan, and injective dimension.
+the literal mono scan, injective dimension, and the Krull-Schmidt reading of
+a module as members that the universe's Hom-vector reading replaced.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from torsionheart import homology as ho
 from torsionheart import linalg
 from torsionheart.exceptions import ResourceLimitError
-from torsionheart.krull import is_indecomposable, is_isomorphic
+from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
 from torsionheart.modules import (
     Module, Morphism, cokernel, direct_sum, identity_morphism, simple_module,
 )
@@ -501,3 +502,15 @@ def injective_dimension(m, cap: int = 64) -> int:
         if d > cap:
             raise ResourceLimitError(f"injective dimension exceeds {cap}")
     return d
+
+
+def decompose_reading(u, m, pieces=None) -> dict[int, int]:
+    """Multiplicity of each member of the universe among the summands of M,
+    by Krull-Schmidt decomposition and an isomorphism test against the
+    members of the same dims; pieces, when given, is decompose(m)."""
+    counts: dict[int, int] = {}
+    for piece, mult in decompose(m) if pieces is None else pieces:
+        idx = next(i for i, x in enumerate(u.indecs)
+                   if x.dims == piece.dims and is_isomorphic(piece, x))
+        counts[idx] = counts.get(idx, 0) + mult
+    return counts

@@ -6,9 +6,10 @@ package, in scripts/, or as a target of the outside tracer
 (perfbench/tracer.py's TARGETS, which wraps functions by name).  Checkers
 that only the tests use live in tests/oracles.py, not in the package.
 
-Two more guards read the package the same way: every local a function binds
-is read (names starting with `_` are exempt), and every exhaustive scan and
-candidate search goes through the one scan gate in homology.py.
+Three more guards read the package the same way: every local a function
+binds is read (names starting with `_` are exempt), every exhaustive scan and
+candidate search goes through the one scan gate in homology.py, and only
+krull and the universe's closure call `krull.decompose`.
 """
 
 import ast
@@ -105,15 +106,16 @@ def test_every_local_is_read():
     assert unread == []
 
 
-def _innermost_readers(names: set[str]) -> dict[str, set[str]]:
-    """For each name, the innermost package functions that read it, as an
-    attribute or a variable; linalg.py, which defines the vector scans, is
-    left out."""
+def _readers(names: set[str]) -> dict[str, set[tuple[str, ...]]]:
+    """For each name, the places in the package that read it, as an
+    attribute or a variable: the module, then the chain of functions around
+    the read, outermost first.  linalg.py, which defines the vector scans,
+    is left out."""
     out = {name: set() for name in names}
 
     class Visitor(ast.NodeVisitor):
         def __init__(self, module: str):
-            self.stack = [f"{module} top level"]
+            self.stack = [module]
 
         def visit_FunctionDef(self, node):
             self.stack.append(node.name)
@@ -124,12 +126,12 @@ def _innermost_readers(names: set[str]) -> dict[str, set[str]]:
 
         def visit_Attribute(self, node):
             if node.attr in names:
-                out[node.attr].add(self.stack[-1])
+                out[node.attr].add(tuple(self.stack))
             self.generic_visit(node)
 
         def visit_Name(self, node):
             if node.id in names and isinstance(node.ctx, ast.Load):
-                out[node.id].add(self.stack[-1])
+                out[node.id].add(tuple(self.stack))
 
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "linalg.py":
@@ -142,10 +144,20 @@ def test_one_scan_gate():
     homology's gate: the scan cap is read only in `scannable`, the random
     tries only in `candidates`, and the vector scans are called only in
     `scan`."""
-    assert _innermost_readers({"scan_count_cap", "random_tries", "vectors",
-                               "nonzero_vectors"}) == {
+    readers = _readers({"scan_count_cap", "random_tries", "vectors",
+                        "nonzero_vectors"})
+    assert {name: {place[-1] for place in places}
+            for name, places in readers.items()} == {
         "scan_count_cap": {"scannable"},
         "random_tries": {"candidates"},
         "vectors": {"scan"},
         "nonzero_vectors": {"scan"},
     }
+
+
+def test_decompose_only_in_the_closure():
+    """Outside krull, only the closure of the universe decomposes a module:
+    once the universe is complete, members are read off Hom vectors."""
+    places = _readers({"decompose"})["decompose"]
+    assert {place[:2] for place in places if place[0] != "krull.py"} == {
+        ("universe.py", "completeness_check")}

@@ -335,6 +335,49 @@ def test_dichotomy_failure_names_the_pair_and_envelope(a2_ctx, monkeypatch):
                "mono nor epi for TorsionPair(T=[], F=[0, 1, 2])")
 
 
+def _drop_first_critical(monkeypatch):
+    from torsionheart import verify as ve
+
+    classified = ve.AnalysisContext.classified
+
+    def dropped(self, data):
+        criticals, specials = classified(self, data)
+        return criticals[1:], specials
+
+    monkeypatch.setattr(ve.AnalysisContext, "classified", dropped)
+    return ve
+
+
+def test_envelope_set_failure_names_the_member(a2_ctx, monkeypatch):
+    # a summand of C without an envelope must be named with its member
+    ve = _drop_first_critical(monkeypatch)
+    result = ve.suite_dichotomy(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "envelope set differs from the summands of C at M2 (1,1) for "
+               "TorsionPair(T=[], F=[0, 1, 2])")
+
+
+def test_add_c0_failure_names_the_member(a2_ctx, monkeypatch):
+    # a summand of C0 that is no critical envelope must be named
+    ve = _drop_first_critical(monkeypatch)
+    result = ve.suite_split_injectivity(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "add(C0) differs from add(criticals) at M2 (1,1) for "
+               "TorsionPair(T=[], F=[0, 1, 2])")
+
+
+def test_minimal_cotilting_failure_names_the_member(a2_ctx, monkeypatch):
+    # a minimal cotilting module missing a summand of C must name it
+    from torsionheart import verify as ve
+
+    monkeypatch.setattr(ve, "minimal_cotilting", lambda data, envelopes:
+                        data.c0)
+    result = ve.suite_minimal_cotilting(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "summands of the minimal cotilting module differ at M0 (0,1) "
+               "for TorsionPair(T=[1], F=[0, 2])")
+
+
 def test_oracle_mode_on_non_member(a2_universe, a2_data):
     # oracle mode accepts modules outside the universe listing
     p1 = module_by_dims(a2_universe, (1, 1))
