@@ -20,16 +20,20 @@ submodules and quotients, and the two ends of Hom and Ext swapped.
 Likewise one `heart_sequence` builds the special cover of a shifted simple and
 the special envelope of an unshifted one.
 
-The oracle's bounded ATF2 scan realizes every non-split extension of T by a
-sum A of at most two indecomposables, skipping every torsion A.  The split
-class cannot witness a failure: its middle T + A keeps the non-torsion
-summands of A.  Dually, the AT2 scan skips every torsion-free B, so the split
-middle F + B is never torsion-free.
+The oracle's bounded ATF2 scan reads the middle of every non-split
+extension of T by a sum A of at most two indecomposables, skipping every
+torsion A.  The split class cannot witness a failure: its middle T + A
+keeps the non-torsion summands of A.  Dually, the AT2 scan skips every
+torsion-free B, so the split middle F + B is never torsion-free.
 
 Every Ext middle, fast or oracle, is read through the universe
 (`IndecUniverse.ext_middles` for sums of members, `nonsplit_middles` for a
-module outside the listing), so each non-split class between two sums of
-members is realized once per universe.
+module outside the listing).  For sums of members it reads a class by its
+blocks in Ext^1(R_i, L_j): a class nonzero on one block has the middle of
+that block's class plus the other members, read off the list of the pair
+of members, and only a class nonzero on two or more blocks is realized,
+once per universe.  The oracle still quantifies over every class of the sum:
+it does not take over the ATF2' shortcut that an indecomposable F suffices.
 """
 
 from __future__ import annotations
@@ -108,9 +112,10 @@ def _ext_scan_finds_witness(u: IndecUniverse, m: Module, m_on_right: bool,
     two members with A outside add(class) has its middle term inside.
 
     M is the right end (the quotient) of the extension when m_on_right, else
-    the left end.  Only non-split classes are realized: the split middle is
-    M + A, which lies outside add(class) because A does.  This needs no fast
-    criterion, only the skip of every A inside add(class).
+    the left end.  Only the middles of non-split classes are read: the
+    split middle is M + A, which lies outside add(class) because A does.
+    This needs no fast criterion, only the skip of every A inside
+    add(class).
     """
     idx = u.index_of(m)
     for bag, bag_bits in _sum_bags(u):

@@ -4,7 +4,9 @@ Ext^1(M, N) is presented against the syzygy 0 -> K -> P0 -> M -> 0 of a
 minimal projective cover: classes are morphisms K -> N modulo restrictions of
 morphisms P0 -> N.  Realization is the pushout of the syzygy inclusion along
 a cocycle; the tests check that reading the class back off a realized
-extension returns the cocycle class.
+extension returns the cocycle class.  Between two direct sums, a class is
+given block by block and realized from the cocycles of the summands
+(`block_extension_middle`), without the Ext^1 space of the sums.
 
 Minimal right/left approximations are built as full approximations and then
 minimized.  Minimality is certified, not assumed: a right approximation
@@ -378,15 +380,45 @@ class Ext1Space:
         """(coeffs, SES) for every nonzero class, in lexicographic order of
         the coefficients.  The caps are checked before any class is
         realized."""
-        algebra, d = self.m.algebra, self.dim
-        if d > algebra.caps.ext_dim_cap:
-            raise ResourceLimitError(f"ext scan of size {self.p}^{d} exceeds cap")
-        for coeffs in scan(algebra, d, "ext", nonzero=True):
+        for coeffs in ext_scan(self.m.algebra, self.dim):
             yield coeffs, self.realize(coeffs)
 
 
 def ext1(m: Module, n: Module) -> Ext1Space:
     return cached(m.algebra, ("ext1", m.key, n.key), lambda: Ext1Space(m, n))
+
+
+def ext_scan(algebra: BoundQuiverAlgebra, d: int):
+    """The coefficients of every nonzero class of a d-dimensional Ext^1, in
+    lexicographic order.  Raises ResourceLimitError when d is over the Ext
+    cap or p^d over the scan cap, before any class."""
+    if d > algebra.caps.ext_dim_cap:
+        raise ResourceLimitError(
+            f"ext scan of size {algebra.field.p}^{d} exceeds cap")
+    return scan(algebra, d, "ext", nonzero=True)
+
+
+def block_extension_middle(rights: list[Module], lefts: list[Module],
+                           blocks: dict) -> Module:
+    """The middle term of the class of Ext^1(+R_i, +L_j) whose block (i, j)
+    is the class blocks[i, j] of ext1(R_i, L_j), zero where blocks has no
+    entry.  Ext^1 is additive, and the sum of the minimal syzygies
+    K_i -> P_i presents +R_i, so the middle is the pushout of that sum along
+    the block cocycle +K_i -> +L_j."""
+    algebra = rights[0].algebra
+    syzygies = [syzygy(r) for r in rights]
+    k, _, k_prjs = direct_sum([s[0] for s in syzygies], algebra)
+    p0, p0_incs, _ = direct_sum([s[2].source for s in syzygies], algebra)
+    n, n_incs, _ = direct_sum(lefts, algebra)
+    incl, cocycle = zero_morphism(k, p0), zero_morphism(k, n)
+    for i, (prj, (_, inc, _), p0_inc) in enumerate(
+            zip(k_prjs, syzygies, p0_incs)):
+        incl = incl.add(prj.then(inc).then(p0_inc))
+        for j, n_inc in enumerate(n_incs):
+            if (i, j) in blocks:
+                block = ext1(rights[i], lefts[j]).cocycle(blocks[i, j])
+                cocycle = cocycle.add(prj.then(block).then(n_inc))
+    return pushout(incl, cocycle)[0]
 
 
 # -- minimality machinery --------------------------------------------------------

@@ -23,10 +23,20 @@ of i by j, the AR translates of i, then a missing simple.
 The universe is the one reader of modules and Ext classes as sums of
 members: `summands` maps a module to the multiplicities of its members, and
 `ext_middles` lists the middle terms of the non-split classes between two
-sums of members as member bitsets.  The heart, torsion and completeness
-layers ask these two and never decompose a module themselves.  The closure
-leaves what it read in their caches: the member bitset of every module it
-decomposed and the Ext middles of every pair of members.
+sums of members as member bitsets, one entry per class, grouped by block.
+The heart, torsion and completeness layers ask these two and never
+decompose a module themselves.  The closure leaves what it read in their
+caches: the member bitset of every module it decomposed and the Ext middles
+of every pair of members.
+
+Ext^1 is additive, Ext^1(+R_i, +L_j) = + Ext^1(R_i, L_j), so `ext_middles`
+of two sums never builds the Ext^1 space of a sum.  A class nonzero on one
+block (i, j) is the pushout of a class of Ext^1(R_i, L_j) along a split
+inclusion, and its middle is that class's middle plus the other members of
+both bags (Auslander-Reiten-Smalo, Representation Theory of Artin
+Algebras, I.5), read off the cached list of the pair of members.  Only a
+class nonzero on two or more blocks is realized, from the block cocycle
+(`homology.block_extension_middle`).
 
 The closure is the only place that decomposes a module, since completeness
 is not known while it runs.  On a complete universe `summands` reads M off
@@ -53,8 +63,8 @@ from . import linalg
 from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
-    ar_translate, ar_translate_inverse, ext1, hom_dim, hom_dims_into,
-    hom_space, is_injective, is_projective,
+    ar_translate, ar_translate_inverse, block_extension_middle, ext1,
+    ext_scan, hom_dim, hom_dims_into, hom_space, is_injective, is_projective,
 )
 from .krull import decompose, is_isomorphic
 from .modules import (
@@ -173,15 +183,48 @@ class IndecUniverse:
 
     def ext_middles(self, right: tuple[int, ...],
                     left: tuple[int, ...]) -> list[int]:
-        """nonsplit_middles of the sums of two bags of members; cached.  The
-        split middle is the sum of the two bags.  Ext^1 is additive, so no
-        class is non-split when Ext^1 vanishes between every pair of
-        summands, and then no sum is built."""
+        """Middle bitsets of the non-split classes of Ext^1 between the sums
+        of two bags of members, one entry per class; cached.  The split
+        middle is the sum of the two bags.
+
+        Ext^1 is additive: a class is a tuple of block classes, one in
+        Ext^1(R_i, L_j) for each pair of members.  The classes nonzero on
+        one block (i, j) come first, block by block: the middle is E + the
+        other members of both bags, with E the middle of the block class, so
+        they are read off the cached list of the pair of members.  The
+        classes nonzero on two or more blocks follow, in lexicographic order
+        of their coefficients, each realized by `block_extension_middle`.
+        The caps are checked on the sum of the block dimensions before any
+        entry is read."""
         def compute():
-            if not any(self.ext_table[r][l] for r in right for l in left):
-                return []
-            return self.nonsplit_middles(self.sum_module(right),
-                                         self.sum_module(left))
+            if len(right) == len(left) == 1:
+                r, l = right[0], left[0]
+                return (self.nonsplit_middles(self.indecs[r], self.indecs[l])
+                        if self.ext_table[r][l] else [])
+            blocks = [(i, j, self.ext_table[r][l])
+                      for i, r in enumerate(right) for j, l in enumerate(left)]
+            classes = ext_scan(self.algebra, sum(d for *_, d in blocks))
+            out = []
+            for i, j, d in blocks:
+                if d:
+                    others = 0
+                    for at, x in enumerate(right + left):
+                        if at not in (i, len(right) + j):
+                            others |= 1 << x
+                    out += [bits | others for bits in
+                            self.ext_middles((right[i],), (left[j],))]
+            rights = [self.indecs[r] for r in right]
+            lefts = [self.indecs[l] for l in left]
+            for coeffs in classes:
+                parts, at = {}, 0
+                for i, j, d in blocks:
+                    if any(coeffs[at:at + d]):
+                        parts[i, j] = coeffs[at:at + d]
+                    at += d
+                if len(parts) > 1:
+                    out.append(self.summand_bitset(
+                        block_extension_middle(rights, lefts, parts)))
+            return out
         return cached(self, ("ext_middles", right, left), compute)
 
 

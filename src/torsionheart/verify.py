@@ -141,8 +141,11 @@ def suite_dichotomy(ctx: AnalysisContext) -> VerifyResult:
         crit_idx = {s.envelope_index for s in criticals}
         spec_idx = {s.envelope_index for s in specials}
         if crit_idx & spec_idx:
-            return VerifyResult("dichotomy", False,
-                                f"E and M sets intersect for pair {data.pair}")
+            return VerifyResult(
+                "dichotomy", False,
+                f"E and M sets intersect at "
+                f"{member_name(ctx.universe, min(crit_idx & spec_idx))} "
+                f"for pair {data.pair}")
         differ = (crit_idx | spec_idx) ^ set(bit_indices(data.add_c_bits))
         if differ:
             return VerifyResult(
@@ -177,8 +180,12 @@ def suite_split_injectivity(ctx: AnalysisContext) -> VerifyResult:
     u = ctx.universe
     for data in ctx.cotilting_pairs:
         if not is_split_injective(data.c0, data.c_class_bits, u):
-            return VerifyResult("split-injectivity", False,
-                                f"C0 of {data.pair} is not split injective")
+            bad = next(i for i in u.summands(data.c0) if not
+                       is_split_injective(u.indecs[i], data.c_class_bits, u))
+            return VerifyResult(
+                "split-injectivity", False,
+                f"C0 of {data.pair} is not split injective at "
+                f"{member_name(u, bad)}")
         criticals, _ = ctx.classified(data)
         crit_bits = 0
         for seq in criticals:

@@ -348,6 +348,41 @@ def _drop_first_critical(monkeypatch):
     return ve
 
 
+def test_intersecting_envelopes_name_the_member(a2_ctx, monkeypatch):
+    # a special envelope that is also a critical one must be named
+    from torsionheart import verify as ve
+
+    classified = ve.AnalysisContext.classified
+
+    def shared(self, data):
+        criticals, specials = classified(self, data)
+        if criticals and specials:
+            specials = [dataclasses.replace(
+                specials[0], envelope_index=criticals[0].envelope_index)]
+        return criticals, specials
+
+    monkeypatch.setattr(ve.AnalysisContext, "classified", shared)
+    result = ve.suite_dichotomy(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "E and M sets intersect at M2 (1,1) for pair "
+               "TorsionPair(T=[1], F=[0, 2])")
+
+
+def test_split_injectivity_failure_names_the_member(a2_ctx, monkeypatch):
+    # the first summand of C0 that is not split injective must be named:
+    # C0 is M1 + M2 for this pair, and only M2 fails
+    from torsionheart import verify as ve
+
+    u = a2_ctx.universe
+    p1 = u.index_of(module_by_dims(u, (1, 1)))
+    monkeypatch.setattr(ve, "is_split_injective", lambda m, bits, u:
+                        not u.summand_bitset(m) >> p1 & 1)
+    result = ve.suite_split_injectivity(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "C0 of TorsionPair(T=[], F=[0, 1, 2]) is not split injective "
+               "at M2 (1,1)")
+
+
 def test_envelope_set_failure_names_the_member(a2_ctx, monkeypatch):
     # a summand of C without an envelope must be named with its member
     ve = _drop_first_critical(monkeypatch)
@@ -401,38 +436,55 @@ def test_split_injective_scan_agrees_a3(a3_universe):
 
 @pytest.mark.parametrize("name", ["a2", "a3", "d4"])
 def test_ext_middles_sum_plus_split_is_every_class(name, request):
-    # Differential check of the oracle's skip of the split class and of
-    # Ext^1 = 0 pairs: adding the split middle back gives the middles of
-    # every realized class, in both directions.
+    # Differential check of the block reading of Ext middles, of the skip
+    # of the split class and of Ext^1 = 0 pairs: adding the split middle
+    # back gives the multiset of the middles of every class realized on the
+    # sums, for a member and a bag in both directions and, on a2 and a3,
+    # for two bags of two members.
     from torsionheart.homology import ext1
     u = request.getfixturevalue(f"{name}_universe")
-    for i in range(u.n):
-        for bag, bits in he._sum_bags(u):
-            split = 1 << i | bits
-            for right, left in (((i,), bag), (bag, (i,))):
-                space = ext1(u.sum_module(right), u.sum_module(left))
-                every = {u.summand_bitset(ses.middle)
-                         for _, ses in all_ext_classes(space)}
-                assert set(u.ext_middles(right, left)) | {split} \
-                    == every, (right, left)
+    bags = [bag for bag, _ in he._sum_bags(u)]
+    pairs = [pair for i in range(u.n) for bag in bags
+             for pair in (((i,), bag), (bag, (i,)))]
+    if name != "d4":
+        pairs += [(right, left) for right in bags for left in bags
+                  if len(right) == len(left) == 2]
+    for right, left in pairs:
+        space = ext1(u.sum_module(right), u.sum_module(left))
+        every = Counter(u.summand_bitset(ses.middle)
+                        for _, ses in all_ext_classes(space))
+        split = sum(1 << x for x in set(right + left))
+        assert Counter(u.ext_middles(right, left)) + Counter([split]) \
+            == every, (right, left)
 
 
 def test_oracle_never_realizes_the_split_class(monkeypatch):
+    # The oracle reads a class that is nonzero on one block of
+    # Ext^1(+R_i, +L_j) off the middles of the pair of members, and never
+    # realizes the split class: every class it realizes has two or more
+    # nonzero blocks.
+    from torsionheart import universe as un
     from torsionheart import verify as ve
     from torsionheart.homology import Ext1Space
-    from torsionheart.universe import enumerate_indecomposables
     # a fresh context, so that no oracle scan is served from the memo
     ctx = ve.build_context(
-        enumerate_indecomposables(parse_algebra(A3_TEXT), (2, 2, 2)))
-    realize = Ext1Space.realize
+        un.enumerate_indecomposables(parse_algebra(A3_TEXT), (2, 2, 2)))
+    realize, middle = Ext1Space.realize, un.block_extension_middle
     calls = []
 
-    def guarded(self, coeffs):
+    def guarded_realize(self, coeffs):
         assert any(int(c) for c in coeffs), "split class realized"
-        calls.append(coeffs)
         return realize(self, coeffs)
 
-    monkeypatch.setattr(Ext1Space, "realize", guarded)
+    def guarded_middle(rights, lefts, blocks):
+        assert len(blocks) >= 2 and all(
+            any(int(c) for c in coeffs) for coeffs in blocks.values()), \
+            f"class with blocks {blocks} is not mixed"
+        calls.append(blocks)
+        return middle(rights, lefts, blocks)
+
+    monkeypatch.setattr(Ext1Space, "realize", guarded_realize)
+    monkeypatch.setattr(un, "block_extension_middle", guarded_middle)
     assert ve.suite_oracle_equivalence(ctx).passed
     assert calls
 
@@ -440,16 +492,50 @@ def test_oracle_never_realizes_the_split_class(monkeypatch):
 def test_every_ext_class_is_realized_once(monkeypatch):
     # the completeness check, the lattice, the fast criteria and the oracle
     # all read Ext middles through the universe, which realizes each class
-    # of each pair of modules once per run
+    # of each pair of modules, and each mixed class of each pair of sums of
+    # members, once per run
+    from torsionheart import universe as un
     from torsionheart.cli import main
     from torsionheart.homology import Ext1Space
-    realize = Ext1Space.realize
+    realize, middle = Ext1Space.realize, un.block_extension_middle
     seen = Counter()
 
-    def counted(self, coeffs):
+    def counted_realize(self, coeffs):
         seen[self.m.key, self.n.key, tuple(coeffs)] += 1
         return realize(self, coeffs)
 
-    monkeypatch.setattr(Ext1Space, "realize", counted)
+    def counted_middle(rights, lefts, blocks):
+        seen[tuple(m.key for m in rights), tuple(m.key for m in lefts),
+             tuple(sorted((at, tuple(c)) for at, c in blocks.items()))] += 1
+        return middle(rights, lefts, blocks)
+
+    monkeypatch.setattr(Ext1Space, "realize", counted_realize)
+    monkeypatch.setattr(un, "block_extension_middle", counted_middle)
     assert main(["verify", str(FIXTURES / "a3.quiver")]) == 0
     assert seen and max(seen.values()) == 1
+
+
+def test_verify_d4_realizes_no_ext_of_sums(monkeypatch):
+    # Ext^1 between sums of members is read block by block: a verify run on
+    # d4 builds no Ext^1 space of a sum, and its pushouts, 158 in all, are
+    # the realizations of the classes of pairs of members and of the mixed
+    # classes of the oracle
+    from torsionheart import homology as ho
+    from torsionheart.cli import main
+    from torsionheart.krull import is_indecomposable
+    init, pushout = ho.Ext1Space.__init__, ho.pushout
+    ends, pushouts = [], []
+
+    def recorded_init(self, m, n):
+        ends.extend((m, n))
+        init(self, m, n)
+
+    def counted_pushout(f, g):
+        pushouts.append(None)
+        return pushout(f, g)
+
+    monkeypatch.setattr(ho.Ext1Space, "__init__", recorded_init)
+    monkeypatch.setattr(ho, "pushout", counted_pushout)
+    assert main(["verify", str(FIXTURES / "d4.quiver")]) == 0
+    assert ends and all(is_indecomposable(m) for m in ends)
+    assert 0 < len(pushouts) <= 158

@@ -165,6 +165,25 @@ def test_ext_middles(a2_universe):
     assert u.ext_middles((s2,), (s1,)) == []
 
 
+def test_ext_middles_check_the_cap_on_the_sum(monkeypatch):
+    # Ext^1(S1, S2 + S2) has two blocks of dimension 1: each fits the cap
+    # of 1, their sum does not, and nothing is realized before the raise
+    from torsionheart import homology as ho
+    alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
+                                                     ext_dim_cap=1))
+    u = un.enumerate_indecomposables(alg, (2, 2))
+    s1 = u.index_of(module_by_dims(u, (1, 0)))
+    s2 = u.index_of(module_by_dims(u, (0, 1)))
+
+    def no_pushout(f, g):
+        raise AssertionError("pushout before the cap check")
+
+    monkeypatch.setattr(ho, "pushout", no_pushout)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^ext scan of size 2\^2 exceeds cap$"):
+        u.ext_middles((s1,), (s2, s2))
+
+
 def test_empty_universe_completeness():
     # no module fits a zero bound: nothing escapes, but the simples are missing
     alg = parse_algebra(A2_TEXT)
