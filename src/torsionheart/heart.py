@@ -26,9 +26,9 @@ torsion A.  The split class cannot witness a failure: its middle T + A
 keeps the non-torsion summands of A.  Dually, the AT2 scan skips every
 torsion-free B, so the split middle F + B is never torsion-free.
 
-Every Ext middle, fast or oracle, is read through the universe
-(`IndecUniverse.ext_middles` for sums of members, `nonsplit_middles` for a
-module outside the listing).  For sums of members it reads a class by its
+Every Ext middle, fast or oracle, is read through the universe as
+`IndecUniverse.ext_middles` between two sums of members; a module M outside
+the listing is read as the bag of its summands.  It reads a class by its
 blocks in Ext^1(R_i, L_j): a class nonzero on one block has the middle of
 that block's class plus the other members, read off the list of the pair
 of members, and only a class nonzero on two or more blocks is realized,
@@ -48,12 +48,9 @@ from .homology import (
     SES, factor_through, has_retraction, hom_space, injective_envelope,
     pullback,
 )
-from .krull import is_indecomposable, is_isomorphic
 from .modules import Module, Morphism, assemble, cokernel, unvec_morphism
 from .torsion import TorsionPair, is_hereditary, submodule_summand_bits
-from .universe import (
-    IndecUniverse, all_quotients, all_submodules, bit_indices,
-)
+from .universe import IndecUniverse, all_submodules, bit_indices
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ class HeartSequence:
     morphism is the mono of the cover, resp. the epi of the envelope."""
     simple: HeartSimple
     sequence: SES
-    envelope_index: int
+    envelope_index: int     # the member N, a summand of C
 
     @property
     def kind(self) -> str:
@@ -111,23 +108,19 @@ def _ext_scan_finds_witness(u: IndecUniverse, m: Module, m_on_right: bool,
     """Bounded ATF2/AT2 scan: some extension between M and a sum A of at most
     two members with A outside add(class) has its middle term inside.
 
-    M is the right end (the quotient) of the extension when m_on_right, else
-    the left end.  Only the middles of non-split classes are read: the
-    split middle is M + A, which lies outside add(class) because A does.
-    This needs no fast criterion, only the skip of every A inside
-    add(class).
+    M, a member or not, is read as the bag of its summands.  It is the right
+    end (the quotient) of the extension when m_on_right, else the left end.
+    Only the middles of non-split classes are read: the split middle is
+    M + A, which lies outside add(class) because A does.  This needs no
+    fast criterion, only the skip of every A inside add(class).
     """
-    idx = u.index_of(m)
+    ends = tuple(i for i, mult in sorted(u.summands(m).items())
+                 for _ in range(mult))
     for bag, bag_bits in _sum_bags(u):
         if bag_bits & ~class_bits == 0:
             continue
-        if idx is not None:
-            middles = u.ext_middles(
-                *(((idx,), bag) if m_on_right else (bag, (idx,))))
-        else:
-            a = u.sum_module(bag)
-            middles = u.nonsplit_middles(*((m, a) if m_on_right else (a, m)))
-        if any(bits & ~class_bits == 0 for bits in middles):
+        if any(bits & ~class_bits == 0 for bits in u.ext_middles(
+                *((ends, bag) if m_on_right else (bag, ends)))):
             return True
     return False
 
@@ -171,7 +164,7 @@ def _is_almost(m: Module, pair: TorsionPair, mode: str, torsion: bool) -> bool:
         raise ValueError(f"unknown mode {mode!r}")
     # ATF1, literally: every proper submodule of T is torsion-free; AT1:
     # every proper quotient of F is torsion
-    for piece, _ in u.all_submodules(m) if torsion else all_quotients(m):
+    for piece, _ in u.all_submodules(m) if torsion else u.all_quotients(m):
         if piece.dims != m.dims and u.summand_bitset(piece) & ~other:
             return False
     # ATF2/AT2, bounded scan: all extensions of T by (of F by) sums of at
@@ -318,14 +311,14 @@ def heart_sequence(simple: HeartSimple, data: CotiltingData) -> HeartSequence:
         if not is_almost_torsion(s, pair):
             raise ValueError("expected an almost torsion module")
         ses = special_envelope(s, data)
-    seq = HeartSequence(simple, ses, -1)
-    if u.summand_bitset(seq.envelope) & ~data.add_c_bits:
-        raise AssertionError("envelope module leaves add(C)")
+    idx = u.index_of(ses.left if simple.shifted else ses.middle)
+    if idx is None or not data.add_c_bits >> idx & 1:
+        raise AssertionError("envelope module is not a member of add(C)")
+    seq = HeartSequence(simple, ses, idx)
     if not is_strong_las_fast(seq.strong_las, data):
         raise AssertionError(
             f"{seq.kind} sequence map is not strong left almost split")
-    idx = u.index_of(seq.envelope)
-    return HeartSequence(simple, ses, -1 if idx is None else idx)
+    return seq
 
 
 def classify_neg_isolated(data: CotiltingData):
@@ -457,6 +450,7 @@ def hereditary_cover_check(q: Module, data: CotiltingData) -> HereditaryCoverRep
     is the pullback of the cover of E(Q) along Q -> E(Q), with the same
     indecomposable kernel, and the cover middle of E(Q) is the injective
     envelope of the cover middle of Q."""
+    u = data.universe
     pair = data.pair
     if not is_hereditary(pair):
         raise ValueError("the torsion pair is not hereditary")
@@ -466,14 +460,14 @@ def hereditary_cover_check(q: Module, data: CotiltingData) -> HereditaryCoverRep
     cover_e = special_cover(env.target, data)
     w, _, _ = pullback(cover_e.surject, env)
     cover_q = special_cover(q, data)
-    kernel_matches = is_isomorphic(cover_q.left, cover_e.left)
-    cover_matches = is_isomorphic(cover_q.middle, w)
+    kernel_matches = u.summands(cover_q.left) == u.summands(cover_e.left)
+    cover_matches = u.summands(cover_q.middle) == u.summands(w)
     env_of_cover = injective_envelope(cover_q.middle)
     envelope_matches = (
-        is_isomorphic(env_of_cover.target, cover_e.middle)
+        u.summands(env_of_cover.target) == u.summands(cover_e.middle)
         and essentiality_check(env_of_cover)
     )
-    kernel_indec = is_indecomposable(cover_q.left)
+    kernel_indec = u.index_of(cover_q.left) is not None
     return HereditaryCoverReport(
         simple=q,
         kernel_matches=kernel_matches,

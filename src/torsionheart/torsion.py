@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 from .algebra import cached
 from .modules import Module
-from .universe import IndecUniverse, all_quotients, bit_indices
+from .universe import IndecUniverse, bit_indices
 
 
 def quotient_summand_bits(u: IndecUniverse, i: int) -> int:
     return cached(u, ("quotient_summand_bits", i), lambda: _union(
-        u.summand_bitset(quot) for quot, _ in all_quotients(u.indecs[i])))
+        u.summand_bitset(quot) for quot, _ in u.all_quotients(u.indecs[i])))
 
 
 def submodule_summand_bits(u: IndecUniverse, i: int) -> int:
@@ -61,16 +61,10 @@ class TorsionPair:
                 f"F={sorted(bit_indices(self.torsion_free_bits))})")
 
 
-def torsion_closure(gens, u: IndecUniverse, closed: int = 0) -> int:
-    """Smallest torsion class containing the generators (modules or bitset)
-    and `closed`, which must already be a torsion class."""
+def torsion_closure(bits: int, u: IndecUniverse, closed: int = 0) -> int:
+    """Smallest torsion class containing the members flagged by bits and
+    `closed`, which must already be a torsion class."""
     u.require_complete()
-    if isinstance(gens, int):
-        bits = gens
-    else:
-        bits = 0
-        for g in gens:
-            bits |= u.summand_bitset(g)
     return _close(u, closed, bits & ~closed)
 
 

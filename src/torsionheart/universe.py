@@ -21,13 +21,14 @@ indices: the kernel, image and cokernel of each map i -> j, the Ext middles
 of i by j, the AR translates of i, then a missing simple.
 
 The universe is the one reader of modules and Ext classes as sums of
-members: `summands` maps a module to the multiplicities of its members, and
-`ext_middles` lists the middle terms of the non-split classes between two
-sums of members as member bitsets, one entry per class, grouped by block.
-The heart, torsion and completeness layers ask these two and never
-decompose a module themselves.  The closure leaves what it read in their
-caches: the member bitset of every module it decomposed and the Ext middles
-of every pair of members.
+members: `summands` maps a module to the multiplicities of its members
+(`summand_bitset` and `index_of` read it), and `ext_middles` lists the
+middle terms of the non-split classes between two sums of members as member
+bitsets, one entry per class, grouped by block.  The heart, torsion and
+completeness layers ask these and never decompose or compare modules
+themselves.  The closure leaves what it read in their caches: the member
+bitset of every module it decomposed and the Ext middles of every pair of
+members, so `ext_middles` never realizes a class of a pair of members.
 
 Ext^1 is additive, Ext^1(+R_i, +L_j) = + Ext^1(R_i, L_j), so `ext_middles`
 of two sums never builds the Ext^1 space of a sum.  A class nonzero on one
@@ -38,11 +39,12 @@ Algebras, I.5), read off the cached list of the pair of members.  Only a
 class nonzero on two or more blocks is realized, from the block cocycle
 (`homology.block_extension_middle`).
 
-The closure is the only place that decomposes a module, since completeness
-is not known while it runs.  On a complete universe `summands` reads M off
-its Hom vector h = [dim Hom(X_i, M)]_i instead.  A complete universe holds
-every indecomposable, and over a representation-finite algebra the Hom
-vector against all of them determines a module up to isomorphism
+The closure is the only place that decomposes a module or compares two by
+`krull.is_isomorphic`, since completeness is not known while it runs.  On a
+complete universe `summands` reads M off its Hom vector
+h = [dim Hom(X_i, M)]_i instead.  A complete universe holds every
+indecomposable, and over a representation-finite algebra the Hom vector
+against all of them determines a module up to isomorphism
 (M. Auslander, Contemp. Math. 13, 1982; K. Bongartz, Bull. LMS 21, 1989).
 So the Hom table H, with H[i][j] = dim Hom(X_i, X_j), is invertible, and the
 multiplicities of M are the solution x of H x = h.  The integer inverse of H
@@ -68,7 +70,7 @@ from .homology import (
 )
 from .krull import decompose, is_isomorphic
 from .modules import (
-    Module, cokernel, direct_sum, image, injective_module, kernel,
+    Module, cokernel, image, injective_module, kernel,
     projective_module, quotient_by_rows, simple_module, submodule_from_rows,
 )
 
@@ -99,12 +101,14 @@ class IndecUniverse:
     # -- membership -----------------------------------------------------
 
     def index_of(self, m: Module):
-        """Universe index of the iso class of an indecomposable, or None."""
-        if m.is_zero():
-            return None
-        return cached(self, ("index_of", m.key), lambda: next(
-            (i for i, x in enumerate(self.indecs)
-             if x.dims == m.dims and is_isomorphic(m, x)), None))
+        """Universe index of the iso class of M when M is a member, else None
+        (the zero module included).  Read off `summand_bitset`, so it
+        raises like `summands` on a module the closure never read."""
+        bits = self.summand_bitset(m)
+        i = bits.bit_length() - 1
+        if bits and bits == 1 << i and self.indecs[i].dims == m.dims:
+            return i
+        return None
 
     def hom_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, G) with hom_table @ G == den * I: the integer inverse of the
@@ -154,16 +158,17 @@ class IndecUniverse:
     def members(self, bits: int) -> list[Module]:
         return [self.indecs[i] for i in bit_indices(bits)]
 
-    def sum_module(self, bag: tuple[int, ...]) -> Module:
-        """The direct sum of the members of a bag, a sorted tuple of
-        universe indices with repetition."""
-        return direct_sum([self.indecs[i] for i in bag], self.algebra)[0]
-
     # -- oracles ----------------------------------------------------------
 
     def all_submodules(self, m: Module):
         return cached(self, ("all_submodules", m.key),
                       lambda: all_submodules(m))
+
+    def all_quotients(self, m: Module):
+        """Every quotient exactly once, as (module, projection); cached."""
+        return cached(self, ("all_quotients", m.key), lambda: [
+            quotient_by_rows(m, incl.maps)
+            for _, incl in self.all_submodules(m)])
 
     def maximal_submodules(self, i: int) -> list[Module]:
         return cached(self, ("maximal_submodules", i),
@@ -175,17 +180,14 @@ class IndecUniverse:
 
     # -- extensions -----------------------------------------------------
 
-    def nonsplit_middles(self, right: Module, left: Module) -> list[int]:
-        """Middle bitsets of the non-split classes of Ext^1(right, left), in
-        the order of nonsplit_classes; uncached."""
-        return [self.summand_bitset(ses.middle)
-                for _, ses in ext1(right, left).nonsplit_classes()]
-
     def ext_middles(self, right: tuple[int, ...],
                     left: tuple[int, ...]) -> list[int]:
         """Middle bitsets of the non-split classes of Ext^1 between the sums
         of two bags of members, one entry per class; cached.  The split
-        middle is the sum of the two bags.
+        middle is the sum of the two bags.  The closure lists every pair of
+        single members; a pair it did not list raises
+        IncompleteUniverseError on an incomplete universe and is an internal
+        error on a complete one.
 
         Ext^1 is additive: a class is a tuple of block classes, one in
         Ext^1(R_i, L_j) for each pair of members.  The classes nonzero on
@@ -198,9 +200,9 @@ class IndecUniverse:
         entry is read."""
         def compute():
             if len(right) == len(left) == 1:
-                r, l = right[0], left[0]
-                return (self.nonsplit_middles(self.indecs[r], self.indecs[l])
-                        if self.ext_table[r][l] else [])
+                self.require_complete()
+                raise AssertionError(f"the closure listed no Ext middles of "
+                                     f"members {right[0]} by {left[0]}")
             blocks = [(i, j, self.ext_table[r][l])
                       for i, r in enumerate(right) for j, l in enumerate(left)]
             classes = ext_scan(self.algebra, sum(d for *_, d in blocks))
@@ -380,7 +382,6 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
 
     memo: dict = {}
     for key, idx in member_of.items():
-        memo["index_of", key] = rank[idx]
         memo["summand_bitset", key] = 1 << rank[idx]
     for key, got in pieces.items():
         if bits(got) is not None:
@@ -419,15 +420,6 @@ def all_submodules(m: Module):
                 break
         if stable:
             out.append(submodule_from_rows(m, list(choice)))
-    return out
-
-
-def all_quotients(m: Module):
-    """Every quotient exactly once, as (module, projection)."""
-    out = []
-    for _, incl in all_submodules(m):
-        rows = [incl.maps[v] for v in range(m.algebra.quiver.n)]
-        out.append(quotient_by_rows(m, rows))
     return out
 
 

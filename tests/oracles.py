@@ -17,8 +17,9 @@ The checkers at the end use it too.  They are the definitions the tests hold
 the package's constructions to, and nothing in the package calls them:
 approximation and minimality of a morphism, split epis, the class of a
 realized extension, all classes of an Ext space, split injectivity by
-the literal mono scan, injective dimension, and the Krull-Schmidt reading of
-a module as members that the universe's Hom-vector reading replaced.
+the literal mono scan, injective dimension, the direct sum of a bag of
+members, and the Krull-Schmidt reading of a module as members that the
+universe's Hom-vector reading replaced.
 """
 
 from __future__ import annotations
@@ -502,6 +503,12 @@ def injective_dimension(m, cap: int = 64) -> int:
         if d > cap:
             raise ResourceLimitError(f"injective dimension exceeds {cap}")
     return d
+
+
+def sum_module(u, bag):
+    """The direct sum of the members of a bag, a sorted tuple of universe
+    indices with repetition."""
+    return direct_sum([u.indecs[i] for i in bag], u.algebra)[0]
 
 
 def decompose_reading(u, m, pieces=None) -> dict[int, int]:

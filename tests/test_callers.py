@@ -9,7 +9,8 @@ that only the tests use live in tests/oracles.py, not in the package.
 Three more guards read the package the same way: every local a function
 binds is read (names starting with `_` are exempt), every exhaustive scan and
 candidate search goes through the one scan gate in homology.py, and only
-krull and the universe's closure call `krull.decompose`.
+krull and the universe's closure call `krull.decompose`, `is_isomorphic` and
+`is_indecomposable`.
 """
 
 import ast
@@ -156,8 +157,14 @@ def test_one_scan_gate():
 
 
 def test_decompose_only_in_the_closure():
-    """Outside krull, only the closure of the universe decomposes a module:
-    once the universe is complete, members are read off Hom vectors."""
-    places = _readers({"decompose"})["decompose"]
-    assert {place[:2] for place in places if place[0] != "krull.py"} == {
-        ("universe.py", "completeness_check")}
+    """Outside krull, only the closure of the universe decomposes a module
+    or tests modules for isomorphism or indecomposability: once the universe
+    is complete, members are read off Hom vectors."""
+    readers = _readers({"decompose", "is_isomorphic", "is_indecomposable"})
+    outside = {name: {place[:2] for place in places
+                      if place[0] != "krull.py"}
+               for name, places in readers.items()}
+    closure = {("universe.py", "completeness_check")}
+    assert outside["decompose"] == closure
+    assert outside["is_isomorphic"] <= closure
+    assert outside["is_indecomposable"] <= closure

@@ -65,7 +65,7 @@ def test_rejection_names_the_member(a3_universe):
     # the reason names the member in perp(C) that C does not cogenerate
     u = a3_universe
     p2 = u.index_of(module_by_dims(u, (0, 1, 1)))
-    pair = to.pair_from_torsion_class(to.torsion_closure([u.indecs[p2]], u), u)
+    pair = to.pair_from_torsion_class(to.torsion_closure(1 << p2, u), u)
     with pytest.raises(NotCotiltingError) as info:
         co.cotilting_from_pair(pair)
     assert info.value.reason == (f"Cogen(C) != perp(C) at M{p2} (0,1,1): "
@@ -137,7 +137,7 @@ def test_a3_worked_example(a3_universe):
     and the envelope of the radical of P(1) is P1 + S2 with cokernel [1,2]."""
     u = a3_universe
     s1 = module_by_dims(u, (1, 0, 0))
-    t_bits = to.torsion_closure([s1], u)
+    t_bits = to.torsion_closure(u.summand_bitset(s1), u)
     assert t_bits == 1 << u.index_of(s1)
     pair = to.pair_from_torsion_class(t_bits, u)
     data = co.cotilting_from_pair(pair)
@@ -171,7 +171,7 @@ def test_a3_minimal_cotilting_matches_construction(a3_universe):
     from torsionheart.heart import classify_neg_isolated
     u = a3_universe
     s1 = module_by_dims(u, (1, 0, 0))
-    pair = to.pair_from_torsion_class(to.torsion_closure([s1], u), u)
+    pair = to.pair_from_torsion_class(to.torsion_closure(u.summand_bitset(s1), u), u)
     data = co.cotilting_from_pair(pair)
     criticals, specials = classify_neg_isolated(data)
     mods = [s.envelope for s in criticals] + [s.envelope for s in specials]

@@ -14,7 +14,7 @@ from torsionheart.homology import hom_space, injective_envelope
 from torsionheart.universe import bit_indices
 
 from conftest import A3_TEXT, FIXTURES, module_by_dims
-from oracles import all_ext_classes, split_injective_scan
+from oracles import all_ext_classes, split_injective_scan, sum_module
 
 
 def _bits(u, *dims_list):
@@ -233,7 +233,7 @@ def test_hereditary_cover_check_a2(a2_universe, a2_data):
 def test_hereditary_cover_check_rejects_non_hereditary(a3_universe):
     u = a3_universe
     s2 = module_by_dims(u, (0, 1, 0))
-    t_bits = to.torsion_closure([s2], u)
+    t_bits = to.torsion_closure(u.summand_bitset(s2), u)
     pair = to.pair_from_torsion_class(t_bits, u)
     data = co.cotilting_from_pair(pair)
     if to.is_hereditary(pair):
@@ -413,12 +413,69 @@ def test_minimal_cotilting_failure_names_the_member(a2_ctx, monkeypatch):
                "for TorsionPair(T=[1], F=[0, 2])")
 
 
+def _envelope_replaced_by(monkeypatch, wrong):
+    """Make the special cover and envelope of every heart simple S carry
+    wrong(S) where the heart injective envelope belongs."""
+    cover, envelope = he.special_cover, he.special_envelope
+    monkeypatch.setattr(he, "special_cover", lambda s, data:
+                        dataclasses.replace(cover(s, data), left=wrong(s)))
+    monkeypatch.setattr(he, "special_envelope", lambda s, data:
+                        dataclasses.replace(envelope(s, data), middle=wrong(s)))
+
+
+def test_envelope_outside_add_c_is_an_internal_error(a2_universe, a2_data,
+                                                     monkeypatch):
+    # an envelope that is no member, or a member outside add(C), is never
+    # stored as an index
+    u = a2_universe
+    outside = next(x for i, x in enumerate(u.indecs)
+                   if not a2_data.add_c_bits >> i & 1)
+    simples = he.heart_simples(a2_data.pair)
+    assert simples
+    for wrong in (lambda s: mo.direct_sum([s, s])[0], lambda s: outside):
+        _envelope_replaced_by(monkeypatch, wrong)
+        for simple in simples:
+            with pytest.raises(AssertionError, match=r"^envelope module is "
+                               r"not a member of add\(C\)$"):
+                he.heart_sequence(simple, a2_data)
+
+
+def test_envelope_outside_add_c_exits_internal(monkeypatch, capsys):
+    from torsionheart.cli import EXIT_INTERNAL, main
+
+    _envelope_replaced_by(monkeypatch, lambda s: mo.direct_sum([s, s])[0])
+    code = main(["heart", str(FIXTURES / "a2.quiver"), "--gens", "1.0"])
+    assert (code, capsys.readouterr().err) == (
+        EXIT_INTERNAL,
+        "internal error: envelope module is not a member of add(C)\n")
+
+
+def _literal_atf(m, pair):
+    """ATF1 and the bounded ATF2 scan for M, straight from the definitions:
+    every proper submodule is torsion-free, and no non-split extension of M
+    by a sum A of at most two members outside T has a torsion middle."""
+    from torsionheart.homology import ext1
+    u = pair.universe
+    atf1 = all(sub.dims == m.dims or pair.is_torsion_free(sub)
+               for sub, _ in u.all_submodules(m))
+    atf2 = not any(
+        any(coeffs) and pair.is_torsion(ses.middle)
+        for bag, bits in he._sum_bags(u) if bits & ~pair.torsion_bits
+        for coeffs, ses in all_ext_classes(ext1(m, sum_module(u, bag))))
+    return atf1, atf2
+
+
 def test_oracle_mode_on_non_member(a2_universe, a2_data):
-    # oracle mode accepts modules outside the universe listing
-    p1 = module_by_dims(a2_universe, (1, 1))
+    # oracle mode accepts modules outside the universe listing, and reads
+    # their extensions as extensions of the bag of their summands
     s1 = module_by_dims(a2_universe, (1, 0))
     both = mo.direct_sum([s1, s1])[0]
     assert not he.is_almost_torsion_free(both, a2_data.pair, "oracle")
+    s2 = module_by_dims(a2_universe, (0, 1))
+    twice = mo.direct_sum([s2, s2])[0]
+    atf1, atf2 = _literal_atf(twice, a2_data.pair)
+    assert atf1     # so the Ext scan runs on the bag (S2, S2)
+    assert he.is_almost_torsion_free(twice, a2_data.pair, "oracle") == atf2
 
 
 def test_split_injective_scan_agrees_a3(a3_universe):
@@ -426,7 +483,7 @@ def test_split_injective_scan_agrees_a3(a3_universe):
     u = a3_universe
     s1 = module_by_dims(u, (1, 0, 0))
     pair = to.pair_from_torsion_class(
-        to.torsion_closure([s1], u), u)
+        to.torsion_closure(u.summand_bitset(s1), u), u)
     data = co.cotilting_from_pair(pair)
     for i in bit_indices(data.c_class_bits):
         m = u.indecs[i]
@@ -450,7 +507,7 @@ def test_ext_middles_sum_plus_split_is_every_class(name, request):
         pairs += [(right, left) for right in bags for left in bags
                   if len(right) == len(left) == 2]
     for right, left in pairs:
-        space = ext1(u.sum_module(right), u.sum_module(left))
+        space = ext1(sum_module(u, right), sum_module(u, left))
         every = Counter(u.summand_bitset(ses.middle)
                         for _, ses in all_ext_classes(space))
         split = sum(1 << x for x in set(right + left))

@@ -32,7 +32,7 @@ from torsionheart.homology import ext1
 from torsionheart.modules import Module
 
 from conftest import FIXTURES
-from oracles import decompose_reading
+from oracles import decompose_reading, sum_module
 
 # (fixture, bound); None is the CLI's default bound of 2 at every vertex
 CASES = [("a2", None), ("a3", None), ("d4", None), ("loop", None),
@@ -79,7 +79,7 @@ def test_reading_matches_decompose_on_ext_middles(name):
             for right, left in (((i,), bag), (bag, (i,))):
                 if not any(u.ext_table[r][l] for r in right for l in left):
                     continue
-                space = ext1(u.sum_module(right), u.sum_module(left))
+                space = ext1(sum_module(u, right), sum_module(u, left))
                 for _, ses in space.nonsplit_classes():
                     m = ses.middle
                     if m.key not in seen:
@@ -115,7 +115,7 @@ def test_reading_is_basis_free(name, seed, size):
     u, _ = _closure(name)
     rng = random.Random(seed)
     bag = sorted(rng.randrange(u.n) for _ in range(size))
-    m = u.sum_module(tuple(bag))
+    m = sum_module(u, tuple(bag))
     algebra = m.algebra
     p = algebra.field.p
     basis = [_random_invertible(d, p, rng) for d in m.dims]

@@ -31,9 +31,9 @@ def test_torsion_closures_a2(a2_universe, idx):
     u = a2_universe
     p1 = module_by_dims(u, (1, 1))
     s1 = module_by_dims(u, (1, 0))
-    assert to.torsion_closure([p1], u) == bits(idx, "P1", "S1")
-    assert to.torsion_closure([s1], u) == bits(idx, "S1")
-    assert to.torsion_closure([], u) == 0
+    assert to.torsion_closure(u.summand_bitset(p1), u) == bits(idx, "P1", "S1")
+    assert to.torsion_closure(u.summand_bitset(s1), u) == bits(idx, "S1")
+    assert to.torsion_closure(0, u) == 0
 
 
 def test_all_torsion_classes_a2(a2_universe, idx):
@@ -150,7 +150,7 @@ def test_is_hereditary(a2_universe, idx):
 def test_hereditary_on_a3(a3_universe):
     u = a3_universe
     p1 = module_by_dims(u, (1, 1, 1))
-    t_bits = to.torsion_closure([p1], u)
+    t_bits = to.torsion_closure(u.summand_bitset(p1), u)
     pair = to.pair_from_torsion_class(t_bits, u)
     # the submodule (0,1,1) of P(1) leaves the closure of {P(1)}
     assert not to.is_hereditary(pair)

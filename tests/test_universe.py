@@ -81,7 +81,8 @@ def test_all_submodules_a2(a2_universe):
 
 def test_all_quotients_a2(a2_universe):
     p1 = module_by_dims(a2_universe, (1, 1))
-    quots = un.all_quotients(p1)
+    quots = a2_universe.all_quotients(p1)
+    assert a2_universe.all_quotients(p1) is quots
     assert sorted(q.dims for q, _ in quots) == [(0, 0), (1, 0), (1, 1)]
     for q, proj in quots:
         assert proj.is_epi()
@@ -136,6 +137,51 @@ def test_index_and_bitset(a2_universe):
     twice = mo.direct_sum([s1, s1, p1])[0]
     assert u.summands(twice) == {i_s1: 2, i_p1: 1}
     assert u.summands(mo.zero_module(u.algebra)) == {}
+
+
+def test_index_of_reads_members_only(a2_universe):
+    u = a2_universe
+    s1 = module_by_dims(u, (1, 0))
+    assert u.index_of(s1) == u.indecs.index(s1)
+    assert u.index_of(mo.zero_module(u.algebra)) is None
+    # bitset 1 << index_of(S1), but not the dims of S1
+    assert u.index_of(mo.direct_sum([s1, s1])[0]) is None
+
+
+def test_index_of_reads_a_new_basis_by_hom_vectors(d4_universe, monkeypatch):
+    # a member in another basis at every vertex, under a key the closure
+    # never read, is found without an isomorphism test
+    from torsionheart import krull, linalg
+
+    def refuse(m, n):
+        raise AssertionError("is_isomorphic called")
+
+    monkeypatch.setattr(krull, "is_isomorphic", refuse)
+    monkeypatch.setattr(un, "is_isomorphic", refuse)
+    u = d4_universe
+    algebra = u.algebra
+    p = algebra.field.p
+
+    def shear(d, row, col):
+        """The identity with one more 1 at (row, col), both below d."""
+        return tuple(tuple(int(r == c or (r, c) == (row, col))
+                           for c in range(d)) for r in range(d))
+
+    moved = []
+    for i, m in enumerate(u.indecs):
+        for row, col in ((0, 1), (1, 0)):
+            g = [shear(d, row, col) if d > 1 else linalg.eye(d)
+                 for d in m.dims]
+            inv = [linalg.inverse(x, p) for x in g]
+            maps = [linalg.matmul(linalg.matmul(g[a.source], x, p,
+                                                m.dims[a.target]),
+                                  inv[a.target], p, m.dims[a.target])
+                    for a, x in zip(algebra.quiver.arrows, m.maps)]
+            copy = mo.Module(algebra, m.dims, maps)
+            if ("summand_bitset", copy.key) not in u.memo:
+                assert u.index_of(copy) == i
+                moved.append(i)
+    assert moved
 
 
 def test_maximal_submodules(a2_universe):
