@@ -10,6 +10,11 @@ checked explicitly; any failure reports the failing condition.
 
 Prod is read as add throughout: over a finite-dimensional algebra at desk
 scale the two closures agree on finite-dimensional modules.
+
+The minimal approximation of a module already in the class is its identity
+(Auslander-Smalo, "Preprojective modules over Artin algebras", J. Algebra
+66, 1980), so the special sequences of such a module are not built by
+`minimal_approx`.
 """
 
 from __future__ import annotations
@@ -17,11 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .algebra import cached
 from .exceptions import NotCotiltingError
 from .homology import (
     SES, cokernel, hom_space, injective_envelope, is_injective, minimal_approx,
 )
-from .modules import Module, direct_sum, injective_module, kernel
+from .modules import (
+    Module, direct_sum, identity_morphism, injective_module, kernel,
+)
 from .torsion import TorsionPair
 from .universe import bit_indices
 
@@ -75,9 +83,13 @@ def injective_cogenerator(algebra) -> Module:
     )[0]
 
 
-def _injective_dimension_exceeds_1(m: Module) -> bool:
-    env = injective_envelope(m)
-    return not env.is_iso() and not is_injective(cokernel(env)[0])
+def _injective_dimension_exceeds_1(u, i: int) -> bool:
+    """inj.dim X_i > 1 for member i; cached.  inj.dim of a sum is the largest
+    inj.dim of its summands, so this decides condition (1) for every C."""
+    def compute():
+        env = injective_envelope(u.indecs[i])
+        return not env.is_iso() and not is_injective(cokernel(env)[0])
+    return cached(u, ("injective_dimension_exceeds_1", i), compute)
 
 
 def member_name(u, i: int) -> str:
@@ -111,10 +123,10 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
     summands = u.members(ext_inj)
     c = direct_sum(summands, u.algebra)[0]
 
-    # condition (1): injective dimension at most one
-    if _injective_dimension_exceeds_1(c):
-        i = next(i for i in bit_indices(ext_inj)
-                 if _injective_dimension_exceeds_1(u.indecs[i]))
+    # condition (1): injective dimension at most one, member by member
+    i = next((i for i in bit_indices(ext_inj)
+              if _injective_dimension_exceeds_1(u, i)), None)
+    if i is not None:
         raise NotCotiltingError(
             f"injective dimension of C exceeds 1 at {member_name(u, i)}")
     # condition (2), self-orthogonality, holds by construction: ext_inj is
@@ -173,9 +185,10 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
 
 def special_cover(m: Module, data: CotiltingData) -> SES:
     """0 -> X -> Y -> M -> 0 with Y in the cotilting class, X in its perp,
-    and the epi right minimal."""
+    and the epi right minimal: the identity when M lies in the class."""
     u = data.universe
-    f = minimal_approx(m, data.c_class_members(), "right")
+    f = (identity_morphism(m) if u.in_class(m, data.c_class_bits)
+         else minimal_approx(m, data.c_class_members(), "right"))
     if not f.is_epi():
         raise AssertionError("cotilting-class approximation is not onto")
     x, incl = kernel(f)
@@ -192,9 +205,11 @@ def special_cover(m: Module, data: CotiltingData) -> SES:
 
 def special_envelope(m: Module, data: CotiltingData) -> SES:
     """0 -> M -> X' -> Y' -> 0 with X' in the perp class, Y' in the cotilting
-    class, and the mono left minimal."""
+    class, and the mono left minimal: the identity when M lies in the perp
+    class."""
     u = data.universe
-    f = minimal_approx(m, data.perp_members(), "left")
+    f = (identity_morphism(m) if u.in_class(m, data.perp_class_bits)
+         else minimal_approx(m, data.perp_members(), "left"))
     if not f.is_mono():
         raise AssertionError("perp-class approximation is not mono")
     y, proj = cokernel(f)

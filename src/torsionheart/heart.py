@@ -201,10 +201,19 @@ def heart_simples(pair: TorsionPair, mode: str = "fast") -> list[HeartSimple]:
 def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
     """f is not a split mono, and every non-split-mono out of its source into
     a class member factors through it.  Quantification over indecomposable
-    targets suffices (sources with local endomorphism rings)."""
-    x = f.source
-    if not (u.in_class(x, class_bits) and u.in_class(f.target, class_bits)):
+    targets suffices (sources with local endomorphism rings).  The verdict
+    is cached on the universe: the fast criterion and both oracles ask it of
+    the same map."""
+    if not (u.in_class(f.source, class_bits)
+            and u.in_class(f.target, class_bits)):
         raise ValueError("source and target must lie in the class")
+    return cached(u, ("is_left_almost_split", f.source.key, f.target.key,
+                      f.maps, class_bits),
+                  lambda: _left_almost_split(f, class_bits, u))
+
+
+def _left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
+    x = f.source
     if has_retraction(f):
         return False
     p = x.algebra.field.p

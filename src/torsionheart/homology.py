@@ -468,7 +468,11 @@ def _find_idempotent(basis: list[Morphism], p: int):
     y = basis[0].source
     current = list(basis)
     prev_dim = None
-    for _ in range(200):
+    # The spans of B, B^2, B^3, ... (B = span(basis), a one-sided ideal of
+    # End(Y)) form a descending chain of subspaces of End(Y), so they
+    # stabilize after at most dim End(Y) shrinking steps; the loop stops at
+    # the first span that does not shrink, or at zero.
+    while True:
         vecs = [m.vec() for m in current if not m.is_zero()]
         if not vecs:
             return None
@@ -545,19 +549,16 @@ def _strip_components(m: Module, gens: list[Module], side: str):
             row_blocks.append(rows)
         blocks.append(row_blocks)
 
-    def covers(subset: list[int]) -> bool:
-        for i, full_dim in enumerate(full_dims):
-            if full_dim == 0:
-                continue
-            stacked = tuple(chain.from_iterable(blocks[i][j] for j in subset))
-            if linalg.rank(stacked, p) < full_dim:
-                return False
-        return True
-
+    # All components cover every Hom(G_i, M): the identity of G_i is in
+    # End(G_i).  Dropping component j changes only the spans of the
+    # generators i with a nonempty block (i, j), so only those are re-ranked.
     keep = list(range(len(comps)))
     for j in reversed(range(len(comps))):
         trial = [k for k in keep if k != j]
-        if covers(trial):
+        if all(linalg.rank(tuple(chain.from_iterable(
+                   blocks[i][k] for k in trial)), p) == full_dim
+               for i, full_dim in enumerate(full_dims)
+               if full_dim and blocks[i][j]):
             keep = trial
     return [comps[j] for j in keep]
 

@@ -48,11 +48,11 @@ against all of them determines a module up to isomorphism
 (M. Auslander, Contemp. Math. 13, 1982; K. Bongartz, Bull. LMS 21, 1989).
 So the Hom table H, with H[i][j] = dim Hom(X_i, X_j), is invertible, and the
 multiplicities of M are the solution x of H x = h.  The integer inverse of H
-is cached, and each dim Hom(X_i, M) is one rank over F_p from the projective
-presentation of X_i (`homology.hom_dims_into`).  Every reading is checked:
-x must be integral and nonnegative, and the members it names must add up to
-the dims of M.  A reading that fails a check is an internal error; it never
-falls back to a decomposition.
+and every reading are cached, and each dim Hom(X_i, M) is one rank over F_p
+from the projective presentation of X_i (`homology.hom_dims_into`).  Every
+reading is checked: x must be integral and nonnegative, and the members it
+names must add up to the dims of M.  A reading that fails a check is an
+internal error; it never falls back to a decomposition.
 """
 
 from __future__ import annotations
@@ -118,32 +118,37 @@ class IndecUniverse:
 
     def summands(self, m: Module) -> dict[int, int]:
         """Multiplicity of each member among the indecomposable summands of
-        M, by universe index; uncached.  Read off the Hom vector of M, with
-        every reading checked: a reading that is not a sum of members is an
-        internal error.
+        M, by universe index; cached per `Module.key`, and the dict is
+        shared, so callers do not change it.  Read off the Hom vector of M,
+        with every reading checked: a reading that is not a sum of members
+        is an internal error.
 
         Raises IncompleteUniverseError on an incomplete universe.
         """
         self.require_complete()
-        counts: dict[int, int] = {}
-        if m.is_zero():
-            return counts
-        den, inverse = self.hom_inverse()
-        h = hom_dims_into(self.indecs, m)
-        dims = [0] * len(m.dims)
-        for i, row in enumerate(inverse):
-            mult, rest = divmod(sum(a * b for a, b in zip(row, h)), den)
-            if rest or mult < 0:
+
+        def compute():
+            counts: dict[int, int] = {}
+            if m.is_zero():
+                return counts
+            den, inverse = self.hom_inverse()
+            h = hom_dims_into(self.indecs, m)
+            dims = [0] * len(m.dims)
+            for i, row in enumerate(inverse):
+                mult, rest = divmod(sum(a * b for a, b in zip(row, h)), den)
+                if rest or mult < 0:
+                    raise AssertionError(
+                        f"Hom vector of dims {m.dims} is not a sum of members")
+                if mult:
+                    counts[i] = mult
+                    dims = [d + mult * e
+                            for d, e in zip(dims, self.indecs[i].dims)]
+            if tuple(dims) != m.dims:
                 raise AssertionError(
-                    f"Hom vector of dims {m.dims} is not a sum of members")
-            if mult:
-                counts[i] = mult
-                dims = [d + mult * e for d, e in zip(dims, self.indecs[i].dims)]
-        if tuple(dims) != m.dims:
-            raise AssertionError(
-                f"members read off the Hom vector of dims {m.dims} sum to "
-                f"dims {tuple(dims)}")
-        return counts
+                    f"members read off the Hom vector of dims {m.dims} sum to "
+                    f"dims {tuple(dims)}")
+            return counts
+        return cached(self, ("summands", m.key), compute)
 
     def summand_bitset(self, m: Module) -> int:
         """Bitset of the members that are summands of M; cached.  Raises

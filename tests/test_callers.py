@@ -6,11 +6,11 @@ package, in scripts/, or as a target of the outside tracer
 (perfbench/tracer.py's TARGETS, which wraps functions by name).  Checkers
 that only the tests use live in tests/oracles.py, not in the package.
 
-Three more guards read the package the same way: every local a function
+Four more guards read the package the same way: every local a function
 binds is read (names starting with `_` are exempt), every exhaustive scan and
-candidate search goes through the one scan gate in homology.py, and only
-krull and the universe's closure call `krull.decompose`, `is_isomorphic` and
-`is_indecomposable`.
+candidate search goes through the one scan gate in homology.py, only krull
+and the universe's closure call `krull.decompose`, `is_isomorphic` and
+`is_indecomposable`, and every cache goes through `algebra.cached`.
 """
 
 import ast
@@ -107,37 +107,38 @@ def test_every_local_is_read():
     assert unread == []
 
 
+def _places(tree, module: str, match) -> set[tuple[str, ...]]:
+    """The places in a syntax tree, as the module and the chain of functions
+    around them, of every node for which match(node) holds."""
+    out = set()
+
+    def visit(node, stack):
+        if match(node):
+            out.add(stack)
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack + (child.name,) if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else stack)
+
+    visit(tree, (module,))
+    return out
+
+
 def _readers(names: set[str]) -> dict[str, set[tuple[str, ...]]]:
     """For each name, the places in the package that read it, as an
-    attribute or a variable: the module, then the chain of functions around
-    the read, outermost first.  linalg.py, which defines the vector scans,
-    is left out."""
-    out = {name: set() for name in names}
+    attribute or a variable.  linalg.py, which defines the vector scans, is
+    left out."""
+    def reads(name):
+        return lambda node: (
+            isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name
+            and isinstance(node.ctx, ast.Load))
 
-    class Visitor(ast.NodeVisitor):
-        def __init__(self, module: str):
-            self.stack = [module]
-
-        def visit_FunctionDef(self, node):
-            self.stack.append(node.name)
-            self.generic_visit(node)
-            self.stack.pop()
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_Attribute(self, node):
-            if node.attr in names:
-                out[node.attr].add(tuple(self.stack))
-            self.generic_visit(node)
-
-        def visit_Name(self, node):
-            if node.id in names and isinstance(node.ctx, ast.Load):
-                out[node.id].add(tuple(self.stack))
-
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "linalg.py":
-            Visitor(path.name).visit(ast.parse(path.read_text()))
-    return out
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "linalg.py"}
+    return {name: set().union(*(_places(tree, module, reads(name))
+                                for module, tree in trees.items()))
+            for name in names}
 
 
 def test_one_scan_gate():
@@ -168,3 +169,42 @@ def test_decompose_only_in_the_closure():
     assert outside["decompose"] == closure
     assert outside["is_isomorphic"] <= closure
     assert outside["is_indecomposable"] <= closure
+
+
+def _is_memo(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "memo"
+            or isinstance(node, ast.Attribute) and node.attr == "memo")
+
+
+def _writes_memo(node) -> bool:
+    """A store or delete of memo[...], or a call of a mutating method of a
+    memo dict."""
+    if isinstance(node, ast.Subscript):
+        return (isinstance(node.ctx, (ast.Store, ast.Del))
+                and _is_memo(node.value))
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("setdefault", "update", "pop", "popitem",
+                                   "clear", "__setitem__")
+            and _is_memo(node.func.value))
+
+
+def _names_functools_cache(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("cache", "lru_cache")
+            or isinstance(node, ast.Attribute)
+            and node.attr in ("cache", "lru_cache"))
+
+
+def test_one_way_to_cache():
+    """Every memo entry is written by `algebra.cached`, apart from the
+    entries the closure leaves for the universe it builds; functools caches
+    only the constant matrices of linalg."""
+    writes, functools_caches = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writes |= {place[:2] for place in _places(tree, path.name,
+                                                   _writes_memo)}
+        functools_caches |= _places(tree, path.name, _names_functools_cache)
+    assert writes == {("algebra.py", "cached"),
+                      ("universe.py", "completeness_check")}
+    assert functools_caches <= {("linalg.py", "zeros"), ("linalg.py", "eye")}

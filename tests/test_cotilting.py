@@ -196,3 +196,31 @@ def test_ext_injectives_need_no_orthogonality_check(fixture, bound):
         assert all(ext[i][j] == 0 for i in ext_inj for j in ext_inj)
         perp = [x for x in range(u.n) if all(ext[i][x] == 0 for i in f)]
         assert [x for x in f if x in perp] == ext_inj
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "d4"])
+def test_approximation_of_a_class_member_is_the_identity(name, request):
+    # special_cover and special_envelope take the identity of a module
+    # already in the class; the literal minimal approximation of every
+    # member of the cotilting class (right) and of the perp class (left) is
+    # an iso, so the long path builds the same sequence up to iso
+    from torsionheart.homology import minimal_approx
+    from torsionheart.modules import cokernel, kernel
+    ctx = request.getfixturevalue(f"{name}_ctx")
+    u = ctx.universe
+    assert ctx.cotilting_pairs
+    for data in ctx.cotilting_pairs:
+        for i in bit_indices(data.c_class_bits):
+            m = u.indecs[i]
+            f = minimal_approx(m, data.c_class_members(), "right")
+            assert f.is_iso(), (data.pair, i)
+            ses = co.special_cover(m, data)
+            assert ses.left.is_zero() and kernel(f)[0].is_zero()
+            assert u.summands(ses.middle) == u.summands(f.source) == {i: 1}
+        for i in bit_indices(data.perp_class_bits):
+            m = u.indecs[i]
+            f = minimal_approx(m, data.perp_members(), "left")
+            assert f.is_iso(), (data.pair, i)
+            ses = co.special_envelope(m, data)
+            assert ses.right.is_zero() and cokernel(f)[0].is_zero()
+            assert u.summands(ses.middle) == u.summands(f.target) == {i: 1}

@@ -596,3 +596,52 @@ def test_verify_d4_realizes_no_ext_of_sums(monkeypatch):
     assert main(["verify", str(FIXTURES / "d4.quiver")]) == 0
     assert ends and all(is_indecomposable(m) for m in ends)
     assert 0 < len(pushouts) <= 158
+
+
+def test_verify_d4_computes_each_known_answer_once(monkeypatch):
+    # a verify run on d4 asks each left almost split verdict, Hom-vector
+    # reading and member injective dimension once, takes the identity as
+    # the approximation of a module already in the class, and re-ranks in
+    # `_strip_components` only the generators a trial removal touches
+    from torsionheart import homology as ho
+    from torsionheart import linalg
+    from torsionheart import universe as un
+    from torsionheart.cli import main
+    bodies, readings, approxes, envelopes, ranks = [], [], [], [], []
+    stripping = []
+
+    def recorded(module, name, log, entry=lambda *args: None):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            log.append(entry(*args))
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    recorded(he, "_left_almost_split", bodies, lambda f, bits, u:
+             (f.source.key, f.target.key, f.maps, bits))
+    recorded(un, "hom_dims_into", readings, lambda sources, m: m.key)
+    recorded(co, "minimal_approx", approxes)
+    recorded(co, "injective_envelope", envelopes)
+    strip, rank = ho._strip_components, linalg.rank
+
+    def marked_strip(*args):
+        stripping.append(None)
+        try:
+            return strip(*args)
+        finally:
+            stripping.pop()
+
+    def counted_rank(a, p):
+        if stripping:
+            ranks.append(None)
+        return rank(a, p)
+
+    monkeypatch.setattr(ho, "_strip_components", marked_strip)
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    assert main(["verify", str(FIXTURES / "d4.quiver")]) == 0
+    assert 0 < len(bodies) == len(set(bodies)) <= 80
+    assert 0 < len(readings) == len(set(readings)) <= 191
+    assert 0 < len(approxes) <= 92
+    assert 0 < len(envelopes) <= 12
+    assert 0 < len(ranks) <= 1140
