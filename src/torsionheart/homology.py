@@ -8,11 +8,10 @@ extension returns the cocycle class.  Between two direct sums, a class is
 given block by block and realized from the cocycles of the summands
 (`block_extension_middle`), without the Ext^1 space of the sums.
 
-Minimal right/left approximations are built as full approximations and then
-minimized.  Minimality is certified, not assumed: a right approximation
-f: Y -> M is minimal iff the annihilator {u in End(Y) : u.then(f) = 0}
-contains no nonzero idempotent, and a finite-dimensional algebra without
-nonzero idempotents is nilpotent, which we check by iterating products.
+Minimal right/left approximations are assembled from an irredundant set of
+component maps between the generators and M.  Such a set is already minimal
+(Nakayama, through Auslander's projectivization), so no idempotent is
+searched for or split off; `minimal_approx` states the argument.
 
 One cached minimal projective presentation P1 -> P0 -> M -> 0,
 `presentation`, serves the transpose, and so both AR translates, and
@@ -20,7 +19,7 @@ One cached minimal projective presentation P1 -> P0 -> M -> 0,
 
 Every exhaustive scan of the package passes one gate, `scan`, which raises
 ResourceLimitError before any work beyond the scan cap; `candidates` is the
-one order in which the idempotent and isomorphism searches try elements.
+one order in which krull's idempotent and isomorphism searches try elements.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from .exceptions import ResourceLimitError
 from .modules import (
     Module, Morphism, assemble, cokernel, direct_sum, dual_module,
     identity_morphism, injective_module, kernel, projective_module,
-    quotient_by_rows, submodule_from_rows, unvec_morphism, zero_module,
-    zero_morphism,
+    quotient_by_rows, unvec_morphism, zero_morphism,
 )
 
 
@@ -421,112 +419,12 @@ def block_extension_middle(rights: list[Module], lefts: list[Module],
     return pushout(incl, cocycle)[0]
 
 
-# -- minimality machinery --------------------------------------------------------
-
-def _annihilator(f: Morphism, side: str) -> list[Morphism]:
-    """Basis of {u in End(Y) : u.then(f) == 0} (side='right', f: Y -> M) or
-    {u in End(Y) : f.then(u) == 0} (side='left', f: M -> Y)."""
-    y = f.source if side == "right" else f.target
-    p = y.algebra.field.p
-    end = hom_space(y, y)
-    if end.dim == 0:
-        return []
-    rows = [
-        (u.then(f) if side == "right" else f.then(u)).vec()
-        for u in end.basis
-    ]
-    if not rows[0]:
-        return list(end.basis)
-    ker = linalg.left_nullspace(rows, p)
-    return [end.from_coords(c) for c in ker]
-
-
-def fitting_idempotent(x: Morphism):
-    """Projection onto im x^n along ker x^n for n >= dim Y (Fitting's lemma),
-    or None when x is nilpotent or invertible."""
-    y = x.source
-    p = y.algebra.field.p
-    xn = x
-    for _ in range(y.total_dim.bit_length()):
-        xn = xn.then(xn)
-    if xn.is_zero() or xn.is_iso():
-        return None
-    maps = []
-    for a in xn.maps:  # e = B^-1 diag(1, 0) B for B = [im a; ker a]
-        im = linalg.row_space(a, p)
-        inv = linalg.inverse(im + linalg.left_nullspace(a, p), p)
-        k = len(im)
-        maps.append(linalg.matmul(tuple(row[:k] for row in inv), im, p, len(a)))
-    return Morphism(y, y, maps, check=False)
-
-
-def _find_idempotent(basis: list[Morphism], p: int):
-    """None when span(basis) generates a nilpotent algebra, else a nonzero
-    idempotent inside the generated algebra."""
-    if not basis:
-        return None
-    y = basis[0].source
-    current = list(basis)
-    prev_dim = None
-    # The spans of B, B^2, B^3, ... (B = span(basis), a one-sided ideal of
-    # End(Y)) form a descending chain of subspaces of End(Y), so they
-    # stabilize after at most dim End(Y) shrinking steps; the loop stops at
-    # the first span that does not shrink, or at zero.
-    while True:
-        vecs = [m.vec() for m in current if not m.is_zero()]
-        if not vecs:
-            return None
-        span = linalg.row_space(vecs, p)
-        current = [unvec_morphism(y, y, r) for r in span]
-        if prev_dim == len(span):
-            break
-        prev_dim = len(span)
-        current = [a.then(b) for a in basis for b in current]
-    for x in candidates(HomSpace(y, y, tuple(current))):
-        if x.is_iso():  # the identity lies in the algebra
-            return identity_morphism(y)
-        e = fitting_idempotent(x)
-        if e is not None:
-            return e
-    if scannable(y.algebra, len(current)):
-        return None
-    raise ResourceLimitError("idempotent search space too large")
-
-
-def _minimize(f: Morphism, side: str) -> Morphism:
-    """Split off the source summands killed by f (side='right') or the
-    target summands missed by f (side='left') until f is minimal."""
-    right = side == "right"
-    p = f.source.algebra.field.p
-    while not (f.source if right else f.target).is_zero():
-        e = _find_idempotent(_annihilator(f, side), p)
-        if e is None:
-            return f
-        # ker e is a complement of the summand im e
-        y = e.source
-        rows = [linalg.left_nullspace(a, p) for a in e.maps]
-        sub, incl = submodule_from_rows(y, rows)
-        if right:
-            f = incl.then(f)
-            continue
-        core_maps = []  # 1 - e, the projection onto ker e along im e
-        for a, d, inc in zip(e.maps, y.dims, incl.maps):
-            one_minus_e = linalg.add(linalg.eye(d),
-                                     linalg.scale(p - 1, a, p), p)
-            sol = linalg.solve_left(inc, one_minus_e, p)
-            if sol is None:
-                raise AssertionError("complement of the idempotent image failed")
-            core_maps.append(sol)
-        f = f.then(Morphism(y, sub, core_maps, check=False))
-    return f
-
-
 # -- approximations ----------------------------------------------------------------
 
 def _strip_components(m: Module, gens: list[Module], side: str):
-    """Greedy pre-pass: keep a small set of component maps G_j -> M
+    """Greedy pass: keep an irredundant set of component maps G_j -> M
     (side='right') or M -> G_j (side='left') whose Hom-images still cover
-    every Hom(G_i, M), resp. Hom(M, G_i); minimality is certified later."""
+    every Hom(G_i, M), resp. Hom(M, G_i)."""
     right = side == "right"
     p = m.algebra.field.p
 
@@ -552,6 +450,8 @@ def _strip_components(m: Module, gens: list[Module], side: str):
     # All components cover every Hom(G_i, M): the identity of G_i is in
     # End(G_i).  Dropping component j changes only the spans of the
     # generators i with a nonempty block (i, j), so only those are re-ranked.
+    # A component kept here stays needed: dropping it failed already when
+    # more components were left.
     keep = list(range(len(comps)))
     for j in reversed(range(len(comps))):
         trial = [k for k in keep if k != j]
@@ -565,13 +465,22 @@ def _strip_components(m: Module, gens: list[Module], side: str):
 
 def minimal_approx(m: Module, gens: list[Module], side: str) -> Morphism:
     """Minimal add(gens)-approximation: right Y -> M (side='right') or left
-    M -> Y (side='left')."""
+    M -> Y (side='left').  The gens must be indecomposable and pairwise
+    non-isomorphic (zero modules are skipped), as members of a universe are.
+
+    No idempotent is split off.  Under Hom(G, -), G the sum of the gens,
+    add(G) is equivalent to the projective modules over Gamma = End(G)
+    (Auslander's projectivization; Auslander-Reiten-Smalo, Representation
+    Theory of Artin Algebras, ch. II.2).  A component b: G_j -> M generates
+    a quotient of the indecomposable projective Hom(G, G_j), whose top is
+    simple because End(G_j) is local, whatever its residue field.  The kept
+    components generate Hom(G, M) irredundantly, so by Nakayama their tops
+    form a direct sum equal to the top of Hom(G, M): the assembled map is a
+    projective cover, and so right minimal.  The left side is dual.
+    tests/oracles.py keeps the literal idempotent-splitting minimization as
+    the reference."""
     comps = _strip_components(m, [g for g in gens if not g.is_zero()], side)
-    if not comps:
-        zero = zero_module(m.algebra)
-        return (zero_morphism(zero, m) if side == "right"
-                else zero_morphism(m, zero))
-    return _minimize(assemble(m, comps, side), side)
+    return assemble(m, comps, side)
 
 
 # -- injective envelopes -------------------------------------------------------------

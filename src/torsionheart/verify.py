@@ -99,29 +99,33 @@ def suite_oracle_equivalence(ctx: AnalysisContext) -> VerifyResult:
 def suite_brick_property(ctx: AnalysisContext) -> VerifyResult:
     """Heart simples are bricks; nonzero maps between two torsion almost
     torsion-free modules of one pair are isomorphisms."""
+    u = ctx.universe
     checked = 0
     for data in ctx.cotilting_pairs:
         simples = heart_simples(data.pair)
         for s in simples:
             if not is_brick(s.module):
-                return VerifyResult("brick-property", False,
-                                    f"heart simple {s.module.dims} is not a brick")
+                return VerifyResult(
+                    "brick-property", False,
+                    f"heart simple {member_name(u, s.index)} is not a brick "
+                    f"for {data.pair}")
             checked += 1
         shifted = [s for s in simples if s.shifted]
         for a in shifted:
             for b in shifted:
                 h = hom_space(a.module, b.module)
+                between = (f"{member_name(u, a.index)} -> "
+                           f"{member_name(u, b.index)} for {data.pair}")
                 for f in h.basis:
                     if not f.is_zero() and not f.is_iso():
                         return VerifyResult(
                             "brick-property", False,
                             f"non-iso map between torsion ATF modules "
-                            f"{a.module.dims} -> {b.module.dims}")
+                            f"{between}")
                 if a.index != b.index and h.dim:
                     return VerifyResult(
                         "brick-property", False,
-                        f"hom between distinct torsion ATF modules "
-                        f"{a.index} -> {b.index}")
+                        f"hom between distinct torsion ATF modules {between}")
     return VerifyResult("brick-property", True, f"{checked} heart simples checked")
 
 
@@ -255,14 +259,16 @@ def suite_brick_labels(ctx: AnalysisContext) -> VerifyResult:
         label = u.indecs[cover.label_index]
         upper_pair = lat.pair_of(cover.upper)
         lower_pair = lat.pair_of(cover.lower)
+        at = (f"label {member_name(u, cover.label_index)} of the cover "
+              f"{upper_pair} -> {lower_pair}")
         if not (upper_pair.is_torsion(label)
                 and is_almost_torsion_free(label, upper_pair)):
             return VerifyResult("brick-labels", False,
-                                f"label {label.dims} not torsion-ATF above")
+                                f"{at} not torsion-ATF above")
         if not (lower_pair.is_torsion_free(label)
                 and is_almost_torsion(label, lower_pair)):
             return VerifyResult("brick-labels", False,
-                                f"label {label.dims} not torsion-free-AT below")
+                                f"{at} not torsion-free-AT below")
     top = lat.class_index(u.all_bits)
     down, _ = lat.covers_of(top)
     # completeness requires every simple S(v) to be a member

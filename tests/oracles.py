@@ -15,11 +15,12 @@ brick_labels re-derives every Hasse label of a lattice.
 
 The checkers at the end use it too.  They are the definitions the tests hold
 the package's constructions to, and nothing in the package calls them:
-approximation and minimality of a morphism, split epis, the class of a
-realized extension, all classes of an Ext space, split injectivity by
-the literal mono scan, injective dimension, the direct sum of a bag of
-members, and the Krull-Schmidt reading of a module as members that the
-universe's Hom-vector reading replaced.
+approximation and minimality of a morphism, with the literal minimization
+by idempotents that the package's approximations no longer need, split
+epis, the class of a realized extension, all classes of an Ext space, split
+injectivity by the literal mono scan, injective dimension, the direct sum
+of a bag of members, and the Krull-Schmidt reading of a module as members
+that the universe's Hom-vector reading replaced.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from torsionheart.exceptions import ResourceLimitError
 from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
 from torsionheart.modules import (
     Module, Morphism, cokernel, direct_sum, identity_morphism, simple_module,
+    submodule_from_rows, unvec_morphism,
 )
 from torsionheart.universe import bit_indices
 
@@ -435,16 +437,116 @@ def is_left_approximation(f, gens) -> bool:
                for b in ho.hom_space(f.source, g).basis)
 
 
+def _annihilator(f: Morphism, side: str) -> list[Morphism]:
+    """Basis of {u in End(Y) : u.then(f) == 0} (side='right', f: Y -> M) or
+    {u in End(Y) : f.then(u) == 0} (side='left', f: M -> Y)."""
+    y = f.source if side == "right" else f.target
+    p = y.algebra.field.p
+    end = ho.hom_space(y, y)
+    if end.dim == 0:
+        return []
+    rows = [
+        (u.then(f) if side == "right" else f.then(u)).vec()
+        for u in end.basis
+    ]
+    if not rows[0]:
+        return list(end.basis)
+    ker = linalg.left_nullspace(rows, p)
+    return [end.from_coords(c) for c in ker]
+
+
+def fitting_idempotent(x: Morphism):
+    """Projection onto im x^n along ker x^n for n >= dim Y (Fitting's lemma),
+    or None when x is nilpotent or invertible."""
+    y = x.source
+    p = y.algebra.field.p
+    xn = x
+    for _ in range(y.total_dim.bit_length()):
+        xn = xn.then(xn)
+    if xn.is_zero() or xn.is_iso():
+        return None
+    maps = []
+    for a in xn.maps:  # e = B^-1 diag(1, 0) B for B = [im a; ker a]
+        im = linalg.row_space(a, p)
+        inv = linalg.inverse(im + linalg.left_nullspace(a, p), p)
+        k = len(im)
+        maps.append(linalg.matmul(tuple(row[:k] for row in inv), im, p, len(a)))
+    return Morphism(y, y, maps, check=False)
+
+
+def _find_idempotent(basis: list[Morphism], p: int):
+    """None when span(basis) generates a nilpotent algebra, else a nonzero
+    idempotent inside the generated algebra."""
+    if not basis:
+        return None
+    y = basis[0].source
+    current = list(basis)
+    prev_dim = None
+    # The spans of B, B^2, B^3, ... (B = span(basis), a one-sided ideal of
+    # End(Y)) form a descending chain of subspaces of End(Y), so they
+    # stabilize after at most dim End(Y) shrinking steps; the loop stops at
+    # the first span that does not shrink, or at zero.
+    while True:
+        vecs = [m.vec() for m in current if not m.is_zero()]
+        if not vecs:
+            return None
+        span = linalg.row_space(vecs, p)
+        current = [unvec_morphism(y, y, r) for r in span]
+        if prev_dim == len(span):
+            break
+        prev_dim = len(span)
+        current = [a.then(b) for a in basis for b in current]
+    for x in ho.candidates(ho.HomSpace(y, y, tuple(current))):
+        if x.is_iso():  # the identity lies in the algebra
+            return identity_morphism(y)
+        e = fitting_idempotent(x)
+        if e is not None:
+            return e
+    if ho.scannable(y.algebra, len(current)):
+        return None
+    raise ResourceLimitError("idempotent search space too large")
+
+
+def minimize(f: Morphism, side: str) -> Morphism:
+    """Split off the source summands killed by f (side='right') or the
+    target summands missed by f (side='left') until f is minimal: the
+    literal minimization by idempotents, which homology.minimal_approx
+    needs no longer."""
+    right = side == "right"
+    p = f.source.algebra.field.p
+    while not (f.source if right else f.target).is_zero():
+        e = _find_idempotent(_annihilator(f, side), p)
+        if e is None:
+            return f
+        # ker e is a complement of the summand im e
+        y = e.source
+        rows = [linalg.left_nullspace(a, p) for a in e.maps]
+        sub, incl = submodule_from_rows(y, rows)
+        if right:
+            f = incl.then(f)
+            continue
+        core_maps = []  # 1 - e, the projection onto ker e along im e
+        for a, d, inc in zip(e.maps, y.dims, incl.maps):
+            one_minus_e = linalg.add(linalg.eye(d),
+                                     linalg.scale(p - 1, a, p), p)
+            sol = linalg.solve_left(inc, one_minus_e, p)
+            if sol is None:
+                raise AssertionError("complement of the idempotent image failed")
+            core_maps.append(sol)
+        f = f.then(Morphism(y, sub, core_maps, check=False))
+    return f
+
+
 def is_right_minimal(f) -> bool:
     """No nonzero idempotent u of End(source) with u.then(f) == 0."""
     p = f.source.algebra.field.p
-    return ho._find_idempotent(ho._annihilator(f, "right"), p) is None
+    return _find_idempotent(_annihilator(f, "right"), p) is None
 
 
 def is_left_minimal(f) -> bool:
     """No nonzero idempotent u of End(target) with f.then(u) == 0."""
     p = f.source.algebra.field.p
-    return ho._find_idempotent(ho._annihilator(f, "left"), p) is None
+    return _find_idempotent(_annihilator(f, "left"), p) is None
 
 
 def ext_class_of(space, ses) -> tuple[int, ...]:

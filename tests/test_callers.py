@@ -6,11 +6,12 @@ package, in scripts/, or as a target of the outside tracer
 (perfbench/tracer.py's TARGETS, which wraps functions by name).  Checkers
 that only the tests use live in tests/oracles.py, not in the package.
 
-Four more guards read the package the same way: every local a function
+Five more guards read the package the same way: every local a function
 binds is read (names starting with `_` are exempt), every exhaustive scan and
 candidate search goes through the one scan gate in homology.py, only krull
 and the universe's closure call `krull.decompose`, `is_isomorphic` and
-`is_indecomposable`, and every cache goes through `algebra.cached`.
+`is_indecomposable`, only krull searches for idempotents, and every cache
+goes through `algebra.cached`.
 """
 
 import ast
@@ -169,6 +170,18 @@ def test_decompose_only_in_the_closure():
     assert outside["decompose"] == closure
     assert outside["is_isomorphic"] <= closure
     assert outside["is_indecomposable"] <= closure
+
+
+def test_idempotents_only_in_krull():
+    """Only krull searches for and splits idempotents: approximations are
+    minimal as assembled, so no idempotent search grows back on their
+    path."""
+    readers = _readers({"nontrivial_idempotent", "split_idempotent"})
+    assert {name: {place[0] for place in places}
+            for name, places in readers.items()} == {
+        "nontrivial_idempotent": {"krull.py"},
+        "split_idempotent": {"krull.py"},
+    }
 
 
 def _is_memo(node) -> bool:

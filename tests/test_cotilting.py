@@ -76,7 +76,7 @@ def test_cogen_equals_perp_tables(a2_universe, a2_nontrivial):
     # X in Cogen(C) iff Ext(X, C) = 0, for every indecomposable
     u = a2_universe
     data = a2_nontrivial
-    cogen = co.cogenerated_bits(u, data.cotilting)
+    cogen = co.cogenerated_bits(u, data.add_c_bits)
     for x in range(u.n):
         ext_vanishes = all(
             u.ext_table[x][i] == 0 for i in bit_indices(data.add_c_bits))
@@ -224,3 +224,79 @@ def test_approximation_of_a_class_member_is_the_identity(name, request):
             ses = co.special_envelope(m, data)
             assert ses.right.is_zero() and cokernel(f)[0].is_zero()
             assert u.summands(ses.middle) == u.summands(f.target) == {i: 1}
+
+
+@pytest.mark.parametrize("args", [
+    ["a2.quiver"], ["a3.quiver"], ["d4.quiver"], ["loop.quiver"],
+    ["square.quiver", "--dim-bound", "1,1,1,1"]])
+def test_verify_approximations_are_minimal_without_splitting(args,
+                                                             monkeypatch):
+    # minimal_approx splits no idempotent off: every approximation a verify
+    # run builds is minimal by the literal idempotent check, and the literal
+    # minimization leaves its source (right) or target (left) as it is
+    from torsionheart.cli import main
+    from oracles import (
+        is_left_minimal, is_right_approximation, is_left_approximation,
+        is_right_minimal, minimize,
+    )
+    real = co.minimal_approx
+    built = {}
+
+    def recorded(m, gens, side):
+        f = real(m, gens, side)
+        built[m.key, tuple(g.key for g in gens), side] = f, gens
+        return f
+
+    monkeypatch.setattr(co, "minimal_approx", recorded)
+    assert main(["verify", str(FIXTURES / args[0]), *args[1:]]) == 0
+    assert built
+    for (_, _, side), (f, gens) in built.items():
+        if side == "right":
+            assert is_right_approximation(f, gens) and is_right_minimal(f)
+            assert minimize(f, side).source.dims == f.source.dims
+        else:
+            assert is_left_approximation(f, gens) and is_left_minimal(f)
+            assert minimize(f, side).target.dims == f.target.dims
+
+
+def test_approximation_over_a_larger_residue_field():
+    # Kronecker quiver over F_3, R = R(t^2+1) the regular brick (I, companion
+    # of t^2+1) with End(R) = F_9: Hom(R, R + R) has dimension 4 over F_3
+    # but is generated by 2 maps over End(R), so the approximations of R + R
+    # by R take exactly 2 copies, as the literal minimization does
+    from torsionheart import modules as mo
+    from torsionheart.homology import hom_space, minimal_approx
+    from oracles import is_left_minimal, is_right_minimal, minimize
+    alg = parse_algebra(
+        "field 3\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
+    r = mo.Module(alg, (2, 2), [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
+    m = mo.direct_sum([r, r], alg)[0]
+    assert hom_space(r, r).dim == 2 and hom_space(r, m).dim == 4
+    right = minimal_approx(m, [r], "right")
+    left = minimal_approx(m, [r], "left")
+    assert right.source.dims == left.target.dims == (4, 4)
+    assert right.is_iso() and left.is_iso()
+    assert is_right_minimal(right) and is_left_minimal(left)
+    assert minimize(right, "right").source.dims == (4, 4)
+
+
+def test_verify_d4_reads_cogeneration_off_member_hom_spaces(monkeypatch):
+    # Cogen(C) is read from Hom spaces between members: a verify run on d4
+    # builds no Hom space from cotilting into a module outside the universe
+    from torsionheart import cli
+    built, targets = [], []
+
+    def recorded_universe(*args):
+        built.append(enumerate_indecomposables(*args))
+        return built[-1]
+
+    def recorded_hom(m, n):
+        targets.append(n.key)
+        return hom_space(m, n)
+
+    hom_space = co.hom_space
+    monkeypatch.setattr(cli, "enumerate_indecomposables", recorded_universe)
+    monkeypatch.setattr(co, "hom_space", recorded_hom)
+    assert cli.main(["verify", str(FIXTURES / "d4.quiver")]) == 0
+    (u,) = built
+    assert targets and set(targets) <= {x.key for x in u.indecs}

@@ -413,6 +413,61 @@ def test_minimal_cotilting_failure_names_the_member(a2_ctx, monkeypatch):
                "for TorsionPair(T=[1], F=[0, 2])")
 
 
+def test_non_brick_simple_names_the_member_and_pair(a2_ctx, monkeypatch):
+    # a heart simple that is no brick must be named with its member and pair
+    from torsionheart import verify as ve
+
+    monkeypatch.setattr(ve, "is_brick", lambda m: False)
+    result = ve.suite_brick_property(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "heart simple M0 (0,1) is not a brick for "
+               "TorsionPair(T=[], F=[0, 1, 2])")
+
+
+def test_non_iso_map_names_the_members_and_pair(a2_ctx, monkeypatch):
+    # a nonzero non-iso map between torsion ATF simples must name both
+    # members and the pair: here every Hom space holds the epi P1 -> S1
+    from torsionheart import verify as ve
+    from torsionheart.homology import HomSpace
+
+    u = a2_ctx.universe
+    p1, s1 = module_by_dims(u, (1, 1)), module_by_dims(u, (1, 0))
+    epi = hom_space(p1, s1).basis[0]
+    monkeypatch.setattr(ve, "hom_space", lambda m, n: HomSpace(m, n, (epi,)))
+    result = ve.suite_brick_property(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "non-iso map between torsion ATF modules M1 (1,0) -> M1 (1,0) "
+               "for TorsionPair(T=[1], F=[0, 2])")
+
+
+def test_hom_between_distinct_simples_names_them(a3_ctx, monkeypatch):
+    # a nonzero Hom between two distinct torsion ATF simples must name both
+    # members and the pair: here Hom(a, b) is read as End(a)
+    from torsionheart import verify as ve
+
+    monkeypatch.setattr(ve, "hom_space", lambda m, n: hom_space(m, m))
+    result = ve.suite_brick_property(a3_ctx)
+    assert (result.passed, result.detail) == (
+        False, "hom between distinct torsion ATF modules M1 (0,1,0) -> "
+               "M2 (1,0,0) for TorsionPair(T=[1, 2, 4], F=[0, 3, 5])")
+
+
+@pytest.mark.parametrize("detector, side", [
+    ("is_almost_torsion_free", "torsion-ATF above"),
+    ("is_almost_torsion", "torsion-free-AT below")])
+def test_brick_label_failure_names_the_cover(a2_ctx, monkeypatch, detector,
+                                             side):
+    # a label that fails above or below its cover must be named with its
+    # member and the cover, upper class first
+    from torsionheart import verify as ve
+
+    monkeypatch.setattr(ve, detector, lambda m, pair: False)
+    result = ve.suite_brick_labels(a2_ctx)
+    assert (result.passed, result.detail) == (
+        False, "label M0 (0,1) of the cover TorsionPair(T=[0], F=[1]) -> "
+               f"TorsionPair(T=[], F=[0, 1, 2]) not {side}")
+
+
 def _envelope_replaced_by(monkeypatch, wrong):
     """Make the special cover and envelope of every heart simple S carry
     wrong(S) where the heart injective envelope belongs."""

@@ -15,8 +15,9 @@ from torsionheart.exceptions import ResourceLimitError
 from conftest import A2_TEXT, A3_TEXT, standard_modules
 from oracles import (
     all_ext_classes, brute_ext_dim_hereditary, ext_class_of, factor_over,
-    has_section, injective_dimension, is_left_approximation, is_left_minimal,
-    is_right_approximation, is_right_minimal,
+    fitting_idempotent, has_section, injective_dimension,
+    is_left_approximation, is_left_minimal, is_right_approximation,
+    is_right_minimal,
 )
 
 
@@ -367,7 +368,7 @@ def test_fitting_idempotent_properties(a3_f3_end, coeffs):
     xn = one
     for _ in range(m.total_dim):
         xn = xn.then(x)
-    e = ho.fitting_idempotent(x)
+    e = fitting_idempotent(x)
     if e is None:
         assert xn.is_zero() or xn.is_iso()
         e = one if xn.is_iso() else mo.zero_morphism(m, m)
