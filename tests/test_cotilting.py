@@ -236,7 +236,7 @@ def test_verify_approximations_are_minimal_without_splitting(args,
     # minimization leaves its source (right) or target (left) as it is
     from torsionheart.cli import main
     from oracles import (
-        is_left_minimal, is_right_approximation, is_left_approximation,
+        is_left_approximation, is_left_minimal, is_right_approximation,
         is_right_minimal, minimize,
     )
     real = co.minimal_approx
