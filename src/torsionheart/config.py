@@ -4,7 +4,8 @@ All scans are exhaustive within these gates and raise ResourceLimitError
 beyond them; nothing is ever sampled silently.  `scan_count_cap` is read
 only by `homology.scannable`, the gate of every Hom and Ext scan, and
 `random_tries` only by `homology.candidates`, for its seeded draws beyond
-the scan cap.
+the scan cap.  The lattice of torsion classes has no gate: its join search
+costs one closure per class and member outside it.
 
 Caps are set once, when the algebra is parsed (`parse_algebra`, or the
 `BoundQuiverAlgebra` constructor), and every scan reads them from the
@@ -34,8 +35,6 @@ class ResourceCaps:
     scan_count_cap: int = 1 << 16
     # seeded random draws of a candidate search beyond the scan cap
     random_tries: int = 64
-    # universe size gate for the torsion-class lattice search
-    lattice_indec_cap: int = 24
 
 
 DEFAULT_CAPS = ResourceCaps()

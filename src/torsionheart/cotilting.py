@@ -109,10 +109,10 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
     if f_bits == 0:
         raise NotCotiltingError("the torsion-free class has no Ext-injectives: "
                                 "it is zero")
-    ext_inj = 0
-    for i in bit_indices(f_bits):
-        if all(u.ext_table[j][i] == 0 for j in bit_indices(f_bits)):
-            ext_inj |= 1 << i
+    # perpendicular class of the cotilting class; add(C) is its
+    # intersection with F, the Ext-injectives of F
+    perp_bits = u.perp(f_bits, ext=True, right=True)
+    ext_inj = f_bits & perp_bits
     if ext_inj == 0:
         i = bit_indices(f_bits)[0]
         j = next(j for j in bit_indices(f_bits) if u.ext_table[j][i])
@@ -132,10 +132,7 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
     # the members i of F with Ext^1(F, X_i) = 0, and C lies in F
     # class equality Cogen(C) = perp_1(C) = torsion-free class
     cogen = cogenerated_bits(u, ext_inj)
-    perp1_of_c = 0
-    for x in range(u.n):
-        if all(u.ext_table[x][i] == 0 for i in bit_indices(ext_inj)):
-            perp1_of_c |= 1 << x
+    perp1_of_c = u.perp(ext_inj, ext=True, right=False)
     if cogen != perp1_of_c:
         only, other = (("Cogen(C)", "perp(C)") if cogen & ~perp1_of_c
                        else ("perp(C)", "Cogen(C)"))
@@ -146,12 +143,6 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
         raise NotCotiltingError(
             "cotilting class differs from the torsion-free class at "
             f"{_first_member(u, cogen ^ f_bits)}")
-    # perpendicular class of the cotilting class; add(C) is its
-    # intersection with F by the definition of ext_inj
-    perp_bits = 0
-    for x in range(u.n):
-        if all(u.ext_table[i][x] == 0 for i in bit_indices(f_bits)):
-            perp_bits |= 1 << x
 
     # condition (3): special cover of the injective cogenerator
     inj = injective_cogenerator(u.algebra)
@@ -184,22 +175,26 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
 
 def special_cover(m: Module, data: CotiltingData) -> SES:
     """0 -> X -> Y -> M -> 0 with Y in the cotilting class, X in its perp,
-    and the epi right minimal: the identity when M lies in the class."""
+    and the epi right minimal: the identity when M lies in the class.
+    Cached per module key and cotilting class."""
     u = data.universe
-    f = (identity_morphism(m) if u.in_class(m, data.c_class_bits)
-         else minimal_approx(m, data.c_class_members(), "right"))
-    if not f.is_epi():
-        raise AssertionError("cotilting-class approximation is not onto")
-    x, incl = kernel(f)
-    if u.summand_bitset(x) & ~data.perp_class_bits:
-        raise AssertionError("special cover kernel leaves the perp class")
-    if u.in_class(m, data.pair.torsion_bits):
-        if u.summand_bitset(x) & ~data.add_c_bits:
+
+    def compute():
+        f = (identity_morphism(m) if u.in_class(m, data.c_class_bits)
+             else minimal_approx(m, data.c_class_members(), "right"))
+        if not f.is_epi():
+            raise AssertionError("cotilting-class approximation is not onto")
+        x, incl = kernel(f)
+        if u.summand_bitset(x) & ~data.perp_class_bits:
+            raise AssertionError("special cover kernel leaves the perp class")
+        if (u.in_class(m, data.pair.torsion_bits)
+                and u.summand_bitset(x) & ~data.add_c_bits):
             raise AssertionError("cover kernel of a torsion module leaves add(C)")
-    ses = SES(x, f.source, m, incl, f)
-    if not ses.validate():
-        raise AssertionError("special cover is not exact")
-    return ses
+        ses = SES(x, f.source, m, incl, f)
+        if not ses.validate():
+            raise AssertionError("special cover is not exact")
+        return ses
+    return cached(u, ("special_cover", m.key, data.c_class_bits), compute)
 
 
 def special_envelope(m: Module, data: CotiltingData) -> SES:

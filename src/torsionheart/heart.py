@@ -39,7 +39,7 @@ it does not take over the ATF2' shortcut that an indecomposable F suffices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import linalg
 from .algebra import cached
@@ -141,16 +141,14 @@ def _is_almost(m: Module, pair: TorsionPair, mode: str, torsion: bool) -> bool:
         if idx is None:
             raise ValueError("fast mode needs a universe member")
         # ATF1': no nonzero non-surjective map from a torsion indecomposable,
-        # i.e. none maps nonzero into a maximal submodule of T.  AT1': no
-        # nonzero non-injective map into a torsion-free indecomposable, i.e.
-        # no quotient of F by a simple maps nonzero into one.
+        # i.e. none maps nonzero into a maximal submodule of T: each lies in
+        # T^perp = F.  AT1': no nonzero non-injective map into a torsion-free
+        # indecomposable, i.e. each quotient of F by a simple lies in
+        # perp(F) = T.
         pieces = (u.maximal_submodules(idx) if torsion
                   else u.simple_socle_quotients(idx))
-        for piece in pieces:
-            for s in bit_indices(u.summand_bitset(piece)):
-                for x in bit_indices(own):
-                    if u.hom_table[x][s] if torsion else u.hom_table[s][x]:
-                        return False
+        if any(u.summand_bitset(piece) & ~other for piece in pieces):
+            return False
         # ATF2': no extension of T by a torsion-free indecomposable with
         # torsion middle term; AT2': no extension of a torsion indecomposable
         # by F with torsion-free middle term
@@ -430,9 +428,13 @@ class HereditaryCoverReport:
     kernel_indecomposable: bool
 
     @property
+    def failed(self) -> list[str]:
+        """Names of the conditions, the fields after `simple`, that fail."""
+        return [f.name for f in fields(self)[1:] if not getattr(self, f.name)]
+
+    @property
     def ok(self) -> bool:
-        return (self.kernel_matches and self.cover_matches_pullback
-                and self.envelope_of_cover_matches and self.kernel_indecomposable)
+        return not self.failed
 
 
 def essentiality_check(f: Morphism) -> bool:

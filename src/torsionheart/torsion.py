@@ -97,11 +97,7 @@ def pair_from_torsion_class(t_bits: int, u: IndecUniverse) -> TorsionPair:
     if not is_torsion_class(u, t_bits):
         raise ValueError("the given class is not closed under quotients and "
                          "extensions")
-    f_bits = 0
-    for x in range(u.n):
-        if all(u.hom_table[t][x] == 0 for t in bit_indices(t_bits)):
-            f_bits |= 1 << x
-    pair = TorsionPair(u, t_bits, f_bits)
+    pair = TorsionPair(u, t_bits, u.perp(t_bits, ext=False, right=True))
     _validate_pair(pair)
     return pair
 

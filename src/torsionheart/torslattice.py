@@ -4,10 +4,11 @@ The lattice is searched upward from the zero class: the up-covers of a class
 T are the inclusion-minimal joins of T with one indecomposable outside it, the
 mutation step of tau-tilting theory (Adachi-Iyama-Reiten), so the Hasse
 diagram comes out of the search with no separate cover computation.  A cover
-T > U is labelled by the unique torsion almost torsion-free module S of the
-pair attached to T with U = T intersect perp(S); the correspondence between
-labels incident to a cotilting class and its heart simples is a tested
-property, not an assumption.
+T > U is labelled by the brick B with T intersect U^perp = Filt(B)
+(Demonet-Iyama-Reading-Reiten-Thomas, "Lattice theory of torsion classes";
+Asai, "Semibricks"), read off the Hom table.  That the labels incident to a
+cotilting class are the heart simples of its pair is a property the verify
+suites test; this module reads no heart.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import cached
-from .exceptions import ResourceLimitError
-from .heart import heart_simples
 from .krull import is_brick
 from .torsion import TorsionPair, pair_from_torsion_class, torsion_closure
 from .universe import IndecUniverse, bit_indices, popcount
@@ -65,10 +64,6 @@ def enumerate_torsion_classes(u: IndecUniverse) -> TorsLattice:
     of T are exactly the inclusion-minimal joins; every class is reached
     from 0 along covers.  This takes one closure per (class, x not in T)."""
     u.require_complete()
-    if u.n > u.algebra.caps.lattice_indec_cap:
-        raise ResourceLimitError(
-            f"lattice scan gate: {u.n} indecomposables exceed the cap"
-        )
     up_covers: dict[int, list[int]] = {}
     todo = [0]
     while todo:
@@ -81,33 +76,22 @@ def enumerate_torsion_classes(u: IndecUniverse) -> TorsLattice:
                         if not any(k != j and k & ~j == 0 for k in joins)]
         todo.extend(up_covers[t])
     classes = sorted(up_covers, key=lambda b: (popcount(b), b))
-    lattice = TorsLattice(u, classes, [])
     index = {bits: i for i, bits in enumerate(classes)}
     edges = sorted((index[upper], index[lower])
                    for lower, uppers in up_covers.items() for upper in uppers)
-    lattice.covers.extend(
+    return TorsLattice(u, classes, [
         Cover(upper=i, lower=j,
-              label_index=_cover_label(lattice, classes[i], classes[j]))
-        for i, j in edges)
-    return lattice
+              label_index=_cover_label(u, classes[i], classes[j]))
+        for i, j in edges])
 
 
-def _cover_label(lattice: TorsLattice, upper_bits: int, lower_bits: int) -> int:
-    """The unique torsion almost torsion-free module S of the upper pair with
-    lower = upper intersect perp(S)."""
-    u = lattice.universe
-    pair = lattice.pair_of(lattice.class_index(upper_bits))
-    candidates = []
-    for simple in heart_simples(pair):
-        if not simple.shifted:
-            continue
-        s = simple.index
-        perp = 0
-        for x in range(u.n):
-            if u.hom_table[x][s] == 0:
-                perp |= 1 << x
-        if upper_bits & perp == lower_bits:
-            candidates.append(s)
+def _cover_label(u: IndecUniverse, upper_bits: int, lower_bits: int) -> int:
+    """The brick B of the cover upper > lower: upper intersect lower^perp is
+    Filt(B), and every other indecomposable there has a B-filtration of
+    length at least two, so B is its one member of least total dimension."""
+    filt = bit_indices(upper_bits & u.perp(lower_bits, ext=False, right=True))
+    least = min((u.indecs[i].total_dim for i in filt), default=0)
+    candidates = [i for i in filt if u.indecs[i].total_dim == least]
     if len(candidates) != 1:
         raise AssertionError(
             f"cover label not unique: {candidates} for "
@@ -117,33 +101,3 @@ def _cover_label(lattice: TorsLattice, upper_bits: int, lower_bits: int) -> int:
     if not is_brick(u.indecs[label]):
         raise AssertionError("cover label is not a brick")
     return label
-
-
-@dataclass(frozen=True)
-class IncidenceReport:
-    torsion_class_index: int
-    down_labels: tuple[int, ...]          # labels of covers leaving the class
-    up_labels: tuple[int, ...]            # labels of covers arriving from above
-    shifted_simples: tuple[int, ...]      # torsion almost torsion-free indices
-    plain_simples: tuple[int, ...]        # torsion-free almost torsion indices
-
-    @property
-    def ok(self) -> bool:
-        return (sorted(self.down_labels) == sorted(self.shifted_simples)
-                and sorted(self.up_labels) == sorted(self.plain_simples))
-
-
-def incident_arrows_vs_heart(pair: TorsionPair, lattice: TorsLattice) -> IncidenceReport:
-    """Compare the multiset of Hasse labels incident to the torsion class with
-    the heart simples of the pair: arrows going down from the class carry the
-    shifted simples, arrows coming down into the class carry the plain ones."""
-    idx = lattice.class_index(pair.torsion_bits)
-    down, up = lattice.covers_of(idx)
-    simples = heart_simples(pair)
-    return IncidenceReport(
-        torsion_class_index=idx,
-        down_labels=tuple(sorted(c.label_index for c in down)),
-        up_labels=tuple(sorted(c.label_index for c in up)),
-        shifted_simples=tuple(sorted(s.index for s in simples if s.shifted)),
-        plain_simples=tuple(sorted(s.index for s in simples if not s.shifted)),
-    )

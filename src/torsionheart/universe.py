@@ -24,11 +24,13 @@ The universe is the one reader of modules and Ext classes as sums of
 members: `summands` maps a module to the multiplicities of its members
 (`summand_bitset` and `index_of` read it), and `ext_middles` lists the
 middle terms of the non-split classes between two sums of members as member
-bitsets, one entry per class, grouped by block.  The heart, torsion and
-completeness layers ask these and never decompose or compare modules
-themselves.  The closure leaves what it read in their caches: the member
-bitset of every module it decomposed and the Ext middles of every pair of
-members, so `ext_middles` never realizes a class of a pair of members.
+bitsets, one entry per class, grouped by block.  `perp` reads the Hom and
+Ext perpendicular classes of a set of members off the tables.  The heart,
+torsion, cotilting, lattice and completeness layers ask these and never
+decompose or compare modules themselves.  The closure leaves what it read
+in their caches: the member bitset of every module it decomposed and the Ext
+middles of every pair of members, so `ext_middles` never realizes a class
+of a pair of members.
 
 Ext^1 is additive, Ext^1(+R_i, +L_j) = + Ext^1(R_i, L_j), so `ext_middles`
 of two sums never builds the Ext^1 space of a sum.  A class nonzero on one
@@ -162,6 +164,18 @@ class IndecUniverse:
 
     def members(self, bits: int) -> list[Module]:
         return [self.indecs[i] for i in bit_indices(bits)]
+
+    def perp(self, bits: int, ext: bool, right: bool) -> int:
+        """Members X with Hom (Ext^1 when ext) zero from every member in bits
+        to X when right, else from X to each of them; per-member masks are
+        cached."""
+        table = self.ext_table if ext else self.hom_table
+        out = self.all_bits
+        for b in bit_indices(bits):
+            out &= cached(self, ("perp", b, ext, right), lambda: sum(
+                1 << x for x in range(self.n)
+                if not (table[b][x] if right else table[x][b])))
+        return out
 
     # -- oracles ----------------------------------------------------------
 

@@ -21,8 +21,8 @@ from .heart import (
 )
 from .homology import hom_space
 from .krull import is_brick
-from .torsion import is_hereditary
-from .torslattice import TorsLattice, enumerate_torsion_classes, incident_arrows_vs_heart
+from .torsion import TorsionPair, is_hereditary
+from .torslattice import TorsLattice, enumerate_torsion_classes
 from .universe import IndecUniverse, bit_indices
 
 
@@ -62,6 +62,36 @@ def build_context(universe: IndecUniverse) -> AnalysisContext:
     return AnalysisContext(universe, lattice, pairs, rejected)
 
 
+@dataclass(frozen=True)
+class IncidenceReport:
+    torsion_class_index: int
+    down_labels: tuple[int, ...]          # labels of covers leaving the class
+    up_labels: tuple[int, ...]            # labels of covers arriving from above
+    shifted_simples: tuple[int, ...]      # torsion almost torsion-free indices
+    plain_simples: tuple[int, ...]        # torsion-free almost torsion indices
+
+    @property
+    def ok(self) -> bool:
+        return (sorted(self.down_labels) == sorted(self.shifted_simples)
+                and sorted(self.up_labels) == sorted(self.plain_simples))
+
+
+def incident_arrows_vs_heart(pair: TorsionPair, lattice: TorsLattice) -> IncidenceReport:
+    """Compare the multiset of Hasse labels incident to the torsion class with
+    the heart simples of the pair: arrows going down from the class carry the
+    shifted simples, arrows coming down into the class carry the plain ones."""
+    idx = lattice.class_index(pair.torsion_bits)
+    down, up = lattice.covers_of(idx)
+    simples = heart_simples(pair)
+    return IncidenceReport(
+        torsion_class_index=idx,
+        down_labels=tuple(sorted(c.label_index for c in down)),
+        up_labels=tuple(sorted(c.label_index for c in up)),
+        shifted_simples=tuple(sorted(s.index for s in simples if s.shifted)),
+        plain_simples=tuple(sorted(s.index for s in simples if not s.shifted)),
+    )
+
+
 def suite_oracle_equivalence(ctx: AnalysisContext) -> VerifyResult:
     """fast ATF/AT verdicts match the literal-definition oracle everywhere,
     and the fast strong-las criterion matches the brute uniqueness scan."""
@@ -69,16 +99,18 @@ def suite_oracle_equivalence(ctx: AnalysisContext) -> VerifyResult:
     checked = 0
     for data in ctx.cotilting_pairs:
         pair = data.pair
-        for m in u.indecs:
+        for i, m in enumerate(u.indecs):
             for name, in_class, detect in (
                     ("ATF", pair.is_torsion, is_almost_torsion_free),
                     ("AT", pair.is_torsion_free, is_almost_torsion)):
                 if not in_class(m):
                     continue
-                if detect(m, pair, "fast") != detect(m, pair, "oracle"):
+                fast, oracle = detect(m, pair, "fast"), detect(m, pair, "oracle")
+                if fast != oracle:
                     return VerifyResult(
                         "oracle-equivalence", False,
-                        f"{name} mismatch at dims {m.dims}, pair {pair}")
+                        f"{name} mismatch at {member_name(u, i)} for {pair}: "
+                        f"fast {fast}, oracle {oracle}")
                 checked += 1
         criticals, specials = ctx.classified(data)
         for seq in criticals + specials:
@@ -89,7 +121,9 @@ def suite_oracle_equivalence(ctx: AnalysisContext) -> VerifyResult:
             if not (fast == linear == brute):
                 return VerifyResult(
                     "oracle-equivalence", False,
-                    f"strong-las disagreement on sequence of {seq.simple.module.dims}")
+                    f"strong-las disagreement on the {seq.kind} sequence of "
+                    f"{member_name(u, seq.simple.index)} for {pair}: fast "
+                    f"{fast}, linear {linear}, uniqueness scan {brute}")
             checked += 1
     return VerifyResult("oracle-equivalence", True,
                         f"{checked} verdicts agree across "
@@ -217,7 +251,8 @@ def suite_cogeneration(ctx: AnalysisContext) -> VerifyResult:
             if witness is None:
                 return VerifyResult(
                     "cogeneration-by-criticals", False,
-                    f"indec {u.indecs[i].dims} of {data.pair} has no embedding")
+                    f"{member_name(u, i)} of {data.pair} has no embedding "
+                    f"into the criticals")
             count += 1
     return VerifyResult("cogeneration-by-criticals", True,
                         f"{count} witness monomorphisms built")
@@ -238,7 +273,8 @@ def suite_hereditary_pullback(ctx: AnalysisContext) -> VerifyResult:
             if not report.ok:
                 return VerifyResult(
                     "hereditary-pullback", False,
-                    f"failure at simple {q.dims} of {data.pair}: {report}")
+                    f"simple {member_name(u, i)} of {data.pair} fails "
+                    f"{', '.join(report.failed)}")
             checked += 1
     return VerifyResult("hereditary-pullback", True,
                         f"{checked} simple covers verified")

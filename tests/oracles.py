@@ -11,7 +11,8 @@ Three checks here do use the package: scan_indecomposables lists the
 indecomposables under a bound by the exhaustive arrow-matrix scan that the
 universe's generate-and-close replaced, torsion_part builds the canonical
 sequence of a torsion pair from the trace of the torsion class, and
-brick_labels re-derives every Hasse label of a lattice.
+brick_labels labels every Hasse cover by the unique torsion almost
+torsion-free heart simple of its upper pair that cuts out the lower class.
 
 The checkers at the end use it too.  They are the definitions the tests hold
 the package's constructions to, and nothing in the package calls them:
@@ -389,22 +390,38 @@ def torsion_part(x, pair):
 
 
 def brick_labels(lattice):
-    """Recompute and validate the label of every Hasse cover.
+    """Every Hasse label by its first definition: the unique shifted heart
+    simple S (torsion almost torsion-free) of the upper pair with
+    lower = upper intersect perp(S), perp(S) the members X with
+    Hom(X, S) = 0.  The pair's torsion-free class is read off the Hom table
+    literally."""
+    from torsionheart.heart import heart_simples
+    from torsionheart.torsion import TorsionPair
+    from torsionheart.torslattice import Cover
 
-    The labels are already attached during enumeration; this re-derives each
-    one from its defining property and checks existence and uniqueness again,
-    so it doubles as a consistency audit of the lattice."""
-    from torsionheart.torslattice import Cover, _cover_label
-
+    u = lattice.universe
     out = []
     for cover in lattice.covers:
-        label = _cover_label(lattice, lattice.classes[cover.upper],
-                             lattice.classes[cover.lower])
-        if label != cover.label_index:
+        upper = lattice.classes[cover.upper]
+        lower = lattice.classes[cover.lower]
+        free = 0
+        for x in range(u.n):
+            if all(u.hom_table[t][x] == 0 for t in bit_indices(upper)):
+                free |= 1 << x
+        labels = []
+        for simple in heart_simples(TorsionPair(u, upper, free)):
+            if not simple.shifted:
+                continue
+            perp = 0
+            for x in range(u.n):
+                if u.hom_table[x][simple.index] == 0:
+                    perp |= 1 << x
+            if upper & perp == lower:
+                labels.append(simple.index)
+        if len(labels) != 1:
             raise AssertionError(
-                f"label of cover {cover.upper} > {cover.lower} changed on "
-                f"recomputation: {label} vs {cover.label_index}")
-        out.append(Cover(cover.upper, cover.lower, label))
+                f"cover {cover.upper} > {cover.lower} has labels {labels}")
+        out.append(Cover(cover.upper, cover.lower, labels[0]))
     return out
 
 

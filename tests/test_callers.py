@@ -6,12 +6,13 @@ package, in scripts/, or as a target of the outside tracer
 (perfbench/tracer.py's TARGETS, which wraps functions by name).  Checkers
 that only the tests use live in tests/oracles.py, not in the package.
 
-Five more guards read the package the same way: every local a function
-binds is read (names starting with `_` are exempt), every exhaustive scan and
+More guards read the package the same way: every local a function binds is
+read (names starting with `_` are exempt), every exhaustive scan and
 candidate search goes through the one scan gate in homology.py, only krull
 and the universe's closure call `krull.decompose`, `is_isomorphic` and
-`is_indecomposable`, only krull searches for idempotents, and every cache
-goes through `algebra.cached`.
+`is_indecomposable`, only krull searches for idempotents, every cache goes
+through `algebra.cached`, perpendicular classes are read through
+`IndecUniverse.perp`, and the lattice reads no heart and has no gate.
 """
 
 import ast
@@ -221,3 +222,38 @@ def test_one_way_to_cache():
     assert writes == {("algebra.py", "cached"),
                       ("universe.py", "completeness_check")}
     assert functools_caches <= {("linalg.py", "zeros"), ("linalg.py", "eye")}
+
+
+def test_one_reader_of_perpendicular_classes():
+    """Outside the universe, the Hom and Ext tables are read only by the
+    `indec` report, the Hom(T, F) = 0 safety check of a torsion pair and
+    the witness of a torsion-free class without Ext-injectives: every
+    perpendicular class is read through `IndecUniverse.perp`."""
+    readers = _readers({"hom_table", "ext_table"})
+    assert {place[:2] for places in readers.values() for place in places
+            if place[0] != "universe.py"} == {
+        ("cli.py", "cmd_indec"), ("torsion.py", "_validate_pair"),
+        ("cotilting.py", "cotilting_from_pair")}
+
+
+def test_lattice_reads_no_heart():
+    """The lattice labels its covers off the Hom table: torslattice imports
+    nothing from the heart, cotilting or verify layers."""
+    tree = ast.parse((PACKAGE / "torslattice.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert imported.isdisjoint({"heart", "cotilting", "verify"})
+
+
+def test_no_lattice_gate():
+    """The lattice has no member-count gate: nothing in the package, the
+    scripts or the tests reads `lattice_indec_cap`."""
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "tests").glob("*.py")]
+    assert not any(_names(ast.parse(f.read_text()))["lattice_indec_cap"]
+                   for f in files)

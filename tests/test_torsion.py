@@ -4,9 +4,11 @@ import pytest
 
 from torsionheart import modules as mo
 from torsionheart import torsion as to
-from torsionheart.universe import bit_indices
+from torsionheart.algebra import parse_algebra
+from torsionheart.torslattice import enumerate_torsion_classes
+from torsionheart.universe import bit_indices, enumerate_indecomposables
 
-from conftest import module_by_dims
+from conftest import FIXTURES, module_by_dims
 from oracles import torsion_part
 
 
@@ -169,3 +171,25 @@ def test_all_subset_closures_are_torsion_classes_a3(a3_universe):
         for m in u.indecs:
             t, _, ses = torsion_part(m, pair)
             assert ses.validate()
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "d4", "loop", "square"])
+def test_perp_matches_the_table_loops(name):
+    # on every torsion class T: T^perp is F and perp(F) is T by Hom, and
+    # both Ext perpendicular classes equal nested loops over the Ext table
+    alg = parse_algebra((FIXTURES / f"{name}.quiver").read_text())
+    u = enumerate_indecomposables(alg, (2,) * alg.quiver.n)
+
+    def loop(table, bits, right):
+        return sum(1 << x for x in range(u.n) if all(
+            (table[b][x] if right else table[x][b]) == 0
+            for b in bit_indices(bits)))
+
+    for t in enumerate_torsion_classes(u).classes:
+        f = loop(u.hom_table, t, True)
+        assert u.perp(t, ext=False, right=True) == f
+        assert u.perp(f, ext=False, right=False) == t
+        for bits in (t, f):
+            for right in (True, False):
+                assert u.perp(bits, ext=True, right=right) == \
+                    loop(u.ext_table, bits, right)

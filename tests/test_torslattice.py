@@ -8,8 +8,9 @@ from torsionheart.algebra import parse_algebra
 from torsionheart.exceptions import NotCotiltingError
 from torsionheart.krull import is_brick
 from torsionheart.universe import enumerate_indecomposables, popcount
+from torsionheart.verify import incident_arrows_vs_heart
 
-from conftest import module_by_dims
+from conftest import FIXTURES, module_by_dims
 from oracles import brick_labels, subset_scan_lattice
 
 A5_TEXT = ("field 2\nvertices 1 2 3 4 5\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
@@ -86,7 +87,7 @@ def test_incidence_a2(a2_universe, a2_lattice):
     u = a2_universe
     s1_bits = 1 << u.index_of(module_by_dims(u, (1, 0)))
     pair = to.pair_from_torsion_class(s1_bits, u)
-    report = tl.incident_arrows_vs_heart(pair, a2_lattice)
+    report = incident_arrows_vs_heart(pair, a2_lattice)
     assert report.ok
     p1 = u.index_of(module_by_dims(u, (1, 1)))
     s1 = u.index_of(module_by_dims(u, (1, 0)))
@@ -97,7 +98,7 @@ def test_incidence_a2(a2_universe, a2_lattice):
 def test_incidence_trivial_pair(a2_universe, a2_lattice):
     u = a2_universe
     pair = to.pair_from_torsion_class(0, u)
-    report = tl.incident_arrows_vs_heart(pair, a2_lattice)
+    report = incident_arrows_vs_heart(pair, a2_lattice)
     assert report.ok
     assert report.down_labels == ()
     assert len(report.up_labels) == 2
@@ -114,7 +115,7 @@ def test_incidence_all_cotilting_pairs_a3(a3_universe):
         except NotCotiltingError:
             continue
         n_cotilting += 1
-        assert tl.incident_arrows_vs_heart(pair, lat).ok
+        assert incident_arrows_vs_heart(pair, lat).ok
     assert n_cotilting == 5
 
 
@@ -140,15 +141,24 @@ def test_incidence_single_vertex_algebra():
     u = enumerate_indecomposables(alg, (2,))
     lat = tl.enumerate_torsion_classes(u)
     pair = to.pair_from_torsion_class(0, u)
-    report = tl.incident_arrows_vs_heart(pair, lat)
+    report = incident_arrows_vs_heart(pair, lat)
     assert report.ok
     assert len(report.up_labels) == 1 and report.down_labels == ()
 
 
-def test_brick_labels_recompute(a2_universe, a2_lattice):
-    covers = brick_labels(a2_lattice)
-    assert [(c.upper, c.lower, c.label_index) for c in covers] == \
-        [(c.upper, c.lower, c.label_index) for c in a2_lattice.covers]
+@pytest.mark.parametrize("name, bound", [
+    ("a2", (2, 2)), ("a3", (2, 2, 2)), ("d4", (2, 2, 2, 2)),
+    ("square", (1, 1, 1, 1)), ("loop", (2,))],
+    ids=["a2", "a3", "d4", "square", "loop"])
+def test_brick_labels_recompute(name, bound):
+    # the labels read off the Hom table are the labels of the first
+    # definition, the torsion almost torsion-free heart simples; on the
+    # loop, Filt(S) holds a second indecomposable besides the brick S
+    u = enumerate_indecomposables(
+        parse_algebra((FIXTURES / f"{name}.quiver").read_text()), bound)
+    lat = tl.enumerate_torsion_classes(u)
+    assert [(c.upper, c.lower, c.label_index) for c in brick_labels(lat)] == \
+        [(c.upper, c.lower, c.label_index) for c in lat.covers]
 
 
 @pytest.mark.parametrize("universe", ["a2_universe", "a3_universe", "d4_universe"])
@@ -177,11 +187,20 @@ def test_closure_count_d4(d4_universe, monkeypatch):
     assert len(calls) <= budget
 
 
-def test_a5_lattice_catalan():
-    # linear A5: C_6 = 132 torsion classes, 330 Hasse covers
-    u = enumerate_indecomposables(parse_algebra(A5_TEXT), (1,) * 5)
-    assert u.n == 15
+@pytest.mark.parametrize("name, n_classes, n_covers", [
+    ("a5", 132, 330), ("d4", 50, 100), ("d5", 182, 455), ("e6", 833, 2499)],
+    ids=["a5", "d4", "d5", "e6"])
+def test_a5_lattice_catalan(name, n_classes, n_covers):
+    # |tors kQ| is the W-Catalan number of a Dynkin quiver Q (Ingalls-Thomas):
+    # C_6 = 132 for A5, 50 for D4, 182 for D5 and 833 for E6; the Hasse
+    # diagram is n-regular, and every label is a brick.  Bound 3 holds every
+    # positive root of E6.
+    text = A5_TEXT if name == "a5" else (FIXTURES / f"{name}.quiver").read_text()
+    alg = parse_algebra(text)
+    n = alg.quiver.n
+    u = enumerate_indecomposables(alg, (1 if name == "a5" else 3,) * n)
+    assert u.complete
     lat = tl.enumerate_torsion_classes(u)
-    assert lat.n == 132
-    assert len(lat.covers) == 330
+    assert (lat.n, len(lat.covers)) == (n_classes, n_covers)
+    assert 2 * len(lat.covers) == n * lat.n
     assert all(is_brick(u.indecs[c.label_index]) for c in lat.covers)
