@@ -8,7 +8,8 @@ self-orthogonal by construction.  The other two defining conditions
 cogenerator) and the class equality Cogen(C) = {X : Ext^1(X, C) = 0} = F are
 checked explicitly; any failure reports the failing condition.  Cogen(C) is
 read member by member off the Hom spaces between members, since it depends
-only on add(C).
+only on add(C) (`torsion.generated_bits`, which reads Fac(add X) for the
+torsion closure the same way).
 
 Prod is read as add throughout: over a finite-dimensional algebra at desk
 scale the two closures agree on finite-dimensional modules.
@@ -23,16 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .algebra import cached
 from .exceptions import NotCotiltingError
-from .homology import (
-    SES, cokernel, hom_space, injective_envelope, is_injective, minimal_approx,
-)
+from .homology import SES, cokernel, injective_envelope, is_injective, minimal_approx
 from .modules import (
     Module, direct_sum, identity_morphism, injective_module, kernel,
 )
-from .torsion import TorsionPair
+from .torsion import TorsionPair, generated_bits
 from .universe import bit_indices
 
 
@@ -56,23 +54,6 @@ class CotiltingData:
 
     def perp_members(self) -> list[Module]:
         return self.universe.members(self.perp_class_bits)
-
-
-def cogenerated_bits(u, c_bits: int) -> int:
-    """Bitset of the members X that embed into a sum of copies of the members
-    in c_bits: the maps from X to those members have zero joint kernel, that
-    is, stacked side by side they have full rank at every vertex.  Hom(X, C)
-    is the sum of the member spaces Hom(X, C_k), which the closure has
-    cached, so no Hom space into a sum is built."""
-    p = u.algebra.field.p
-    targets = u.members(c_bits)
-    bits = 0
-    for i, x in enumerate(u.indecs):
-        basis = [f for c in targets for f in hom_space(x, c).basis]
-        if all(linalg.rank(linalg.hconcat([f.maps[v] for f in basis], d), p)
-               == d for v, d in enumerate(x.dims) if d):
-            bits |= 1 << i
-    return bits
 
 
 def injective_cogenerator(algebra) -> Module:
@@ -131,7 +112,7 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
     # condition (2), self-orthogonality, holds by construction: ext_inj is
     # the members i of F with Ext^1(F, X_i) = 0, and C lies in F
     # class equality Cogen(C) = perp_1(C) = torsion-free class
-    cogen = cogenerated_bits(u, ext_inj)
+    cogen = generated_bits(u, ext_inj, fac=False)
     perp1_of_c = u.perp(ext_inj, ext=True, right=False)
     if cogen != perp1_of_c:
         only, other = (("Cogen(C)", "perp(C)") if cogen & ~perp1_of_c
@@ -228,6 +209,6 @@ def minimal_cotilting(data: CotiltingData, envelope_modules: list[Module]) -> Mo
     bits = u.summand_bitset(tilde)
     if bits & ~data.add_c_bits:
         raise AssertionError("minimal cotilting module leaves add(C)")
-    if cogenerated_bits(u, bits) != data.c_class_bits:
+    if generated_bits(u, bits, fac=False) != data.c_class_bits:
         raise AssertionError("minimal cotilting module has a different class")
     return tilde

@@ -1,28 +1,57 @@
 """Torsion pairs over a complete universe of indecomposables.
 
-Classes are bitsets over universe indices.  The closure operator iterates two
-precomputed tables, indecomposable summands of quotients of single members and
-of middle terms of non-split extensions between pairs of members, both read
-through the universe (`summand_bitset`, `ext_middles`); iterated to a
-fixpoint this generates the torsion class (any finite filtration is built
-from two-step extensions), and the tests discharge the closure axioms against
-arbitrary members by the brute-force oracles.  The split middle of two
-members is never read: every caller unions the table into a set that holds
-both members already.
+Classes are bitsets over universe indices.  The torsion class generated by a
+set S of members is Filt(Fac(add S)) (Adachi-Iyama-Reiten, Compositio 150,
+2014), so the closure operator iterates two per-member tables: Fac(add X)
+of each member X, read off the member Hom spaces by a joint rank
+(`generated_bits`), and the members in the middle terms of the non-split
+extensions between X and its Ext^1 partners, the members Y with Ext^1(X, Y)
+or Ext^1(Y, X) nonzero, read through the universe (`perp`, `ext_middles`).
+Only such a pair has a non-split middle, and any finite filtration is built
+from two-step extensions, so the fixpoint is the torsion class; the tests
+discharge the closure axioms against arbitrary members by the brute-force
+oracles.  The split middle of two members is never read: every caller unions
+the table into a set that holds both members already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import linalg
 from .algebra import cached
+from .homology import hom_space
 from .modules import Module
 from .universe import IndecUniverse, bit_indices
 
 
-def quotient_summand_bits(u: IndecUniverse, i: int) -> int:
-    return cached(u, ("quotient_summand_bits", i), lambda: _union(
-        u.summand_bitset(quot) for quot, _ in u.all_quotients(u.indecs[i])))
+def generated_bits(u: IndecUniverse, g_bits: int, fac: bool) -> int:
+    """Bitset of the members Y in Fac(add G) when fac, else in Cogen(add G),
+    for G the members in g_bits.  At every vertex v, the maps G -> Y must be
+    jointly onto Y_v when fac, and the maps Y -> G must have zero joint
+    kernel on Y_v otherwise: either way their stacked matrices have rank
+    dim Y_v.  Hom between Y and a sum of members is the sum of the member
+    spaces, which the closure has cached, so no Hom space of a sum is built,
+    and a Y with no nonzero map is skipped through `perp`."""
+    p = u.algebra.field.p
+    gens = u.members(g_bits)
+    bits = 0
+    for i in bit_indices(u.all_bits & ~u.perp(g_bits, ext=False, right=fac)):
+        y = u.indecs[i]
+        basis = [f for g in gens
+                 for f in (hom_space(g, y) if fac else hom_space(y, g)).basis]
+        if all(linalg.rank([row for f in basis for row in f.maps[v]] if fac
+                           else linalg.hconcat([f.maps[v] for f in basis], d),
+                           p) == d
+               for v, d in enumerate(y.dims) if d):
+            bits |= 1 << i
+    return bits
+
+
+def fac_bits(u: IndecUniverse, i: int) -> int:
+    """Fac(add X_i); cached.  It holds every summand of every quotient of
+    X_i and lies in the torsion class of X_i."""
+    return cached(u, ("fac_bits", i), lambda: generated_bits(u, 1 << i, fac=True))
 
 
 def submodule_summand_bits(u: IndecUniverse, i: int) -> int:
@@ -35,6 +64,18 @@ def ext_middle_union_bits(u: IndecUniverse, i: int, j: int) -> int:
     middle X_j + X_i adds only i and j."""
     return cached(u, ("ext_middle_union_bits", i, j),
                   lambda: _union(u.ext_middles((i,), (j,))))
+
+
+def ext_partners(u: IndecUniverse, i: int) -> list[tuple[int, int]]:
+    """(j, members in the non-split middles of Ext^1(X_i, X_j) and of
+    Ext^1(X_j, X_i)) for every member j with one of them nonzero, i itself
+    included when Ext^1(X_i, X_i) is nonzero; cached."""
+    def compute():
+        split = u.perp(1 << i, True, True) & u.perp(1 << i, True, False)
+        return [(j, ext_middle_union_bits(u, i, j)
+                 | ext_middle_union_bits(u, j, i))
+                for j in bit_indices(u.all_bits & ~split)]
+    return cached(u, ("ext_partners", i), compute)
 
 
 def _union(bitsets) -> int:
@@ -69,18 +110,21 @@ def torsion_closure(bits: int, u: IndecUniverse, closed: int = 0) -> int:
 
 
 def _close(u: IndecUniverse, closed: int, new: int) -> int:
-    """Worklist fixpoint: each member outside `closed` reads its quotient
-    summands once and the Ext middles with every earlier member once; pairs
-    inside `closed` are skipped since it is already closed."""
+    """Worklist fixpoint: each member outside `closed` reads Fac(add X) once
+    and the Ext middles with those of its Ext^1 partners that are done,
+    itself included, once; pairs inside `closed` are skipped since it is
+    already closed, and a pair with Ext^1 zero both ways has no non-split
+    middle."""
     bits = closed | new
-    done = bit_indices(closed)
+    done = closed
     todo = bit_indices(new)
     while todo:
         i = todo.pop()
-        found = quotient_summand_bits(u, i) | ext_middle_union_bits(u, i, i)
-        for j in done:
-            found |= ext_middle_union_bits(u, i, j) | ext_middle_union_bits(u, j, i)
-        done.append(i)
+        done |= 1 << i
+        found = fac_bits(u, i)
+        for j, middles in ext_partners(u, i):
+            if done >> j & 1:
+                found |= middles
         found &= ~bits
         bits |= found
         todo.extend(bit_indices(found))

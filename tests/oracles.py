@@ -315,31 +315,49 @@ def scan_indecomposables(algebra, bound, candidate_cap: int = 1 << 20):
     return found
 
 
+def quotient_summands(u) -> list[int]:
+    """Per member X_i, the bitset of the summands of every quotient of X_i,
+    read by listing the quotients."""
+    out = []
+    for x in u.indecs:
+        bits = 0
+        for quot, _ in u.all_quotients(x):
+            bits |= u.summand_bitset(quot)
+        out.append(bits)
+    return out
+
+
+def full_round_closure(u, bits: int, quots: list[int]) -> int:
+    """The smallest set of members holding bits that is closed under the
+    summands of quotients of its members (quots, from `quotient_summands`)
+    and the middles of the extensions between every pair of its members, by
+    full rounds until nothing changes."""
+    from torsionheart.torsion import ext_middle_union_bits
+
+    while True:
+        members = [i for i in range(u.n) if bits >> i & 1]
+        new = bits
+        for i in members:
+            new |= quots[i]
+            for j in members:
+                new |= ext_middle_union_bits(u, i, j)
+        if new == bits:
+            return bits
+        bits = new
+
+
 def subset_scan_lattice(u):
     """Torsion classes and brick-labelled Hasse covers by the literal scan.
 
-    Every one of the 2^n subsets is closed by full rounds over the quotient
-    and Ext-middle tables until nothing changes; a cover is a pair of classes
-    with no class strictly between, labelled by the unique brick of
-    upper intersect lower^perp (Hom from every lower member vanishes).
-    Returns the classes sorted by (size, value) and the sorted
+    Every one of the 2^n subsets is closed by `full_round_closure`; a cover
+    is a pair of classes with no class strictly between, labelled by the
+    unique brick of upper intersect lower^perp (Hom from every lower member
+    vanishes).  Returns the classes sorted by (size, value) and the sorted
     (upper, lower, label) triples."""
     from torsionheart.krull import is_brick
-    from torsionheart.torsion import ext_middle_union_bits, quotient_summand_bits
 
-    found = set()
-    for bits in range(1 << u.n):
-        while True:
-            members = [i for i in range(u.n) if bits >> i & 1]
-            new = bits
-            for i in members:
-                new |= quotient_summand_bits(u, i)
-                for j in members:
-                    new |= ext_middle_union_bits(u, i, j)
-            if new == bits:
-                break
-            bits = new
-        found.add(bits)
+    quots = quotient_summands(u)
+    found = {full_round_closure(u, bits, quots) for bits in range(1 << u.n)}
     classes = sorted(found, key=lambda b: (bin(b).count("1"), b))
     covers = []
     for a, upper in enumerate(classes):

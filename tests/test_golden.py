@@ -4,10 +4,14 @@ Each file under tests/golden/ holds the stdout of one CLI run on a bundled
 fixture: the README examples, indec, tors, heart and verify on a2, a3,
 loop and square, verify on d4, the benchmark's headline command, indec on a3
 over F_3, the benchmark's odd-prime scan, the JSON reports of indec and
-tors on d4, and indec on the two scale fixtures, linear A4 over F_3 and D5
-over F_2.  The scale goldens were written by the exhaustive arrow-matrix
-scan that generate-and-close replaced (about 160 s for A4 over F_3), so they
-pin the closure's universe to the scan's at scale.  For example, tests/golden/tors-a3-dot.out is the output of
+tors on d4, indec on the two scale fixtures, linear A4 over F_3 and D5 over
+F_2, and tors on D5.  The scale goldens were written by the exhaustive
+arrow-matrix scan that generate-and-close replaced (about 160 s for A4 over
+F_3), so they pin the closure's universe to the scan's at scale.  The tors
+golden on D5 (182 classes, 455 covers) was written by the torsion closure
+that read the quotients of single members and paired every new member with
+every closed one, so it pins the closure over Fac(add X) and Ext^1 partners
+to that one.  For example, tests/golden/tors-a3-dot.out is the output of
 
     heart-simples tors fixtures/a3.quiver --format dot
 
@@ -44,6 +48,7 @@ CASES = {
     "verify-d4": ["verify", "d4.quiver"],
     "indec-a4": ["indec", "a4.quiver"],
     "indec-d5": ["indec", "d5.quiver"],
+    "tors-d5": ["tors", "d5.quiver"],
 }
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,7 @@ from torsionheart.torslattice import enumerate_torsion_classes
 from torsionheart.universe import bit_indices, enumerate_indecomposables
 
 from conftest import FIXTURES, module_by_dims
-from oracles import torsion_part
+from oracles import full_round_closure, quotient_summands, torsion_part
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +194,43 @@ def test_perp_matches_the_table_loops(name):
             for right in (True, False):
                 assert u.perp(bits, ext=True, right=right) == \
                     loop(u.ext_table, bits, right)
+
+
+def _fixture_universe(name):
+    alg = parse_algebra((FIXTURES / f"{name}.quiver").read_text())
+    return enumerate_indecomposables(alg, (2,) * alg.quiver.n)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "loop", "square"])
+def test_fac_lies_between_quotient_summands_and_the_closure(name):
+    # Fac(add X) holds the summands of every quotient of X and lies in the
+    # torsion class X generates; on D4 exactly one member generates more
+    # than the summands of its quotients: (1,1,1,2), whose three arms span
+    # the three lines of F_2^2, has no quotient (1,1,1,1), but its square
+    # maps onto one
+    u = _fixture_universe(name)
+    quots = quotient_summands(u)
+    strict = []
+    for i in range(u.n):
+        fac = to.fac_bits(u, i)
+        assert quots[i] & ~fac == 0
+        assert fac & ~to.torsion_closure(1 << i, u) == 0
+        if fac != quots[i]:
+            strict.append(i)
+    assert len(strict) == (1 if name == "d4" else 0)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "loop", "a4", "d4", "square"])
+def test_closure_matches_full_rounds(name):
+    # the closure over Fac(add X) and Ext^1 partners against full rounds over
+    # literal quotients and every pair: every subset of a2, a3 and loop (whose
+    # simple has a self-extension), 300 seeded random subsets of the others
+    u = _fixture_universe(name)
+    quots = quotient_summands(u)
+    if name in ("a2", "a3", "loop"):
+        subsets = range(1 << u.n)
+    else:
+        rng = random.Random(18)
+        subsets = [rng.getrandbits(u.n) for _ in range(300)]
+    for bits in subsets:
+        assert to.torsion_closure(bits, u) == full_round_closure(u, bits, quots)

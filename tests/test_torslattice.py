@@ -187,6 +187,44 @@ def test_closure_count_d4(d4_universe, monkeypatch):
     assert len(calls) <= budget
 
 
+def test_tors_a5_lists_no_quotients_and_pairs_only_ext_partners(
+        tmp_path, monkeypatch):
+    # tors on linear A5 over F_2 at bound 1 lists no submodule or quotient,
+    # since Fac(add X) is read off member Hom spaces, and reads Ext middles
+    # only between Ext^1 partners: each ordered pair is computed once, and
+    # the partner lists of both members read it, 140 reads in all where
+    # pairing each new member with every closed member took 56 673
+    from torsionheart import universe as un
+    from torsionheart.cli import main
+    listings, reads, computed = [], [], []
+    for name in ("all_quotients", "all_submodules"):
+        real = getattr(un.IndecUniverse, name)
+        monkeypatch.setattr(un.IndecUniverse, name,
+                            lambda self, m, real=real:
+                            listings.append(m.key) or real(self, m))
+    union, middles = to.ext_middle_union_bits, un.IndecUniverse.ext_middles
+
+    def read(u, i, j):
+        reads.append((u, i, j))
+        return union(u, i, j)
+
+    def compute(self, right, left):
+        computed.append((right, left))
+        return middles(self, right, left)
+
+    monkeypatch.setattr(to, "ext_middle_union_bits", read)
+    monkeypatch.setattr(un.IndecUniverse, "ext_middles", compute)
+    path = tmp_path / "a5.quiver"
+    path.write_text(A5_TEXT)
+    assert main(["tors", str(path), "--dim-bound", "1,1,1,1,1"]) == 0
+    u = reads[0][0]
+    partners = {frozenset((i, j)) for i in range(u.n) for j in range(u.n)
+                if u.ext_table[i][j]}
+    assert listings == []
+    assert len(computed) == len(set(computed)) <= 2 * len(partners)
+    assert len(reads) <= 4 * len(partners) == 140
+
+
 @pytest.mark.parametrize("name, n_classes, n_covers", [
     ("a5", 132, 330), ("d4", 50, 100), ("d5", 182, 455), ("e6", 833, 2499)],
     ids=["a5", "d4", "d5", "e6"])
