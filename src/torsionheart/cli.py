@@ -205,8 +205,8 @@ def heart_report(u: IndecUniverse, t_bits: int,
                  oracle: bool = False) -> tuple[dict, list[str]]:
     pair = pair_from_torsion_class(torsion_closure(t_bits, u), u)
     data = cotilting_from_pair(pair)
-    simples = heart_simples(pair)
     criticals, specials = classify_neg_isolated(data)
+    simples = [seq.simple for seq in criticals + specials]
     tilde = minimal_cotilting(
         data, [s.envelope for s in criticals + specials])
     pair_json = {

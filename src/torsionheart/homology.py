@@ -13,6 +13,9 @@ component maps between the generators and M.  Such a set is already minimal
 (Nakayama, through Auslander's projectivization), so no idempotent is
 searched for or split off; `minimal_approx` states the argument.
 
+D turns the minimal projective cover of D(M) into the injective envelope of
+M (Auslander-Reiten-Smalo, I.5), so both sides share one body.
+
 One cached minimal projective presentation P1 -> P0 -> M -> 0,
 `presentation`, serves the transpose, and so both AR translates, and
 `hom_dims_into`, which reads dim Hom(X, M) as dim Hom(P0, M) minus one rank.
@@ -33,7 +36,7 @@ from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import ResourceLimitError
 from .modules import (
     Module, Morphism, assemble, cokernel, direct_sum, dual_module,
-    identity_morphism, injective_module, kernel, projective_module,
+    dual_morphism, identity_morphism, kernel, projective_module,
     quotient_by_rows, unvec_morphism, zero_morphism,
 )
 
@@ -186,10 +189,9 @@ def _affine_solve(rows, rhs, p: int, n: int):
 
 
 def constrained_morphism(source: Module, target: Module, conditions):
-    """One intertwiner f: source -> target with L @ f_v @ R == rhs for each
-    condition (v, L, R, rhs); None in place of L or R means the identity.
-    Returns None when unsolvable; free coordinates are zeroed, so the result
-    is deterministic."""
+    """One intertwiner f: source -> target with L @ f_v == rhs for each
+    condition (v, L, rhs).  Returns None when unsolvable; free coordinates
+    are zeroed, so the result is deterministic."""
     p = source.algebra.field.p
     q = source.algebra.quiver
     offs, total = [], 0
@@ -198,27 +200,16 @@ def constrained_morphism(source: Module, target: Module, conditions):
         total += source.dims[v] * target.dims[v]
     rows = _hom_system(source, target)
     rhs = [0] * len(rows)
-    for v, left, right, want in conditions:
-        sd, td = source.dims[v], target.dims[v]
-        flat = linalg.flatten(want)
-        if not flat:
-            continue
-        # entry (i, j) of L @ f_v @ R is sum_{a, b} L[i][a] f[a][b] R[b][j]
-        left_m = linalg.eye(sd) if left is None else left
-        n_out = len(flat) // len(left_m)
-        right_t = (linalg.eye(td) if right is None
-                   else linalg.transpose(right, n_out))
-        for l_row in left_m:
-            for r_col in right_t:
+    for v, left, want in conditions:
+        td = target.dims[v]
+        # entry (i, j) of L @ f_v is sum_a L[i][a] f[a][j]
+        for l_row in left:
+            for j in range(td):
                 row = [0] * total
                 for a, la in enumerate(l_row):
-                    if la:
-                        base = offs[v] + a * td
-                        for b, rb in enumerate(r_col):
-                            if rb:
-                                row[base + b] = (row[base + b] + la * rb) % p
+                    row[offs[v] + a * td + j] = la
                 rows.append(row)
-        rhs.extend(flat)
+        rhs.extend(linalg.flatten(want))
     sol = _affine_solve(rows, rhs, p, total)
     if sol is None:
         return None
@@ -228,7 +219,7 @@ def constrained_morphism(source: Module, target: Module, conditions):
 def factor_through(f: Morphism, g: Morphism):
     """h: f.target -> g.target with g == f.then(h); None if impossible."""
     conditions = [
-        (v, f.maps[v], None, g.maps[v])
+        (v, f.maps[v], g.maps[v])
         for v in range(f.source.algebra.quiver.n)
     ]
     return constrained_morphism(f.target, g.target, conditions)
@@ -486,21 +477,12 @@ def minimal_approx(m: Module, gens: list[Module], side: str) -> Morphism:
 # -- injective envelopes -------------------------------------------------------------
 
 def injective_envelope(m: Module) -> Morphism:
-    """Essential mono M -> E(M) into the injective hull built on the socle."""
-    algebra = m.algebra
-    soc = m.socle_rows()
-    copies = [(v, row) for v in range(algebra.quiver.n) for row in soc[v]]
-    summands = [injective_module(algebra, v) for v, _ in copies]
-    total, incs, _ = direct_sum(summands, algebra)
-    conditions = []
-    for (v, row), inc in zip(copies, incs):
-        bucket = algebra.basis_paths_between(v, v)
-        triv = bucket.index(algebra.basis_index[(v, ())])
-        conditions.append((v, (row,), None, (inc.maps[v][triv],)))
-    f = constrained_morphism(m, total, conditions)
-    if f is None or not f.is_mono():
-        raise AssertionError("socle extension to the injective hull failed")
-    return f
+    """Essential mono M -> E(M): the dual of the minimal projective cover
+    of D(M) over the opposite algebra."""
+    env = dual_morphism(projective_cover(dual_module(m))[0])
+    if not env.is_mono():
+        raise AssertionError("injective envelope is not mono")
+    return env
 
 
 def is_injective(m: Module) -> bool:

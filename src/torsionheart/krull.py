@@ -252,7 +252,8 @@ def isomorphism(m: Module, n: Module):
     if m.is_zero():
         return zero_morphism(m, n)
     h = hom_space(m, n)
-    if h.dim == 0 or hom_dim_pair_mismatch(m, n):
+    if (h.dim == 0 or hom_space(m, m).dim != hom_space(n, n).dim
+            or h.dim != hom_space(n, m).dim):
         return None
     for f in candidates(h, int(m.key[:8] + n.key[:8], 16)):
         if f.is_iso():
@@ -260,11 +261,6 @@ def isomorphism(m: Module, n: Module):
     if scannable(m.algebra, h.dim):
         return None
     raise UndeterminedError("isomorphism search exhausted its budget")
-
-
-def hom_dim_pair_mismatch(m: Module, n: Module) -> bool:
-    return (hom_space(m, m).dim != hom_space(n, n).dim
-            or hom_space(m, n).dim != hom_space(n, m).dim)
 
 
 def is_isomorphic(m: Module, n: Module) -> bool:

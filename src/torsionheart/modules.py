@@ -8,6 +8,10 @@ left to right, matching path composition.
 
 Every matrix is a tuple of row tuples of ints reduced mod p (see linalg),
 so all values are immutable after construction.
+
+D = Hom(-, F_p) transposes every matrix into the opposite algebra, and the
+injective side is its image of the projective one: I(v) = D P(v) over A^op
+(Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, II.3).
 """
 
 from __future__ import annotations
@@ -306,26 +310,9 @@ def projective_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
 
 
 def injective_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
-    """I(v) = D(A e_v): basis dual to paths ending at v, arrows act by the
-    transpose of left concatenation."""
-    q = algebra.quiver
-    buckets = {w: algebra.basis_paths_between(w, v) for w in range(q.n)}
-    pos = {w: {bi: k for k, bi in enumerate(buckets[w])} for w in range(q.n)}
-    dims = [len(buckets[w]) for w in range(q.n)]
-    maps = []
-    for ai, arrow in enumerate(q.arrows):
-        w, u = arrow.source, arrow.target
-        # entry [i, j] = coefficient of (paths w->v)[i] in a * (paths u->v)[j]
-        m = [[0] * dims[u] for _ in range(dims[w])]
-        for col, bj in enumerate(buckets[u]):
-            path = algebra.basis[bj]
-            extended = (w, (ai,) + path[1])
-            if len(extended[1]) >= algebra.stabilized_length:
-                continue
-            for bi, coeff in algebra.reduce_path(extended).items():
-                m[pos[w][bi]][col] = coeff
-        maps.append(m)
-    return Module(algebra, dims, maps)
+    """I(v) = D(A e_v) = D P(v) for P(v) over the opposite algebra: basis
+    dual to paths ending at v."""
+    return dual_module(projective_module(algebra.op(), v))
 
 
 # -- sums, kernels, cokernels ----------------------------------------------
@@ -454,3 +441,10 @@ def dual_module(m: Module) -> Module:
     maps = tuple(linalg.transpose(a, m.dims[arrow.target])
                  for a, arrow in zip(m.maps, m.algebra.quiver.arrows))
     return Module(m.algebra.op(), m.dims, maps, check=False)
+
+
+def dual_morphism(f: Morphism) -> Morphism:
+    """D(f): D(N) -> D(M) for f: M -> N: transpose every vertex map."""
+    maps = tuple(linalg.transpose(a, d) for a, d in zip(f.maps, f.target.dims))
+    return Morphism(dual_module(f.target), dual_module(f.source), maps,
+                    check=False)

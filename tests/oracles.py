@@ -19,9 +19,11 @@ the package's constructions to, and nothing in the package calls them:
 approximation and minimality of a morphism, with the literal minimization
 by idempotents that the package's approximations no longer need, split
 epis, the class of a realized extension, all classes of an Ext space, split
-injectivity by the literal mono scan, injective dimension, the direct sum
-of a bag of members, and the Krull-Schmidt reading of a module as members
-that the universe's Hom-vector reading replaced.
+injectivity by the literal mono scan, injective dimension, the literal
+I(v) on paths ending at v and the injective envelope built on the socle
+that the package's duals of P(v) and of projective covers replaced, the
+direct sum of a bag of members, and the Krull-Schmidt reading of a module
+as members that the universe's Hom-vector reading replaced.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from torsionheart import linalg
 from torsionheart.exceptions import ResourceLimitError
 from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
 from torsionheart.modules import (
-    Module, Morphism, cokernel, direct_sum, identity_morphism, simple_module,
-    submodule_from_rows, unvec_morphism,
+    Module, Morphism, cokernel, direct_sum, dual_morphism, identity_morphism,
+    simple_module, submodule_from_rows, unvec_morphism,
 )
 from torsionheart.universe import bit_indices
 
@@ -447,10 +449,10 @@ def brick_labels(lattice):
 
 
 def factor_over(f, g):
-    """h: g.source -> f.source with g == h.then(f); None if impossible."""
-    conditions = [(v, None, f.maps[v], g.maps[v])
-                  for v in range(f.source.algebra.quiver.n)]
-    return ho.constrained_morphism(g.source, f.source, conditions)
+    """h: g.source -> f.source with g == h.then(f); None if impossible.
+    The dual of factor_through: D(g) == D(f).then(D(h))."""
+    h = ho.factor_through(dual_morphism(f), dual_morphism(g))
+    return None if h is None else dual_morphism(h)
 
 
 def has_section(f) -> bool:
@@ -640,6 +642,51 @@ def injective_dimension(m, cap: int = 64) -> int:
         if d > cap:
             raise ResourceLimitError(f"injective dimension exceeds {cap}")
     return d
+
+
+def literal_injective_module(algebra, v):
+    """I(v) = D(A e_v) built literally: basis dual to the paths ending at v,
+    arrows acting by the transpose of left concatenation.  The package
+    builds I(v) as the dual of a projective over the opposite algebra."""
+    q = algebra.quiver
+    buckets = {w: algebra.basis_paths_between(w, v) for w in range(q.n)}
+    pos = {w: {bi: k for k, bi in enumerate(buckets[w])} for w in range(q.n)}
+    dims = [len(buckets[w]) for w in range(q.n)]
+    maps = []
+    for ai, arrow in enumerate(q.arrows):
+        w, u = arrow.source, arrow.target
+        # entry [i, j] = coefficient of (paths w->v)[i] in a * (paths u->v)[j]
+        m = [[0] * dims[u] for _ in range(dims[w])]
+        for col, bj in enumerate(buckets[u]):
+            path = algebra.basis[bj]
+            extended = (w, (ai,) + path[1])
+            if len(extended[1]) >= algebra.stabilized_length:
+                continue
+            for bi, coeff in algebra.reduce_path(extended).items():
+                m[pos[w][bi]][col] = coeff
+        maps.append(m)
+    return Module(algebra, dims, maps)
+
+
+def socle_envelope(m):
+    """An injective envelope M -> E(M) built on the socle: one copy of I(v)
+    per basis row of soc M at v, each row sent to the trivial path's dual
+    vector of its copy, extended by solving for an intertwiner.  The package
+    dualizes the projective cover of D(M) instead."""
+    algebra = m.algebra
+    soc = m.socle_rows()
+    copies = [(v, row) for v in range(algebra.quiver.n) for row in soc[v]]
+    summands = [literal_injective_module(algebra, v) for v, _ in copies]
+    total, incs, _ = direct_sum(summands, algebra)
+    conditions = []
+    for (v, row), inc in zip(copies, incs):
+        bucket = algebra.basis_paths_between(v, v)
+        triv = bucket.index(algebra.basis_index[(v, ())])
+        conditions.append((v, (row,), (inc.maps[v][triv],)))
+    f = ho.constrained_morphism(m, total, conditions)
+    if f is None or not f.is_mono():
+        raise AssertionError("socle extension to the injective hull failed")
+    return f
 
 
 def sum_module(u, bag):

@@ -12,7 +12,8 @@ candidate search goes through the one scan gate in homology.py, only krull
 and the universe's closure call `krull.decompose`, `is_isomorphic` and
 `is_indecomposable`, only krull searches for idempotents, every cache goes
 through `algebra.cached`, perpendicular classes are read through
-`IndecUniverse.perp`, and the lattice reads no heart and has no gate.
+`IndecUniverse.perp`, the lattice reads no heart and has no gate, and
+injective envelopes are built as duals of projective covers, not on socles.
 """
 
 import ast
@@ -234,6 +235,19 @@ def test_one_reader_of_perpendicular_classes():
             if place[0] != "universe.py"} == {
         ("cli.py", "cmd_indec"), ("torsion.py", "_validate_pair"),
         ("cotilting.py", "cotilting_from_pair")}
+
+
+def test_injective_side_is_the_dual():
+    """The injective envelope is the dual of a projective cover: no package
+    code builds one on the socle, so `socle_rows` is read only where the
+    universe factors out socle lines, and the solver for constrained
+    intertwiners is called only by `factor_through`."""
+    readers = _readers({"socle_rows", "constrained_morphism"})
+    assert {name: {place[:2] for place in places}
+            for name, places in readers.items()} == {
+        "socle_rows": {("universe.py", "simple_socle_quotients")},
+        "constrained_morphism": {("homology.py", "factor_through")},
+    }
 
 
 def test_lattice_reads_no_heart():

@@ -251,6 +251,17 @@ def test_undetermined_search_exit_code(monkeypatch, capsys):
     assert err == "undetermined: idempotent search exhausted its budget\n"
 
 
+def test_fixture_report_script_runs():
+    # the survey script imports the CLI's report helpers; run it end to end
+    script = Path(__file__).parent.parent / "scripts" / "fixture_report.py"
+    out = subprocess.run([sys.executable, str(script),
+                          str(FIXTURES / "a2.quiver")],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert sum("heart-simple counts" in line
+               for line in out.stdout.splitlines()) == 1
+
+
 def test_cli_import_leaves_sympy_out():
     out = subprocess.run(
         [sys.executable, "-c",

@@ -11,13 +11,15 @@ from torsionheart import modules as mo
 from torsionheart.algebra import parse_algebra
 from torsionheart.config import DEFAULT_CAPS
 from torsionheart.exceptions import ResourceLimitError
+from torsionheart.heart import essentiality_check
+from torsionheart.universe import enumerate_indecomposables
 
-from conftest import A2_TEXT, A3_TEXT, standard_modules
+from conftest import A2_TEXT, A3_TEXT, FIXTURES, standard_modules
 from oracles import (
     all_ext_classes, brute_ext_dim_hereditary, ext_class_of, factor_over,
     fitting_idempotent, has_section, injective_dimension,
     is_left_approximation, is_left_minimal, is_right_approximation,
-    is_right_minimal,
+    is_right_minimal, literal_injective_module, socle_envelope,
 )
 
 
@@ -142,10 +144,10 @@ def test_pushout_universal_property(std):
     cone_z = incl
     # mediator h with leg_y.then(h) = cone_y and leg_z.then(h) = cone_z
     conditions = [
-        (v, leg_y.maps[v], None, cone_y.maps[v])
+        (v, leg_y.maps[v], cone_y.maps[v])
         for v in range(p1.algebra.quiver.n)
     ] + [
-        (v, leg_z.maps[v], None, cone_z.maps[v])
+        (v, leg_z.maps[v], cone_z.maps[v])
         for v in range(p1.algebra.quiver.n)
     ]
     h = ho.constrained_morphism(w, p1, conditions)
@@ -447,3 +449,27 @@ def test_scan_gate_raises_before_any_vector():
     with pytest.raises(ResourceLimitError,
                        match=r"^ext scan of size 2\^4 exceeds cap$"):
         ho.scan(alg, 4, "ext")
+
+
+@pytest.mark.parametrize(
+    "name", ["a2", "a3", "a4", "d4", "d5", "e6", "loop", "square"])
+def test_injective_module_is_dual_of_op_projective(name):
+    # I(v) as D P(v) over the opposite algebra against the literal build on
+    # paths ending at v: equal matrices, so equal module keys
+    alg = parse_algebra((FIXTURES / f"{name}.quiver").read_text())
+    for v in range(alg.quiver.n):
+        assert mo.injective_module(alg, v) == literal_injective_module(alg, v)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "loop", "square"])
+def test_injective_envelope_matches_socle_envelope(name):
+    # the dual of the projective cover of D(M) is an essential mono into the
+    # hull that the socle construction builds
+    alg = parse_algebra((FIXTURES / f"{name}.quiver").read_text())
+    bound = (1,) * 4 if name == "square" else (2,) * alg.quiver.n
+    for m in enumerate_indecomposables(alg, bound).indecs:
+        env = ho.injective_envelope(m)
+        assert env.source == m
+        assert env.is_mono()
+        assert env.target == socle_envelope(m).target
+        assert essentiality_check(env)
