@@ -4,8 +4,11 @@ All scans are exhaustive within these gates and raise ResourceLimitError
 beyond them; nothing is ever sampled silently.  `scan_count_cap` is read
 only by `homology.scannable`, the gate of every Hom and Ext scan, and
 `random_tries` only by `homology.candidates`, for its seeded draws beyond
-the scan cap.  The lattice of torsion classes has no gate: its join search
-costs one closure per class and member outside it.
+the scan cap.  `submodule_dim_cap` gates only the oracles' literal
+submodule and quotient scans (`universe.all_submodules`): the fast paths
+read submodule and quotient closure off member Hom spaces.  The lattice of
+torsion classes has no gate: its join search costs one closure per class
+and member outside it.
 
 Caps are set once, when the algebra is parsed (`parse_algebra`, or the
 `BoundQuiverAlgebra` constructor), and every scan reads them from the
@@ -27,7 +30,7 @@ class ResourceCaps:
     path_count_cap: int = 20000
     # per-vertex bound allowed for universe enumeration
     dim_bound_cap: int = 8
-    # submodule oracle gate: total dimension of the scanned module
+    # gate of the oracles' submodule scans: total dimension of the module
     submodule_dim_cap: int = 12
     # ext scans enumerate all p^d classes only while d stays within this
     ext_dim_cap: int = 12

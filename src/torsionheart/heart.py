@@ -49,7 +49,7 @@ from .homology import (
     pullback,
 )
 from .modules import Module, Morphism, assemble, cokernel, unvec_morphism
-from .torsion import TorsionPair, is_hereditary, submodule_summand_bits
+from .torsion import TorsionPair, is_hereditary, submodule_closed
 from .universe import IndecUniverse, all_submodules, bit_indices
 
 
@@ -344,12 +344,6 @@ def classify_neg_isolated(data: CotiltingData):
 # -- split injectivity --------------------------------------------------------------
 
 
-def _class_submodule_closed(u: IndecUniverse, class_bits: int) -> bool:
-    return cached(u, ("class_submodule_closed", class_bits), lambda: all(
-        submodule_summand_bits(u, i) & ~class_bits == 0
-        for i in bit_indices(class_bits)))
-
-
 def _indec_split_injective(idx: int, class_bits: int, u: IndecUniverse) -> bool:
     """Ext criterion for a submodule-closed class: the member is split
     injective iff no non-split extension by it has a middle term in the
@@ -367,7 +361,7 @@ def is_split_injective(m: Module, class_bits: int, u: IndecUniverse) -> bool:
         return True
     if not u.in_class(m, class_bits):
         raise ValueError("module must lie in the class")
-    if not _class_submodule_closed(u, class_bits):
+    if not submodule_closed(u, class_bits):
         raise ValueError("the class must be closed under submodules")
     return all(_indec_split_injective(idx, class_bits, u)
                for idx in u.summands(m))

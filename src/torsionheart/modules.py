@@ -137,23 +137,6 @@ class Module:
             out.append(linalg.sum_row_spaces(mats, self.dims[w], p))
         return out
 
-    def socle_rows(self) -> list:
-        """Per-vertex basis rows of soc M = joint kernel of the arrows."""
-        out = []
-        p = self.algebra.field.p
-        for v in range(self.algebra.quiver.n):
-            blocks = [
-                self.maps[ai]
-                for ai, arrow in enumerate(self.algebra.quiver.arrows)
-                if arrow.source == v
-            ]
-            if not blocks:
-                out.append(linalg.eye(self.dims[v]))
-                continue
-            stacked = linalg.hconcat(blocks, self.dims[v])
-            out.append(linalg.left_nullspace(stacked, p))
-        return out
-
 
 class Morphism:
     """Vertex matrices f_v of shape (dims_M[v], dims_N[v]); check as for

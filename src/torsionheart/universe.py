@@ -72,7 +72,7 @@ from .homology import (
 )
 from .krull import decompose, is_isomorphic
 from .modules import (
-    Module, cokernel, image, injective_module, kernel,
+    Module, cokernel, dual_module, image, injective_module, kernel,
     projective_module, quotient_by_rows, simple_module, submodule_from_rows,
 )
 
@@ -194,8 +194,12 @@ class IndecUniverse:
                       lambda: maximal_submodules(self.indecs[i]))
 
     def simple_socle_quotients(self, i: int) -> list[Module]:
-        return cached(self, ("simple_socle_quotients", i),
-                      lambda: simple_socle_quotients(self.indecs[i]))
+        """Quotients of X_i by its simple submodules, as the duals of the
+        maximal submodules of D(X_i) over the opposite algebra
+        (Auslander-Reiten-Smalo, II.3); cached."""
+        return cached(self, ("simple_socle_quotients", i), lambda: [
+            dual_module(s)
+            for s in maximal_submodules(dual_module(self.indecs[i]))])
 
     # -- extensions -----------------------------------------------------
 
@@ -464,23 +468,4 @@ def maximal_submodules(m: Module) -> list[Module]:
                 for w in range(q.n)
             ]
             out.append(submodule_from_rows(m, rows)[0])
-    return out
-
-
-def simple_socle_quotients(m: Module) -> list[Module]:
-    """Quotients M/S over all simple submodules S (lines in the socle)."""
-    p = m.algebra.field.p
-    q = m.algebra.quiver
-    soc = m.socle_rows()
-    out = []
-    for v in range(q.n):
-        s = len(soc[v])
-        if s == 0:
-            continue
-        for line in linalg.subspace_bases(s, p):
-            if len(line) != 1:
-                continue
-            rows = [() if w != v else linalg.matmul(line, soc[v], p)
-                    for w in range(q.n)]
-            out.append(quotient_by_rows(m, rows)[0])
     return out

@@ -22,6 +22,8 @@ epis, the class of a realized extension, all classes of an Ext space, split
 injectivity by the literal mono scan, injective dimension, the literal
 I(v) on paths ending at v and the injective envelope built on the socle
 that the package's duals of P(v) and of projective covers replaced, the
+socle and the quotients by its lines that the dual maximal submodules
+replaced, the summands of literal submodules and quotients of members, the
 direct sum of a bag of members, and the Krull-Schmidt reading of a module
 as members that the universe's Hom-vector reading replaced.
 """
@@ -38,7 +40,7 @@ from torsionheart.exceptions import ResourceLimitError
 from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
 from torsionheart.modules import (
     Module, Morphism, cokernel, direct_sum, dual_morphism, identity_morphism,
-    simple_module, submodule_from_rows, unvec_morphism,
+    quotient_by_rows, simple_module, submodule_from_rows, unvec_morphism,
 )
 from torsionheart.universe import bit_indices
 
@@ -253,7 +255,7 @@ def _detached_simple(m) -> bool:
         return False
     p = m.algebra.field.p
     rad = m.radical_rows()
-    soc = m.socle_rows()
+    soc = socle_rows(m)
     for v in range(m.algebra.quiver.n):
         if not soc[v]:
             continue
@@ -320,11 +322,21 @@ def scan_indecomposables(algebra, bound, candidate_cap: int = 1 << 20):
 def quotient_summands(u) -> list[int]:
     """Per member X_i, the bitset of the summands of every quotient of X_i,
     read by listing the quotients."""
+    return _piece_summands(u, u.all_quotients)
+
+
+def submodule_summands(u) -> list[int]:
+    """Per member X_i, the bitset of the summands of every submodule of
+    X_i, read by listing the submodules."""
+    return _piece_summands(u, u.all_submodules)
+
+
+def _piece_summands(u, listing) -> list[int]:
     out = []
     for x in u.indecs:
         bits = 0
-        for quot, _ in u.all_quotients(x):
-            bits |= u.summand_bitset(quot)
+        for piece, _ in listing(x):
+            bits |= u.summand_bitset(piece)
         out.append(bits)
     return out
 
@@ -668,13 +680,42 @@ def literal_injective_module(algebra, v):
     return Module(algebra, dims, maps)
 
 
+def socle_rows(m) -> list:
+    """Per-vertex basis rows of soc M = joint kernel of the arrows."""
+    p = m.algebra.field.p
+    out = []
+    for v in range(m.algebra.quiver.n):
+        blocks = [m.maps[ai]
+                  for ai, arrow in enumerate(m.algebra.quiver.arrows)
+                  if arrow.source == v]
+        out.append(linalg.left_nullspace(linalg.hconcat(blocks, m.dims[v]), p)
+                   if blocks else linalg.eye(m.dims[v]))
+    return out
+
+
+def socle_quotients(m) -> list:
+    """Quotients M/S over all simple submodules S, one per line in the
+    socle at each vertex.  The universe dualizes the maximal submodules of
+    D(M) instead."""
+    p = m.algebra.field.p
+    soc = socle_rows(m)
+    out = []
+    for v in range(m.algebra.quiver.n):
+        for line in linalg.subspace_bases(len(soc[v]), p):
+            if len(line) == 1:
+                rows = [() if w != v else linalg.matmul(line, soc[v], p)
+                        for w in range(m.algebra.quiver.n)]
+                out.append(quotient_by_rows(m, rows)[0])
+    return out
+
+
 def socle_envelope(m):
     """An injective envelope M -> E(M) built on the socle: one copy of I(v)
     per basis row of soc M at v, each row sent to the trivial path's dual
     vector of its copy, extended by solving for an intertwiner.  The package
     dualizes the projective cover of D(M) instead."""
     algebra = m.algebra
-    soc = m.socle_rows()
+    soc = socle_rows(m)
     copies = [(v, row) for v in range(algebra.quiver.n) for row in soc[v]]
     summands = [literal_injective_module(algebra, v) for v, _ in copies]
     total, incs, _ = direct_sum(summands, algebra)

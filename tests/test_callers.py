@@ -12,8 +12,9 @@ candidate search goes through the one scan gate in homology.py, only krull
 and the universe's closure call `krull.decompose`, `is_isomorphic` and
 `is_indecomposable`, only krull searches for idempotents, every cache goes
 through `algebra.cached`, perpendicular classes are read through
-`IndecUniverse.perp`, the lattice reads no heart and has no gate, and
-injective envelopes are built as duals of projective covers, not on socles.
+`IndecUniverse.perp`, the lattice reads no heart and has no gate,
+injective envelopes and socle quotients are built as duals, not on socles,
+and only the oracles list submodules or quotients.
 """
 
 import ast
@@ -238,16 +239,28 @@ def test_one_reader_of_perpendicular_classes():
 
 
 def test_injective_side_is_the_dual():
-    """The injective envelope is the dual of a projective cover: no package
-    code builds one on the socle, so `socle_rows` is read only where the
-    universe factors out socle lines, and the solver for constrained
-    intertwiners is called only by `factor_through`."""
+    """The injective envelope is the dual of a projective cover, and the
+    quotients by simple submodules are the duals of maximal submodules: no
+    package code reads the socle (`socle_rows` lives in the oracles), and
+    the solver for constrained intertwiners is called only by
+    `factor_through`."""
     readers = _readers({"socle_rows", "constrained_morphism"})
     assert {name: {place[:2] for place in places}
             for name, places in readers.items()} == {
-        "socle_rows": {("universe.py", "simple_socle_quotients")},
+        "socle_rows": set(),
         "constrained_morphism": {("homology.py", "factor_through")},
     }
+
+
+def test_submodule_scans_only_in_the_oracles():
+    """Closure under quotients and submodules is read off member Hom spaces
+    (Fac and Cogen of each member): outside the universe, the literal
+    submodule and quotient scans are read only by the oracle mode of the
+    ATF/AT detection and by the essentiality oracle."""
+    readers = _readers({"all_submodules", "all_quotients"})
+    assert {place[:2] for places in readers.values() for place in places
+            if place[0] != "universe.py"} == {
+        ("heart.py", "_is_almost"), ("heart.py", "essentiality_check")}
 
 
 def test_lattice_reads_no_heart():

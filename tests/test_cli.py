@@ -187,6 +187,27 @@ def test_negative_cap_is_a_parse_error(flag):
     assert out.stderr == f"error: {flag} -1: must be nonnegative\n"
 
 
+def test_submodule_cap_gates_only_the_oracles():
+    # the fast paths list no submodule: heart runs under a cap below every
+    # member as at the default caps, while its --oracle check and the oracle
+    # suites of verify, which run after cotilting detection, stop at the gate
+    a3 = str(FIXTURES / "a3.quiver")
+    gate = "resource limit: submodule scan gate: total dim 1 > 0\n"
+    default = run_cli("heart", a3, "--gens", "1")
+    capped = run_cli("heart", a3, "--gens", "1", "--cap-submodule-dim", "0")
+    assert default.returncode == 0
+    assert (capped.returncode, capped.stdout, capped.stderr) == (
+        0, default.stdout, "")
+    oracle = run_cli("heart", a3, "--gens", "1", "--cap-submodule-dim", "0",
+                     "--oracle")
+    assert (oracle.returncode, oracle.stdout, oracle.stderr) == (2, "", gate)
+    verify = run_cli("verify", a3, "--cap-submodule-dim", "0")
+    assert (verify.returncode, verify.stderr) == (2, gate)
+    assert verify.stdout.splitlines() == [
+        "PASS universe-completeness: 6 indecomposables closed",
+        "PASS cotilting-detection: 5 cotilting pairs among 14 torsion classes"]
+
+
 @pytest.mark.parametrize("args, stdout, stderr", [
     (("indec", "a2.quiver", "--dim-bound", "1,0"), "",
      "universe incomplete: AR translate of 0 has summand of dims (0, 1) "

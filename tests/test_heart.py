@@ -745,3 +745,22 @@ def test_verify_d4_computes_each_known_answer_once(monkeypatch):
     assert 0 < len(approxes) <= 68
     assert 0 < len(envelopes) <= 12
     assert 0 < len(ranks) <= 1140
+
+
+def test_heart_d4_lists_no_submodule(monkeypatch, capsys):
+    # without --oracle, heart reads closure under submodules as Cogen(add X)
+    # inside the class, off member Hom spaces: no submodule is listed
+    from torsionheart import universe as un
+    from torsionheart.cli import main
+    listed = []
+    real = un.all_submodules
+
+    def counted(m):
+        listed.append(m.key)
+        return real(m)
+
+    monkeypatch.setattr(un, "all_submodules", counted)
+    monkeypatch.setattr(he, "all_submodules", counted)
+    assert main(["heart", str(FIXTURES / "d4.quiver"), "--gens", "1"]) == 0
+    capsys.readouterr()
+    assert listed == []

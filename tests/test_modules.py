@@ -7,7 +7,7 @@ from torsionheart import modules as mo
 from torsionheart.algebra import parse_algebra
 
 from conftest import A2_TEXT, standard_modules
-from oracles import brute_hom_dim
+from oracles import brute_hom_dim, socle_rows
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ def test_direct_sum_structure(std):
 def test_socle_radical(std):
     _, projectives, _ = std
     p1 = projectives[0]
-    soc = p1.socle_rows()
+    soc = socle_rows(p1)
     assert len(soc[0]) == 0 and len(soc[1]) == 1
     rad = p1.radical_rows()
     assert len(rad[0]) == 0 and len(rad[1]) == 1

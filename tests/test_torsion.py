@@ -10,7 +10,9 @@ from torsionheart.torslattice import enumerate_torsion_classes
 from torsionheart.universe import bit_indices, enumerate_indecomposables
 
 from conftest import FIXTURES, module_by_dims
-from oracles import full_round_closure, quotient_summands, torsion_part
+from oracles import (
+    full_round_closure, quotient_summands, submodule_summands, torsion_part,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,12 +176,19 @@ def test_all_subset_closures_are_torsion_classes_a3(a3_universe):
             assert ses.validate()
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "d4", "loop", "square"])
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "loop", "square"])
 def test_perp_matches_the_table_loops(name):
     # on every torsion class T: T^perp is F and perp(F) is T by Hom, and
-    # both Ext perpendicular classes equal nested loops over the Ext table
+    # both Ext perpendicular classes equal nested loops over the Ext table;
+    # submodule closure read as Cogen(add X) inside the class, which
+    # `is_hereditary` and the F check of `_validate_pair` read, equals the
+    # literal check on every submodule of every member
     alg = parse_algebra((FIXTURES / f"{name}.quiver").read_text())
     u = enumerate_indecomposables(alg, (2,) * alg.quiver.n)
+    subs = submodule_summands(u)
+
+    def literal(bits):
+        return all(subs[i] & ~bits == 0 for i in bit_indices(bits))
 
     def loop(table, bits, right):
         return sum(1 << x for x in range(u.n) if all(
@@ -194,6 +203,9 @@ def test_perp_matches_the_table_loops(name):
             for right in (True, False):
                 assert u.perp(bits, ext=True, right=right) == \
                     loop(u.ext_table, bits, right)
+        pair = to.pair_from_torsion_class(t, u)
+        assert to.is_hereditary(pair) == literal(t)
+        assert to.submodule_closed(u, f) == literal(f)
 
 
 def _fixture_universe(name):
@@ -201,21 +213,32 @@ def _fixture_universe(name):
     return enumerate_indecomposables(alg, (2,) * alg.quiver.n)
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "a4", "d4", "loop", "square"])
-def test_fac_lies_between_quotient_summands_and_the_closure(name):
+_NAMES = ["a2", "a3", "a4", "d4", "loop", "square"]
+
+
+@pytest.mark.parametrize("name, fac", [
+    *(pytest.param(name, True, id=name) for name in _NAMES),
+    *(pytest.param(name, False, id=f"{name}-cogen") for name in _NAMES)])
+def test_fac_lies_between_quotient_summands_and_the_closure(name, fac):
     # Fac(add X) holds the summands of every quotient of X and lies in the
     # torsion class X generates; on D4 exactly one member generates more
     # than the summands of its quotients: (1,1,1,2), whose three arms span
     # the three lines of F_2^2, has no quotient (1,1,1,1), but its square
-    # maps onto one
+    # maps onto one.  Dually, Cogen(add X) holds the summands of every
+    # submodule of X and lies in the torsion-free class X cogenerates,
+    # ((perp_0 X)^perp_0); on D4 exactly one member cogenerates more than
+    # the summands of its submodules: (1,1,1,2) is too big to be a
+    # submodule of (1,1,1,1), but embeds in its square
     u = _fixture_universe(name)
-    quots = quotient_summands(u)
+    pieces = quotient_summands(u) if fac else submodule_summands(u)
     strict = []
     for i in range(u.n):
-        fac = to.fac_bits(u, i)
-        assert quots[i] & ~fac == 0
-        assert fac & ~to.torsion_closure(1 << i, u) == 0
-        if fac != quots[i]:
+        generated = to.generated_by(u, i, fac=fac)
+        closure = (to.torsion_closure(1 << i, u) if fac else u.perp(
+            u.perp(1 << i, ext=False, right=False), ext=False, right=True))
+        assert pieces[i] & ~generated == 0
+        assert generated & ~closure == 0
+        if generated != pieces[i]:
             strict.append(i)
     assert len(strict) == (1 if name == "d4" else 0)
 

@@ -10,7 +10,9 @@ from torsionheart.exceptions import IncompleteUniverseError, ResourceLimitError
 from torsionheart.krull import decompose, is_isomorphic
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, FIXTURES, module_by_dims
-from oracles import brute_submodule_count, scan_indecomposables
+from oracles import (
+    brute_submodule_count, scan_indecomposables, socle_quotients,
+)
 
 
 def test_a2_universe_frozen(a2_universe):
@@ -199,6 +201,21 @@ def test_simple_socle_quotients(a2_universe):
     i = a2_universe.index_of(p1)
     quots = a2_universe.simple_socle_quotients(i)
     assert [q.dims for q in quots] == [(1, 0)]
+    # the duals of the maximal submodules of D(X) are the quotients of X by
+    # its socle lines, compared as iso classes: the two lists come in
+    # another order on the member (1,1,1,2) of d4, and one quotient of the
+    # member (1,2,3,2,1,1) of e6 has other matrices
+    for name, bound in [("a2", 2), ("a3", 2), ("a4", 2), ("d4", 2),
+                        ("d5", 2), ("loop", 2), ("square", 2), ("e6", 3)]:
+        alg = parse_algebra((FIXTURES / f"{name}.quiver").read_text())
+        u = un.enumerate_indecomposables(alg, (bound,) * alg.quiver.n)
+
+        def iso_classes(mods):
+            return sorted(sorted(u.summands(m).items()) for m in mods)
+
+        for i, x in enumerate(u.indecs):
+            assert iso_classes(u.simple_socle_quotients(i)) == \
+                iso_classes(socle_quotients(x))
 
 
 def test_ext_middles(a2_universe):
