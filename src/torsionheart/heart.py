@@ -50,7 +50,7 @@ from .homology import (
 )
 from .modules import Module, Morphism, assemble, cokernel, unvec_morphism
 from .torsion import TorsionPair, is_hereditary, submodule_closed
-from .universe import IndecUniverse, all_submodules, bit_indices
+from .universe import IndecUniverse, bit_indices
 
 
 @dataclass(frozen=True)
@@ -431,12 +431,13 @@ class HereditaryCoverReport:
         return not self.failed
 
 
-def essentiality_check(f: Morphism) -> bool:
-    """Every nonzero submodule of the target meets the image (oracle scan)."""
+def essentiality_check(f: Morphism, u: IndecUniverse) -> bool:
+    """Every nonzero submodule of the target meets the image (oracle scan
+    of the submodules u lists, once per target)."""
     p = f.source.algebra.field.p
     img_rows = [linalg.row_space(f.maps[v], p)
                 for v in range(f.source.algebra.quiver.n)]
-    for sub, incl in all_submodules(f.target):
+    for sub, incl in u.all_submodules(f.target):
         if sub.is_zero():
             continue
         meets = False
@@ -470,7 +471,7 @@ def hereditary_cover_check(q: Module, data: CotiltingData) -> HereditaryCoverRep
     env_of_cover = injective_envelope(cover_q.middle)
     envelope_matches = (
         u.summands(env_of_cover.target) == u.summands(cover_e.middle)
-        and essentiality_check(env_of_cover)
+        and essentiality_check(env_of_cover, u)
     )
     kernel_indec = u.index_of(cover_q.left) is not None
     return HereditaryCoverReport(

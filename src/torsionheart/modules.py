@@ -375,13 +375,6 @@ def kernel(f: Morphism):
     return submodule_from_rows(f.source, rows)
 
 
-def image(f: Morphism):
-    """(Im, inclusion into target)."""
-    p = f.source.algebra.field.p
-    rows = [linalg.row_space(m, p) for m in f.maps]
-    return submodule_from_rows(f.target, rows)
-
-
 def quotient_by_rows(parent: Module, rows: list):
     """(Q, projection) by the arrow-stable subspace spanned by rows."""
     p = parent.algebra.field.p

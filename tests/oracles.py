@@ -23,9 +23,10 @@ injectivity by the literal mono scan, injective dimension, the literal
 I(v) on paths ending at v and the injective envelope built on the socle
 that the package's duals of P(v) and of projective covers replaced, the
 socle and the quotients by its lines that the dual maximal submodules
-replaced, the summands of literal submodules and quotients of members, the
-direct sum of a bag of members, and the Krull-Schmidt reading of a module
-as members that the universe's Hom-vector reading replaced.
+replaced, the image of a map, which no package path takes, the summands
+of literal submodules and quotients of members, the direct sum of a bag of
+members, and the Krull-Schmidt reading of a module as members that the
+universe's Hom-vector reading replaced.
 """
 
 from __future__ import annotations
@@ -678,6 +679,13 @@ def literal_injective_module(algebra, v):
                 m[pos[w][bi]][col] = coeff
         maps.append(m)
     return Module(algebra, dims, maps)
+
+
+def image(f: Morphism):
+    """(Im, inclusion into target)."""
+    p = f.source.algebra.field.p
+    rows = [linalg.row_space(m, p) for m in f.maps]
+    return submodule_from_rows(f.target, rows)
 
 
 def socle_rows(m) -> list:

@@ -10,11 +10,12 @@ More guards read the package the same way: every local a function binds is
 read (names starting with `_` are exempt), every exhaustive scan and
 candidate search goes through the one scan gate in homology.py, only krull
 and the universe's closure call `krull.decompose`, `is_isomorphic` and
-`is_indecomposable`, only krull searches for idempotents, every cache goes
-through `algebra.cached`, perpendicular classes are read through
-`IndecUniverse.perp`, the lattice reads no heart and has no gate,
-injective envelopes and socle quotients are built as duals, not on socles,
-and only the oracles list submodules or quotients.
+`is_indecomposable`, the closure reads no map between members, only krull
+searches for idempotents, every cache goes through `algebra.cached`,
+perpendicular classes are read through `IndecUniverse.perp`, the lattice
+reads no heart and has no gate, injective envelopes and socle quotients
+are built as duals, not on socles, and only the oracles list submodules or
+quotients.
 """
 
 import ast
@@ -173,6 +174,21 @@ def test_decompose_only_in_the_closure():
     assert outside["decompose"] == closure
     assert outside["is_isomorphic"] <= closure
     assert outside["is_indecomposable"] <= closure
+
+
+def test_closure_reads_no_map():
+    """The closure certifies the universe from AR translates and Ext
+    middles alone: `completeness_check` reads no element of a Hom space and
+    takes no kernel, image or cokernel, and the package defines no image of
+    a map (it lives in the oracles)."""
+    readers = _readers({"elements", "kernel", "image", "cokernel"})
+    closure = ("universe.py", "completeness_check")
+    assert not any(place[:2] == closure
+                   for places in readers.values() for place in places)
+    assert not any(
+        isinstance(node, ast.FunctionDef) and node.name == "image"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text())))
 
 
 def test_idempotents_only_in_krull():

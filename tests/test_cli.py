@@ -218,7 +218,12 @@ def test_submodule_cap_gates_only_the_oracles():
     (("verify", "d4.quiver", "--dim-bound", "1,1,1,1"),
      "FAIL universe-completeness: ext middle 7 by 6 has summand of dims "
      "(1, 1, 1, 2) outside\n", ""),
-], ids=["ar-translate-a2", "ext-middle-loop", "ext-middle-d4"])
+    # the projective-injective P(2) is reached only as an Ext middle
+    (("indec", "nakayama.quiver", "--dim-bound", "1,1"), "",
+     "universe incomplete: ext middle 0 by 3 has summand of dims (1, 2) "
+     "outside\n"),
+], ids=["ar-translate-a2", "ext-middle-loop", "ext-middle-d4",
+        "ext-middle-nakayama"])
 def test_completeness_witness(args, stdout, stderr):
     cmd, name, *rest = args
     out = run_cli(cmd, str(FIXTURES / name), *rest)

@@ -11,7 +11,7 @@ from torsionheart.algebra import parse_algebra
 from torsionheart.config import DEFAULT_CAPS
 from torsionheart.exceptions import ResourceLimitError
 from torsionheart.homology import hom_space, injective_envelope
-from torsionheart.universe import bit_indices
+from torsionheart.universe import bit_indices, enumerate_indecomposables
 
 from conftest import A3_TEXT, FIXTURES, module_by_dims
 from oracles import all_ext_classes, split_injective_scan, sum_module
@@ -267,11 +267,11 @@ def test_essentiality_oracle(a2_universe):
     u = a2_universe
     s2 = module_by_dims(u, (0, 1))
     env = injective_envelope(s2)
-    assert he.essentiality_check(env)
+    assert he.essentiality_check(env, u)
     # a non-essential mono: S2 -> P1 + S2 hitting only the second summand
     p1 = module_by_dims(u, (1, 1))
     total, incs, _ = mo.direct_sum([p1, s2])
-    assert not he.essentiality_check(incs[1])
+    assert not he.essentiality_check(incs[1], u)
 
 
 def test_essentiality_check_honours_the_algebra_caps():
@@ -279,10 +279,11 @@ def test_essentiality_check_honours_the_algebra_caps():
     # three-dimensional, above a submodule cap of 1
     caps = dataclasses.replace(DEFAULT_CAPS, submodule_dim_cap=1)
     a = parse_algebra(A3_TEXT, caps)
+    u = enumerate_indecomposables(a, (2, 2, 2))
     env = injective_envelope(mo.simple_module(a, 2))
     assert env.target.total_dim == 3
     with pytest.raises(ResourceLimitError):
-        he.essentiality_check(env)
+        he.essentiality_check(env, u)
 
 
 def test_fault_injection_oracle_mismatch(a2_ctx, monkeypatch):
@@ -699,15 +700,18 @@ def test_verify_d4_realizes_no_ext_of_sums(monkeypatch):
 
 
 def test_verify_d4_computes_each_known_answer_once(monkeypatch):
-    # a verify run on d4 asks each left almost split verdict, Hom-vector
-    # reading and member injective dimension once, takes the identity as
-    # the approximation of a module already in the class, and re-ranks in
-    # `_strip_components` only the generators a trial removal touches
+    # a verify run on d4 asks each left almost split verdict, closure
+    # decomposition, Hom-vector reading and member injective dimension
+    # once, takes the identity as the approximation of a module already in
+    # the class, and re-ranks in `_strip_components` only the generators a
+    # trial removal touches.  Decompositions and readings are bounded
+    # together: each identifies modules as members, one way or the other
     from torsionheart import homology as ho
     from torsionheart import linalg
     from torsionheart import universe as un
     from torsionheart.cli import main
-    bodies, readings, approxes, envelopes, ranks = [], [], [], [], []
+    bodies, splits, readings, approxes, envelopes, ranks = (
+        [], [], [], [], [], [])
     stripping = []
 
     def recorded(module, name, log, entry=lambda *args: None):
@@ -720,6 +724,7 @@ def test_verify_d4_computes_each_known_answer_once(monkeypatch):
 
     recorded(he, "_left_almost_split", bodies, lambda f, bits, u:
              (f.source.key, f.target.key, f.maps, bits))
+    recorded(un, "decompose", splits, lambda m: m.key)
     recorded(un, "hom_dims_into", readings, lambda sources, m: m.key)
     recorded(co, "minimal_approx", approxes)
     recorded(co, "injective_envelope", envelopes)
@@ -741,17 +746,18 @@ def test_verify_d4_computes_each_known_answer_once(monkeypatch):
     monkeypatch.setattr(linalg, "rank", counted_rank)
     assert main(["verify", str(FIXTURES / "d4.quiver")]) == 0
     assert 0 < len(bodies) == len(set(bodies)) <= 80
-    assert 0 < len(readings) == len(set(readings)) <= 191
+    assert 0 < len(splits) == len(set(splits))
+    assert 0 < len(readings) == len(set(readings))
+    assert len(splits) + len(readings) <= 228
     assert 0 < len(approxes) <= 68
     assert 0 < len(envelopes) <= 12
     assert 0 < len(ranks) <= 1140
 
 
-def test_heart_d4_lists_no_submodule(monkeypatch, capsys):
-    # without --oracle, heart reads closure under submodules as Cogen(add X)
-    # inside the class, off member Hom spaces: no submodule is listed
+def _listings(monkeypatch) -> list:
+    """Keys of the modules whose submodules get listed, through the
+    universe's scan or any name the heart holds for it."""
     from torsionheart import universe as un
-    from torsionheart.cli import main
     listed = []
     real = un.all_submodules
 
@@ -759,8 +765,27 @@ def test_heart_d4_lists_no_submodule(monkeypatch, capsys):
         listed.append(m.key)
         return real(m)
 
-    monkeypatch.setattr(un, "all_submodules", counted)
-    monkeypatch.setattr(he, "all_submodules", counted)
+    for module in (un, he):
+        monkeypatch.setattr(module, "all_submodules", counted, raising=False)
+    return listed
+
+
+def test_heart_d4_lists_no_submodule(monkeypatch, capsys):
+    # without --oracle, heart reads closure under submodules as Cogen(add X)
+    # inside the class, off member Hom spaces: no submodule is listed
+    from torsionheart.cli import main
+    listed = _listings(monkeypatch)
     assert main(["heart", str(FIXTURES / "d4.quiver"), "--gens", "1"]) == 0
     capsys.readouterr()
     assert listed == []
+
+
+def test_verify_d4_lists_each_module_once(monkeypatch, capsys):
+    # the essentiality oracle reads submodules through the universe's memo,
+    # as the ATF/AT oracle does: the injective (1, 1, 1, 1), the envelope
+    # of several cover middles, is listed once
+    from torsionheart.cli import main
+    listed = _listings(monkeypatch)
+    assert main(["verify", str(FIXTURES / "d4.quiver")]) == 0
+    capsys.readouterr()
+    assert listed and len(listed) == len(set(listed))

@@ -6,11 +6,11 @@ x, where hom_table @ x = [dim Hom(X_i, M)]_i (Auslander; Bongartz).  The
 oracle's bounded Ext scan reads its middles through the same universe, so a
 wrong Hom-vector reading would mislead the fast criteria and the oracle
 alike.  The differential tests below compare it with a `decompose` +
-`is_isomorphic` reading on every module the closure decomposes (the kernels,
-images and cokernels of maps between members, their AR translates and Ext
-middles) and on every non-split Ext middle between a member and a sum of at
-most two members.  The property test reads random sums of members in a
-random basis.
+`is_isomorphic` reading on every module the closure decomposes (the AR
+translates of members and the Ext middles between them), on the kernel,
+image and cokernel of every nonzero map between two members, and on every
+non-split Ext middle between a member and a sum of at most two members.
+The property test reads random sums of members in a random basis.
 """
 
 import random
@@ -28,11 +28,11 @@ from torsionheart.algebra import parse_algebra
 from torsionheart.cli import EXIT_INTERNAL, main
 from torsionheart.exceptions import IncompleteUniverseError
 from torsionheart.heart import _sum_bags
-from torsionheart.homology import ext1
-from torsionheart.modules import Module
+from torsionheart.homology import ext1, hom_space
+from torsionheart.modules import Module, cokernel, kernel
 
 from conftest import FIXTURES
-from oracles import decompose_reading, sum_module
+from oracles import decompose_reading, image, sum_module
 
 # (fixture, bound); None is the CLI's default bound of 2 at every vertex
 CASES = [("a2", None), ("a3", None), ("d4", None), ("loop", None),
@@ -68,6 +68,21 @@ def test_reading_matches_decompose_on_the_closure(name):
     assert visited
     for m, pieces in visited:
         assert u.summands(m) == decompose_reading(u, m, pieces), m.dims
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_reading_matches_decompose_on_maps(name):
+    u, _ = _closure(name)
+    seen = set()
+    for x in u.indecs:
+        for y in u.indecs:
+            for f in hom_space(x, y).elements(nonzero=True):
+                for m, _ in (kernel(f), image(f), cokernel(f)):
+                    if m.key not in seen:
+                        seen.add(m.key)
+                        assert u.summands(m) == decompose_reading(u, m), \
+                            (x.dims, y.dims, m.dims)
+    assert seen
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -467,9 +467,10 @@ def test_injective_envelope_matches_socle_envelope(name):
     # hull that the socle construction builds
     alg = parse_algebra((FIXTURES / f"{name}.quiver").read_text())
     bound = (1,) * 4 if name == "square" else (2,) * alg.quiver.n
-    for m in enumerate_indecomposables(alg, bound).indecs:
+    u = enumerate_indecomposables(alg, bound)
+    for m in u.indecs:
         env = ho.injective_envelope(m)
         assert env.source == m
         assert env.is_mono()
         assert env.target == socle_envelope(m).target
-        assert essentiality_check(env)
+        assert essentiality_check(env, u)

