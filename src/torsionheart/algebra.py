@@ -204,54 +204,46 @@ class BoundQuiverAlgebra:
         start = max([min_rel] + [max(len(path[1]) for _, path in rel) for rel in self.relations]) \
             if self.relations else min_rel
         for length in range(start, self.caps.length_cap + 1):
-            paths = self._paths_up_to(length)
-            # no paths of the top length at all: the quiver is acyclic at this depth
-            top = [path for path in paths if len(path[1]) == length]
+            # columns in reversed-graded order, so that longer paths are
+            # preferred as pivots and the surviving (non pivot) paths are the
+            # shortest representatives
+            paths = sorted(self._paths_up_to(length),
+                           key=lambda path: (-len(path[1]), path))
             index = {path: i for i, path in enumerate(paths)}
             ideal = self._ideal_rows(paths, index, length)
             r, pivots = linalg.rref(ideal, p)
             r = r[: len(pivots)]
             units = linalg.eye(len(paths))
+            # the top-length paths come first; there are none at all when the
+            # quiver is acyclic at this depth
             dead_top = all(
-                linalg.in_row_space(units[index[path]], r, pivots, p)
-                for path in top
+                linalg.in_row_space(units[i], r, pivots, p)
+                for i, path in enumerate(paths) if len(path[1]) == length
             )
             if dead_top:
-                self._finalize(paths, index, r, pivots, length)
+                self._finalize(paths, r, pivots, length)
                 return
         raise AdmissibilityError(
             f"path basis did not stabilize below length {self.caps.length_cap}"
         )
 
-    def _finalize(self, paths, index, rref_rows, pivots, length):
+    def _finalize(self, paths, rref_rows, pivots, length):
+        """Basis and path reductions from the echelonized ideal, whose
+        columns are the paths in reversed-graded order."""
         p = self.field.p
-        # order columns so that longer paths are preferred as pivots: re-echelonize
-        # over the reversed-graded order, then the surviving (non pivot) paths are
-        # the shortest representatives.
-        order = sorted(range(len(paths)), key=lambda i: (-len(paths[i][1]), paths[i]))
-        inv_order = {c: k for k, c in enumerate(order)}
-        if rref_rows:
-            permuted = [tuple(row[c] for c in order) for row in rref_rows]
-            r2, piv2 = linalg.rref(permuted, p)
-            r2 = r2[: len(piv2)]
-        else:
-            r2, piv2 = (), []
-        pivot_orig = {order[c] for c in piv2}
-        basis_cols = [i for i in range(len(paths)) if i not in pivot_orig]
-        basis_cols.sort(key=lambda i: (len(paths[i][1]), paths[i]))
+        pivot_set = set(pivots)
         self.stabilized_length = length
-        self.basis: tuple[Path, ...] = tuple(paths[i] for i in basis_cols)
+        self.basis: tuple[Path, ...] = tuple(sorted(
+            (path for i, path in enumerate(paths) if i not in pivot_set),
+            key=lambda path: (len(path[1]), path)))
         self.basis_index = {path: i for i, path in enumerate(self.basis)}
         self._reduction: dict[Path, dict[int, int]] = {}
         # precompute the reduction of every enumerated path to basis coordinates
         units = linalg.eye(len(paths))
         for i, path in enumerate(paths):
-            resid = linalg.reduce_against(units[inv_order[i]], r2, piv2, p)
-            expr: dict[int, int] = {}
-            for k, c in enumerate(order):
-                if resid[inv_order[c]] % p:
-                    expr[self.basis_index[paths[c]]] = int(resid[inv_order[c]]) % p
-            self._reduction[path] = expr
+            resid = linalg.reduce_against(units[i], rref_rows, pivots, p)
+            self._reduction[path] = {self.basis_index[paths[k]]: c
+                                     for k, c in enumerate(resid) if c}
 
     def _content_key(self) -> str:
         h = hashlib.sha1()

@@ -22,7 +22,7 @@ One cached minimal projective presentation P1 -> P0 -> M -> 0,
 
 Every exhaustive scan of the package passes one gate, `scan`, which raises
 ResourceLimitError before any work beyond the scan cap; `candidates` is the
-one order in which krull's idempotent and isomorphism searches try elements.
+one order in which krull's idempotent search tries elements.
 """
 
 from __future__ import annotations
@@ -101,11 +101,11 @@ class HomSpace:
         return map(self.from_coords, self.coords(nonzero))
 
 
-def candidates(space: HomSpace, seed=None):
+def candidates(space: HomSpace):
     """Elements of the space for a search to try, in a fixed order: the
     basis, the pairwise sums, then every nonzero element when the space is
-    scannable.  Otherwise, given a seed, random_tries seeded random draws
-    follow; an all-zero draw is skipped but spends its try."""
+    scannable, or else random_tries random draws seeded by the source's
+    `Module.key`; an all-zero draw is skipped but spends its try."""
     basis = space.basis
     yield from basis
     for i, a in enumerate(basis):
@@ -114,9 +114,9 @@ def candidates(space: HomSpace, seed=None):
     algebra = space.source.algebra
     if scannable(algebra, space.dim):
         yield from space.elements(nonzero=True)
-    elif seed is not None:
+    else:
         p = algebra.field.p
-        rng = random.Random(seed)
+        rng = random.Random(int(space.source.key[:12], 16))
         for _ in range(algebra.caps.random_tries):
             coeffs = [rng.randrange(p) for _ in range(space.dim)]
             if any(coeffs):

@@ -6,10 +6,15 @@ semisimple with eigenvalues in F_p, and 1 - (u - c)^(p-1) projects onto an
 eigenspace.  A decomposable module always exposes such an x (a projection).
 The search tries the candidates of `homology.candidates`: the basis, the
 pairwise sums, then either every nonzero element, while p^dim stays within
-the scan cap, or seeded random combinations beyond it.  A search that ends
-beyond the cap without a witness raises UndeterminedError rather than
-guessing, unless End(M) is commutative, where a deterministic search decides.
-The isomorphism search tries the same candidates of Hom(M, N).
+the scan cap, or random draws seeded by the module key beyond it.  A search
+that ends beyond the cap without a witness raises UndeterminedError rather
+than guessing, unless End(M) is commutative, where a deterministic search
+decides.  `decompose` splits by these idempotents until every piece is
+indecomposable and returns the pieces, one per summand.
+
+Isomorphism of indecomposables needs no search: End(M) is local
+(Auslander-Reiten-Smalo, I.4 and II.2), so an isomorphism M -> N, if there
+is one, is among the basis elements of Hom(M, N).
 
 Brick detection is fully deterministic: a finite division ring is a field
 (Wedderburn), so End(M) is a division ring iff it is commutative, has zero
@@ -110,7 +115,7 @@ def nontrivial_idempotent(m: Module):
     end = hom_space(m, m)
     if end.dim == 1:
         return None
-    for x in candidates(end, int(m.key[:12], 16)):
+    for x in candidates(end):
         e = split_idempotent(x, p)
         if e is not None:
             return e
@@ -191,43 +196,25 @@ def _split_by_idempotent(m: Module, e: Morphism):
     return (k, ik), (i, ii)
 
 
-def indecomposable_summands(m: Module):
-    """List of (indecomposable piece, inclusion into M)."""
-    if m.is_zero():
-        return []
-    e = nontrivial_idempotent(m)
-    if e is None:
-        return [(m, identity_morphism(m))]
-    (k, ik), (i, ii) = _split_by_idempotent(m, e)
-    out = []
-    for piece, incl in indecomposable_summands(k):
-        out.append((piece, incl.then(ik)))
-    for piece, incl in indecomposable_summands(i):
-        out.append((piece, incl.then(ii)))
-    return out
+def decompose(m: Module) -> list[Module]:
+    """The indecomposable summands of M, one piece per summand, split off by
+    idempotents; the glue map (+) pieces -> M is checked to be an
+    isomorphism."""
+    def parts(x: Module):
+        """(indecomposable piece, inclusion into x) pairs."""
+        if x.is_zero():
+            return []
+        e = nontrivial_idempotent(x)
+        if e is None:
+            return [(x, identity_morphism(x))]
+        return [(piece, incl.then(into))
+                for half, into in _split_by_idempotent(x, e)
+                for piece, incl in parts(half)]
 
-
-def decompose_with_iso(m: Module):
-    """(pieces, iso) with iso: (+) pieces -> M an explicit isomorphism."""
-    parts = indecomposable_summands(m)
-    iso = assemble(m, parts, "right")
-    if not iso.is_iso():
+    found = parts(m)
+    if not assemble(m, found, "right").is_iso():
         raise AssertionError("decomposition glue map is not an isomorphism")
-    return [piece for piece, _ in parts], iso
-
-
-def decompose(m: Module):
-    """List of (indecomposable, multiplicity), grouped up to isomorphism."""
-    pieces, _ = decompose_with_iso(m)
-    groups: list[tuple[Module, int]] = []
-    for piece in pieces:
-        for idx, (rep, mult) in enumerate(groups):
-            if is_isomorphic(piece, rep):
-                groups[idx] = (rep, mult + 1)
-                break
-        else:
-            groups.append((piece, 1))
-    return groups
+    return [piece for piece, _ in found]
 
 
 def is_brick(m: Module) -> bool:
@@ -246,21 +233,19 @@ def is_brick(m: Module) -> bool:
 
 
 def isomorphism(m: Module, n: Module):
-    """An isomorphism M -> N, or None; UndeterminedError above the caps."""
+    """An isomorphism M -> N, or None, for an indecomposable M.
+
+    End(M) is local, so when M and N are isomorphic the non-isomorphisms
+    M -> N form a proper subspace of Hom(M, N) (the radical of End(M) moved
+    along any isomorphism), and some basis element of Hom(M, N) lies outside
+    it.  On a decomposable M the answer can be wrong: no basis element of
+    End(P + P) need be invertible.
+    """
     if m.dims != n.dims:
         return None
     if m.is_zero():
         return zero_morphism(m, n)
-    h = hom_space(m, n)
-    if (h.dim == 0 or hom_space(m, m).dim != hom_space(n, n).dim
-            or h.dim != hom_space(n, m).dim):
-        return None
-    for f in candidates(h, int(m.key[:8] + n.key[:8], 16)):
-        if f.is_iso():
-            return f
-    if scannable(m.algebra, h.dim):
-        return None
-    raise UndeterminedError("isomorphism search exhausted its budget")
+    return next((f for f in hom_space(m, n).basis if f.is_iso()), None)
 
 
 def is_isomorphic(m: Module, n: Module) -> bool:

@@ -73,8 +73,9 @@ class Module:
     @property
     def key(self) -> str:
         """SHA-1 of the algebra key, the dims and every arrow matrix as
-        native int64 bytes in row-major order.  krull seeds its idempotent
-        search from the key, so these bytes must not change."""
+        native int64 bytes in row-major order.  `homology.candidates` seeds
+        its random draws beyond the scan cap from the key of the space's
+        source, so these bytes must not change."""
         if self._key is None:
             h = hashlib.sha1()
             h.update(self.algebra.key.encode())

@@ -6,9 +6,12 @@ The closure starts from the simple, projective and injective modules that
 fit the bound; a seed outside the bound is dropped.  Each member is dequeued
 once and gets its AR translates and, against every member dequeued before it
 and itself, in both directions, the middle of every non-split extension.
-Every result is decomposed, once per `Module.key`: a summand that fits the
-bound and is new up to isomorphism becomes a member, a summand outside the
-bound is an escape.  The universe is complete iff nothing escapes and every
+Every result is decomposed, once per `Module.key`, into its indecomposable
+pieces: a piece that fits the bound and is new up to isomorphism becomes a
+member, a piece outside the bound is an escape.  A piece is compared only
+with the members of its dims, by `krull.is_isomorphic`, which needs no
+search on an indecomposable: an isomorphism, if any, is a basis element of
+the Hom space.  The universe is complete iff nothing escapes and every
 simple is a member.
 
 No map between members is read: its kernel, image and cokernel never leave
@@ -359,7 +362,7 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
         if got is None:
             got = pieces[m.key] = [
                 (member(piece) if fits(piece) else None, piece.dims)
-                for piece, _ in decompose(m)]
+                for piece in decompose(m)]
         dims = next((d for idx, d in got if idx is None), None)
         if dims is not None:
             escapes.append((place, ids, label, dims))
@@ -399,10 +402,11 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
                   for v, b in enumerate(bound) if not b]
 
     def bits(got) -> int | None:
-        """Member bitset of a result, None when a summand escaped."""
+        """Member bitset of a result, None when a summand escaped; a member
+        repeated among the pieces sets its bit once."""
         if any(idx is None for idx, _ in got):
             return None
-        return sum(1 << rank[idx] for idx, _ in got)
+        return sum({1 << rank[idx] for idx, _ in got})
 
     memo: dict = {}
     for key, idx in member_of.items():

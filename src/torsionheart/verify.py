@@ -42,7 +42,6 @@ class AnalysisContext:
     universe: IndecUniverse
     lattice: TorsLattice
     cotilting_pairs: list[CotiltingData]
-    not_cotilting: list[tuple[int, str]]      # (class bitset, reason)
 
     def classified(self, data: CotiltingData):
         return cached(self.universe, ("classified", data.pair.torsion_bits),
@@ -52,14 +51,12 @@ class AnalysisContext:
 def build_context(universe: IndecUniverse) -> AnalysisContext:
     lattice = enumerate_torsion_classes(universe)
     pairs: list[CotiltingData] = []
-    rejected: list[tuple[int, str]] = []
     for i in range(lattice.n):
-        pair = lattice.pair_of(i)
         try:
-            pairs.append(cotilting_from_pair(pair))
-        except NotCotiltingError as exc:
-            rejected.append((lattice.classes[i], exc.reason))
-    return AnalysisContext(universe, lattice, pairs, rejected)
+            pairs.append(cotilting_from_pair(lattice.pair_of(i)))
+        except NotCotiltingError:
+            continue
+    return AnalysisContext(universe, lattice, pairs)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ that the package's duals of P(v) and of projective covers replaced, the
 socle and the quotients by its lines that the dual maximal submodules
 replaced, the image of a map, which no package path takes, the summands
 of literal submodules and quotients of members, the direct sum of a bag of
-members, and the Krull-Schmidt reading of a module as members that the
-universe's Hom-vector reading replaced.
+members, the Krull-Schmidt reading of a module as members that the
+universe's Hom-vector reading replaced, and the literal isomorphism test
+that reading the Hom basis of an indecomposable replaced.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
 from torsionheart.modules import (
     Module, Morphism, cokernel, direct_sum, dual_morphism, identity_morphism,
     quotient_by_rows, simple_module, submodule_from_rows, unvec_morphism,
+    zero_morphism,
 )
 from torsionheart.universe import bit_indices
 
@@ -749,8 +751,18 @@ def decompose_reading(u, m, pieces=None) -> dict[int, int]:
     by Krull-Schmidt decomposition and an isomorphism test against the
     members of the same dims; pieces, when given, is decompose(m)."""
     counts: dict[int, int] = {}
-    for piece, mult in decompose(m) if pieces is None else pieces:
+    for piece in decompose(m) if pieces is None else pieces:
         idx = next(i for i, x in enumerate(u.indecs)
                    if x.dims == piece.dims and is_isomorphic(piece, x))
-        counts[idx] = counts.get(idx, 0) + mult
+        counts[idx] = counts.get(idx, 0) + 1
     return counts
+
+
+def literal_isomorphism(m: Module, n: Module):
+    """An isomorphism M -> N, or None, by the definition: the first nonzero
+    element of Hom(M, N), in the order of the scan gate, that is invertible,
+    and the zero map between zero modules.  Any M, a sum or not."""
+    if m.is_zero() and n.is_zero():
+        return zero_morphism(m, n)
+    return next((f for f in ho.hom_space(m, n).elements(nonzero=True)
+                 if f.is_iso()), None)

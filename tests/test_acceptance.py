@@ -15,7 +15,6 @@ from torsionheart import heart as he
 from torsionheart import torsion as to
 from torsionheart.algebra import parse_algebra
 from torsionheart.exceptions import NotCotiltingError
-from torsionheart.krull import is_isomorphic
 from torsionheart.universe import enumerate_indecomposables
 from torsionheart.verify import (
     suite_brick_labels, suite_brick_property, suite_c0_c1_summands,
@@ -25,6 +24,7 @@ from torsionheart.verify import (
 )
 
 from conftest import A2_TEXT, module_by_dims
+from oracles import literal_isomorphism
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -80,7 +80,7 @@ def test_criterion_01_a2_golden_suite():
     assert data.c1.dims == (0, 1)                            # C1 = S2
     tilde = co.minimal_cotilting(
         data, [c.envelope for c in criticals + specials])
-    assert is_isomorphic(tilde, data.cotilting)              # tildeC = C
+    assert literal_isomorphism(tilde, data.cotilting) is not None  # tildeC = C
 
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"golden suite took {elapsed:.2f}s"

@@ -11,11 +11,12 @@ read (names starting with `_` are exempt), every exhaustive scan and
 candidate search goes through the one scan gate in homology.py, only krull
 and the universe's closure call `krull.decompose`, `is_isomorphic` and
 `is_indecomposable`, the closure reads no map between members, only krull
-searches for idempotents, every cache goes through `algebra.cached`,
-perpendicular classes are read through `IndecUniverse.perp`, the lattice
-reads no heart and has no gate, injective envelopes and socle quotients
-are built as duals, not on socles, and only the oracles list submodules or
-quotients.
+searches for idempotents, only its idempotent search tries candidates
+(isomorphism of indecomposables reads the Hom basis), every cache goes
+through `algebra.cached`, perpendicular classes are read through
+`IndecUniverse.perp`, the lattice reads no heart and has no gate,
+injective envelopes and socle quotients are built as duals, not on socles,
+and only the oracles list submodules or quotients.
 """
 
 import ast
@@ -174,6 +175,30 @@ def test_decompose_only_in_the_closure():
     assert outside["decompose"] == closure
     assert outside["is_isomorphic"] <= closure
     assert outside["is_indecomposable"] <= closure
+
+
+def test_isomorphism_reads_the_basis_alone():
+    """Isomorphism of indecomposables needs no search: `candidates` is
+    called in the package only by krull's idempotent search, and
+    `krull.isomorphism` reads neither `candidates` nor `scannable` and
+    raises nothing."""
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    callers = set().union(*(_places(tree, module, calls("candidates"))
+                            for module, tree in trees.items()))
+    assert callers == {("krull.py", "nontrivial_idempotent")}
+    readers = _readers({"candidates", "scannable"})
+    isomorphism = ("krull.py", "isomorphism")
+    assert not any(place[:2] == isomorphism
+                   for places in readers.values() for place in places)
+    raises = _places(trees["krull.py"], "krull.py",
+                     lambda node: isinstance(node, ast.Raise))
+    assert not any(place[:2] == isomorphism for place in raises)
 
 
 def test_closure_reads_no_map():

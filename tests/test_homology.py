@@ -19,7 +19,8 @@ from oracles import (
     all_ext_classes, brute_ext_dim_hereditary, ext_class_of, factor_over,
     fitting_idempotent, has_section, injective_dimension,
     is_left_approximation, is_left_minimal, is_right_approximation,
-    is_right_minimal, literal_injective_module, socle_envelope,
+    is_right_minimal, literal_injective_module, literal_isomorphism,
+    socle_envelope,
 )
 
 
@@ -316,7 +317,6 @@ def test_ext_round_trip_two_dimensional(a3_universe):
 def test_approximation_twins_a3(a3_universe):
     # left and right approximations share one body; check each on every
     # indecomposable, and the left one against the right one of the duals
-    from torsionheart.krull import is_isomorphic
     gens = list(a3_universe.indecs)
     dual_gens = [mo.dual_module(g) for g in gens]
     for m in a3_universe.indecs:
@@ -327,7 +327,8 @@ def test_approximation_twins_a3(a3_universe):
         assert is_right_approximation(right, gens)
         assert is_right_minimal(right)
         dual_right = ho.minimal_approx(mo.dual_module(m), dual_gens, "right")
-        assert is_isomorphic(mo.dual_module(left.target), dual_right.source)
+        assert literal_isomorphism(mo.dual_module(left.target),
+                                   dual_right.source) is not None
 
 
 def test_memo_dies_with_its_algebra():
@@ -420,25 +421,24 @@ def test_candidates_order_within_the_scan_cap():
     basis = list(end.basis)
     pairs = [a.add(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
     every = [end.from_coords(c) for c in linalg.vectors(5, 2) if any(c)]
-    assert list(ho.candidates(end, 7)) == basis + pairs + every
+    assert list(ho.candidates(end)) == basis + pairs + every
 
 
 def test_candidates_order_beyond_the_scan_cap():
     # beyond the cap the basis and the pairwise sums come first, then
-    # random_tries seeded draws, all-zero draws skipped; without a seed, none
+    # random_tries draws seeded by the source's key, all-zero draws skipped
     caps = dataclasses.replace(DEFAULT_CAPS, scan_count_cap=1)
     alg, end = _end_of_s1_s1_s2(caps)
     assert not ho.scannable(alg, end.dim)
     basis = list(end.basis)
     pairs = [a.add(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
-    rng = random.Random(7)
+    rng = random.Random(int(end.source.key[:12], 16))
     draws = [[rng.randrange(2) for _ in range(5)]
              for _ in range(caps.random_tries)]
     expected = basis + pairs + [end.from_coords(c) for c in draws if any(c)]
-    first = list(ho.candidates(end, 7))
+    first = list(ho.candidates(end))
     assert first == expected
-    assert list(ho.candidates(end, 7)) == first
-    assert list(ho.candidates(end)) == basis + pairs
+    assert list(ho.candidates(end)) == first
 
 
 def test_scan_gate_raises_before_any_vector():

@@ -2,10 +2,12 @@ import pytest
 
 from torsionheart import krull as kr
 from torsionheart import modules as mo
+from torsionheart import universe as un
 from torsionheart.algebra import parse_algebra
+from torsionheart.universe import enumerate_indecomposables
 
-from conftest import A2_TEXT, standard_modules
-from oracles import brute_is_indecomposable, has_section
+from conftest import A2_TEXT, FIXTURES, standard_modules
+from oracles import brute_is_indecomposable, has_section, literal_isomorphism
 
 
 @pytest.fixture(scope="module")
@@ -21,15 +23,15 @@ def std(a2):
 def test_decompose_known_sum(a2, std):
     simples, projectives, _ = std
     m = mo.Module(a2, (2, 1), [[[1], [0]]])
-    pieces = sorted((x.dims, mult) for x, mult in kr.decompose(m))
-    assert pieces == [((1, 0), 1), ((1, 1), 1)]
+    assert sorted(x.dims for x in kr.decompose(m)) == [(1, 0), (1, 1)]
 
 
 def test_decompose_square(a2, std):
     _, projectives, _ = std
     mm = mo.direct_sum([projectives[0], projectives[0]])[0]
-    assert kr.decompose(mm) == [(kr.decompose(mm)[0][0], 2)]
-    assert kr.decompose(mm)[0][0].dims == (1, 1)
+    pieces = kr.decompose(mm)
+    assert [x.dims for x in pieces] == [(1, 1), (1, 1)]
+    assert kr.is_isomorphic(pieces[0], pieces[1])
 
 
 def test_decompose_zero(a2):
@@ -39,16 +41,18 @@ def test_decompose_zero(a2):
 def test_decompose_idempotent(a2, std):
     simples, projectives, _ = std
     m = mo.Module(a2, (2, 1), [[[1], [0]]])
-    for piece, mult in kr.decompose(m):
+    for piece in kr.decompose(m):
         again = kr.decompose(piece)
-        assert len(again) == 1 and again[0][1] == 1
-        assert kr.is_isomorphic(again[0][0], piece)
+        assert len(again) == 1
+        assert kr.is_isomorphic(again[0], piece)
 
 
 def test_decompose_iso_certificate(a2, std):
     m = mo.Module(a2, (2, 2), [[[1, 0], [0, 0]]])
-    pieces, iso = kr.decompose_with_iso(m)
-    assert iso.is_iso()
+    pieces = kr.decompose(m)
+    # decompose checks its own glue map; the sum of the pieces is also
+    # isomorphic to M by the literal definition
+    assert literal_isomorphism(mo.direct_sum(pieces, a2)[0], m) is not None
     assert sorted(x.total_dim for x in pieces) in ([1, 1, 2], [1, 3], [2, 2], [1, 1, 1, 1])
     total = sum(x.total_dim for x in pieces)
     assert total == 4
@@ -114,9 +118,11 @@ def test_is_isomorphic(a2, std):
     # dims (1,1), so build (2,2) examples instead)
     m1 = mo.Module(a2, (2, 2), [[[1, 0], [0, 1]]])
     m2 = mo.Module(a2, (2, 2), [[[0, 1], [1, 0]]])
-    assert kr.is_isomorphic(m1, m2)
+    # m1 and m2 are both P(1) + P(1), and m3 is P(1) + S(1) + S(2): sums,
+    # which the exact test does not take, so compare them by the definition
+    assert literal_isomorphism(m1, m2) is not None
     m3 = mo.Module(a2, (2, 2), [[[1, 0], [0, 0]]])
-    assert not kr.is_isomorphic(m1, m3)
+    assert literal_isomorphism(m1, m3) is None
     assert not kr.is_isomorphic(simples[0], simples[1])
     assert kr.is_isomorphic(mo.zero_module(a2), mo.zero_module(a2))
 
@@ -167,5 +173,57 @@ def test_split_without_roots_in_the_field():
     assert not e.is_zero() and e != mo.identity_morphism(m)
     assert kr.split_idempotent(mo.Morphism(r1, r1, [c1, c1]), 3) is None
     pieces = kr.decompose(m)
-    assert [(piece.dims, mult) for piece, mult in pieces] == [((2, 2), 1)] * 2
-    assert not kr.is_isomorphic(pieces[0][0], pieces[1][0])
+    assert [piece.dims for piece in pieces] == [(2, 2)] * 2
+    assert not kr.is_isomorphic(pieces[0], pieces[1])
+
+
+KRONECKER_F3 = "field 3\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
+
+
+def _agree(m, n) -> bool:
+    """The exact and the literal isomorphism test agree on (M, N): both
+    None, or both an isomorphism M -> N."""
+    exact, literal = kr.isomorphism(m, n), literal_isomorphism(m, n)
+    if exact is None or literal is None:
+        return exact is None and literal is None
+    return all(f.source == m and f.target == n and f.is_iso()
+               for f in (exact, literal))
+
+
+def test_isomorphism_agrees_with_the_definition_on_members():
+    # every ordered pair of same-dims members; the Kronecker quiver over F_3
+    # has seven pairwise non-isomorphic members of dims (2, 2)
+    universes = [enumerate_indecomposables(parse_algebra(KRONECKER_F3), (2, 2))]
+    for name, field in (("a2", None), ("a3", 3), ("d4", None), ("loop", None),
+                        ("square", None), ("nakayama", None)):
+        algebra = parse_algebra((FIXTURES / f"{name}.quiver").read_text(),
+                                field_override=field)
+        universes.append(
+            enumerate_indecomposables(algebra, (2,) * algebra.quiver.n))
+    pairs = [(x, y) for u in universes for x in u.indecs for y in u.indecs
+             if x.dims == y.dims]
+    assert (len(pairs), sum(x is not y for x, y in pairs)) == (111, 56)
+    for x, y in pairs:
+        assert _agree(x, y), (x.dims, x.key, y.key)
+        assert kr.is_isomorphic(x, y) == (x is y)
+
+
+@pytest.mark.parametrize("name", ["d4", "square"])
+def test_isomorphism_agrees_with_the_definition_on_closure_pieces(
+        name, monkeypatch):
+    # every piece the closure decomposes, against every member
+    algebra = parse_algebra((FIXTURES / f"{name}.quiver").read_text())
+    pieces = []
+    real = un.decompose
+
+    def recorded(m):
+        got = real(m)
+        pieces.extend(got)
+        return got
+
+    monkeypatch.setattr(un, "decompose", recorded)
+    u = enumerate_indecomposables(algebra, (2,) * algebra.quiver.n)
+    assert u.complete and pieces
+    for piece in pieces:
+        for x in u.indecs:
+            assert _agree(piece, x), (piece.dims, piece.key, x.key)
