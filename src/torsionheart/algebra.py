@@ -81,13 +81,6 @@ def path_target(quiver: Quiver, path: Path) -> int:
     return v
 
 
-def path_concat(quiver: Quiver, p1: Path, p2: Path) -> Path | None:
-    """p1 * p2 (traverse p1, then p2); None when endpoints do not match."""
-    if path_target(quiver, p1) != p2[0]:
-        return None
-    return (p1[0], p1[1] + p2[1])
-
-
 _MISSING = object()
 
 
@@ -96,10 +89,10 @@ def cached(owner, key, compute):
     like any other value.
 
     Every memo entry lives on the object that defines its key: the algebra
-    for Hom, Ext, syzygies and basis products, keyed by module keys; the
-    universe for what depends on its members, keyed by universe indices,
-    bitsets or the keys of the modules it classifies.  The package only
-    inserts entries: it never replaces or deletes one."""
+    for Hom and Ext spaces, syzygies and presentations, keyed by module
+    keys; the universe for what depends on its members, keyed by universe
+    indices, bitsets or the keys of the modules it classifies.  The package
+    only inserts entries: it never replaces or deletes one."""
     got = owner.memo.get(key, _MISSING)
     if got is _MISSING:
         got = owner.memo[key] = compute()
@@ -111,7 +104,8 @@ Relation = list[tuple[int, Path]]
 
 
 class BoundQuiverAlgebra:
-    """kQ/I with a computed finite path basis and multiplication table."""
+    """kQ/I with a computed finite path basis and the reduction of every
+    path to it."""
 
     def __init__(self, quiver: Quiver, field: PrimeField, relations: list[Relation],
                  caps: ResourceCaps = DEFAULT_CAPS):
@@ -276,16 +270,6 @@ class BoundQuiverAlgebra:
         if got is not None:
             return got
         raise ValueError(f"path {path} outside the enumerated range")
-
-    def multiply_basis(self, i: int, j: int) -> dict[int, int]:
-        return cached(self, ("multiply_basis", i, j),
-                      lambda: self._multiply_basis(i, j))
-
-    def _multiply_basis(self, i: int, j: int) -> dict[int, int]:
-        joined = path_concat(self.quiver, self.basis[i], self.basis[j])
-        if joined is None or len(joined[1]) >= self.stabilized_length:
-            return {}
-        return self.reduce_path(joined)
 
     def op(self) -> "BoundQuiverAlgebra":
         """Opposite algebra: reversed arrows and reversed relation paths."""

@@ -408,7 +408,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (QuiverParseError, AdmissibilityError, OSError) as exc:
+    except (QuiverParseError, AdmissibilityError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NotCotiltingError as exc:

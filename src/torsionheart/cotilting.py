@@ -59,8 +59,7 @@ class CotiltingData:
 def injective_cogenerator(algebra) -> Module:
     return direct_sum(
         [injective_module(algebra, v) for v in range(algebra.quiver.n)],
-        algebra,
-    )[0]
+        algebra)
 
 
 def _injective_dimension_exceeds_1(u, i: int) -> bool:
@@ -101,7 +100,7 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
             "the torsion-free class has no Ext-injectives: "
             f"Ext^1({member_name(u, j)}, {member_name(u, i)}) != 0")
     summands = u.members(ext_inj)
-    c = direct_sum(summands, u.algebra)[0]
+    c = direct_sum(summands, u.algebra)
 
     # condition (1): injective dimension at most one, member by member
     i = next((i for i in bit_indices(ext_inj)
@@ -203,7 +202,7 @@ def minimal_cotilting(data: CotiltingData, envelope_modules: list[Module]) -> Mo
     """Special perp-envelope target of the sum of the heart-simple injective
     envelopes; verified cotilting with the same class."""
     u = data.universe
-    total = direct_sum(list(envelope_modules), u.algebra)[0]
+    total = direct_sum(list(envelope_modules), u.algebra)
     ses = special_envelope(total, data)
     tilde = ses.middle
     bits = u.summand_bitset(tilde)

@@ -6,7 +6,8 @@ morphisms P0 -> N.  Realization is the pushout of the syzygy inclusion along
 a cocycle; the tests check that reading the class back off a realized
 extension returns the cocycle class.  Between two direct sums, a class is
 given block by block and realized from the cocycles of the summands
-(`block_extension_middle`), without the Ext^1 space of the sums.
+(`block_extension_middle`), without the Ext^1 space of the sums.  Maps
+between sums, there and in pushouts and pullbacks, are placed blocks.
 
 Minimal right/left approximations are assembled from an irredundant set of
 component maps between the generators and M.  Such a set is already minimal
@@ -16,9 +17,12 @@ searched for or split off; `minimal_approx` states the argument.
 D turns the minimal projective cover of D(M) into the injective envelope of
 M (Auslander-Reiten-Smalo, I.5), so both sides share one body.
 
-One cached minimal projective presentation P1 -> P0 -> M -> 0,
-`presentation`, serves the transpose, and so both AR translates, and
-`hom_dims_into`, which reads dim Hom(X, M) as dim Hom(P0, M) minus one rank.
+A projective cover sends the generator of each summand P(v) to a top lift
+of M.  One cached minimal projective presentation P1 -> P0 -> M -> 0,
+`presentation`, is read off the syzygy K -> P0: each component is the row
+of that inclusion at a top lift of K.  It serves the transpose, and so both
+AR translates, and `hom_dims_into`, which reads dim Hom(X, M) as
+dim Hom(P0, M) minus one rank.
 
 Every exhaustive scan of the package passes one gate, `scan`, which raises
 ResourceLimitError before any work beyond the scan cap; `candidates` is the
@@ -29,21 +33,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 from . import linalg
 from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import ResourceLimitError
 from .modules import (
-    Module, Morphism, assemble, cokernel, direct_sum, dual_module,
-    dual_morphism, identity_morphism, kernel, projective_module,
-    quotient_by_rows, unvec_morphism, zero_morphism,
+    Module, Morphism, assemble, block_morphism, cokernel, direct_sum,
+    dual_module, dual_morphism, from_generator, identity_morphism, kernel,
+    projective_module, unvec_morphism,
 )
 
 
-def _vec_len(m: Module, n: Module) -> int:
-    """Length of vec(f) for f: M -> N."""
-    return sum(a * b for a, b in zip(m.dims, n.dims))
+def _vec_offsets(m: Module, n: Module) -> list[int]:
+    """Start of each vertex block of vec(f) for f: M -> N; its length last."""
+    return list(accumulate((a * b for a, b in zip(m.dims, n.dims)), initial=0))
 
 
 # -- the scan gate ---------------------------------------------------------------
@@ -88,7 +92,7 @@ class HomSpace:
     def from_coords(self, coords) -> Morphism:
         p = self.source.algebra.field.p
         flat = linalg.combination(coords, self.matrix(), p,
-                                  _vec_len(self.source, self.target))
+                                  _vec_offsets(self.source, self.target)[-1])
         return unvec_morphism(self.source, self.target, flat)
 
     def coords(self, nonzero: bool = False):
@@ -128,10 +132,8 @@ def _hom_system(m: Module, n: Module) -> list[list[int]]:
     arrow a: v -> w, entry (i, j) of f_v @ N_a - M_a @ f_w."""
     q = m.algebra.quiver
     p = m.algebra.field.p
-    offs, total = [], 0
-    for v in range(q.n):
-        offs.append(total)
-        total += m.dims[v] * n.dims[v]
+    offs = _vec_offsets(m, n)
+    total = offs[-1]
     rows = []
     for ai, arrow in enumerate(q.arrows):
         v, w = arrow.source, arrow.target
@@ -162,7 +164,7 @@ def hom_space(m: Module, n: Module) -> HomSpace:
 
 def _hom_space(m: Module, n: Module) -> HomSpace:
     p = m.algebra.field.p
-    total = _vec_len(m, n)
+    total = _vec_offsets(m, n)[-1]
     if total == 0:
         basis = ()
     else:
@@ -193,11 +195,8 @@ def constrained_morphism(source: Module, target: Module, conditions):
     condition (v, L, rhs).  Returns None when unsolvable; free coordinates
     are zeroed, so the result is deterministic."""
     p = source.algebra.field.p
-    q = source.algebra.quiver
-    offs, total = [], 0
-    for v in range(q.n):
-        offs.append(total)
-        total += source.dims[v] * target.dims[v]
+    offs = _vec_offsets(source, target)
+    total = offs[-1]
     rows = _hom_system(source, target)
     rhs = [0] * len(rows)
     for v, left, want in conditions:
@@ -253,50 +252,41 @@ class SES:
 def pushout(f: Morphism, g: Morphism):
     """Pushout of f: X -> Y and g: X -> Z; returns (W, from_Y, from_Z)."""
     y, z = f.target, g.target
-    p = f.source.algebra.field.p
-    total, (iy, iz), _ = direct_sum([y, z], y.algebra)
-    h = f.then(iy).add(g.then(iz).scale(p - 1))
-    rows = [linalg.row_space(h.maps[v], p) for v in range(y.algebra.quiver.n)]
-    w, proj = quotient_by_rows(total, rows)
-    return w, iy.then(proj), iz.then(proj)
+    p = y.algebra.field.p
+    w, proj = cokernel(block_morphism(
+        [f.source], [y, z], {(0, 0): f, (0, 1): g.scale(p - 1)}))
+    # the rows of proj at the block of Y, then those at the block of Z
+    from_y = tuple(a[:d] for a, d in zip(proj.maps, y.dims))
+    from_z = tuple(a[d:] for a, d in zip(proj.maps, y.dims))
+    return (w, Morphism(y, w, from_y, check=False),
+            Morphism(z, w, from_z, check=False))
 
 
 def pullback(f: Morphism, g: Morphism):
     """Pullback of f: X -> Z and g: Y -> Z; returns (W, to_X, to_Y)."""
     x, y = f.source, g.source
     p = x.algebra.field.p
-    _, _, (px, py) = direct_sum([x, y], x.algebra)
-    h = px.then(f).add(py.then(g).scale(p - 1))
-    w, incl = kernel(h)
-    return w, incl.then(px), incl.then(py)
+    w, incl = kernel(block_morphism(
+        [x, y], [f.target], {(0, 0): f, (1, 0): g.scale(p - 1)}))
+    # the columns of incl at the block of X, then those at the block of Y
+    to_x = tuple(tuple(r[:d] for r in a) for a, d in zip(incl.maps, x.dims))
+    to_y = tuple(tuple(r[d:] for r in a) for a, d in zip(incl.maps, x.dims))
+    return (w, Morphism(w, x, to_x, check=False),
+            Morphism(w, y, to_y, check=False))
 
 
 # -- projective covers and syzygies --------------------------------------------
 
 def projective_cover(m: Module):
-    """Minimal projective cover P -> M, and the vertex of each summand of P
-    in the order of the direct sum."""
-    algebra = m.algebra
-    p = algebra.field.p
-    rad = m.radical_rows()
-    gens: list[tuple[int, int]] = []  # (vertex, basis index of a top lift)
-    for v in range(algebra.quiver.n):
-        _, pivots = linalg.rref(rad[v], p)
-        gens.extend((v, j) for j in range(m.dims[v]) if j not in pivots)
-    comps = []
-    for v, j in gens:
-        # the generator e_j of M at v, moved along every basis path from v
-        maps = [
-            tuple(m.path_matrix(algebra.basis[bi])[j]
-                  for bi in algebra.basis_paths_between(v, w))
-            for w in range(algebra.quiver.n)
-        ]
-        proj_mod = projective_module(algebra, v)
-        comps.append((proj_mod, Morphism(proj_mod, m, maps)))
-    cover = assemble(m, comps, "right")
+    """Minimal projective cover P -> M, and the top lifts (v, j) of M, one
+    per summand P(v) of P in the order of the sum: that summand sends its
+    generator to e_j of M_v."""
+    lifts = m.top_lifts()
+    comps = [from_generator(m, v, linalg.eye(m.dims[v])[j]) for v, j in lifts]
+    cover = assemble(m, [(c.source, c) for c in comps], "right")
     if not cover.is_epi():
         raise AssertionError("projective cover is not epi")
-    return cover, [v for v, _ in gens]
+    return cover, lifts
 
 
 def syzygy(m: Module):
@@ -396,17 +386,13 @@ def block_extension_middle(rights: list[Module], lefts: list[Module],
     the block cocycle +K_i -> +L_j."""
     algebra = rights[0].algebra
     syzygies = [syzygy(r) for r in rights]
-    k, _, k_prjs = direct_sum([s[0] for s in syzygies], algebra)
-    p0, p0_incs, _ = direct_sum([s[2].source for s in syzygies], algebra)
-    n, n_incs, _ = direct_sum(lefts, algebra)
-    incl, cocycle = zero_morphism(k, p0), zero_morphism(k, n)
-    for i, (prj, (_, inc, _), p0_inc) in enumerate(
-            zip(k_prjs, syzygies, p0_incs)):
-        incl = incl.add(prj.then(inc).then(p0_inc))
-        for j, n_inc in enumerate(n_incs):
-            if (i, j) in blocks:
-                block = ext1(rights[i], lefts[j]).cocycle(blocks[i, j])
-                cocycle = cocycle.add(prj.then(block).then(n_inc))
+    ks = [k for k, _, _ in syzygies]
+    incl = block_morphism(ks, [cover.source for _, _, cover in syzygies],
+                          {(i, i): inc for i, (_, inc, _)
+                           in enumerate(syzygies)}, algebra)
+    cocycle = block_morphism(ks, lefts, {
+        (i, j): ext1(rights[i], lefts[j]).cocycle(c)
+        for (i, j), c in blocks.items()}, algebra)
     return pushout(incl, cocycle)[0]
 
 
@@ -491,36 +477,6 @@ def is_injective(m: Module) -> bool:
 
 # -- transpose and AR translate --------------------------------------------------------
 
-def _left_mult_morphism(algebra: BoundQuiverAlgebra, coeffs: dict[int, int],
-                        v: int, w: int) -> Morphism:
-    """P(v) -> P(w) given by left multiplication with an element supported on
-    basis paths w -> v."""
-    p = algebra.field.p
-    pv = projective_module(algebra, v)
-    pw = projective_module(algebra, w)
-    maps = []
-    for u in range(algebra.quiver.n):
-        bucket_v = algebra.basis_paths_between(v, u)
-        bucket_w = algebra.basis_paths_between(w, u)
-        pos_w = {bi: k for k, bi in enumerate(bucket_w)}
-        mat = [[0] * len(bucket_w) for _ in bucket_v]
-        for i, bi in enumerate(bucket_v):
-            for xj, c in coeffs.items():
-                for bk, c2 in algebra.multiply_basis(xj, bi).items():
-                    mat[i][pos_w[bk]] = (mat[i][pos_w[bk]] + c * c2) % p
-        maps.append(mat)
-    return Morphism(pv, pw, maps)
-
-
-def _path_coordinates(algebra: BoundQuiverAlgebra, f: Morphism,
-                      v: int, w: int) -> dict[int, int]:
-    """Express f: P(v) -> P(w) as an element on basis paths w -> v: the
-    image of the generator e_v, which determines f."""
-    triv = algebra.basis_paths_between(v, v).index(algebra.basis_index[(v, ())])
-    return {bi: c for bi, c in zip(algebra.basis_paths_between(w, v),
-                                   f.maps[v][triv]) if c}
-
-
 def presentation(m: Module):
     """A minimal projective presentation P1 -> P0 -> M -> 0, as (vertices of
     the summands of P0, vertices of those of P1, components): components[k][j]
@@ -531,19 +487,20 @@ def presentation(m: Module):
 
 def _presentation(m: Module):
     algebra = m.algebra
-    cover0, p0_vertices = projective_cover(m)
+    cover0, lifts0 = projective_cover(m)
     k, incl = kernel(cover0)
-    cover1, p1_vertices = projective_cover(k)
-    d = cover1.then(incl)
-    _, p1_incs, _ = direct_sum(
-        [projective_module(algebra, v) for v in p1_vertices], algebra)
-    _, _, p0_prjs = direct_sum(
-        [projective_module(algebra, w) for w in p0_vertices], algebra)
-    components = tuple(
-        tuple(_path_coordinates(algebra, inc.then(d).then(prj), v, w)
-              for prj, w in zip(p0_prjs, p0_vertices))
-        for inc, v in zip(p1_incs, p1_vertices))
-    return p0_vertices, p1_vertices, components
+    _, lifts1 = projective_cover(k)
+    p0_vertices = [w for w, _ in lifts0]
+    # the generator of P(v) goes to the top lift e_j of K_v, that is to row
+    # j of the syzygy's inclusion at v, read block by block along the
+    # summands P(w) of P0
+    components = []
+    for v, j in lifts1:
+        row = iter(incl.maps[v][j])
+        components.append(tuple(
+            {bi: c for bi, c in zip(algebra.basis_paths_between(w, v), row)
+             if c} for w in p0_vertices))
+    return p0_vertices, [v for v, _ in lifts1], tuple(components)
 
 
 def hom_dims_into(sources, m: Module) -> list[int]:
@@ -581,36 +538,28 @@ def hom_dims_into(sources, m: Module) -> list[int]:
 
 
 def transpose(m: Module) -> Module:
-    """Tr M over the opposite algebra, from the minimal projective
-    presentation of M."""
+    """Tr M over the opposite algebra: the cokernel of the dual presentation
+    (+) P_op(w_i) -> (+) P_op(v_j).  It sends the generator of P_op(w_i) to
+    x_i, which joins block by block the reversals of the components
+    P(v_j) -> P(w_i), each an element of P_op(v_j) at w_i."""
     algebra = m.algebra
     op = algebra.op()
     p = algebra.field.p
     p0_vertices, p1_vertices, components = presentation(m)
-    op_p0 = [projective_module(op, w) for w in p0_vertices]
-    op_p1 = [projective_module(op, v) for v in p1_vertices]
-    total0, _, prjs0 = direct_sum(op_p0, op)
-    total1, incs1, _ = direct_sum(op_p1, op)
-    t_maps = [linalg.zeros(total0.dims[u], total1.dims[u])
-              for u in range(op.quiver.n)]
-    for j, vj in enumerate(p1_vertices):
-        for i, wi in enumerate(p0_vertices):
-            coords = components[j][i]
-            if not coords:
-                continue
+    p1 = direct_sum([projective_module(op, v) for v in p1_vertices], op)
+    comps = []
+    for i, w in enumerate(p0_vertices):
+        x = []
+        for comp, v in zip(components, p1_vertices):
             rev: dict[int, int] = {}
-            for bi, c in coords.items():
+            for bi, c in comp[i].items():
                 rpath = algebra.reverse_path(algebra.basis[bi])
                 for bo, c2 in op.reduce_path(rpath).items():
                     rev[bo] = (rev.get(bo, 0) + c * c2) % p
-            comp_op = _left_mult_morphism(op, rev, wi, vj)
-            for u in range(op.quiver.n):
-                block = linalg.matmul(prjs0[i].maps[u], comp_op.maps[u], p,
-                                      op_p1[j].dims[u])
-                t_maps[u] = linalg.add(t_maps[u], linalg.matmul(
-                    block, incs1[j].maps[u], p, total1.dims[u]), p)
-    t = Morphism(total0, total1, t_maps)
-    return cokernel(t)[0]
+            x.extend(rev.get(bo, 0) for bo in op.basis_paths_between(v, w))
+        g = from_generator(p1, w, x)
+        comps.append((g.source, g))
+    return cokernel(assemble(p1, comps, "right"))[0]
 
 
 def ar_translate(m: Module) -> Module:

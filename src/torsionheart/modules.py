@@ -9,6 +9,11 @@ left to right, matching path composition.
 Every matrix is a tuple of row tuples of ints reduced mod p (see linalg),
 so all values are immutable after construction.
 
+Sums are placed blocks: `direct_sum` lays out block diagonal arrow
+matrices, and `block_morphism` writes each block of a map between two sums
+into place.  A map out of P(v) is determined by the image of the trivial
+path at v, and `from_generator` builds it from that image.
+
 D = Hom(-, F_p) transposes every matrix into the opposite algebra, and the
 injective side is its image of the projective one: I(v) = D P(v) over A^op
 (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras, II.3).
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from itertools import chain
+from itertools import accumulate, chain
 
 from . import linalg
 from .algebra import BoundQuiverAlgebra, Path, path_target
@@ -136,6 +141,16 @@ class Module:
                 if arrow.target == w and self.maps[ai]
             ]
             out.append(linalg.sum_row_spaces(mats, self.dims[w], p))
+        return out
+
+    def top_lifts(self) -> list[tuple[int, int]]:
+        """(v, j) for each basis vector e_j of M_v outside the pivots of
+        rad M: the lifts of a basis of the top M / rad M, by vertex."""
+        p = self.algebra.field.p
+        out = []
+        for v, rad in enumerate(self.radical_rows()):
+            _, pivots = linalg.rref(rad, p)
+            out.extend((v, j) for j in range(self.dims[v]) if j not in pivots)
         return out
 
 
@@ -299,55 +314,82 @@ def injective_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
     return dual_module(projective_module(algebra.op(), v))
 
 
-# -- sums, kernels, cokernels ----------------------------------------------
+# -- sums and maps between sums -------------------------------------------
 
-def direct_sum(summands: list[Module], algebra=None):
-    """Returns (sum, inclusions, projections); blocks in list order."""
+def _place(row_dims, col_dims, blocks: dict):
+    """The matrix whose block (i, j) is blocks[i, j], of shape
+    (row_dims[i], col_dims[j]), and zero where blocks has no entry."""
+    rows = [[0] * sum(col_dims) for _ in range(sum(row_dims))]
+    # lists, not tuples: tuple() of an iterator builds a fresh tuple that
+    # is freed to the tuple free list, which then fills up and stays
+    row_offs = list(accumulate(row_dims, initial=0))
+    col_offs = list(accumulate(col_dims, initial=0))
+    for (i, j), block in blocks.items():
+        for r, row in enumerate(block, row_offs[i]):
+            rows[r][col_offs[j]:col_offs[j] + len(row)] = row
+    return tuple(map(tuple, rows))
+
+
+def direct_sum(summands: list[Module], algebra=None) -> Module:
+    """The direct sum, blocks in list order: every arrow matrix is block
+    diagonal.  A single summand is returned as itself."""
+    if len(summands) == 1:
+        return summands[0]
     if not summands:
         if algebra is None:
             raise ValueError("empty direct sum needs the algebra")
-        return zero_module(algebra), [], []
+        return zero_module(algebra)
     algebra = summands[0].algebra
-    q = algebra.quiver
-    dims = tuple(sum(m.dims[v] for m in summands) for v in range(q.n))
-    maps = []
-    for ai, arrow in enumerate(q.arrows):
-        width = dims[arrow.target]
-        rows = []
-        co = 0
-        for m in summands:
-            c = m.dims[arrow.target]
-            left, right = (0,) * co, (0,) * (width - co - c)
-            rows.extend(left + row + right for row in m.maps[ai])
-            co += c
-        maps.append(tuple(rows))
-    total = Module(algebra, dims, tuple(maps), check=False)
-    inclusions, projections = [], []
-    offsets = [0] * q.n
-    for m in summands:
-        inc, prj = [], []
-        for v in range(q.n):
-            o, d, n = offsets[v], m.dims[v], dims[v]
-            inc.append(linalg.eye(n)[o:o + d])
-            prj.append(linalg.zeros(o, d) + linalg.eye(d)
-                       + linalg.zeros(n - o - d, d))
-            offsets[v] += d
-        inclusions.append(Morphism(m, total, tuple(inc), check=False))
-        projections.append(Morphism(total, m, tuple(prj), check=False))
-    return total, inclusions, projections
+    maps = tuple(
+        _place([m.dims[a.source] for m in summands],
+               [m.dims[a.target] for m in summands],
+               {(i, i): m.maps[ai] for i, m in enumerate(summands)})
+        for ai, a in enumerate(algebra.quiver.arrows))
+    dims = tuple(map(sum, zip(*(m.dims for m in summands))))
+    return Module(algebra, dims, maps, check=False)
+
+
+def block_morphism(sources: list[Module], targets: list[Module],
+                   blocks: dict, algebra=None) -> Morphism:
+    """The map (+) sources -> (+) targets whose block (i, j) is the morphism
+    blocks[i, j]: sources[i] -> targets[j], placed as it is, and zero where
+    blocks has no entry."""
+    source = direct_sum(sources, algebra)
+    target = direct_sum(targets, algebra)
+    maps = tuple(
+        _place([s.dims[v] for s in sources], [t.dims[v] for t in targets],
+               {ij: b.maps[v] for ij, b in blocks.items()})
+        for v in range(source.algebra.quiver.n))
+    return Morphism(source, target, maps, check=False)
 
 
 def assemble(m: Module, comps, side: str) -> Morphism:
     """The sum of components (G_j, b_j) over the direct sum of the G_j:
     (+) G_j -> M for b_j: G_j -> M (side='right'), or M -> (+) G_j for
     b_j: M -> G_j (side='left')."""
-    right = side == "right"
-    total, incs, prjs = direct_sum([g for g, _ in comps], m.algebra)
-    acc = zero_morphism(total, m) if right else zero_morphism(m, total)
-    for inc, prj, (_, b) in zip(incs, prjs, comps):
-        acc = acc.add(prj.then(b) if right else b.then(inc))
-    return acc
+    gens = [g for g, _ in comps]
+    if side == "right":
+        return block_morphism(gens, [m], {(j, 0): b for j, (_, b)
+                                          in enumerate(comps)}, m.algebra)
+    return block_morphism([m], gens, {(0, j): b for j, (_, b)
+                                      in enumerate(comps)}, m.algebra)
 
+
+def from_generator(m: Module, v: int, x) -> Morphism:
+    """The map P(v) -> M that sends the trivial path at v to the row x of
+    M_v, and so each basis path from v to x moved along it."""
+    algebra = m.algebra
+    p = algebra.field.p
+    maps = [
+        tuple(linalg.combination(x, m.path_matrix(algebra.basis[bi]), p,
+                                 m.dims[w])
+              for bi in algebra.basis_paths_between(v, w))
+        for w in range(algebra.quiver.n)
+    ]
+    return Morphism(projective_module(algebra, v), m, maps)
+
+
+# -- submodules, kernels, cokernels ------------------------------------------
 
 def submodule_from_rows(parent: Module, rows: list):
     """Subrepresentation spanned per vertex by the given rows (must be

@@ -456,14 +456,13 @@ def maximal_submodules(m: Module) -> list[Module]:
     p = m.algebra.field.p
     q = m.algebra.quiver
     rad = m.radical_rows()
+    lifts = m.top_lifts()
     out = []
     for v in range(q.n):
-        _, pivots = linalg.rref(rad[v], p)
-        lifts = [j for j in range(m.dims[v]) if j not in pivots]
-        t = len(lifts)
+        lift_mat = tuple(linalg.eye(m.dims[v])[j] for u, j in lifts if u == v)
+        t = len(lift_mat)
         if t == 0:
             continue
-        lift_mat = tuple(linalg.eye(m.dims[v])[j] for j in lifts)
         for hyper in linalg.subspace_bases(t, p):
             if len(hyper) != t - 1:
                 continue

@@ -27,7 +27,12 @@ replaced, the image of a map, which no package path takes, the summands
 of literal submodules and quotients of members, the direct sum of a bag of
 members, the Krull-Schmidt reading of a module as members that the
 universe's Hom-vector reading replaced, and the literal isomorphism test
-that reading the Hom basis of an indecomposable replaced.
+that reading the Hom basis of an indecomposable replaced.  The last are
+the multiplication table of the path basis, the inclusions and projections
+of a direct sum as identity slices, and the presentation and transpose
+composed through them, with each map between projectives acting by left
+multiplication: the package places blocks and builds each map out of a
+projective from the image of its generator instead.
 """
 
 from __future__ import annotations
@@ -40,10 +45,11 @@ from torsionheart import homology as ho
 from torsionheart import linalg
 from torsionheart.exceptions import ResourceLimitError
 from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
+from torsionheart.algebra import path_target
 from torsionheart.modules import (
     Module, Morphism, cokernel, direct_sum, dual_morphism, identity_morphism,
-    quotient_by_rows, simple_module, submodule_from_rows, unvec_morphism,
-    zero_morphism,
+    kernel, projective_module, quotient_by_rows, simple_module,
+    submodule_from_rows, unvec_morphism, zero_morphism,
 )
 from torsionheart.universe import bit_indices
 
@@ -636,7 +642,7 @@ def split_injective_scan(m, class_bits, u) -> bool:
     members = [u.indecs[i] for i in bit_indices(class_bits)]
     for k in range(1, m.total_dim + 1):
         for tup in combinations_with_replacement(members, k):
-            target = direct_sum(list(tup), m.algebra)[0]
+            target = direct_sum(list(tup), m.algebra)
             for g in ho.hom_space(m, target).elements():
                 if g.is_mono() and not ho.has_retraction(g):
                     return False
@@ -728,7 +734,7 @@ def socle_envelope(m):
     soc = socle_rows(m)
     copies = [(v, row) for v in range(algebra.quiver.n) for row in soc[v]]
     summands = [literal_injective_module(algebra, v) for v, _ in copies]
-    total, incs, _ = direct_sum(summands, algebra)
+    total, incs, _ = literal_sum_maps(summands, algebra)
     conditions = []
     for (v, row), inc in zip(copies, incs):
         bucket = algebra.basis_paths_between(v, v)
@@ -743,7 +749,7 @@ def socle_envelope(m):
 def sum_module(u, bag):
     """The direct sum of the members of a bag, a sorted tuple of universe
     indices with repetition."""
-    return direct_sum([u.indecs[i] for i in bag], u.algebra)[0]
+    return direct_sum([u.indecs[i] for i in bag], u.algebra)
 
 
 def decompose_reading(u, m, pieces=None) -> dict[int, int]:
@@ -766,3 +772,114 @@ def literal_isomorphism(m: Module, n: Module):
         return zero_morphism(m, n)
     return next((f for f in ho.hom_space(m, n).elements(nonzero=True)
                  if f.is_iso()), None)
+
+
+def multiply_basis(algebra, i: int, j: int) -> dict[int, int]:
+    """Basis coordinates of the product of basis paths i and j (traverse i,
+    then j): their concatenation reduced, and zero when the endpoints do
+    not match or the product dies."""
+    a, b = algebra.basis[i], algebra.basis[j]
+    if path_target(algebra.quiver, a) != b[0]:
+        return {}
+    return algebra.reduce_path((a[0], a[1] + b[1]))
+
+
+def literal_sum_maps(summands, algebra):
+    """(sum, inclusions, projections) of a direct sum, the maps as slices of
+    identity matrices.  The package places the blocks of a map between sums
+    instead of composing through these."""
+    total = direct_sum(summands, algebra)
+    incs, prjs = [], []
+    offsets = [0] * algebra.quiver.n
+    for m in summands:
+        inc, prj = [], []
+        for v in range(algebra.quiver.n):
+            o, d, n = offsets[v], m.dims[v], total.dims[v]
+            inc.append(linalg.eye(n)[o:o + d])
+            prj.append(linalg.zeros(o, d) + linalg.eye(d)
+                       + linalg.zeros(n - o - d, d))
+            offsets[v] += d
+        incs.append(Morphism(m, total, tuple(inc), check=False))
+        prjs.append(Morphism(total, m, tuple(prj), check=False))
+    return total, incs, prjs
+
+
+def _path_coordinates(algebra, f: Morphism, v: int, w: int) -> dict[int, int]:
+    """f: P(v) -> P(w) as an element on basis paths w -> v: the image of
+    the trivial path at v, which determines f."""
+    triv = algebra.basis_paths_between(v, v).index(algebra.basis_index[(v, ())])
+    return {bi: c for bi, c in zip(algebra.basis_paths_between(w, v),
+                                   f.maps[v][triv]) if c}
+
+
+def literal_presentation(m):
+    """presentation(m) composed literally: the cover of the syzygy K, then
+    its inclusion into P0, through the inclusions of the summands of P1 and
+    the projections onto those of P0, each composite read at the generator.
+    The package reads the rows of the inclusion at the top lifts of K."""
+    algebra = m.algebra
+    cover0, lifts0 = ho.projective_cover(m)
+    k, incl = kernel(cover0)
+    cover1, lifts1 = ho.projective_cover(k)
+    d = cover1.then(incl)
+    p0_vertices = [w for w, _ in lifts0]
+    p1_vertices = [v for v, _ in lifts1]
+    _, p1_incs, _ = literal_sum_maps(
+        [projective_module(algebra, v) for v in p1_vertices], algebra)
+    _, _, p0_prjs = literal_sum_maps(
+        [projective_module(algebra, w) for w in p0_vertices], algebra)
+    components = tuple(
+        tuple(_path_coordinates(algebra, inc.then(d).then(prj), v, w)
+              for prj, w in zip(p0_prjs, p0_vertices))
+        for inc, v in zip(p1_incs, p1_vertices))
+    return p0_vertices, p1_vertices, components
+
+
+def _left_mult_morphism(algebra, coeffs: dict[int, int], v: int, w: int):
+    """P(v) -> P(w), left multiplication by an element supported on basis
+    paths w -> v, through the multiplication table of the basis."""
+    p = algebra.field.p
+    maps = []
+    for u in range(algebra.quiver.n):
+        bucket_v = algebra.basis_paths_between(v, u)
+        pos_w = {bi: k for k, bi
+                 in enumerate(algebra.basis_paths_between(w, u))}
+        mat = [[0] * len(pos_w) for _ in bucket_v]
+        for i, bi in enumerate(bucket_v):
+            for xj, c in coeffs.items():
+                for bk, c2 in multiply_basis(algebra, xj, bi).items():
+                    mat[i][pos_w[bk]] = (mat[i][pos_w[bk]] + c * c2) % p
+        maps.append(mat)
+    return Morphism(projective_module(algebra, v),
+                    projective_module(algebra, w), maps)
+
+
+def literal_transpose(m):
+    """Tr M over the opposite algebra from literal_presentation: each
+    reversed component acts by left multiplication P_op(w_i) -> P_op(v_j),
+    and the blocks are added up through projections and inclusions.  The
+    package sends the generator of each P_op(w_i) to its joined image."""
+    algebra = m.algebra
+    op = algebra.op()
+    p = algebra.field.p
+    p0_vertices, p1_vertices, components = literal_presentation(m)
+    op_p1 = [projective_module(op, v) for v in p1_vertices]
+    total0, _, prjs0 = literal_sum_maps(
+        [projective_module(op, w) for w in p0_vertices], op)
+    total1, incs1, _ = literal_sum_maps(op_p1, op)
+    t_maps = [linalg.zeros(total0.dims[u], total1.dims[u])
+              for u in range(op.quiver.n)]
+    for j, vj in enumerate(p1_vertices):
+        for i, wi in enumerate(p0_vertices):
+            rev: dict[int, int] = {}
+            for bi, c in components[j][i].items():
+                rpath = algebra.reverse_path(algebra.basis[bi])
+                for bo, c2 in op.reduce_path(rpath).items():
+                    rev[bo] = (rev.get(bo, 0) + c * c2) % p
+            comp_op = _left_mult_morphism(op, rev, wi, vj)
+            for u in range(op.quiver.n):
+                block = linalg.matmul(prjs0[i].maps[u], comp_op.maps[u], p,
+                                      op_p1[j].dims[u])
+                t_maps[u] = linalg.add(t_maps[u], linalg.matmul(
+                    block, incs1[j].maps[u], p, total1.dims[u]), p)
+    return cokernel(Morphism(total0, total1, t_maps))[0]

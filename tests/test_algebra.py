@@ -9,6 +9,7 @@ from torsionheart.algebra import PrimeField, parse_algebra
 from torsionheart.exceptions import AdmissibilityError, QuiverParseError
 
 from conftest import A2_TEXT
+from oracles import multiply_basis
 
 
 def test_a2_path_basis():
@@ -29,7 +30,7 @@ def test_loop_with_square_zero():
     a = parse_algebra("field 3\nvertices v\narrow x: v -> v\nrelation x*x\n")
     # paths e, x survive; x^2 dies
     assert a.dim == 2
-    assert a.multiply_basis(1, 1) == {}
+    assert multiply_basis(a, 1, 1) == {}
 
 
 def test_loop_cube_zero():
@@ -37,9 +38,9 @@ def test_loop_cube_zero():
         "field 2\nvertices v\narrow x: v -> v\nrelation x*x*x\n")
     assert a.dim == 3
     # x * x = x^2, still a basis path
-    prod = a.multiply_basis(1, 1)
+    prod = multiply_basis(a, 1, 1)
     assert prod == {2: 1}
-    assert a.multiply_basis(1, 2) == {}
+    assert multiply_basis(a, 1, 2) == {}
 
 
 def test_commutative_square_relation():
@@ -65,12 +66,12 @@ def test_multiplication_table_associative():
         for j in range(a.dim):
             for k in range(a.dim):
                 left = {}
-                for t, c in a.multiply_basis(i, j).items():
-                    for s, c2 in a.multiply_basis(t, k).items():
+                for t, c in multiply_basis(a, i, j).items():
+                    for s, c2 in multiply_basis(a, t, k).items():
                         left[s] = (left.get(s, 0) + c * c2) % p
                 right = {}
-                for t, c in a.multiply_basis(j, k).items():
-                    for s, c2 in a.multiply_basis(i, t).items():
+                for t, c in multiply_basis(a, j, k).items():
+                    for s, c2 in multiply_basis(a, i, t).items():
                         right[s] = (right.get(s, 0) + c * c2) % p
                 left = {s: c for s, c in left.items() if c}
                 right = {s: c for s, c in right.items() if c}
@@ -83,10 +84,10 @@ def test_idempotents_sum_to_identity():
     assert len(trivial) == len(a.quiver.vertices)
     # e_v * e_v = e_v and e_v * e_w = 0
     for i in trivial:
-        assert a.multiply_basis(i, i) == {i: 1}
+        assert multiply_basis(a, i, i) == {i: 1}
         for j in trivial:
             if i != j:
-                assert a.multiply_basis(i, j) == {}
+                assert multiply_basis(a, i, j) == {}
 
 
 def test_unbounded_loop_rejected():

@@ -16,7 +16,8 @@ searches for idempotents, only its idempotent search tries candidates
 through `algebra.cached`, perpendicular classes are read through
 `IndecUniverse.perp`, the lattice reads no heart and has no gate,
 injective envelopes and socle quotients are built as duals, not on socles,
-and only the oracles list submodules or quotients.
+only the oracles list submodules or quotients, and direct sums are laid
+out once, by placing blocks.
 """
 
 import ast
@@ -325,3 +326,36 @@ def test_no_lattice_gate():
              *(ROOT / "tests").glob("*.py")]
     assert not any(_names(ast.parse(f.read_text()))["lattice_indec_cap"]
                    for f in files)
+
+
+def test_one_layout_of_sums():
+    """Sums and maps between them are placed blocks, and a map out of a
+    projective is built from the image of its generator: no package code
+    indexes or unpacks what `direct_sum` returns, `zero_morphism` is read
+    only by `krull.isomorphism`, outside modules.py only `hom_dims_into`
+    moves elements along paths, and the left multiplication, the path
+    coordinates and the basis multiplication table are gone."""
+    def is_sum(node):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "direct_sum"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "direct_sum")
+
+    def takes_apart(node):
+        return (isinstance(node, ast.Subscript) and is_sum(node.value)
+                or isinstance(node, ast.Assign) and is_sum(node.value)
+                and isinstance(node.targets[0], (ast.Tuple, ast.List)))
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert set().union(*(_places(tree, module, takes_apart)
+                         for module, tree in trees.items())) == set()
+    readers = _readers({"zero_morphism", "path_matrix"})
+    assert {place[:2] for place in readers["zero_morphism"]} == {
+        ("krull.py", "isomorphism")}
+    assert {place[:2] for place in readers["path_matrix"]
+            if place[0] != "modules.py"} == {("homology.py", "hom_dims_into")}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert defined.isdisjoint({"_left_mult_morphism", "_path_coordinates",
+                               "multiply_basis", "path_concat"})

@@ -406,6 +406,15 @@ def test_bad_values_are_parse_errors(capsys):
         assert err[0].startswith("error: "), argv
 
 
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "latin1.quiver"
+    f.write_bytes(b"field 2\nvertices 1 \xff\n")
+    for cmd in ("indec", "tors", "heart", "verify"):
+        code, out, err = _error_lines(capsys, [cmd, str(f)])
+        assert (code, out, len(err)) == (1, "", 1), cmd
+        assert err[0].startswith("error: 'utf-8' codec can't decode"), cmd
+
+
 def test_flags_only_where_read(capsys):
     a2 = str(FIXTURES / "a2.quiver")
     for argv in (["verify", a2, "--oracle"],

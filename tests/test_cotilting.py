@@ -269,7 +269,7 @@ def test_approximation_over_a_larger_residue_field():
     alg = parse_algebra(
         "field 3\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
     r = mo.Module(alg, (2, 2), [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
-    m = mo.direct_sum([r, r], alg)[0]
+    m = mo.direct_sum([r, r], alg)
     assert hom_space(r, r).dim == 2 and hom_space(r, m).dim == 4
     right = minimal_approx(m, [r], "right")
     left = minimal_approx(m, [r], "left")

@@ -80,10 +80,18 @@ def test_rank_nullity_per_vertex(a2, std):
 
 def test_direct_sum_structure(std):
     simples, projectives, _ = std
-    total, incs, prjs = mo.direct_sum([projectives[0], simples[0]])
+    summands = [projectives[0], simples[0]]
+    total = mo.direct_sum(summands)
     assert total.dims == (2, 1)
+    assert mo.direct_sum(summands[:1]) is summands[0]
+    # the inclusions and projections are placed identity blocks
+    incs = [mo.block_morphism([m], summands, {(0, i): mo.identity_morphism(m)})
+            for i, m in enumerate(summands)]
+    prjs = [mo.block_morphism(summands, [m], {(i, 0): mo.identity_morphism(m)})
+            for i, m in enumerate(summands)]
     for inc, prj in zip(incs, prjs):
-        assert inc.then(prj).is_iso()
+        assert inc.target == total and inc.then(prj).is_iso()
+        assert inc.intertwines() and prj.intertwines()
     assert incs[0].then(prjs[1]).is_zero()
 
 

@@ -105,7 +105,7 @@ def test_torsion_part_a2(a2_universe, idx):
     s1 = module_by_dims(u, (1, 0))
     t2, _, _ = torsion_part(s1, pair)
     assert t2.dims == (1, 0)
-    both = mo.direct_sum([p1, s1])[0]
+    both = mo.direct_sum([p1, s1])
     t3, _, ses3 = torsion_part(both, pair)
     assert t3.dims == (1, 0)
     assert ses3.right.dims == (1, 1)
@@ -114,7 +114,7 @@ def test_torsion_part_a2(a2_universe, idx):
 def test_torsion_part_idempotent(a2_universe, idx):
     u = a2_universe
     pair = to.pair_from_torsion_class(bits(idx, "S1"), u)
-    for m in list(u.indecs) + [mo.direct_sum(list(u.indecs))[0]]:
+    for m in list(u.indecs) + [mo.direct_sum(list(u.indecs))]:
         t, _, _ = torsion_part(m, pair)
         if not t.is_zero():
             tt, _, _ = torsion_part(t, pair)

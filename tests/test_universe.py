@@ -96,7 +96,7 @@ def test_submodule_count_matches_brute(a2_universe):
     # and on a decomposable with hom in both directions absent
     s1 = module_by_dims(a2_universe, (1, 0))
     s2 = module_by_dims(a2_universe, (0, 1))
-    both = mo.direct_sum([s1, s2])[0]
+    both = mo.direct_sum([s1, s2])
     assert len(un.all_submodules(both)) == brute_submodule_count(both)
 
 
@@ -108,7 +108,7 @@ def test_submodule_product_bound(a2_universe):
     pairs = [(s1, s2), (s1, p1), (s2, p1)]
     from torsionheart.homology import hom_dim
     for a, b in pairs:
-        total = mo.direct_sum([a, b])[0]
+        total = mo.direct_sum([a, b])
         na = len(un.all_submodules(a))
         nb = len(un.all_submodules(b))
         nt = len(un.all_submodules(total))
@@ -120,7 +120,7 @@ def test_submodule_product_bound(a2_universe):
 
 
 def test_submodule_dim_gate(a2_universe):
-    big = mo.direct_sum([module_by_dims(a2_universe, (1, 1))] * 7)[0]
+    big = mo.direct_sum([module_by_dims(a2_universe, (1, 1))] * 7)
     with pytest.raises(ResourceLimitError):
         un.all_submodules(big)
 
@@ -131,12 +131,12 @@ def test_index_and_bitset(a2_universe):
     s1 = module_by_dims(u, (1, 0))
     i_p1 = u.index_of(p1)
     i_s1 = u.index_of(s1)
-    both = mo.direct_sum([p1, s1])[0]
+    both = mo.direct_sum([p1, s1])
     assert u.summand_bitset(both) == (1 << i_p1) | (1 << i_s1)
     assert u.in_class(both, (1 << i_p1) | (1 << i_s1))
     assert not u.in_class(both, 1 << i_p1)
     assert u.summand_bitset(mo.zero_module(u.algebra)) == 0
-    twice = mo.direct_sum([s1, s1, p1])[0]
+    twice = mo.direct_sum([s1, s1, p1])
     assert u.summands(twice) == {i_s1: 2, i_p1: 1}
     assert u.summands(mo.zero_module(u.algebra)) == {}
 
@@ -147,7 +147,7 @@ def test_index_of_reads_members_only(a2_universe):
     assert u.index_of(s1) == u.indecs.index(s1)
     assert u.index_of(mo.zero_module(u.algebra)) is None
     # bitset 1 << index_of(S1), but not the dims of S1
-    assert u.index_of(mo.direct_sum([s1, s1])[0]) is None
+    assert u.index_of(mo.direct_sum([s1, s1])) is None
 
 
 def test_index_of_reads_a_new_basis_by_hom_vectors(d4_universe, monkeypatch):
