@@ -89,8 +89,9 @@ def cached(owner, key, compute):
     like any other value.
 
     Every memo entry lives on the object that defines its key: the algebra
-    for Hom and Ext spaces, syzygies and presentations, keyed by module
-    keys; the universe for what depends on its members, keyed by universe
+    for Hom and Ext spaces, syzygies, presentations and injective
+    envelopes, keyed by module keys, and for the projective P(v) of each
+    vertex; the universe for what depends on its members, keyed by universe
     indices, bitsets or the keys of the modules it classifies.  The package
     only inserts entries: it never replaces or deletes one."""
     got = owner.memo.get(key, _MISSING)

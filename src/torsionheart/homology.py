@@ -19,10 +19,15 @@ M (Auslander-Reiten-Smalo, I.5), so both sides share one body.
 
 A projective cover sends the generator of each summand P(v) to a top lift
 of M.  One cached minimal projective presentation P1 -> P0 -> M -> 0,
-`presentation`, is read off the syzygy K -> P0: each component is the row
-of that inclusion at a top lift of K.  It serves the transpose, and so both
-AR translates, and `hom_dims_into`, which reads dim Hom(X, M) as
-dim Hom(P0, M) minus one rank.
+`presentation`, is read off the cached syzygy K -> P0, with no cover built
+again: each component is the row of that inclusion at a top lift of K.  It
+serves the transpose, and so both AR translates, and `hom_dims_into`, which
+reads dim Hom(X, M) as dim Hom(P0, M) minus one rank.  Injective envelopes
+are cached per module, as syzygies are.
+
+The classes of a line {lambda xi : lambda != 0} of Ext^1 share one middle
+term up to isomorphism, so scans realize one class per line, the one
+`ext_line` returns.
 
 Every exhaustive scan of the package passes one gate, `scan`, which raises
 ResourceLimitError before any work beyond the scan cap; `candidates` is the
@@ -277,16 +282,16 @@ def pullback(f: Morphism, g: Morphism):
 
 # -- projective covers and syzygies --------------------------------------------
 
-def projective_cover(m: Module):
-    """Minimal projective cover P -> M, and the top lifts (v, j) of M, one
-    per summand P(v) of P in the order of the sum: that summand sends its
-    generator to e_j of M_v."""
-    lifts = m.top_lifts()
-    comps = [from_generator(m, v, linalg.eye(m.dims[v])[j]) for v, j in lifts]
+def projective_cover(m: Module) -> Morphism:
+    """Minimal projective cover P -> M: one summand P(v) per top lift (v, j)
+    of M, in the order of `Module.top_lifts`, sending its generator to e_j
+    of M_v."""
+    comps = [from_generator(m, v, linalg.eye(m.dims[v])[j])
+             for v, j in m.top_lifts()]
     cover = assemble(m, [(c.source, c) for c in comps], "right")
     if not cover.is_epi():
         raise AssertionError("projective cover is not epi")
-    return cover, lifts
+    return cover
 
 
 def syzygy(m: Module):
@@ -295,7 +300,7 @@ def syzygy(m: Module):
 
 
 def _syzygy(m: Module):
-    cover, _ = projective_cover(m)
+    cover = projective_cover(m)
     k, incl = kernel(cover)
     return (k, incl, cover)
 
@@ -309,9 +314,9 @@ def is_projective(m: Module) -> bool:
 class Ext1Space:
     """Ext^1(M, N) = Hom(K, N) / res Hom(P0, N) for the minimal syzygy of M.
 
-    nonsplit_classes() realizes every class but the zero one, whose middle
-    term is N + M by definition: scans know what the split middle
-    contributes.
+    `realize` builds the extension of one class; callers scan the nonzero
+    classes through `ext_scan`, since the zero class has middle N + M by
+    definition, and realize one class per line (`ext_line`).
     """
 
     def __init__(self, m: Module, n: Module):
@@ -355,13 +360,6 @@ class Ext1Space:
             raise AssertionError("realized extension is not exact")
         return ses
 
-    def nonsplit_classes(self):
-        """(coeffs, SES) for every nonzero class, in lexicographic order of
-        the coefficients.  The caps are checked before any class is
-        realized."""
-        for coeffs in ext_scan(self.m.algebra, self.dim):
-            yield coeffs, self.realize(coeffs)
-
 
 def ext1(m: Module, n: Module) -> Ext1Space:
     return cached(m.algebra, ("ext1", m.key, n.key), lambda: Ext1Space(m, n))
@@ -375,6 +373,17 @@ def ext_scan(algebra: BoundQuiverAlgebra, d: int):
         raise ResourceLimitError(
             f"ext scan of size {algebra.field.p}^{d} exceeds cap")
     return scan(algebra, d, "ext", nonzero=True)
+
+
+def ext_line(coeffs, p: int) -> tuple[int, ...]:
+    """The class on the line {lambda xi : lambda != 0} of the nonzero class
+    xi = coeffs whose first nonzero coefficient is 1.  Every class on the
+    line has the same middle term up to isomorphism: the pushout of xi along
+    lambda id_N is lambda xi, and lambda id_N is an isomorphism for
+    lambda != 0.  In lexicographic order this class comes first on its
+    line."""
+    inverse = pow(next(c for c in coeffs if c), -1, p)
+    return tuple(c * inverse % p for c in coeffs)
 
 
 def block_extension_middle(rights: list[Module], lefts: list[Module],
@@ -464,8 +473,13 @@ def minimal_approx(m: Module, gens: list[Module], side: str) -> Morphism:
 
 def injective_envelope(m: Module) -> Morphism:
     """Essential mono M -> E(M): the dual of the minimal projective cover
-    of D(M) over the opposite algebra."""
-    env = dual_morphism(projective_cover(dual_module(m))[0])
+    of D(M) over the opposite algebra; cached."""
+    return cached(m.algebra, ("injective_envelope", m.key),
+                  lambda: _injective_envelope(m))
+
+
+def _injective_envelope(m: Module) -> Morphism:
+    env = dual_morphism(projective_cover(dual_module(m)))
     if not env.is_mono():
         raise AssertionError("injective envelope is not mono")
     return env
@@ -487,10 +501,10 @@ def presentation(m: Module):
 
 def _presentation(m: Module):
     algebra = m.algebra
-    cover0, lifts0 = projective_cover(m)
-    k, incl = kernel(cover0)
-    _, lifts1 = projective_cover(k)
-    p0_vertices = [w for w, _ in lifts0]
+    k, incl, _ = syzygy(m)
+    lifts1 = k.top_lifts()
+    # P0 has one summand P(w) per top lift of M, in the order of the cover
+    p0_vertices = [w for w, _ in m.top_lifts()]
     # the generator of P(v) goes to the top lift e_j of K_v, that is to row
     # j of the syzygy's inclusion at v, read block by block along the
     # summands P(w) of P0

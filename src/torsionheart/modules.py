@@ -12,7 +12,8 @@ so all values are immutable after construction.
 Sums are placed blocks: `direct_sum` lays out block diagonal arrow
 matrices, and `block_morphism` writes each block of a map between two sums
 into place.  A map out of P(v) is determined by the image of the trivial
-path at v, and `from_generator` builds it from that image.
+path at v, and `from_generator` builds it from that image; P(v) itself is
+built once per vertex and cached on the algebra.
 
 D = Hom(-, F_p) transposes every matrix into the opposite algebra, and the
 injective side is its image of the projective one: I(v) = D P(v) over A^op
@@ -26,7 +27,7 @@ from array import array
 from itertools import accumulate, chain
 
 from . import linalg
-from .algebra import BoundQuiverAlgebra, Path, path_target
+from .algebra import BoundQuiverAlgebra, Path, cached, path_target
 
 
 def _matrices(maps, shapes, p: int):
@@ -288,7 +289,13 @@ def simple_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
 
 
 def projective_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
-    """P(v) = e_v A: basis paths starting at v, arrows act by right concatenation."""
+    """P(v) = e_v A: basis paths starting at v, arrows act by right
+    concatenation; cached per vertex on the algebra."""
+    return cached(algebra, ("projective_module", v),
+                  lambda: _projective_module(algebra, v))
+
+
+def _projective_module(algebra: BoundQuiverAlgebra, v: int) -> Module:
     q = algebra.quiver
     buckets = {w: algebra.basis_paths_between(v, w) for w in range(q.n)}
     pos = {w: {bi: k for k, bi in enumerate(buckets[w])} for w in range(q.n)}

@@ -14,6 +14,14 @@ search on an indecomposable: an isomorphism, if any, is a basis element of
 the Hom space.  The universe is complete iff nothing escapes and every
 simple is a member.
 
+One class per line of Ext^1 is realized: the classes lambda xi, lambda a
+nonzero scalar, have one middle term up to isomorphism, since the pushout
+of xi along the isomorphism lambda id is lambda xi (`homology.ext_line`).
+The closure realizes and decomposes the first class of each line in the
+scan order, whose first nonzero coefficient is 1, and lists that reading
+for every class of the line; the other classes come later in the order, so
+every escape witness is that of the first class.
+
 No map between members is read: its kernel, image and cokernel never leave
 the bound, so none can be a witness.  With no escape, the members are
 closed under AR neighbours at every member X that is not
@@ -52,7 +60,7 @@ inclusion, and its middle is that class's middle plus the other members of
 both bags (Auslander-Reiten-Smalo, Representation Theory of Artin
 Algebras, I.5), read off the cached list of the pair of members.  Only a
 class nonzero on two or more blocks is realized, from the block cocycle
-(`homology.block_extension_middle`).
+(`homology.block_extension_middle`), and only the first class of its line.
 
 The closure is the only place that decomposes a module or compares two by
 `krull.is_isomorphic`, since completeness is not known while it runs.  On a
@@ -81,7 +89,7 @@ from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
     ar_translate, ar_translate_inverse, block_extension_middle, ext1,
-    ext_scan, hom_dim, hom_dims_into, is_injective, is_projective,
+    ext_line, ext_scan, hom_dim, hom_dims_into, is_injective, is_projective,
 )
 from .krull import decompose, is_isomorphic
 from .modules import (
@@ -231,7 +239,9 @@ class IndecUniverse:
         other members of both bags, with E the middle of the block class, so
         they are read off the cached list of the pair of members.  The
         classes nonzero on two or more blocks follow, in lexicographic order
-        of their coefficients, each realized by `block_extension_middle`.
+        of their coefficients; the first class of each line is realized by
+        `block_extension_middle`, and the others of the line share its
+        middle.
         The caps are checked on the sum of the block dimensions before any
         entry is read."""
         def compute():
@@ -242,6 +252,7 @@ class IndecUniverse:
             blocks = [(i, j, self.ext_table[r][l])
                       for i, r in enumerate(right) for j, l in enumerate(left)]
             classes = ext_scan(self.algebra, sum(d for *_, d in blocks))
+            p = self.algebra.field.p
             out = []
             for i, j, d in blocks:
                 if d:
@@ -253,6 +264,7 @@ class IndecUniverse:
                             self.ext_middles((right[i],), (left[j],))]
             rights = [self.indecs[r] for r in right]
             lefts = [self.indecs[l] for l in left]
+            lines: dict[tuple[int, ...], int] = {}
             for coeffs in classes:
                 parts, at = {}, 0
                 for i, j, d in blocks:
@@ -260,20 +272,23 @@ class IndecUniverse:
                         parts[i, j] = coeffs[at:at + d]
                     at += d
                 if len(parts) > 1:
-                    out.append(self.summand_bitset(
-                        block_extension_middle(rights, lefts, parts)))
+                    line = ext_line(coeffs, p)
+                    if line not in lines:
+                        lines[line] = self.summand_bitset(
+                            block_extension_middle(rights, lefts, parts))
+                    out.append(lines[line])
             return out
         return cached(self, ("ext_middles", right, left), compute)
 
 
 def bit_indices(bits: int) -> list[int]:
+    """Indices of the set bits of a nonnegative int, ascending; one step per
+    set bit, each taking the lowest."""
     out = []
-    i = 0
     while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 
@@ -337,6 +352,7 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
     pieces: dict[str, list] = {}    # Module.key -> [(member or None, dims)]
     escapes: list[tuple] = []       # (place, members, label, dims)
     middles: dict[tuple[int, int], list] = {}
+    p = algebra.field.p
 
     def fits(m: Module) -> bool:
         return all(d <= b for d, b in zip(m.dims, bound))
@@ -384,10 +400,18 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
         for j in range(k + 1):
             for a, b in dict.fromkeys(((k, j), (j, k))):
                 space = ext1(found[a], found[b])
-                middles[a, b] = [
-                    read(ses.middle, (0, n), (a, b), "ext middle {} by {}")
-                    for n, (_, ses) in enumerate(space.nonsplit_classes())
-                ] if space.dim else []
+                middles[a, b] = mids = []
+                if not space.dim:
+                    continue
+                # one realization per line: its first class is read, the
+                # others share its reading
+                lines: dict[tuple[int, ...], list] = {}
+                for n, coeffs in enumerate(ext_scan(algebra, space.dim)):
+                    line = ext_line(coeffs, p)
+                    if line not in lines:
+                        lines[line] = read(space.realize(coeffs).middle,
+                                           (0, n), (a, b), "ext middle {} by {}")
+                    mids.append(lines[line])
         k += 1
 
     order = sorted(range(len(found)),

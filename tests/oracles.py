@@ -626,12 +626,21 @@ def ext_class_of(space, ses) -> tuple[int, ...]:
     return tuple(resid[i] for i in space.rep_indices)
 
 
+def nonsplit_classes(space):
+    """(coeffs, SES) for every nonzero class of an Ext1Space, in
+    lexicographic order of the coefficients, each realized on its own.  The
+    caps are checked before any class is realized.  The package realizes
+    one class per line and reads the others off it."""
+    for coeffs in ho.ext_scan(space.m.algebra, space.dim):
+        yield coeffs, space.realize(coeffs)
+
+
 def all_ext_classes(space):
     """(coeffs, SES) for every class of an Ext1Space: the zero (split) class
-    first, then space.nonsplit_classes() in its order."""
+    first, then nonsplit_classes(space) in its order."""
     zero = (0,) * space.dim
     yield zero, space.realize(zero)
-    yield from space.nonsplit_classes()
+    yield from nonsplit_classes(space)
 
 
 def split_injective_scan(m, class_bits, u) -> bool:
@@ -813,17 +822,17 @@ def _path_coordinates(algebra, f: Morphism, v: int, w: int) -> dict[int, int]:
 
 
 def literal_presentation(m):
-    """presentation(m) composed literally: the cover of the syzygy K, then
-    its inclusion into P0, through the inclusions of the summands of P1 and
+    """presentation(m) composed literally from a projective cover of M, its
+    kernel K and a cover of K, all built afresh: the cover of K, then the
+    inclusion of K into P0, through the inclusions of the summands of P1 and
     the projections onto those of P0, each composite read at the generator.
-    The package reads the rows of the inclusion at the top lifts of K."""
+    The package reads the rows of the cached syzygy's inclusion at the top
+    lifts of K."""
     algebra = m.algebra
-    cover0, lifts0 = ho.projective_cover(m)
-    k, incl = kernel(cover0)
-    cover1, lifts1 = ho.projective_cover(k)
-    d = cover1.then(incl)
-    p0_vertices = [w for w, _ in lifts0]
-    p1_vertices = [v for v, _ in lifts1]
+    k, incl = kernel(ho.projective_cover(m))
+    d = ho.projective_cover(k).then(incl)
+    p0_vertices = [w for w, _ in m.top_lifts()]
+    p1_vertices = [v for v, _ in k.top_lifts()]
     _, p1_incs, _ = literal_sum_maps(
         [projective_module(algebra, v) for v in p1_vertices], algebra)
     _, _, p0_prjs = literal_sum_maps(

@@ -16,8 +16,9 @@ searches for idempotents, only its idempotent search tries candidates
 through `algebra.cached`, perpendicular classes are read through
 `IndecUniverse.perp`, the lattice reads no heart and has no gate,
 injective envelopes and socle quotients are built as duals, not on socles,
-only the oracles list submodules or quotients, and direct sums are laid
-out once, by placing blocks.
+only the oracles list submodules or quotients, direct sums are laid
+out once, by placing blocks, the presentation builds no cover of its own,
+and no package code realizes every class of an Ext^1 space.
 """
 
 import ast
@@ -359,3 +360,17 @@ def test_one_layout_of_sums():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert defined.isdisjoint({"_left_mult_morphism", "_path_coordinates",
                                "multiply_basis", "path_concat"})
+
+
+def test_each_closure_step_once():
+    """The presentation reads the cached syzygy and its top lifts:
+    `homology._presentation` calls neither `projective_cover` nor `kernel`.
+    The closure realizes one Ext class per line, so no package code reads
+    a scan that realizes every class (`nonsplit_classes` lives in the
+    oracles)."""
+    readers = _readers({"projective_cover", "kernel", "nonsplit_classes"})
+    presentation = ("homology.py", "_presentation")
+    assert not any(place[:2] == presentation
+                   for name in ("projective_cover", "kernel")
+                   for place in readers[name])
+    assert readers["nonsplit_classes"] == set()

@@ -699,6 +699,31 @@ def test_verify_d4_realizes_no_ext_of_sums(monkeypatch):
     assert 0 < len(pushouts) <= 158
 
 
+def test_verify_d4_builds_each_projective_once(monkeypatch):
+    # P(v) is built once per vertex of each algebra, the presentation reads
+    # the cached syzygy and the injective envelope is cached: a verify run
+    # on d4 builds 8 projectives, 4 over the algebra and 4 over its
+    # opposite, and at most 36 projective covers
+    from torsionheart import homology as ho
+    from torsionheart.cli import main
+    bodies, covers = [], []
+    body, cover = mo._projective_module, ho.projective_cover
+
+    def counted_body(algebra, v):
+        bodies.append((algebra.key, v))
+        return body(algebra, v)
+
+    def counted_cover(m):
+        covers.append(m.key)
+        return cover(m)
+
+    monkeypatch.setattr(mo, "_projective_module", counted_body)
+    monkeypatch.setattr(ho, "projective_cover", counted_cover)
+    assert main(["verify", str(FIXTURES / "d4.quiver")]) == 0
+    assert 0 < len(bodies) == len(set(bodies)) <= 8
+    assert 0 < len(covers) <= 36
+
+
 def test_verify_d4_computes_each_known_answer_once(monkeypatch):
     # a verify run on d4 asks each left almost split verdict, closure
     # decomposition, Hom-vector reading and member injective dimension

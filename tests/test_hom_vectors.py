@@ -32,7 +32,7 @@ from torsionheart.homology import ext1, hom_space
 from torsionheart.modules import Module, cokernel, kernel
 
 from conftest import FIXTURES
-from oracles import decompose_reading, image, sum_module
+from oracles import decompose_reading, image, nonsplit_classes, sum_module
 
 # (fixture, bound); None is the CLI's default bound of 2 at every vertex
 CASES = [("a2", None), ("a3", None), ("d4", None), ("loop", None),
@@ -95,7 +95,7 @@ def test_reading_matches_decompose_on_ext_middles(name):
                 if not any(u.ext_table[r][l] for r in right for l in left):
                     continue
                 space = ext1(sum_module(u, right), sum_module(u, left))
-                for _, ses in space.nonsplit_classes():
+                for _, ses in nonsplit_classes(space):
                     m = ses.middle
                     if m.key not in seen:
                         seen.add(m.key)

@@ -20,7 +20,7 @@ from oracles import (
     fitting_idempotent, has_section, injective_dimension,
     is_left_approximation, is_left_minimal, is_right_approximation,
     is_right_minimal, literal_injective_module, literal_isomorphism,
-    literal_presentation, literal_transpose, socle_envelope,
+    literal_presentation, literal_transpose, nonsplit_classes, socle_envelope,
 )
 
 
@@ -394,7 +394,7 @@ def test_nonsplit_classes_follow_the_zero_class():
     # every nonzero class once, in lexicographic order, and none splits
     space = _two_dimensional_ext()
     classes = [(tuple(int(c) for c in coeffs), ses)
-               for coeffs, ses in space.nonsplit_classes()]
+               for coeffs, ses in nonsplit_classes(space)]
     assert [coeffs for coeffs, _ in classes] == [(0, 1), (1, 0), (1, 1)]
     for coeffs, ses in classes:
         assert ext_class_of(space, ses) == coeffs
@@ -404,7 +404,7 @@ def test_nonsplit_classes_follow_the_zero_class():
 def test_class_scans_check_the_cap_first():
     space = _two_dimensional_ext(ext_dim_cap=1)
     with pytest.raises(ResourceLimitError):
-        next(space.nonsplit_classes())
+        next(nonsplit_classes(space))
 
 
 def _end_of_s1_s1_s2(caps):

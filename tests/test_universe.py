@@ -1,7 +1,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torsionheart import homology as ho
 from torsionheart import modules as mo
 from torsionheart import universe as un
 from torsionheart.algebra import parse_algebra
@@ -11,7 +14,8 @@ from torsionheart.krull import decompose, is_isomorphic
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, FIXTURES, module_by_dims
 from oracles import (
-    brute_submodule_count, scan_indecomposables, socle_quotients,
+    brute_submodule_count, decompose_reading, literal_isomorphism,
+    nonsplit_classes, scan_indecomposables, socle_quotients,
 )
 
 
@@ -298,6 +302,31 @@ def test_closure_decomposes_each_key_once(monkeypatch):
     assert keys and len(keys) == len(set(keys))
 
 
+def test_indec_a3_f3_realizes_one_class_per_line(monkeypatch, capsys):
+    # over F_3 each line of Ext^1 holds two classes, and the closure
+    # realizes and decomposes only the first: 5 realizations and 7
+    # decompositions on a3, against 10 and 12 class by class
+    from torsionheart.cli import main
+    realized, split = [], []
+    realize = ho.Ext1Space.realize
+
+    def counted_realize(self, coeffs):
+        realized.append(tuple(coeffs))
+        return realize(self, coeffs)
+
+    def counted_decompose(m):
+        split.append(m.key)
+        return decompose(m)
+
+    monkeypatch.setattr(ho.Ext1Space, "realize", counted_realize)
+    monkeypatch.setattr(un, "decompose", counted_decompose)
+    assert main(["indec", str(FIXTURES / "a3.quiver"), "--field", "3"]) == 0
+    capsys.readouterr()
+    assert 0 < len(realized) <= 5
+    assert all(next(c for c in coeffs if c) == 1 for coeffs in realized)
+    assert 0 < len(split) <= 7
+
+
 # Every bundled fixture at its default bound, and every incomplete bound of
 # test_cli.py, as (fixture, field override, bound).  The Nakayama algebra's
 # projectives are projective-injective with non-simple radicals, members
@@ -348,3 +377,109 @@ def test_candidate_cap_checked_before_any_candidate(monkeypatch):
                        match=r"candidate scan at dims \(2, 2\) needs 2\^4"):
         scan_indecomposables(alg, (2, 2), candidate_cap=8)
     assert built == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 80))
+def test_bit_indices_match_the_literal_loop(bits):
+    expected, i, rest = [], 0, bits
+    while rest:
+        if rest & 1:
+            expected.append(i)
+        rest >>= 1
+        i += 1
+    assert un.bit_indices(bits) == expected
+
+
+KRONECKER_F3 = "field 3\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
+
+# (quiver text, field override, bound): the closure realizes one class per
+# line of Ext^1, so these run at odd primes, where a line holds p - 1
+# classes; the Kronecker quiver's universes are incomplete
+LINE_CASES = [
+    pytest.param((FIXTURES / "a3.quiver").read_text(), 3, (2, 2, 2), id="a3-f3"),
+    pytest.param((FIXTURES / "a3.quiver").read_text(), 5, (2, 2, 2), id="a3-f5"),
+    pytest.param((FIXTURES / "d4.quiver").read_text(), 3, (2, 2, 2, 2),
+                 id="d4-f3"),
+    pytest.param((FIXTURES / "loop.quiver").read_text(), None, (2,), id="loop"),
+    pytest.param((FIXTURES / "nakayama.quiver").read_text(), None, (2, 2),
+                 id="nakayama"),
+    pytest.param(KRONECKER_F3, None, (1, 1), id="kronecker-1-1"),
+    pytest.param(KRONECKER_F3, None, (2, 2), id="kronecker-2-2"),
+]
+
+
+def _same_pieces(m, pieces) -> bool:
+    """M has the given indecomposable pieces up to isomorphism, each
+    isomorphism found by the literal scan of a Hom space."""
+    rest = list(pieces)
+    for piece in decompose(m):
+        at = next((i for i, x in enumerate(rest) if x.dims == piece.dims
+                   and literal_isomorphism(piece, x) is not None), None)
+        if at is None:
+            return False
+        rest.pop(at)
+    return not rest
+
+
+@pytest.mark.parametrize("text, field, bound", LINE_CASES)
+def test_every_class_of_a_line_has_the_middle_of_its_first(text, field, bound):
+    # each class of every ordered pair of members is realized on its own:
+    # the first class of its line in the scan order is the one with leading
+    # coefficient 1, and the middle of every class decomposes into the
+    # members of that first class's middle.  On a complete universe the
+    # closure's Ext middles of each pair are the decomposition readings of
+    # every class
+    alg = parse_algebra(text, field_override=field)
+    u = un.enumerate_indecomposables(alg, bound)
+    p = alg.field.p
+    lines = 0
+    for i, x in enumerate(u.indecs):
+        for j, y in enumerate(u.indecs):
+            space = ho.ext1(x, y)
+            if not space.dim:
+                continue
+            first, readings = {}, []
+            for coeffs, ses in nonsplit_classes(space):
+                line = ho.ext_line(coeffs, p)
+                if line not in first:
+                    assert line == tuple(coeffs)
+                    first[line] = decompose(ses.middle)
+                    lines += 1
+                else:
+                    assert _same_pieces(ses.middle, first[line]), \
+                        (i, j, coeffs)
+                if u.complete:
+                    readings.append(sum(1 << k for k in
+                                        decompose_reading(u, ses.middle)))
+            if u.complete:
+                assert u.ext_middles((i,), (j,)) == readings, (i, j)
+    assert lines
+
+
+@pytest.mark.parametrize("text, field, bound", LINE_CASES[:5])
+def test_mixed_classes_of_a_line_share_its_middle(text, field, bound):
+    # the mixed classes of two sums of members are realized once per line
+    # too: on every pair with two or more nonzero blocks, adding the split
+    # middle back to the universe's list gives the multiset of the middles
+    # of every class realized on the sums
+    from collections import Counter
+    from torsionheart.heart import _sum_bags
+    from oracles import all_ext_classes, sum_module
+    u = un.enumerate_indecomposables(
+        parse_algebra(text, field_override=field), bound)
+    assert u.complete
+    bags = [bag for bag, _ in _sum_bags(u)]
+    mixed = 0
+    for right, left in [pair for i in range(u.n) for bag in bags
+                        for pair in (((i,), bag), (bag, (i,)))]:
+        if sum(1 for r in right for l in left if u.ext_table[r][l]) < 2:
+            continue
+        mixed += 1
+        space = ho.ext1(sum_module(u, right), sum_module(u, left))
+        every = Counter(u.summand_bitset(ses.middle)
+                        for _, ses in all_ext_classes(space))
+        split = sum(1 << x for x in set(right + left))
+        assert Counter(u.ext_middles(right, left)) + Counter([split]) \
+            == every, (right, left)
+    assert mixed
