@@ -6,9 +6,9 @@ only by `homology.scannable`, the gate of every Hom and Ext scan, and
 `random_tries` only by `homology.candidates`, for its seeded draws beyond
 the scan cap.  `submodule_dim_cap` gates only the oracles' literal
 submodule and quotient scans (`universe.all_submodules`): the fast paths
-read submodule and quotient closure off member Hom spaces.  The lattice of
-torsion classes has no gate: its join search costs one closure per class
-and member outside it.
+read submodule closure off member Hom spaces and quotient closure off the
+Hom table.  The lattice of torsion classes has no gate: it reads two perps
+of the Hom table per class.
 
 Caps are set once, when the algebra is parsed (`parse_algebra`, or the
 `BoundQuiverAlgebra` constructor), and every scan reads them from the

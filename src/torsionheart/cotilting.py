@@ -8,8 +8,7 @@ self-orthogonal by construction.  The other two defining conditions
 cogenerator) and the class equality Cogen(C) = {X : Ext^1(X, C) = 0} = F are
 checked explicitly; any failure reports the failing condition.  Cogen(C) is
 read member by member off the Hom spaces between members, since it depends
-only on add(C) (`torsion.generated_bits`, which reads Fac(add X) for the
-torsion closure the same way).
+only on add(C) (`torsion.cogenerated_bits`).
 
 Prod is read as add throughout: over a finite-dimensional algebra at desk
 scale the two closures agree on finite-dimensional modules.
@@ -30,7 +29,7 @@ from .homology import SES, cokernel, injective_envelope, is_injective, minimal_a
 from .modules import (
     Module, direct_sum, identity_morphism, injective_module, kernel,
 )
-from .torsion import TorsionPair, generated_bits
+from .torsion import TorsionPair, cogenerated_bits
 from .universe import bit_indices
 
 
@@ -111,7 +110,7 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
     # condition (2), self-orthogonality, holds by construction: ext_inj is
     # the members i of F with Ext^1(F, X_i) = 0, and C lies in F
     # class equality Cogen(C) = perp_1(C) = torsion-free class
-    cogen = generated_bits(u, ext_inj, fac=False)
+    cogen = cogenerated_bits(u, ext_inj)
     perp1_of_c = u.perp(ext_inj, ext=True, right=False)
     if cogen != perp1_of_c:
         only, other = (("Cogen(C)", "perp(C)") if cogen & ~perp1_of_c
@@ -208,6 +207,6 @@ def minimal_cotilting(data: CotiltingData, envelope_modules: list[Module]) -> Mo
     bits = u.summand_bitset(tilde)
     if bits & ~data.add_c_bits:
         raise AssertionError("minimal cotilting module leaves add(C)")
-    if generated_bits(u, bits, fac=False) != data.c_class_bits:
+    if cogenerated_bits(u, bits) != data.c_class_bits:
         raise AssertionError("minimal cotilting module has a different class")
     return tilde

@@ -1,23 +1,20 @@
 """Torsion pairs over a complete universe of indecomposables.
 
-Classes are bitsets over universe indices.  The torsion class generated by a
-set S of members is Filt(Fac(add S)) (Adachi-Iyama-Reiten, Compositio 150,
-2014), so the closure operator iterates two per-member tables: Fac(add X)
-of each member X, read off the member Hom spaces by a joint rank
-(`generated_bits`), and the members in the middle terms of the non-split
-extensions between X and its Ext^1 partners, the members Y with Ext^1(X, Y)
-or Ext^1(Y, X) nonzero, read through the universe (`perp`, `ext_middles`).
-Only such a pair has a non-split middle, and any finite filtration is built
-from two-step extensions, so the fixpoint is the torsion class; the tests
-discharge the closure axioms against arbitrary members by the brute-force
-oracles.  The split middle of two members is never read: every caller unions
-the table into a set that holds both members already.
+Classes are bitsets over universe indices.  The smallest torsion class
+holding a set G of members is perp(G^perp), the members with no nonzero map
+to any member that G maps to zero (Assem-Simson-Skowronski VI.1), so on a
+complete universe the closure is two reads of the Hom table
+(`IndecUniverse.perp`).  The tests hold it to the literal Filt(Fac(add G))
+fixpoint over quotients and Ext middles (`tests/oracles.py`).
 
 Closure under submodules, of a torsion-free class and of a hereditary
-torsion class, is the dual per-member test: Cogen(add X) of each member X
-lies in the class (`submodule_closed`).  Fac and Cogen of a member share one
-cached body (`generated_by`), so no submodule or quotient is ever listed
-here; the literal scans are the oracles' (`tests/oracles.py`).
+torsion class, is a per-member test: Cogen(add X) of each member X lies in
+the class (`submodule_closed`).  Cogen(add X) is read off the member Hom
+spaces by a joint rank (`cogenerated_bits`), so no submodule is ever listed
+here; the literal scans are the oracles'.  Closure of a torsion-free class
+under extensions reads the Ext middles between its members
+(`ext_middle_union_bits`); the split middle of two members is never read,
+since it adds only the two members.
 """
 
 from __future__ import annotations
@@ -31,35 +28,31 @@ from .modules import Module
 from .universe import IndecUniverse, bit_indices
 
 
-def generated_bits(u: IndecUniverse, g_bits: int, fac: bool) -> int:
-    """Bitset of the members Y in Fac(add G) when fac, else in Cogen(add G),
-    for G the members in g_bits.  At every vertex v, the maps G -> Y must be
-    jointly onto Y_v when fac, and the maps Y -> G must have zero joint
-    kernel on Y_v otherwise: either way their stacked matrices have rank
-    dim Y_v.  Hom between Y and a sum of members is the sum of the member
-    spaces, which the closure has cached, so no Hom space of a sum is built,
-    and a Y with no nonzero map is skipped through `perp`."""
+def cogenerated_bits(u: IndecUniverse, g_bits: int) -> int:
+    """Bitset of the members Y in Cogen(add G), for G the members in g_bits.
+    At every vertex v the maps Y -> G must have zero joint kernel on Y_v:
+    their stacked matrices have rank dim Y_v.  Hom from Y to a sum of
+    members is the sum of the member spaces, which the closure has cached,
+    so no Hom space of a sum is built, and a Y with no nonzero map is
+    skipped through `perp`."""
     p = u.algebra.field.p
     gens = u.members(g_bits)
     bits = 0
-    for i in bit_indices(u.all_bits & ~u.perp(g_bits, ext=False, right=fac)):
+    for i in bit_indices(u.all_bits & ~u.perp(g_bits, ext=False, right=False)):
         y = u.indecs[i]
-        basis = [f for g in gens
-                 for f in (hom_space(g, y) if fac else hom_space(y, g)).basis]
-        if all(linalg.rank([row for f in basis for row in f.maps[v]] if fac
-                           else linalg.hconcat([f.maps[v] for f in basis], d),
+        basis = [f for g in gens for f in hom_space(y, g).basis]
+        if all(linalg.rank(linalg.hconcat([f.maps[v] for f in basis], d),
                            p) == d
                for v, d in enumerate(y.dims) if d):
             bits |= 1 << i
     return bits
 
 
-def generated_by(u: IndecUniverse, i: int, fac: bool) -> int:
-    """Fac(add X_i) when fac, else Cogen(add X_i); cached.  It holds every
-    summand of every quotient (submodule) of X_i and lies in the torsion
-    (torsion-free) class of X_i."""
-    return cached(u, ("generated_by", i, fac),
-                  lambda: generated_bits(u, 1 << i, fac))
+def cogenerated_by(u: IndecUniverse, i: int) -> int:
+    """Cogen(add X_i); cached.  It holds every summand of every submodule
+    of X_i and lies in the torsion-free class X_i cogenerates."""
+    return cached(u, ("cogenerated_by", i),
+                  lambda: cogenerated_bits(u, 1 << i))
 
 
 def submodule_closed(u: IndecUniverse, bits: int) -> bool:
@@ -67,7 +60,7 @@ def submodule_closed(u: IndecUniverse, bits: int) -> bool:
     X) inside it.  Cogen(add X) holds every submodule of X, and a submodule
     of X^n is filtered by submodules of X, so on an extension-closed class
     this is the literal test on every submodule of every member."""
-    return all(generated_by(u, i, fac=False) & ~bits == 0
+    return all(cogenerated_by(u, i) & ~bits == 0
                for i in bit_indices(bits))
 
 
@@ -76,18 +69,6 @@ def ext_middle_union_bits(u: IndecUniverse, i: int, j: int) -> int:
     middle X_j + X_i adds only i and j."""
     return cached(u, ("ext_middle_union_bits", i, j),
                   lambda: _union(u.ext_middles((i,), (j,))))
-
-
-def ext_partners(u: IndecUniverse, i: int) -> list[tuple[int, int]]:
-    """(j, members in the non-split middles of Ext^1(X_i, X_j) and of
-    Ext^1(X_j, X_i)) for every member j with one of them nonzero, i itself
-    included when Ext^1(X_i, X_i) is nonzero; cached."""
-    def compute():
-        split = u.perp(1 << i, True, True) & u.perp(1 << i, True, False)
-        return [(j, ext_middle_union_bits(u, i, j)
-                 | ext_middle_union_bits(u, j, i))
-                for j in bit_indices(u.all_bits & ~split)]
-    return cached(u, ("ext_partners", i), compute)
 
 
 def _union(bitsets) -> int:
@@ -114,33 +95,11 @@ class TorsionPair:
                 f"F={sorted(bit_indices(self.torsion_free_bits))})")
 
 
-def torsion_closure(bits: int, u: IndecUniverse, closed: int = 0) -> int:
-    """Smallest torsion class containing the members flagged by bits and
-    `closed`, which must already be a torsion class."""
+def torsion_closure(bits: int, u: IndecUniverse) -> int:
+    """Smallest torsion class containing the members flagged by bits:
+    perp(G^perp) for G those members."""
     u.require_complete()
-    return _close(u, closed, bits & ~closed)
-
-
-def _close(u: IndecUniverse, closed: int, new: int) -> int:
-    """Worklist fixpoint: each member outside `closed` reads Fac(add X) once
-    and the Ext middles with those of its Ext^1 partners that are done,
-    itself included, once; pairs inside `closed` are skipped since it is
-    already closed, and a pair with Ext^1 zero both ways has no non-split
-    middle."""
-    bits = closed | new
-    done = closed
-    todo = bit_indices(new)
-    while todo:
-        i = todo.pop()
-        done |= 1 << i
-        found = generated_by(u, i, fac=True)
-        for j, middles in ext_partners(u, i):
-            if done >> j & 1:
-                found |= middles
-        found &= ~bits
-        bits |= found
-        todo.extend(bit_indices(found))
-    return bits
+    return u.perp(u.perp(bits, ext=False, right=True), ext=False, right=False)
 
 
 def is_torsion_class(u: IndecUniverse, bits: int) -> bool:

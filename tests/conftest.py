@@ -1,4 +1,5 @@
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,13 @@ def a3_ctx(a3_universe):
 @pytest.fixture(scope="session")
 def d4_ctx(d4_universe):
     return build_context(d4_universe)
+
+
+@cache
+def universe_of(text: str, bound: tuple[int, ...]):
+    """The universe of the algebra in a quiver text at a bound, built once
+    per test run for the tests that share it."""
+    return enumerate_indecomposables(parse_algebra(text), bound)
 
 
 def standard_modules(algebra):

@@ -7,12 +7,15 @@ hereditary presentations, and indecomposability from full idempotent scans.
 Only usable at tiny sizes.  numpy_rref is the elimination by numpy row
 operations that linalg.rref replaced, kept as its reference.
 
-Three checks here do use the package: scan_indecomposables lists the
+Four checks here do use the package: scan_indecomposables lists the
 indecomposables under a bound by the exhaustive arrow-matrix scan that the
-universe's generate-and-close replaced, torsion_part builds the canonical
-sequence of a torsion pair from the trace of the torsion class, and
-brick_labels labels every Hasse cover by the unique torsion almost
-torsion-free heart simple of its upper pair that cuts out the lower class.
+universe's generate-and-close replaced, join_search_lattice finds the
+torsion classes by the join search over Filt(Fac) closures (Fac(add X) off
+member Hom spaces, Ext middles of Ext^1 partners) that the semibrick
+enumeration replaced, torsion_part builds the canonical sequence of a
+torsion pair from the trace of the torsion class, and brick_labels labels
+every Hasse cover by the unique torsion almost torsion-free heart simple of
+its upper pair that cuts out the lower class.
 
 The checkers at the end use it too.  They are the definitions the tests hold
 the package's constructions to, and nothing in the package calls them:
@@ -45,7 +48,7 @@ from torsionheart import homology as ho
 from torsionheart import linalg
 from torsionheart.exceptions import ResourceLimitError
 from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
-from torsionheart.algebra import path_target
+from torsionheart.algebra import cached, path_target
 from torsionheart.modules import (
     Module, Morphism, cokernel, direct_sum, dual_morphism, identity_morphism,
     kernel, projective_module, quotient_by_rows, simple_module,
@@ -399,6 +402,99 @@ def subset_scan_lattice(u):
             ]
             assert len(bricks) == 1, f"cover {a} > {b} has bricks {bricks}"
             covers.append((a, b, bricks[0]))
+    return classes, covers
+
+
+def fac_bits(u, g_bits: int) -> int:
+    """Bitset of the members Y in Fac(add G), for G the members in g_bits: at
+    every vertex v the maps G -> Y are jointly onto Y_v, so their stacked
+    matrices have rank dim Y_v.  Every member is tried; no perpendicular
+    class is read."""
+    p = u.algebra.field.p
+    gens = u.members(g_bits)
+    bits = 0
+    for i, y in enumerate(u.indecs):
+        basis = [f for g in gens for f in ho.hom_space(g, y).basis]
+        if all(linalg.rank([row for f in basis for row in f.maps[v]], p) == d
+               for v, d in enumerate(y.dims) if d):
+            bits |= 1 << i
+    return bits
+
+
+def ext_partners(u, i: int) -> list[tuple[int, int]]:
+    """(j, members in the non-split middles of Ext^1(X_i, X_j) and of
+    Ext^1(X_j, X_i)) for every member j with one of them nonzero, i itself
+    included when Ext^1(X_i, X_i) is nonzero, read off the Ext table;
+    cached."""
+    from torsionheart.torsion import ext_middle_union_bits
+
+    return cached(u, ("oracle_ext_partners", i), lambda: [
+        (j, ext_middle_union_bits(u, i, j) | ext_middle_union_bits(u, j, i))
+        for j in range(u.n) if u.ext_table[i][j] or u.ext_table[j][i]])
+
+
+def join_closure(u, bits: int, closed: int = 0) -> int:
+    """Smallest torsion class holding the members in bits and the torsion
+    class `closed`, as Filt(Fac): a worklist fixpoint where each member X
+    outside `closed` reads Fac(add X) once and the Ext middles with those of
+    its Ext^1 partners that are done, itself included, once.  Pairs inside
+    `closed` are skipped since it is already closed, a pair with Ext^1 zero
+    both ways has no non-split middle, and any finite filtration is built
+    from two-step extensions."""
+    bits |= closed
+    done = closed
+    todo = bit_indices(bits & ~closed)
+    while todo:
+        i = todo.pop()
+        done |= 1 << i
+        found = cached(u, ("oracle_fac", i), lambda: fac_bits(u, 1 << i))
+        for j, middles in ext_partners(u, i):
+            if done >> j & 1:
+                found |= middles
+        found &= ~bits
+        bits |= found
+        todo.extend(bit_indices(found))
+    return bits
+
+
+def join_search_lattice(u):
+    """Torsion classes and brick-labelled Hasse covers by the join search.
+
+    Each class T found is joined (`join_closure`) with every member x
+    outside it.  Every class strictly above T contains some join T v x, so
+    the up-covers of T are exactly the inclusion-minimal joins, and every
+    class is reached from 0 along covers.  A cover upper > lower is labelled
+    by the brick B with upper intersect lower^perp = Filt(B): every other
+    member there has a B-filtration of length at least two, so B is its one
+    member of least total dimension.  Returns what `subset_scan_lattice`
+    returns."""
+    from torsionheart.krull import is_brick
+
+    up_covers: dict[int, list[int]] = {}
+    todo = [0]
+    while todo:
+        t = todo.pop()
+        if t in up_covers:
+            continue
+        joins = {join_closure(u, 1 << x, closed=t)
+                 for x in range(u.n) if not t >> x & 1}
+        up_covers[t] = [j for j in joins
+                        if not any(k != j and k & ~j == 0 for k in joins)]
+        todo.extend(up_covers[t])
+    classes = sorted(up_covers, key=lambda b: (bin(b).count("1"), b))
+    index = {bits: i for i, bits in enumerate(classes)}
+    covers = []
+    for a, b in sorted((index[upper], index[lower])
+                       for lower, uppers in up_covers.items()
+                       for upper in uppers):
+        upper, lower = classes[a], classes[b]
+        filt = [x for x in bit_indices(upper)
+                if all(u.hom_table[t][x] == 0 for t in bit_indices(lower))]
+        least = min(u.indecs[x].total_dim for x in filt)
+        labels = [x for x in filt if u.indecs[x].total_dim == least]
+        assert len(labels) == 1, f"cover {a} > {b} has labels {labels}"
+        assert is_brick(u.indecs[labels[0]]), f"cover {a} > {b}: not a brick"
+        covers.append((a, b, labels[0]))
     return classes, covers
 
 

@@ -14,11 +14,12 @@ and the universe's closure call `krull.decompose`, `is_isomorphic` and
 searches for idempotents, only its idempotent search tries candidates
 (isomorphism of indecomposables reads the Hom basis), every cache goes
 through `algebra.cached`, perpendicular classes are read through
-`IndecUniverse.perp`, the lattice reads no heart and has no gate,
-injective envelopes and socle quotients are built as duals, not on socles,
-only the oracles list submodules or quotients, direct sums are laid
-out once, by placing blocks, the presentation builds no cover of its own,
-and no package code realizes every class of an Ext^1 space.
+`IndecUniverse.perp`, the lattice reads no heart, takes no torsion
+closure and has no gate, injective envelopes and socle quotients are built
+as duals, not on socles, only the oracles list submodules or quotients,
+direct sums are laid out once, by placing blocks, the presentation builds
+no cover of its own, and no package code realizes every class of an Ext^1
+space.
 """
 
 import ast
@@ -296,8 +297,9 @@ def test_injective_side_is_the_dual():
 
 
 def test_submodule_scans_only_in_the_oracles():
-    """Closure under quotients and submodules is read off member Hom spaces
-    (Fac and Cogen of each member): outside the universe, the literal
+    """Closure under quotients is read off the Hom table and closure under
+    submodules off member Hom spaces (Cogen of each member): outside the
+    universe, the literal
     submodule and quotient scans are read only by the oracle mode of the
     ATF/AT detection and by the essentiality oracle."""
     readers = _readers({"all_submodules", "all_quotients"})
@@ -318,6 +320,23 @@ def test_lattice_reads_no_heart():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     assert imported.isdisjoint({"heart", "cotilting", "verify"})
+
+
+def test_lattice_takes_no_closure():
+    """The lattice is read from semibricks off the Hom table: torslattice
+    reads no `torsion_closure`, and the Filt(Fac) fixpoint, its Ext^1
+    partner lists and the Fac table live in the oracles, so the package
+    defines no `_close`, `ext_partners` or `fac_bits` and nothing reads a
+    `fac` flag."""
+    readers = _readers({"torsion_closure", "fac"})
+    assert not any(place[0] == "torslattice.py"
+                   for place in readers["torsion_closure"])
+    assert readers["fac"] == set()
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert defined.isdisjoint({"_close", "ext_partners", "fac_bits",
+                               "_cover_label"})
 
 
 def test_no_lattice_gate():

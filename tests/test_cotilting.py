@@ -76,7 +76,7 @@ def test_cogen_equals_perp_tables(a2_universe, a2_nontrivial):
     # X in Cogen(C) iff Ext(X, C) = 0, for every indecomposable
     u = a2_universe
     data = a2_nontrivial
-    cogen = to.generated_bits(u, data.add_c_bits, fac=False)
+    cogen = to.cogenerated_bits(u, data.add_c_bits)
     for x in range(u.n):
         ext_vanishes = all(
             u.ext_table[x][i] == 0 for i in bit_indices(data.add_c_bits))
@@ -280,9 +280,9 @@ def test_approximation_over_a_larger_residue_field():
 
 
 def test_verify_d4_reads_cogeneration_off_member_hom_spaces(monkeypatch):
-    # Cogen(C), and Fac(add X) in the torsion closure, are read from Hom
-    # spaces between members: a verify run on d4 builds no Hom space for the
-    # joint-rank reading with an end outside the universe
+    # Cogen(C) is read from Hom spaces between members: a verify run on d4
+    # builds no Hom space for the joint-rank reading with an end outside the
+    # universe
     from torsionheart import cli
     built, ends = [], []
 

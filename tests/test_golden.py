@@ -10,8 +10,8 @@ arrow-matrix scan that generate-and-close replaced (about 160 s for A4 over
 F_3), so they pin the closure's universe to the scan's at scale.  The tors
 golden on D5 (182 classes, 455 covers) was written by the torsion closure
 that read the quotients of single members and paired every new member with
-every closed one, so it pins the closure over Fac(add X) and Ext^1 partners
-to that one.  For example, tests/golden/tors-a3-dot.out is the output of
+every closed one, so it pins the lattice read from semibricks off the Hom
+table to that closure's.  For example, tests/golden/tors-a3-dot.out is the output of
 
     heart-simples tors fixtures/a3.quiver --format dot
 

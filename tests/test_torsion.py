@@ -11,7 +11,8 @@ from torsionheart.universe import bit_indices, enumerate_indecomposables
 
 from conftest import FIXTURES, module_by_dims
 from oracles import (
-    full_round_closure, quotient_summands, submodule_summands, torsion_part,
+    fac_bits, full_round_closure, quotient_summands, submodule_summands,
+    torsion_part,
 )
 
 
@@ -228,12 +229,14 @@ def test_fac_lies_between_quotient_summands_and_the_closure(name, fac):
     # submodule of X and lies in the torsion-free class X cogenerates,
     # ((perp_0 X)^perp_0); on D4 exactly one member cogenerates more than
     # the summands of its submodules: (1,1,1,2) is too big to be a
-    # submodule of (1,1,1,1), but embeds in its square
+    # submodule of (1,1,1,1), but embeds in its square.  Fac is the join
+    # search oracle's table, Cogen the package's
     u = _fixture_universe(name)
     pieces = quotient_summands(u) if fac else submodule_summands(u)
     strict = []
     for i in range(u.n):
-        generated = to.generated_by(u, i, fac=fac)
+        generated = (fac_bits(u, 1 << i) if fac
+                     else to.cogenerated_by(u, i))
         closure = (to.torsion_closure(1 << i, u) if fac else u.perp(
             u.perp(1 << i, ext=False, right=False), ext=False, right=True))
         assert pieces[i] & ~generated == 0
@@ -245,9 +248,9 @@ def test_fac_lies_between_quotient_summands_and_the_closure(name, fac):
 
 @pytest.mark.parametrize("name", ["a2", "a3", "loop", "a4", "d4", "square"])
 def test_closure_matches_full_rounds(name):
-    # the closure over Fac(add X) and Ext^1 partners against full rounds over
-    # literal quotients and every pair: every subset of a2, a3 and loop (whose
-    # simple has a self-extension), 300 seeded random subsets of the others
+    # the closure perp(G^perp) against full rounds over literal quotients and
+    # every pair: every subset of a2, a3 and loop (whose simple has a
+    # self-extension), 300 seeded random subsets of the others
     u = _fixture_universe(name)
     quots = quotient_summands(u)
     if name in ("a2", "a3", "loop"):

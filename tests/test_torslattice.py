@@ -10,8 +10,9 @@ from torsionheart.krull import is_brick
 from torsionheart.universe import enumerate_indecomposables, popcount
 from torsionheart.verify import incident_arrows_vs_heart
 
-from conftest import FIXTURES, module_by_dims
-from oracles import brick_labels, subset_scan_lattice
+import oracles
+from conftest import FIXTURES, module_by_dims, universe_of
+from oracles import brick_labels, join_search_lattice, subset_scan_lattice
 
 A5_TEXT = ("field 2\nvertices 1 2 3 4 5\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
            "arrow c: 3 -> 4\narrow d: 4 -> 5\n")
@@ -170,59 +171,79 @@ def test_join_search_matches_subset_scan_oracle(universe, request):
     assert [(c.upper, c.lower, c.label_index) for c in lat.covers] == covers
 
 
+@pytest.mark.parametrize("name, bound", [
+    ("a2", (2, 2)), ("a3", (2, 2, 2)), ("a4", (2, 2, 2, 2)),
+    ("d4", (2, 2, 2, 2)), ("d5", (2, 2, 2, 2, 2)), ("loop", (2,)),
+    ("square", (1, 1, 1, 1)), ("nakayama", (2, 2)), ("e6", (3,) * 6)],
+    ids=["a2", "a3", "a4", "d4", "d5", "loop", "square", "nakayama", "e6"])
+def test_semibrick_lattice_matches_join_search(name, bound):
+    # the classes T(S) = perp(S^perp) of the semibricks S, with one cover
+    # T(S) > T(S) intersect perp(B) labelled B for each B in S, against the
+    # join search over Filt(Fac) closures, which reads Fac tables and Ext
+    # middles and no perpendicular class: same classes, covers and labels
+    u = universe_of((FIXTURES / f"{name}.quiver").read_text(), bound)
+    lat = tl.enumerate_torsion_classes(u)
+    classes, covers = join_search_lattice(u)
+    assert lat.classes == classes
+    assert [(c.upper, c.lower, c.label_index) for c in lat.covers] == covers
+
+
 def test_closure_count_d4(d4_universe, monkeypatch):
-    # one closure per (class T, indecomposable outside T): no subset scan
-    closure = tl.torsion_closure
+    # the join-search oracle takes one closure per (class T, indecomposable
+    # outside T): it is no subset scan
+    closure = oracles.join_closure
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return closure(*args, **kwargs)
 
-    monkeypatch.setattr(tl, "torsion_closure", counted)
+    monkeypatch.setattr(oracles, "join_closure", counted)
     u = d4_universe
-    lat = tl.enumerate_torsion_classes(u)
-    budget = sum(u.n - popcount(bits) for bits in lat.classes)
-    assert (lat.n, budget) == (50, 353)
+    classes, _ = join_search_lattice(u)
+    budget = sum(u.n - popcount(bits) for bits in classes)
+    assert (len(classes), budget) == (50, 353)
     assert len(calls) <= budget
 
 
-def test_tors_a5_lists_no_quotients_and_pairs_only_ext_partners(
+def test_tors_a5_lists_no_quotients_and_reads_no_ext_middle(
         tmp_path, monkeypatch):
     # tors on linear A5 over F_2 at bound 1 lists no submodule or quotient,
-    # since Fac(add X) is read off member Hom spaces, and reads Ext middles
-    # only between Ext^1 partners: each ordered pair is computed once, and
-    # the partner lists of both members read it, 140 reads in all where
-    # pairing each new member with every closed member took 56 673
+    # and once the universe is built it computes no Ext middle and reads no
+    # union of them: the lattice is read off the Hom table, where the join
+    # search read the Ext middles of every pair of Ext^1 partners
+    from torsionheart import cli
     from torsionheart import universe as un
-    from torsionheart.cli import main
-    listings, reads, computed = [], [], []
+    listings, reads, computed, built = [], [], [], []
     for name in ("all_quotients", "all_submodules"):
         real = getattr(un.IndecUniverse, name)
         monkeypatch.setattr(un.IndecUniverse, name,
                             lambda self, m, real=real:
                             listings.append(m.key) or real(self, m))
     union, middles = to.ext_middle_union_bits, un.IndecUniverse.ext_middles
+    enumerate_ = cli.enumerate_indecomposables
 
     def read(u, i, j):
-        reads.append((u, i, j))
+        reads.append((i, j))
         return union(u, i, j)
 
     def compute(self, right, left):
-        computed.append((right, left))
+        if built:
+            computed.append((right, left))
         return middles(self, right, left)
+
+    def build(*args):
+        built.append(enumerate_(*args))
+        return built[-1]
 
     monkeypatch.setattr(to, "ext_middle_union_bits", read)
     monkeypatch.setattr(un.IndecUniverse, "ext_middles", compute)
+    monkeypatch.setattr(cli, "enumerate_indecomposables", build)
     path = tmp_path / "a5.quiver"
     path.write_text(A5_TEXT)
-    assert main(["tors", str(path), "--dim-bound", "1,1,1,1,1"]) == 0
-    u = reads[0][0]
-    partners = {frozenset((i, j)) for i in range(u.n) for j in range(u.n)
-                if u.ext_table[i][j]}
-    assert listings == []
-    assert len(computed) == len(set(computed)) <= 2 * len(partners)
-    assert len(reads) <= 4 * len(partners) == 140
+    assert cli.main(["tors", str(path), "--dim-bound", "1,1,1,1,1"]) == 0
+    assert len(built) == 1 and built[0].n == 15
+    assert (listings, reads, computed) == ([], [], [])
 
 
 @pytest.mark.parametrize("name, n_classes, n_covers", [
@@ -236,7 +257,7 @@ def test_a5_lattice_catalan(name, n_classes, n_covers):
     text = A5_TEXT if name == "a5" else (FIXTURES / f"{name}.quiver").read_text()
     alg = parse_algebra(text)
     n = alg.quiver.n
-    u = enumerate_indecomposables(alg, (1 if name == "a5" else 3,) * n)
+    u = universe_of(text, (1 if name == "a5" else 3,) * n)
     assert u.complete
     lat = tl.enumerate_torsion_classes(u)
     assert (lat.n, len(lat.covers)) == (n_classes, n_covers)
