@@ -3,16 +3,19 @@ the closure is also the certificate that the collection is closed under the
 operations the torsion-theoretic layers need.
 
 The closure starts from the simple, projective and injective modules that
-fit the bound; a seed outside the bound is dropped.  Each member is dequeued
-once and gets its AR translates and, against every member dequeued before it
-and itself, in both directions, the middle of every non-split extension.
-Every result is decomposed, once per `Module.key`, into its indecomposable
-pieces: a piece that fits the bound and is new up to isomorphism becomes a
-member, a piece outside the bound is an escape.  A piece is compared only
-with the members of its dims, by `krull.is_isomorphic`, which needs no
-search on an indecomposable: an isomorphism, if any, is a basis element of
-the Hom space.  The universe is complete iff nothing escapes and every
-simple is a member.
+fit the bound; a seed outside the bound is dropped.  Each member X is
+dequeued once and gets its AR translates tau X and tau^-1 X and, for each
+that fits the bound, the middle of every non-split class of
+Ext^1(X, tau X), resp. Ext^1(tau^-1 X, X): the AR pairs of X.  An AR
+translate of an indecomposable is indecomposable, so it is read as one
+piece; an Ext middle is decomposed, once per `Module.key`, into its
+indecomposable pieces.  A piece that fits the bound and is new up to
+isomorphism becomes a member, a piece outside the bound is an escape.  A
+piece is compared only with the members of its dims, by
+`krull.is_isomorphic`, which needs no search on an indecomposable: an
+isomorphism, if any, is a basis element of the Hom space.  Each AR pair of
+members is read once, from whichever of its two members reaches it first.
+The universe is complete iff nothing escapes and every simple is a member.
 
 One class per line of Ext^1 is realized: the classes lambda xi, lambda a
 nonzero scalar, have one middle term up to isomorphism, since the pushout
@@ -38,8 +41,8 @@ procedure.
 
 Members are listed by (total dimension, dims), stably.  The witness of an
 incomplete universe is the escape met first in this order, by final member
-indices: the Ext middles of i by j, the AR translates of i, then a missing
-simple.
+indices: the Ext middles of i by j, class by class in scan order, the AR
+translates of i, then a missing simple.
 
 The universe is the one reader of modules and Ext classes as sums of
 members: `summands` maps a module to the multiplicities of its members
@@ -50,8 +53,10 @@ Ext perpendicular classes of a set of members off the tables.  The heart,
 torsion, cotilting, lattice and completeness layers ask these and never
 decompose or compare modules themselves.  The closure leaves what it read
 in their caches: the member bitset of every module it decomposed and the Ext
-middles of every pair of members, so `ext_middles` never realizes a class
-of a pair of members.
+middles of every AR pair.  The Ext middles of any other pair of members
+are read when first asked, one realization per line, each middle off its
+Hom vector; the Ext table is built when first read, which `tors` never
+does.
 
 Ext^1 is additive, Ext^1(+R_i, +L_j) = + Ext^1(R_i, L_j), so `ext_middles`
 of two sums never builds the Ext^1 space of a sum.  A class nonzero on one
@@ -104,7 +109,6 @@ class IndecUniverse:
     dim_bound: tuple[int, ...]
     indecs: tuple[Module, ...]
     hom_table: tuple[tuple[int, ...], ...]   # [i][j] = dim Hom(X_i, X_j)
-    ext_table: tuple[tuple[int, ...], ...]   # [i][j] = dim Ext^1(X_i, X_j)
     complete: bool
     witness: str | None
     memo: dict = field(default_factory=dict, repr=False, compare=False)
@@ -116,6 +120,12 @@ class IndecUniverse:
     @property
     def all_bits(self) -> int:
         return (1 << self.n) - 1
+
+    @property
+    def ext_table(self) -> tuple[tuple[int, ...], ...]:
+        """[i][j] = dim Ext^1(X_i, X_j), built on first read; cached."""
+        return cached(self, ("ext_table",), lambda: tuple(
+            tuple(ext1(x, y).dim for y in self.indecs) for x in self.indecs))
 
     def require_complete(self):
         if not self.complete:
@@ -228,10 +238,12 @@ class IndecUniverse:
                     left: tuple[int, ...]) -> list[int]:
         """Middle bitsets of the non-split classes of Ext^1 between the sums
         of two bags of members, one entry per class; cached.  The split
-        middle is the sum of the two bags.  The closure lists every pair of
-        single members; a pair it did not list raises
-        IncompleteUniverseError on an incomplete universe and is an internal
-        error on a complete one.
+        middle is the sum of the two bags.  The closure lists the AR pairs
+        of single members.  Any other pair of single members is read here
+        on a complete universe: the first class of each line is realized
+        and its middle read off its Hom vector (`summand_bitset`), in the
+        scan order of Ext^1(X_i, X_j); on an incomplete universe it raises
+        IncompleteUniverseError.
 
         Ext^1 is additive: a class is a tuple of block classes, one in
         Ext^1(R_i, L_j) for each pair of members.  The classes nonzero on
@@ -247,37 +259,34 @@ class IndecUniverse:
         def compute():
             if len(right) == len(left) == 1:
                 self.require_complete()
-                raise AssertionError(f"the closure listed no Ext middles of "
-                                     f"members {right[0]} by {left[0]}")
+                space = ext1(self.indecs[right[0]], self.indecs[left[0]])
+                return per_line(
+                    ext_scan(self.algebra, space.dim), space.p,
+                    lambda c: self.summand_bitset(space.realize(c).middle))
             blocks = [(i, j, self.ext_table[r][l])
                       for i, r in enumerate(right) for j, l in enumerate(left)]
             classes = ext_scan(self.algebra, sum(d for *_, d in blocks))
-            p = self.algebra.field.p
             out = []
             for i, j, d in blocks:
                 if d:
-                    others = 0
-                    for at, x in enumerate(right + left):
-                        if at not in (i, len(right) + j):
-                            others |= 1 << x
+                    others = sum({1 << x for at, x in enumerate(right + left)
+                                  if at not in (i, len(right) + j)})
                     out += [bits | others for bits in
                             self.ext_middles((right[i],), (left[j],))]
             rights = [self.indecs[r] for r in right]
             lefts = [self.indecs[l] for l in left]
-            lines: dict[tuple[int, ...], int] = {}
-            for coeffs in classes:
-                parts, at = {}, 0
+
+            def parts(coeffs) -> dict:
+                got, at = {}, 0
                 for i, j, d in blocks:
                     if any(coeffs[at:at + d]):
-                        parts[i, j] = coeffs[at:at + d]
+                        got[i, j] = coeffs[at:at + d]
                     at += d
-                if len(parts) > 1:
-                    line = ext_line(coeffs, p)
-                    if line not in lines:
-                        lines[line] = self.summand_bitset(
-                            block_extension_middle(rights, lefts, parts))
-                    out.append(lines[line])
-            return out
+                return got
+            mixed = (c for c in classes if len(parts(c)) > 1)
+            return out + per_line(mixed, self.algebra.field.p, lambda c:
+                                  self.summand_bitset(block_extension_middle(
+                                      rights, lefts, parts(c))))
         return cached(self, ("ext_middles", right, left), compute)
 
 
@@ -337,22 +346,20 @@ def enumerate_indecomposables(algebra: BoundQuiverAlgebra,
         )
     found, witness, memo = completeness_check(algebra, bound)
     hom_table = tuple(tuple(hom_dim(x, y) for y in found) for x in found)
-    ext_table = tuple(tuple(ext1(x, y).dim for y in found) for x in found)
-    return IndecUniverse(algebra, bound, found, hom_table, ext_table,
+    return IndecUniverse(algebra, bound, found, hom_table,
                          complete=witness is None, witness=witness, memo=memo)
 
 
 def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
-    """The closure of the seeds inside the bound, as (members sorted by
-    (total dim, dims), witness or None, universe memo entries).  Raises
-    ResourceLimitError when an Ext space between members is over the scan
-    cap."""
+    """The closure of the seeds inside the bound under AR translates and
+    the middles of AR pairs, as (members sorted by (total dim, dims),
+    witness or None, universe memo entries).  Raises ResourceLimitError
+    when the Ext space of an AR pair is over the scan cap."""
     found: list[Module] = []        # members, in the order they were found
     member_of: dict[str, int] = {}  # Module.key of a member or piece -> member
     pieces: dict[str, list] = {}    # Module.key -> [(member or None, dims)]
     escapes: list[tuple] = []       # (place, members, label, dims)
-    middles: dict[tuple[int, int], list] = {}
-    p = algebra.field.p
+    middles: dict[tuple[int, int], list] = {}  # AR pair -> per-class reading
 
     def fits(m: Module) -> bool:
         return all(d <= b for d, b in zip(m.dims, bound))
@@ -368,12 +375,10 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
             member_of[piece.key] = idx
         return idx
 
-    def read(m: Module, place: tuple, ids: tuple, label: str) -> list:
-        """Members of the summands of a step's result, None for a summand
+    def read(m: Module, place: tuple, ids: tuple) -> list:
+        """Members of the summands of an Ext middle, None for a summand
         outside the bound; the first such summand is the step's escape, at
         `place` in the witness order once `ids` are final indices."""
-        if m.is_zero():
-            return []
         got = pieces.get(m.key)
         if got is None:
             got = pieces[m.key] = [
@@ -381,7 +386,7 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
                 for piece in decompose(m)]
         dims = next((d for idx, d in got if idx is None), None)
         if dims is not None:
-            escapes.append((place, ids, label, dims))
+            escapes.append((place, ids, "ext middle {} by {}", dims))
         return got
 
     for v in range(algebra.quiver.n):
@@ -389,30 +394,23 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
             seed = make(algebra, v)
             if fits(seed):
                 member(seed)
-    k = 0
-    while k < len(found):
-        x = found[k]
-        if not is_projective(x):
-            read(ar_translate(x), (1, 0), (k,), "AR translate of {}")
-        if not is_injective(x):
-            read(ar_translate_inverse(x), (1, 1), (k,),
-                 "inverse AR translate of {}")
-        for j in range(k + 1):
-            for a, b in dict.fromkeys(((k, j), (j, k))):
+    sides = ((is_projective, ar_translate, "AR translate of {}"),
+             (is_injective, ar_translate_inverse, "inverse AR translate of {}"))
+    for k, x in enumerate(found):   # found grows while it is read
+        for side, (stops, translate, label) in enumerate(sides):
+            if stops(x):
+                continue
+            # an AR translate of an indecomposable is indecomposable
+            t = translate(x)
+            if not fits(t):
+                escapes.append(((1, side), (k,), label, t.dims))
+                continue
+            a, b = (k, member(t)) if side == 0 else (member(t), k)
+            if (a, b) not in middles:
                 space = ext1(found[a], found[b])
-                middles[a, b] = mids = []
-                if not space.dim:
-                    continue
-                # one realization per line: its first class is read, the
-                # others share its reading
-                lines: dict[tuple[int, ...], list] = {}
-                for n, coeffs in enumerate(ext_scan(algebra, space.dim)):
-                    line = ext_line(coeffs, p)
-                    if line not in lines:
-                        lines[line] = read(space.realize(coeffs).middle,
-                                           (0, n), (a, b), "ext middle {} by {}")
-                    mids.append(lines[line])
-        k += 1
+                middles[a, b] = per_line(
+                    ext_scan(algebra, space.dim), space.p, lambda c: read(
+                        space.realize(c).middle, (0, *c), (a, b)))
 
     order = sorted(range(len(found)),
                    key=lambda i: (found[i].total_dim, found[i].dims))
@@ -444,6 +442,18 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
             memo["ext_middles", (rank[a],), (rank[b],)] = mids
     return (tuple(found[i] for i in order),
             min(witnesses)[1] if witnesses else None, memo)
+
+
+def per_line(classes, p: int, read) -> list:
+    """read(coeffs) for the first class of each line among nonzero classes
+    of Ext^1 in scan order, listed once for every class of the line."""
+    out, lines = [], {}
+    for coeffs in classes:
+        line = ext_line(coeffs, p)
+        if line not in lines:
+            lines[line] = read(coeffs)
+        out.append(lines[line])
+    return out
 
 
 # -- brute-force oracles ------------------------------------------------------

@@ -7,9 +7,11 @@ hereditary presentations, and indecomposability from full idempotent scans.
 Only usable at tiny sizes.  numpy_rref is the elimination by numpy row
 operations that linalg.rref replaced, kept as its reference.
 
-Four checks here do use the package: scan_indecomposables lists the
+Five checks here do use the package: scan_indecomposables lists the
 indecomposables under a bound by the exhaustive arrow-matrix scan that the
-universe's generate-and-close replaced, join_search_lattice finds the
+universe's generate-and-close replaced, all_pairs_closure closes the seeds
+under the Ext middles of every pair of members, as the universe did before
+it read only AR sequences, join_search_lattice finds the
 torsion classes by the join search over Filt(Fac) closures (Fac(add X) off
 member Hom spaces, Ext middles of Ext^1 partners) that the semibrick
 enumeration replaced, torsion_part builds the canonical sequence of a
@@ -51,8 +53,8 @@ from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
 from torsionheart.algebra import cached, path_target
 from torsionheart.modules import (
     Module, Morphism, cokernel, direct_sum, dual_morphism, identity_morphism,
-    kernel, projective_module, quotient_by_rows, simple_module,
-    submodule_from_rows, unvec_morphism, zero_morphism,
+    injective_module, kernel, projective_module, quotient_by_rows,
+    simple_module, submodule_from_rows, unvec_morphism, zero_morphism,
 )
 from torsionheart.universe import bit_indices
 
@@ -329,6 +331,82 @@ def scan_indecomposables(algebra, bound, candidate_cap: int = 1 << 20):
             while len(algebra.memo) > mark:
                 algebra.memo.popitem()
     return found
+
+
+def all_pairs_closure(algebra, bound):
+    """The closure of the simples, projectives and injectives inside the
+    bound under AR translates and the middles of every class of Ext^1
+    between every two members, as (members sorted by (total dim, dims),
+    witness or None), one class per line realized.  This is the closure the
+    universe's AR-sequence closure replaced: it decomposes every result and
+    compares each piece with the members of its dims.  It finds the same
+    members on a complete universe; on an incomplete one it may find more,
+    such as the regular modules of the Kronecker quiver, which no AR
+    sequence from a seed reaches."""
+    found, member_of, pieces, escapes = [], {}, {}, []
+    p = algebra.field.p
+
+    def fits(m):
+        return all(d <= b for d, b in zip(m.dims, bound))
+
+    def member(piece):
+        idx = member_of.get(piece.key)
+        if idx is None:
+            idx = next((i for i, x in enumerate(found)
+                        if x.dims == piece.dims and is_isomorphic(piece, x)),
+                       len(found))
+            if idx == len(found):
+                found.append(piece)
+            member_of[piece.key] = idx
+        return idx
+
+    def read(m, place, ids, label):
+        got = pieces.get(m.key)
+        if got is None:
+            got = pieces[m.key] = [
+                (member(piece) if fits(piece) else None, piece.dims)
+                for piece in decompose(m)]
+        dims = next((d for idx, d in got if idx is None), None)
+        if dims is not None:
+            escapes.append((place, ids, label, dims))
+
+    for v in range(algebra.quiver.n):
+        for make in (simple_module, projective_module, injective_module):
+            seed = make(algebra, v)
+            if fits(seed):
+                member(seed)
+    k = 0
+    while k < len(found):
+        x = found[k]
+        if not ho.is_projective(x):
+            read(ho.ar_translate(x), (1, 0), (k,), "AR translate of {}")
+        if not ho.is_injective(x):
+            read(ho.ar_translate_inverse(x), (1, 1), (k,),
+                 "inverse AR translate of {}")
+        for j in range(k + 1):
+            for a, b in dict.fromkeys(((k, j), (j, k))):
+                space = ho.ext1(found[a], found[b])
+                lines = set()
+                for n, coeffs in enumerate(ho.ext_scan(algebra, space.dim)):
+                    line = ho.ext_line(coeffs, p)
+                    if line not in lines:
+                        lines.add(line)
+                        read(space.realize(coeffs).middle, (0, n), (a, b),
+                             "ext middle {} by {}")
+        k += 1
+
+    order = sorted(range(len(found)),
+                   key=lambda i: (found[i].total_dim, found[i].dims))
+    rank = {old: new for new, old in enumerate(order)}
+    witnesses = []
+    for (kind, *rest), ids, label, dims in escapes:
+        at = [rank[i] for i in ids]
+        witnesses.append(((kind, *at, *rest), label.format(*at)
+                          + f" has summand of dims {dims} outside"))
+    witnesses += [((2, v), f"simple at vertex {v} outside")
+                  for v, b in enumerate(bound) if not b]
+    return (tuple(found[i] for i in order),
+            min(witnesses)[1] if witnesses else None)
 
 
 def quotient_summands(u) -> list[int]:

@@ -218,9 +218,10 @@ def test_submodule_cap_gates_only_the_oracles():
     (("verify", "d4.quiver", "--dim-bound", "1,1,1,1"),
      "FAIL universe-completeness: ext middle 7 by 6 has summand of dims "
      "(1, 1, 1, 2) outside\n", ""),
-    # the projective-injective P(2) is reached only as an Ext middle
+    # the projective-injectives are reached only as Ext middles: here P(1)
+    # as the middle of the AR sequence ending at the member 2
     (("indec", "nakayama.quiver", "--dim-bound", "1,1"), "",
-     "universe incomplete: ext middle 0 by 3 has summand of dims (1, 2) "
+     "universe incomplete: ext middle 2 by 3 has summand of dims (2, 1) "
      "outside\n"),
 ], ids=["ar-translate-a2", "ext-middle-loop", "ext-middle-d4",
         "ext-middle-nakayama"])

@@ -14,6 +14,12 @@ vertices:
   simples S_T and F = (perp S_F)^perp for the unshifted ones S_F (Asai,
   "Semibricks", IMRN 2020).  The heart detection reads Ext middles, the
   two perps only the Hom table;
+- each simple is paired with its own envelope: for every summand C_i of
+  C, dim C_i = sum_j eps_j (dim Hom(C_i, E_j) / dim End S_j) dim S_j, with
+  E_j the heart injective envelope of the simple S_j and eps_j = -1 for a
+  shifted simple, since [S[-1]] = -[S] in K_0.  Hom_H(-, E_j) is exact on
+  the heart, dim Hom_H(X, E_j) = [X : S_j] dim End S_j, and C_i and E_j lie
+  in F, where Hom_H is Hom_A (the Cartan identity);
 - over a Dynkin quiver the member dims are the positive roots, the x != 0
   with Tits form 1 (Gabriel), found here without any module.
 
@@ -22,14 +28,15 @@ breaks it.
 """
 
 from collections import Counter
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from torsionheart.algebra import parse_algebra
-from torsionheart.heart import heart_simples
-from torsionheart.universe import popcount
+from torsionheart.heart import classify_neg_isolated, heart_simples
+from torsionheart.universe import bit_indices, popcount
 from torsionheart.verify import build_context
 
 from conftest import FIXTURES, universe_of
@@ -85,9 +92,56 @@ def test_heart_simples_give_back_the_pair(ctx):
                       ext=False, right=True) == data.pair.torsion_free_bits
 
 
+def _cartan_misses(u, data, pairing) -> list[int]:
+    """The summands C_i of C at which the Cartan identity fails, for a
+    pairing of each heart simple with a member as its envelope."""
+    misses = []
+    for i in bit_indices(data.add_c_bits):
+        total = [Fraction(0)] * len(u.indecs[i].dims)
+        for simple, e in pairing:
+            s = simple.index
+            times = (-1 if simple.shifted else 1) * Fraction(
+                u.hom_table[i][e], u.hom_table[s][s])
+            total = [t + times * d for t, d in zip(total, simple.module.dims)]
+        if total != list(u.indecs[i].dims):
+            misses.append(i)
+    return misses
+
+
+def _pairings(ctx):
+    """(cotilting data, [(simple, envelope index)]) for every cotilting pair,
+    through the heart sequences of its simples."""
+    for data in ctx.cotilting_pairs:
+        criticals, specials = classify_neg_isolated(data)
+        yield data, [(seq.simple, seq.envelope_index)
+                     for seq in criticals + specials]
+
+
+def test_cartan_identity(ctx):
+    for data, pairing in _pairings(ctx):
+        assert _cartan_misses(ctx.universe, data, pairing) == [], data.pair
+
+
+def test_cartan_identity_fails_with_two_envelopes_swapped(ctx):
+    # every swap of the envelopes of two simples breaks the identity at some
+    # summand of C, so the identity checks the pairing, not only the
+    # envelope set; loop, with one vertex, has no two simples to swap
+    swaps = 0
+    for data, pairing in _pairings(ctx):
+        for a, b in combinations(range(len(pairing)), 2):
+            swapped = list(pairing)
+            swapped[a] = (pairing[a][0], pairing[b][1])
+            swapped[b] = (pairing[b][0], pairing[a][1])
+            assert _cartan_misses(ctx.universe, data, swapped), \
+                (data.pair, a, b)
+            swaps += 1
+    assert swaps or ctx.universe.algebra.quiver.n == 1
+
+
 @pytest.mark.parametrize("name, bound, n_roots", [
-    ("a3", 2, 6), ("a4", 2, 10), ("d4", 2, 12), ("d5", 2, 20), ("e6", 3, 36)],
-    ids=["a3", "a4", "d4", "d5", "e6"])
+    ("a3", 2, 6), ("a4", 2, 10), ("d4", 2, 12), ("d5", 2, 20), ("e6", 3, 36),
+    ("e7", 4, 63)],
+    ids=["a3", "a4", "d4", "d5", "e6", "e7"])
 def test_member_dims_are_the_positive_roots(name, bound, n_roots):
     # q(x) = sum_v x_v^2 - sum over arrows s -> t of x_s x_t; every root of
     # these quivers fits the bound

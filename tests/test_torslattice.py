@@ -246,18 +246,46 @@ def test_tors_a5_lists_no_quotients_and_reads_no_ext_middle(
     assert (listings, reads, computed) == ([], [], [])
 
 
+def test_tors_a5_builds_ext_only_in_the_closure(tmp_path, monkeypatch):
+    # tors on linear A5 over F_2 at bound 1 builds Ext^1 only for the
+    # closure's AR pairs, one per member that is not projective, and none
+    # once the universe is built: the lattice reads no Ext table
+    from torsionheart import cli
+    from torsionheart import homology as ho
+    during, after, built = [], [], []
+    init, enumerate_ = ho.Ext1Space.__init__, cli.enumerate_indecomposables
+
+    def recorded_init(self, m, n):
+        (after if built else during).append((m.key, n.key))
+        init(self, m, n)
+
+    def build(*args):
+        built.append(enumerate_(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ho.Ext1Space, "__init__", recorded_init)
+    monkeypatch.setattr(cli, "enumerate_indecomposables", build)
+    path = tmp_path / "a5.quiver"
+    path.write_text(A5_TEXT)
+    assert cli.main(["tors", str(path), "--dim-bound", "1,1,1,1,1"]) == 0
+    assert len(built) == 1 and built[0].n == 15
+    assert 0 < len(during) <= 10 and after == []
+
+
 @pytest.mark.parametrize("name, n_classes, n_covers", [
-    ("a5", 132, 330), ("d4", 50, 100), ("d5", 182, 455), ("e6", 833, 2499)],
-    ids=["a5", "d4", "d5", "e6"])
+    ("a5", 132, 330), ("d4", 50, 100), ("d5", 182, 455), ("e6", 833, 2499),
+    ("e7", 4160, 14560)],
+    ids=["a5", "d4", "d5", "e6", "e7"])
 def test_a5_lattice_catalan(name, n_classes, n_covers):
     # |tors kQ| is the W-Catalan number of a Dynkin quiver Q (Ingalls-Thomas):
-    # C_6 = 132 for A5, 50 for D4, 182 for D5 and 833 for E6; the Hasse
-    # diagram is n-regular, and every label is a brick.  Bound 3 holds every
-    # positive root of E6.
+    # C_6 = 132 for A5, 50 for D4, 182 for D5, 833 for E6 and 4160 for E7;
+    # the Hasse diagram is n-regular, and every label is a brick.  Bound 3
+    # holds every positive root of E6, and bound 4 every one of E7.
     text = A5_TEXT if name == "a5" else (FIXTURES / f"{name}.quiver").read_text()
     alg = parse_algebra(text)
     n = alg.quiver.n
-    u = universe_of(text, (1 if name == "a5" else 3,) * n)
+    bound = {"a5": 1, "e7": 4}.get(name, 3)
+    u = universe_of(text, (bound,) * n)
     assert u.complete
     lat = tl.enumerate_torsion_classes(u)
     assert (lat.n, len(lat.covers)) == (n_classes, n_covers)
