@@ -11,7 +11,7 @@ cap.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import linalg
 from .config import DEFAULT_CAPS, ResourceCaps
@@ -31,37 +31,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
+class PrimeField(namedtuple("PrimeField", "p")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (2 <= self.p <= 251) or not _is_prime(self.p):
-            raise ValueError(f"field order must be a prime in [2, 251], got {self.p}")
-
-
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: int
-    target: int
+    def __new__(cls, p: int):
+        if not (2 <= p <= 251) or not _is_prime(p):
+            raise ValueError(f"field order must be a prime in [2, 251], got {p}")
+        return super().__new__(cls, p)
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
+class Arrow(namedtuple("Arrow", "name source target")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+
+class Quiver(namedtuple("Quiver", "vertices arrows")):
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        if len(set(vertices)) != len(vertices):
             raise QuiverParseError("duplicate vertex labels")
-        names = [a.name for a in self.arrows]
+        names = [a.name for a in arrows]
         if len(set(names)) != len(names):
             raise QuiverParseError("duplicate arrow names")
-        n = len(self.vertices)
-        for a in self.arrows:
+        n = len(vertices)
+        for a in arrows:
             if not (0 <= a.source < n and 0 <= a.target < n):
                 raise QuiverParseError(f"arrow {a.name} has undeclared endpoint")
+        return super().__new__(cls, vertices, arrows)
 
     @property
     def n(self) -> int:

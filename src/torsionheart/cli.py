@@ -16,8 +16,6 @@ Output is deterministic: identical input and flags produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 
 from .algebra import parse_algebra
@@ -116,15 +114,13 @@ def _caps_from_args(args) -> ResourceCaps:
                         ("--cap-submodule-dim", args.cap_submodule_dim)):
         if value < 0:
             raise QuiverParseError(f"{flag} {value}: must be nonnegative")
-    return dataclasses.replace(
-        DEFAULT_CAPS,
-        ext_dim_cap=args.cap_ext_dim,
-        submodule_dim_cap=args.cap_submodule_dim,
-    )
+    return DEFAULT_CAPS._replace(ext_dim_cap=args.cap_ext_dim,
+                                 submodule_dim_cap=args.cap_submodule_dim)
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str]):
     if fmt == "json":
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:

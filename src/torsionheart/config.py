@@ -19,25 +19,29 @@ hereditary-pullback suite included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-
-@dataclass(frozen=True)
-class ResourceCaps:
+_DEFAULTS = {
     # admissibility: path basis must stabilize at some length below this
-    length_cap: int = 32
+    "length_cap": 32,
     # paths enumerated while building the algebra basis
-    path_count_cap: int = 20000
+    "path_count_cap": 20000,
     # per-vertex bound allowed for universe enumeration
-    dim_bound_cap: int = 8
+    "dim_bound_cap": 8,
     # gate of the oracles' submodule scans: total dimension of the module
-    submodule_dim_cap: int = 12
+    "submodule_dim_cap": 12,
     # ext scans enumerate all p^d classes only while d stays within this
-    ext_dim_cap: int = 12
+    "ext_dim_cap": 12,
     # a scan of a d-dimensional space runs only while p^d stays within this
-    scan_count_cap: int = 1 << 16
+    "scan_count_cap": 1 << 16,
     # seeded random draws of a candidate search beyond the scan cap
-    random_tries: int = 64
+    "random_tries": 64,
+}
+
+
+class ResourceCaps(namedtuple("ResourceCaps", _DEFAULTS,
+                              defaults=_DEFAULTS.values())):
+    __slots__ = ()
 
 
 DEFAULT_CAPS = ResourceCaps()

@@ -21,7 +21,7 @@ The minimal approximation of a module already in the class is its identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import cached
 from .exceptions import NotCotiltingError
@@ -33,16 +33,17 @@ from .torsion import TorsionPair, cogenerated_bits
 from .universe import bit_indices
 
 
-@dataclass
-class CotiltingData:
-    pair: TorsionPair
-    cotilting: Module          # C, multiplicity-free sum of indec summands
-    add_c_bits: int            # indec summands of C
-    c_class_bits: int          # Cogen(C) = perp_1(C); equals the torsion-free bits
-    perp_class_bits: int       # (cotilting class)^{perp_1}
-    c0: Module
-    c1: Module
-    injective_cover: SES       # 0 -> C1 -> C0 -> I -> 0
+class CotiltingData(namedtuple("CotiltingData", (
+        "pair",                 # the TorsionPair
+        "cotilting",            # C, multiplicity-free sum of indec summands
+        "add_c_bits",           # indec summands of C
+        "c_class_bits",         # Cogen(C) = perp_1(C); equals the torsion-free bits
+        "perp_class_bits",      # (cotilting class)^{perp_1}
+        "c0",
+        "c1",
+        "injective_cover",      # the SES 0 -> C1 -> C0 -> I -> 0
+))):
+    __slots__ = ()
 
     @property
     def universe(self):

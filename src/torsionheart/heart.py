@@ -38,26 +38,23 @@ it does not take over the ATF2' shortcut that an indecomposable F suffices.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 
 from . import linalg
 from .algebra import cached
 from .cotilting import CotiltingData, special_cover, special_envelope
 from .homology import (
-    SES, factor_through, has_retraction, hom_space, injective_envelope,
-    pullback,
+    factor_through, has_retraction, hom_space, injective_envelope, pullback,
 )
 from .modules import Module, Morphism, assemble, cokernel, unvec_morphism
 from .torsion import TorsionPair, is_hereditary, submodule_closed
 from .universe import IndecUniverse, bit_indices
 
 
-@dataclass(frozen=True)
-class HeartSimple:
-    module: Module
-    index: int
-    shifted: bool      # torsion ATF, a heart simple as S[-1]
+class HeartSimple(namedtuple("HeartSimple", "module index shifted")):
+    """The member of universe index `index`; shifted when it is torsion ATF,
+    a heart simple as S[-1]."""
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -65,15 +62,14 @@ class HeartSimple:
                 else "torsion-free almost torsion")
 
 
-@dataclass(frozen=True)
-class HeartSequence:
+class HeartSequence(namedtuple("HeartSequence",
+                               "simple sequence envelope_index")):
     """The special cover 0 -> N -> M -> S -> 0 of a shifted simple S, or the
-    special envelope 0 -> S -> N -> M -> 0 of an unshifted one.  N is the
-    heart injective envelope of the simple; its strong left almost split
+    special envelope 0 -> S -> N -> M -> 0 of an unshifted one, as an SES.
+    N is the heart injective envelope of the simple, the member of universe
+    index envelope_index and a summand of C; its strong left almost split
     morphism is the mono of the cover, resp. the epi of the envelope."""
-    simple: HeartSimple
-    sequence: SES
-    envelope_index: int     # the member N, a summand of C
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -413,18 +409,15 @@ def embedding_into_criticals(m: Module, criticals: list[Module],
 # -- hereditary pullback check ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HereditaryCoverReport:
-    simple: Module
-    kernel_matches: bool
-    cover_matches_pullback: bool
-    envelope_of_cover_matches: bool
-    kernel_indecomposable: bool
+class HereditaryCoverReport(namedtuple("HereditaryCoverReport", (
+        "simple", "kernel_matches", "cover_matches_pullback",
+        "envelope_of_cover_matches", "kernel_indecomposable"))):
+    __slots__ = ()
 
     @property
     def failed(self) -> list[str]:
         """Names of the conditions, the fields after `simple`, that fail."""
-        return [f.name for f in fields(self)[1:] if not getattr(self, f.name)]
+        return [name for name in self._fields[1:] if not getattr(self, name)]
 
     @property
     def ok(self) -> bool:

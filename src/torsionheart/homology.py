@@ -37,7 +37,7 @@ one order in which krull's idempotent search tries elements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain
 
 from . import linalg
@@ -74,11 +74,9 @@ def scan(algebra: BoundQuiverAlgebra, d: int, what: str, nonzero: bool = False):
     return linalg.vectors(d, p)
 
 
-@dataclass(frozen=True)
-class HomSpace:
-    source: Module
-    target: Module
-    basis: tuple[Morphism, ...]
+class HomSpace(namedtuple("HomSpace", "source target basis")):
+    """Hom(source, target), with a basis: a tuple of Morphisms."""
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -236,13 +234,10 @@ def has_retraction(f: Morphism) -> bool:
 
 # -- short exact sequences ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SES:
-    left: Module
-    middle: Module
-    right: Module
-    inject: Morphism
-    surject: Morphism
+class SES(namedtuple("SES", "left middle right inject surject")):
+    """0 -> left -> middle -> right -> 0, by the Morphisms inject and
+    surject."""
+    __slots__ = ()
 
     def validate(self) -> bool:
         if not (self.inject.is_mono() and self.surject.is_epi()

@@ -19,7 +19,7 @@ since it adds only the two members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .algebra import cached
@@ -78,11 +78,9 @@ def _union(bitsets) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class TorsionPair:
-    universe: IndecUniverse
-    torsion_bits: int
-    torsion_free_bits: int
+class TorsionPair(namedtuple("TorsionPair",
+                             "universe torsion_bits torsion_free_bits")):
+    __slots__ = ()
 
     def is_torsion(self, m: Module) -> bool:
         return self.universe.in_class(m, self.torsion_bits)

@@ -14,7 +14,7 @@ this module reads no heart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import cached
 from .krull import is_brick
@@ -22,18 +22,16 @@ from .torsion import TorsionPair, pair_from_torsion_class
 from .universe import IndecUniverse, bit_indices, popcount
 
 
-@dataclass(frozen=True)
-class Cover:
-    upper: int          # index into TorsLattice.classes
-    lower: int
-    label_index: int    # universe index of the labelling brick
+class Cover(namedtuple("Cover", "upper lower label_index")):
+    """The cover classes[upper] > classes[lower] of a TorsLattice, labelled
+    by the brick of universe index label_index."""
+    __slots__ = ()
 
 
-@dataclass
-class TorsLattice:
-    universe: IndecUniverse
-    classes: list[int]               # bitsets, sorted by (popcount, value)
-    covers: list[Cover]
+class TorsLattice(namedtuple("TorsLattice", "universe classes covers")):
+    """The torsion classes of a universe as bitsets, sorted by (popcount,
+    value), and the Covers between them."""
+    __slots__ = ()
 
     @property
     def n(self) -> int:

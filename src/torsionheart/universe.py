@@ -85,7 +85,6 @@ internal error; it never falls back to a decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 
@@ -103,15 +102,21 @@ from .modules import (
 )
 
 
-@dataclass
 class IndecUniverse:
-    algebra: BoundQuiverAlgebra
-    dim_bound: tuple[int, ...]
-    indecs: tuple[Module, ...]
-    hom_table: tuple[tuple[int, ...], ...]   # [i][j] = dim Hom(X_i, X_j)
-    complete: bool
-    witness: str | None
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
+    """The members X_i found under a dimension bound, and what is read off
+    them; compares by identity."""
+
+    def __init__(self, algebra: BoundQuiverAlgebra, dim_bound: tuple[int, ...],
+                 indecs: tuple[Module, ...],
+                 hom_table: tuple[tuple[int, ...], ...], complete: bool,
+                 witness: str | None, memo: dict | None = None):
+        self.algebra = algebra
+        self.dim_bound = dim_bound
+        self.indecs = indecs
+        self.hom_table = hom_table      # [i][j] = dim Hom(X_i, X_j)
+        self.complete = complete
+        self.witness = witness
+        self.memo = {} if memo is None else memo
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ counterexample witness in the detail string.  All suites are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import cached
 from .cotilting import (
@@ -26,22 +26,18 @@ from .torslattice import TorsLattice, enumerate_torsion_classes
 from .universe import IndecUniverse, bit_indices
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    name: str
-    passed: bool
-    detail: str
+class VerifyResult(namedtuple("VerifyResult", "name passed detail")):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}: {self.detail}"
 
 
-@dataclass
-class AnalysisContext:
-    universe: IndecUniverse
-    lattice: TorsLattice
-    cotilting_pairs: list[CotiltingData]
+class AnalysisContext(namedtuple("AnalysisContext",
+                                 "universe lattice cotilting_pairs")):
+    """A universe, its TorsLattice and its list of CotiltingData."""
+    __slots__ = ()
 
     def classified(self, data: CotiltingData):
         return cached(self.universe, ("classified", data.pair.torsion_bits),
@@ -59,13 +55,14 @@ def build_context(universe: IndecUniverse) -> AnalysisContext:
     return AnalysisContext(universe, lattice, pairs)
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
-    torsion_class_index: int
-    down_labels: tuple[int, ...]          # labels of covers leaving the class
-    up_labels: tuple[int, ...]            # labels of covers arriving from above
-    shifted_simples: tuple[int, ...]      # torsion almost torsion-free indices
-    plain_simples: tuple[int, ...]        # torsion-free almost torsion indices
+class IncidenceReport(namedtuple("IncidenceReport", (
+        "torsion_class_index",
+        "down_labels",          # labels of covers leaving the class
+        "up_labels",            # labels of covers arriving from above
+        "shifted_simples",      # torsion almost torsion-free indices
+        "plain_simples",        # torsion-free almost torsion indices
+))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

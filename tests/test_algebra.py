@@ -5,7 +5,7 @@ import pkgutil
 import pytest
 
 import torsionheart
-from torsionheart.algebra import PrimeField, parse_algebra
+from torsionheart.algebra import Arrow, PrimeField, Quiver, parse_algebra
 from torsionheart.exceptions import AdmissibilityError, QuiverParseError
 
 from conftest import A2_TEXT
@@ -114,6 +114,13 @@ def test_parse_errors():
         parse_algebra(
             "field 2\nvertices 1 2 3 4\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
             "arrow c: 2 -> 4\nrelation a*b - a*c\n")  # terms not parallel
+
+
+def test_quiver_rejects_an_undeclared_endpoint():
+    # from a file the parser's own "endpoint not declared" check fires first
+    with pytest.raises(QuiverParseError,
+                       match="^arrow a has undeclared endpoint$"):
+        Quiver(("1", "2"), (Arrow("a", 0, 5),))
 
 
 def test_whitespace_and_comments_ignored():

@@ -18,8 +18,8 @@ through `algebra.cached`, perpendicular classes are read through
 closure and has no gate, injective envelopes and socle quotients are built
 as duals, not on socles, only the oracles list submodules or quotients,
 direct sums are laid out once, by placing blocks, the presentation builds
-no cover of its own, and no package code realizes every class of an Ext^1
-space.
+no cover of its own, no package code realizes every class of an Ext^1
+space, and no module imports `dataclasses` or `typing`.
 """
 
 import ast
@@ -393,3 +393,20 @@ def test_each_closure_step_once():
                    for name in ("projective_cover", "kernel")
                    for place in readers[name])
     assert readers["nonsplit_classes"] == set()
+
+
+def test_no_dataclasses_or_typing():
+    """Records are namedtuples and annotations stay strings, so no package
+    module imports `dataclasses` or `typing`: at import, each takes
+    milliseconds that no run needs (`dataclasses` brings `inspect`, `ast`,
+    `dis` and `tokenize`)."""
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0])
+                             for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert {place for place in imported
+            if place[1] in ("dataclasses", "typing")} == set()

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(*args):
@@ -416,6 +417,17 @@ def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
         assert err[0].startswith("error: 'utf-8' codec can't decode"), cmd
 
 
+def test_quiver_checks_are_parse_errors(capsys, tmp_path):
+    f = tmp_path / "bad.quiver"
+    for text, message in (
+            ("field 2\nvertices 1 1 2\n", "duplicate vertex labels"),
+            ("field 2\nvertices 1 2 3\narrow a: 1 -> 2\narrow a: 2 -> 3\n",
+             "duplicate arrow names")):
+        f.write_text(text)
+        assert _error_lines(capsys, ["indec", str(f)]) == (
+            1, "", [f"error: {message}"]), text
+
+
 def test_flags_only_where_read(capsys):
     a2 = str(FIXTURES / "a2.quiver")
     for argv in (["verify", a2, "--oracle"],
@@ -433,3 +445,16 @@ def test_help_exits_zero(capsys):
     for argv in (["--help"], ["heart", "--help"]):
         assert cli.main(argv) == 0
         assert "usage: heart-simples" in capsys.readouterr().out
+
+
+def test_import_leaves_out_the_heavy_stdlib():
+    """Importing the CLI, with no site hooks to preload anything, imports
+    neither `dataclasses` (which brings `inspect`, `ast`, `dis` and
+    `tokenize`) nor `typing`, and `json` waits for `--format json`."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import torsionheart.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'json'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -277,7 +276,7 @@ def test_essentiality_oracle(a2_universe):
 def test_essentiality_check_honours_the_algebra_caps():
     # the scan reads the caps the algebra was parsed with: I(3) on A3 is
     # three-dimensional, above a submodule cap of 1
-    caps = dataclasses.replace(DEFAULT_CAPS, submodule_dim_cap=1)
+    caps = DEFAULT_CAPS._replace(submodule_dim_cap=1)
     a = parse_algebra(A3_TEXT, caps)
     u = enumerate_indecomposables(a, (2, 2, 2))
     env = injective_envelope(mo.simple_module(a, 2))
@@ -340,9 +339,8 @@ def test_hereditary_failure_names_the_simple_and_conditions(a2_ctx,
 
     check = ve.hereditary_cover_check
     monkeypatch.setattr(ve, "hereditary_cover_check", lambda q, data:
-                        dataclasses.replace(check(q, data),
-                                            kernel_matches=False,
-                                            kernel_indecomposable=False))
+                        check(q, data)._replace(kernel_matches=False,
+                                                kernel_indecomposable=False))
     result = ve.suite_hereditary_pullback(a2_ctx)
     assert (result.passed, result.detail) == (
         False, "simple M1 (1,0) of TorsionPair(T=[1], F=[0, 2]) fails "
@@ -358,7 +356,7 @@ def test_c0_c1_failure_names_the_pair(a2_ctx, monkeypatch):
 
     def misplaced(self, data):
         criticals, specials = classified(self, data)
-        return ([dataclasses.replace(seq, envelope_index=0)
+        return ([seq._replace(envelope_index=0)
                  for seq in criticals], specials)
 
     monkeypatch.setattr(ve.AnalysisContext, "classified", misplaced)
@@ -403,8 +401,8 @@ def test_intersecting_envelopes_name_the_member(a2_ctx, monkeypatch):
     def shared(self, data):
         criticals, specials = classified(self, data)
         if criticals and specials:
-            specials = [dataclasses.replace(
-                specials[0], envelope_index=criticals[0].envelope_index)]
+            specials = [specials[0]._replace(
+                envelope_index=criticals[0].envelope_index)]
         return criticals, specials
 
     monkeypatch.setattr(ve.AnalysisContext, "classified", shared)
@@ -519,9 +517,9 @@ def _envelope_replaced_by(monkeypatch, wrong):
     wrong(S) where the heart injective envelope belongs."""
     cover, envelope = he.special_cover, he.special_envelope
     monkeypatch.setattr(he, "special_cover", lambda s, data:
-                        dataclasses.replace(cover(s, data), left=wrong(s)))
+                        cover(s, data)._replace(left=wrong(s)))
     monkeypatch.setattr(he, "special_envelope", lambda s, data:
-                        dataclasses.replace(envelope(s, data), middle=wrong(s)))
+                        envelope(s, data)._replace(middle=wrong(s)))
 
 
 def test_envelope_outside_add_c_is_an_internal_error(a2_universe, a2_data,

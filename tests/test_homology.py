@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -385,7 +384,7 @@ def test_fitting_idempotent_properties(a3_f3_end, coeffs):
 
 def _two_dimensional_ext(**caps):
     # Ext^1(S1 + S2, S2 + S3) on A3 has two dimensions
-    alg = parse_algebra(A3_TEXT, dataclasses.replace(DEFAULT_CAPS, **caps))
+    alg = parse_algebra(A3_TEXT, DEFAULT_CAPS._replace(**caps))
     s1, s2, s3 = standard_modules(alg)[0]
     return ho.ext1(mo.direct_sum([s1, s2]), mo.direct_sum([s2, s3]))
 
@@ -427,7 +426,7 @@ def test_candidates_order_within_the_scan_cap():
 def test_candidates_order_beyond_the_scan_cap():
     # beyond the cap the basis and the pairwise sums come first, then
     # random_tries draws seeded by the source's key, all-zero draws skipped
-    caps = dataclasses.replace(DEFAULT_CAPS, scan_count_cap=1)
+    caps = DEFAULT_CAPS._replace(scan_count_cap=1)
     alg, end = _end_of_s1_s1_s2(caps)
     assert not ho.scannable(alg, end.dim)
     basis = list(end.basis)
@@ -442,8 +441,7 @@ def test_candidates_order_beyond_the_scan_cap():
 
 
 def test_scan_gate_raises_before_any_vector():
-    alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
-                                                     scan_count_cap=8))
+    alg = parse_algebra(A2_TEXT, DEFAULT_CAPS._replace(scan_count_cap=8))
     assert list(ho.scan(alg, 3, "hom", nonzero=True)) == [
         v for v in linalg.vectors(3, 2) if any(v)]
     with pytest.raises(ResourceLimitError,

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,8 +241,7 @@ def test_ext_middles_check_the_cap_on_the_sum(monkeypatch):
     # Ext^1(S1, S2 + S2) has two blocks of dimension 1: each fits the cap
     # of 1, their sum does not, and nothing is realized before the raise
     from torsionheart import homology as ho
-    alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
-                                                     ext_dim_cap=1))
+    alg = parse_algebra(A2_TEXT, DEFAULT_CAPS._replace(ext_dim_cap=1))
     u = un.enumerate_indecomposables(alg, (2, 2))
     s1 = u.index_of(module_by_dims(u, (1, 0)))
     s2 = u.index_of(module_by_dims(u, (0, 1)))
@@ -269,8 +266,7 @@ def test_empty_universe_completeness():
 def test_completeness_check_gates_the_ext_scan():
     # the closure lists the non-split classes of Ext^1(S1, S2) through the
     # scan gate, and scans no Hom space
-    alg = parse_algebra(A2_TEXT, dataclasses.replace(DEFAULT_CAPS,
-                                                     scan_count_cap=1))
+    alg = parse_algebra(A2_TEXT, DEFAULT_CAPS._replace(scan_count_cap=1))
     with pytest.raises(ResourceLimitError,
                        match=r"^ext scan of size 2\^1 exceeds cap$"):
         un.enumerate_indecomposables(alg, (2, 2))
