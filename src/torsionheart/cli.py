@@ -20,7 +20,7 @@ import sys
 
 from .algebra import parse_algebra
 from .config import DEFAULT_CAPS, ResourceCaps
-from .cotilting import cotilting_from_pair, minimal_cotilting
+from .cotilting import cotilting_from_pair, dims_str, minimal_cotilting
 from .exceptions import (
     AdmissibilityError, IncompleteUniverseError, NotCotiltingError,
     QuiverParseError, ResourceLimitError, UndeterminedError,
@@ -41,10 +41,6 @@ EXIT_INCOMPLETE = 3
 EXIT_UNDETERMINED = 4
 EXIT_VERIFY_FAIL = 5
 EXIT_INTERNAL = 6
-
-
-def _dims_str(dims) -> str:
-    return "(" + ",".join(str(d) for d in dims) + ")"
 
 
 def module_ref(u: IndecUniverse, m) -> dict:
@@ -147,7 +143,7 @@ def cmd_indec(args) -> int:
         f"{len(u.indecs)} indecomposables (complete universe)",
     ]
     for i, m in enumerate(u.indecs):
-        lines.append(f"  M{i} dims {_dims_str(m.dims)} "
+        lines.append(f"  M{i} dims {dims_str(m.dims)} "
                      f"brick={'yes' if is_brick(m) else 'no'}")
     lines.append("hom table (rows map to columns):")
     for row in u.hom_table:
@@ -259,21 +255,21 @@ def heart_report(u: IndecUniverse, t_bits: int,
         f"F = {pair_json['torsionFree']}"
         + (" (hereditary)" if pair_json["hereditary"] else ""),
         f"cotilting module C: summands {sorted(bit_indices(data.add_c_bits))}",
-        f"C0 dims {_dims_str(data.c0.dims)}, C1 dims {_dims_str(data.c1.dims)}, "
-        f"minimal cotilting dims {_dims_str(tilde.dims)}",
+        f"C0 dims {dims_str(data.c0.dims)}, C1 dims {dims_str(data.c1.dims)}, "
+        f"minimal cotilting dims {dims_str(tilde.dims)}",
         "heart simples:",
     ]
     for s in simples:
         shift = "[-1]" if s.shifted else ""
-        lines.append(f"  M{s.index}{shift} dims {_dims_str(s.module.dims)} "
+        lines.append(f"  M{s.index}{shift} dims {dims_str(s.module.dims)} "
                      f"({s.kind})")
     lines.append("sequences:")
     for entry in sequences:
         seq = entry["sequence"]
         lines.append(
-            f"  {entry['kind']}: 0 -> {_dims_str(seq['left']['dims'])} -> "
-            f"{_dims_str(seq['middle']['dims'])} -> "
-            f"{_dims_str(seq['right']['dims'])} -> 0")
+            f"  {entry['kind']}: 0 -> {dims_str(seq['left']['dims'])} -> "
+            f"{dims_str(seq['middle']['dims'])} -> "
+            f"{dims_str(seq['right']['dims'])} -> 0")
     lines.append(
         f"critical envelopes: {payload['classification']['critical']}, "
         f"special envelopes: {payload['classification']['special']}")
@@ -300,7 +296,7 @@ def lattice_dot(u: IndecUniverse, lattice) -> str:
         members = ",".join(f"M{j}" for j in bit_indices(bits)) or "0"
         lines.append(f'  T{i} [label="{members}"];')
     for cover in lattice.covers:
-        label = _dims_str(u.indecs[cover.label_index].dims)
+        label = dims_str(u.indecs[cover.label_index].dims)
         lines.append(
             f'  T{cover.upper} -> T{cover.lower} [label="{label}"];')
     lines.append("}")
@@ -331,7 +327,7 @@ def cmd_tors(args) -> int:
         lines.append(f"  T{i}: {sorted(bit_indices(bits))}")
     for c in lattice.covers:
         lines.append(f"  T{c.upper} > T{c.lower} labelled M{c.label_index} "
-                     f"{_dims_str(u.indecs[c.label_index].dims)}")
+                     f"{dims_str(u.indecs[c.label_index].dims)}")
     _emit(payload, args.format, lines)
     return EXIT_OK
 

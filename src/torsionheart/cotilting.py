@@ -37,7 +37,6 @@ class CotiltingData(namedtuple("CotiltingData", (
         "pair",                 # the TorsionPair
         "cotilting",            # C, multiplicity-free sum of indec summands
         "add_c_bits",           # indec summands of C
-        "c_class_bits",         # Cogen(C) = perp_1(C); equals the torsion-free bits
         "perp_class_bits",      # (cotilting class)^{perp_1}
         "c0",
         "c1",
@@ -48,6 +47,11 @@ class CotiltingData(namedtuple("CotiltingData", (
     @property
     def universe(self):
         return self.pair.universe
+
+    @property
+    def c_class_bits(self) -> int:
+        """Cogen(C) = perp_1(C): the torsion-free class, checked on build."""
+        return self.pair.torsion_free_bits
 
     def c_class_members(self) -> list[Module]:
         return self.universe.members(self.c_class_bits)
@@ -71,10 +75,15 @@ def _injective_dimension_exceeds_1(u, i: int) -> bool:
     return cached(u, ("injective_dimension_exceeds_1", i), compute)
 
 
+def dims_str(dims) -> str:
+    """A dims vector as printed: (a,b,...)."""
+    return "(" + ",".join(str(d) for d in dims) + ")"
+
+
 def member_name(u, i: int) -> str:
     """Universe index and dims of a member, as named in a rejection reason
     or a verify FAIL line."""
-    return f"M{i} ({','.join(str(d) for d in u.indecs[i].dims)})"
+    return f"M{i} {dims_str(u.indecs[i].dims)}"
 
 
 def _first_member(u, bits: int) -> str:
@@ -128,10 +137,9 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
     inj = injective_cogenerator(u.algebra)
     g = minimal_approx(inj, summands, "right")
     if not g.is_epi():
-        dims = ",".join(str(d) for d in cokernel(g)[0].dims)
         raise NotCotiltingError(
             "the add(C)-approximation of the injective cogenerator is not "
-            f"onto: its cokernel has dims ({dims})")
+            f"onto: its cokernel has dims {dims_str(cokernel(g)[0].dims)}")
     c1, incl = kernel(g)
     if u.summand_bitset(c1) & ~ext_inj:
         raise NotCotiltingError(
@@ -145,7 +153,6 @@ def cotilting_from_pair(pair: TorsionPair) -> CotiltingData:
         pair=pair,
         cotilting=c,
         add_c_bits=ext_inj,
-        c_class_bits=f_bits,
         perp_class_bits=perp_bits,
         c0=g.source,
         c1=c1,

@@ -224,8 +224,9 @@ def _left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
             if linalg.rank(rows, p) < hx.dim:
                 return False
         else:
+            # a split mono between equal dims is an isomorphism
             for g in hom_space(x, target).elements():
-                if has_retraction(g):
+                if g.is_iso():
                     continue
                 if factor_through(f, g) is None:
                     return False

@@ -2,12 +2,12 @@
 
 Ext^1(M, N) is presented against the syzygy 0 -> K -> P0 -> M -> 0 of a
 minimal projective cover: classes are morphisms K -> N modulo restrictions of
-morphisms P0 -> N.  Realization is the pushout of the syzygy inclusion along
-a cocycle; the tests check that reading the class back off a realized
-extension returns the cocycle class.  Between two direct sums, a class is
-given block by block and realized from the cocycles of the summands
-(`block_extension_middle`), without the Ext^1 space of the sums.  Maps
-between sums, there and in pushouts and pullbacks, are placed blocks.
+morphisms P0 -> N.  One body, `ext_middle`, builds every Ext middle: the
+pushout of the syzygy inclusion along a cocycle, given block by block
+between two direct sums (one block between two modules), without the Ext^1
+space of the sums.  The tests keep the whole realized sequence as its
+reference, and read the class back off it.  Maps between sums, there and in
+pushouts and pullbacks, are placed blocks.
 
 Minimal right/left approximations are assembled from an irredundant set of
 component maps between the generators and M.  Such a set is already minimal
@@ -26,8 +26,8 @@ reads dim Hom(X, M) as dim Hom(P0, M) minus one rank.  Injective envelopes
 are cached per module, as syzygies are.
 
 The classes of a line {lambda xi : lambda != 0} of Ext^1 share one middle
-term up to isomorphism, so scans realize one class per line, the one
-`ext_line` returns.
+term up to isomorphism, so scans build one middle per line, that of the
+class `ext_line` returns.
 
 Every exhaustive scan of the package passes one gate, `scan`, which raises
 ResourceLimitError before any work beyond the scan cap; `candidates` is the
@@ -309,9 +309,9 @@ def is_projective(m: Module) -> bool:
 class Ext1Space:
     """Ext^1(M, N) = Hom(K, N) / res Hom(P0, N) for the minimal syzygy of M.
 
-    `realize` builds the extension of one class; callers scan the nonzero
-    classes through `ext_scan`, since the zero class has middle N + M by
-    definition, and realize one class per line (`ext_line`).
+    `ext_middle` builds the middle of one class from its cocycle; callers
+    scan the nonzero classes through `ext_scan`, since the zero class has
+    middle N + M by definition, and build one middle per line (`ext_line`).
     """
 
     def __init__(self, m: Module, n: Module):
@@ -336,24 +336,6 @@ class Ext1Space:
         for c, idx in zip(coeffs, self.rep_indices):
             flat[idx] = c % self.p
         return self.hom_kn.from_coords(flat)
-
-    def realize(self, coeffs) -> SES:
-        """The extension 0 -> N -> E -> M -> 0 in the given class."""
-        h = self.cocycle(coeffs)
-        w, from_p0, from_n = pushout(self.incl, h)
-        maps = []
-        for v in range(self.m.algebra.quiver.n):
-            dom = from_p0.maps[v] + from_n.maps[v]
-            rhs = self.cover.maps[v] + linalg.zeros(self.n.dims[v], self.m.dims[v])
-            sol = linalg.solve_right(dom, rhs, self.p, w.dims[v], self.m.dims[v])
-            if sol is None:
-                raise AssertionError("pushout mediator failed")
-            maps.append(sol)
-        surject = Morphism(w, self.m, maps)
-        ses = SES(self.n, w, self.m, from_n, surject)
-        if not ses.validate():
-            raise AssertionError("realized extension is not exact")
-        return ses
 
 
 def ext1(m: Module, n: Module) -> Ext1Space:
@@ -381,13 +363,14 @@ def ext_line(coeffs, p: int) -> tuple[int, ...]:
     return tuple(c * inverse % p for c in coeffs)
 
 
-def block_extension_middle(rights: list[Module], lefts: list[Module],
-                           blocks: dict) -> Module:
+def ext_middle(rights: list[Module], lefts: list[Module],
+               blocks: dict) -> Module:
     """The middle term of the class of Ext^1(+R_i, +L_j) whose block (i, j)
     is the class blocks[i, j] of ext1(R_i, L_j), zero where blocks has no
     entry.  Ext^1 is additive, and the sum of the minimal syzygies
     K_i -> P_i presents +R_i, so the middle is the pushout of that sum along
-    the block cocycle +K_i -> +L_j."""
+    the block cocycle +K_i -> +L_j.  An internal error unless +L_j embeds
+    and the middle has the dims of both ends."""
     algebra = rights[0].algebra
     syzygies = [syzygy(r) for r in rights]
     ks = [k for k, _, _ in syzygies]
@@ -397,7 +380,12 @@ def block_extension_middle(rights: list[Module], lefts: list[Module],
     cocycle = block_morphism(ks, lefts, {
         (i, j): ext1(rights[i], lefts[j]).cocycle(c)
         for (i, j), c in blocks.items()}, algebra)
-    return pushout(incl, cocycle)[0]
+    middle, _, from_lefts = pushout(incl, cocycle)
+    ends = tuple(map(sum, zip(*(m.dims for m in rights + lefts))))
+    if middle.dims != ends or not from_lefts.is_mono():
+        raise AssertionError(f"Ext middle of dims {middle.dims} does not "
+                             f"extend its ends, of dims {ends} together")
+    return middle
 
 
 # -- approximations ----------------------------------------------------------------

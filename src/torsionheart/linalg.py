@@ -227,24 +227,6 @@ def solve_left(a, b, p: int):
     return tuple(x)
 
 
-def solve_right(a, b, p: int, ncols_a: int, ncols_b: int):
-    """One X with a @ X == b, or None; shape (ncols_a, ncols_b)."""
-    xt = solve_left(transpose(a, ncols_a), transpose(b, ncols_b), p)
-    return None if xt is None else transpose(xt, ncols_a)
-
-
-def inverse(a, p: int):
-    n = len(a)
-    if n and len(a[0]) != n:
-        return None
-    if n == 0:
-        return ()
-    x = solve_left(a, eye(n), p)
-    if x is None or matmul(a, x, p) != eye(n):
-        return None
-    return x
-
-
 def row_space(a, p: int) -> Matrix:
     """Canonical rref basis of the row space (zero rows dropped)."""
     r, pivots = rref(a, p)

@@ -64,8 +64,9 @@ block (i, j) is the pushout of a class of Ext^1(R_i, L_j) along a split
 inclusion, and its middle is that class's middle plus the other members of
 both bags (Auslander-Reiten-Smalo, Representation Theory of Artin
 Algebras, I.5), read off the cached list of the pair of members.  Only a
-class nonzero on two or more blocks is realized, from the block cocycle
-(`homology.block_extension_middle`), and only the first class of its line.
+class nonzero on two or more blocks is realized, from the block cocycle,
+and only the first class of its line.  One body, `homology.ext_middle`,
+builds every middle: of two sums, and of two members as one block.
 
 The closure is the only place that decomposes a module or compares two by
 `krull.is_isomorphic`, since completeness is not known while it runs.  On a
@@ -92,8 +93,8 @@ from . import linalg
 from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
-    ar_translate, ar_translate_inverse, block_extension_middle, ext1,
-    ext_line, ext_scan, hom_dim, hom_dims_into, is_injective, is_projective,
+    ar_translate, ar_translate_inverse, ext1, ext_line, ext_middle, ext_scan,
+    hom_dim, hom_dims_into, is_injective, is_projective,
 )
 from .krull import decompose, is_isomorphic
 from .modules import (
@@ -256,9 +257,8 @@ class IndecUniverse:
         other members of both bags, with E the middle of the block class, so
         they are read off the cached list of the pair of members.  The
         classes nonzero on two or more blocks follow, in lexicographic order
-        of their coefficients; the first class of each line is realized by
-        `block_extension_middle`, and the others of the line share its
-        middle.
+        of their coefficients; the middle of the first class of each line is
+        built from its block cocycle, and the others of the line share it.
         The caps are checked on the sum of the block dimensions before any
         entry is read."""
         def compute():
@@ -267,7 +267,8 @@ class IndecUniverse:
                 space = ext1(self.indecs[right[0]], self.indecs[left[0]])
                 return per_line(
                     ext_scan(self.algebra, space.dim), space.p,
-                    lambda c: self.summand_bitset(space.realize(c).middle))
+                    lambda c: self.summand_bitset(ext_middle(
+                        [space.m], [space.n], {(0, 0): c})))
             blocks = [(i, j, self.ext_table[r][l])
                       for i, r in enumerate(right) for j, l in enumerate(left)]
             classes = ext_scan(self.algebra, sum(d for *_, d in blocks))
@@ -290,7 +291,7 @@ class IndecUniverse:
                 return got
             mixed = (c for c in classes if len(parts(c)) > 1)
             return out + per_line(mixed, self.algebra.field.p, lambda c:
-                                  self.summand_bitset(block_extension_middle(
+                                  self.summand_bitset(ext_middle(
                                       rights, lefts, parts(c))))
         return cached(self, ("ext_middles", right, left), compute)
 
@@ -415,7 +416,8 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
                 space = ext1(found[a], found[b])
                 middles[a, b] = per_line(
                     ext_scan(algebra, space.dim), space.p, lambda c: read(
-                        space.realize(c).middle, (0, *c), (a, b)))
+                        ext_middle([found[a]], [found[b]], {(0, 0): c}),
+                        (0, *c), (a, b)))
 
     order = sorted(range(len(found)),
                    key=lambda i: (found[i].total_dim, found[i].dims))

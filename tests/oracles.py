@@ -23,7 +23,9 @@ The checkers at the end use it too.  They are the definitions the tests hold
 the package's constructions to, and nothing in the package calls them:
 approximation and minimality of a morphism, with the literal minimization
 by idempotents that the package's approximations no longer need, split
-epis, the class of a realized extension, all classes of an Ext space, split
+epis, the extension of a class with its surjection solved for and checked
+exact (the package builds the middle alone), the class of a realized
+extension, all classes of an Ext space, split
 injectivity by the literal mono scan, injective dimension, the literal
 I(v) on paths ending at v and the injective envelope built on the socle
 that the package's duals of P(v) and of projective covers replaced, the
@@ -391,7 +393,7 @@ def all_pairs_closure(algebra, bound):
                     line = ho.ext_line(coeffs, p)
                     if line not in lines:
                         lines.add(line)
-                        read(space.realize(coeffs).middle, (0, n), (a, b),
+                        read(realize(space, coeffs).middle, (0, n), (a, b),
                              "ext middle {} by {}")
         k += 1
 
@@ -700,7 +702,7 @@ def fitting_idempotent(x: Morphism):
     maps = []
     for a in xn.maps:  # e = B^-1 diag(1, 0) B for B = [im a; ker a]
         im = linalg.row_space(a, p)
-        inv = linalg.inverse(im + linalg.left_nullspace(a, p), p)
+        inv = inverse(im + linalg.left_nullspace(a, p), p)
         k = len(im)
         maps.append(linalg.matmul(tuple(row[:k] for row in inv), im, p, len(a)))
     return Morphism(y, y, maps, check=False)
@@ -781,6 +783,48 @@ def is_left_minimal(f) -> bool:
     return _find_idempotent(_annihilator(f, "left"), p) is None
 
 
+def solve_right(a, b, p: int, ncols_a: int, ncols_b: int):
+    """One X with a @ X == b, or None; shape (ncols_a, ncols_b)."""
+    xt = linalg.solve_left(linalg.transpose(a, ncols_a),
+                           linalg.transpose(b, ncols_b), p)
+    return None if xt is None else linalg.transpose(xt, ncols_a)
+
+
+def inverse(a, p: int):
+    """The inverse of a square matrix over F_p, or None."""
+    n = len(a)
+    if n and len(a[0]) != n:
+        return None
+    if n == 0:
+        return ()
+    x = linalg.solve_left(a, linalg.eye(n), p)
+    if x is None or linalg.matmul(a, x, p) != linalg.eye(n):
+        return None
+    return x
+
+
+def realize(space, coeffs):
+    """The extension 0 -> N -> E -> M -> 0 in the given class of the
+    Ext1Space Ext^1(M, N): the pushout of the syzygy inclusion along the
+    cocycle, with the surjection onto M solved for and the sequence checked
+    exact.  The package builds the middle alone (`homology.ext_middle`)."""
+    h = space.cocycle(coeffs)
+    w, from_p0, from_n = ho.pushout(space.incl, h)
+    maps = []
+    for v in range(space.m.algebra.quiver.n):
+        dom = from_p0.maps[v] + from_n.maps[v]
+        rhs = space.cover.maps[v] + linalg.zeros(space.n.dims[v], space.m.dims[v])
+        sol = solve_right(dom, rhs, space.p, w.dims[v], space.m.dims[v])
+        if sol is None:
+            raise AssertionError("pushout mediator failed")
+        maps.append(sol)
+    surject = Morphism(w, space.m, maps)
+    ses = ho.SES(space.n, w, space.m, from_n, surject)
+    if not ses.validate():
+        raise AssertionError("realized extension is not exact")
+    return ses
+
+
 def ext_class_of(space, ses) -> tuple[int, ...]:
     """Coordinates, in the representative basis of the Ext1Space
     Ext^1(M, N), of the class of 0 -> N -> E -> M -> 0."""
@@ -806,14 +850,14 @@ def nonsplit_classes(space):
     caps are checked before any class is realized.  The package realizes
     one class per line and reads the others off it."""
     for coeffs in ho.ext_scan(space.m.algebra, space.dim):
-        yield coeffs, space.realize(coeffs)
+        yield coeffs, realize(space, coeffs)
 
 
 def all_ext_classes(space):
     """(coeffs, SES) for every class of an Ext1Space: the zero (split) class
     first, then nonsplit_classes(space) in its order."""
     zero = (0,) * space.dim
-    yield zero, space.realize(zero)
+    yield zero, realize(space, zero)
     yield from nonsplit_classes(space)
 
 

@@ -19,7 +19,9 @@ closure and has no gate, injective envelopes and socle quotients are built
 as duals, not on socles, only the oracles list submodules or quotients,
 direct sums are laid out once, by placing blocks, the presentation builds
 no cover of its own, no package code realizes every class of an Ext^1
-space, and no module imports `dataclasses` or `typing`.
+space, one body builds every Ext middle, and no module imports
+`dataclasses` or `typing`.  A read of a name counts as a call only when
+the reading function binds no local of that name.
 """
 
 import ast
@@ -55,11 +57,34 @@ def _tracer_targets() -> set[str]:
     return out
 
 
+def _outside_reads(tree) -> Counter:
+    """Names a syntax tree reads, as variables or as attributes, leaving out
+    each read of a variable that the reading function, or a function around
+    it, binds itself as a parameter or a local: such a read is of the local,
+    not of a package function of that name."""
+    out = Counter()
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            bound = bound | set(_bound_names(node)) | {
+                a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id not in bound:
+                out[child.id] += 1
+            elif isinstance(child, ast.Attribute):
+                out[child.attr] += 1
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return out
+
+
 def test_every_function_has_a_caller():
     trees = [ast.parse(f.read_text()) for f in sorted(PACKAGE.glob("*.py"))]
     scripts = [ast.parse(f.read_text())
                for f in sorted((ROOT / "scripts").glob("*.py"))]
-    refs = sum((_names(t) for t in trees + scripts), Counter())
+    refs = sum((_outside_reads(t) for t in trees + scripts), Counter())
     targets = _tracer_targets()
     callerless = []
     for path, tree in zip(sorted(PACKAGE.glob("*.py")), trees):
@@ -69,7 +94,7 @@ def test_every_function_has_a_caller():
             name = node.name
             if name.startswith("__") or name in targets:
                 continue
-            if refs[name] - _names(node)[name] == 0:
+            if refs[name] - _outside_reads(node)[name] == 0:
                 callerless.append(f"{path.name}:{node.lineno} {name}")
     assert callerless == []
 
@@ -180,26 +205,29 @@ def test_decompose_only_in_the_closure():
     assert outside["is_indecomposable"] <= closure
 
 
+def _callers(name: str) -> set[tuple[str, ...]]:
+    """The places in the package that call a function of the given name,
+    by its name or as an attribute."""
+    def calls(node):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+
+    return set().union(*(_places(ast.parse(path.read_text()), path.name, calls)
+                         for path in sorted(PACKAGE.glob("*.py"))))
+
+
 def test_isomorphism_reads_the_basis_alone():
     """Isomorphism of indecomposables needs no search: `candidates` is
     called in the package only by krull's idempotent search, and
     `krull.isomorphism` reads neither `candidates` nor `scannable` and
     raises nothing."""
-    def calls(name):
-        return lambda node: isinstance(node, ast.Call) and (
-            isinstance(node.func, ast.Name) and node.func.id == name
-            or isinstance(node.func, ast.Attribute) and node.func.attr == name)
-
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
-    callers = set().union(*(_places(tree, module, calls("candidates"))
-                            for module, tree in trees.items()))
-    assert callers == {("krull.py", "nontrivial_idempotent")}
+    assert _callers("candidates") == {("krull.py", "nontrivial_idempotent")}
     readers = _readers({"candidates", "scannable"})
     isomorphism = ("krull.py", "isomorphism")
     assert not any(place[:2] == isomorphism
                    for places in readers.values() for place in places)
-    raises = _places(trees["krull.py"], "krull.py",
+    raises = _places(ast.parse((PACKAGE / "krull.py").read_text()), "krull.py",
                      lambda node: isinstance(node, ast.Raise))
     assert not any(place[:2] == isomorphism for place in raises)
 
@@ -393,6 +421,19 @@ def test_each_closure_step_once():
                    for name in ("projective_cover", "kernel")
                    for place in readers[name])
     assert readers["nonsplit_classes"] == set()
+
+
+def test_one_body_builds_ext_middles():
+    """Every Ext middle is built by `homology.ext_middle`, a class between
+    two members being its case of one block: it is the only package caller
+    of `pushout`, and the realized sequence with its solved surjection
+    (`realize`, `solve_right`) and the matrix inverse live in the
+    oracles."""
+    assert _callers("pushout") == {("homology.py", "ext_middle")}
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert defined.isdisjoint({"realize", "solve_right", "inverse"})
 
 
 def test_no_dataclasses_or_typing():

@@ -343,6 +343,36 @@ def test_internal_error_exit_code(monkeypatch, capsys):
                    "isomorphism\n")
 
 
+def test_ext_middle_check_exit_code(monkeypatch, capsys):
+    # a pushout whose middle lacks one dimension, the last basis vector at
+    # its first nonzero vertex, fails the check of every Ext middle: exit 6
+    # with one line
+    from torsionheart import cli
+    from torsionheart import homology as ho
+    from torsionheart.modules import Module, Morphism
+    pushout = ho.pushout
+
+    def short_pushout(f, g):
+        w, from_y, from_z = pushout(f, g)
+        v = next(v for v, d in enumerate(w.dims) if d)
+        dims = tuple(d - (u == v) for u, d in enumerate(w.dims))
+        maps = tuple(
+            tuple(row[:dims[a.target]] for row in x[:dims[a.source]])
+            for a, x in zip(w.algebra.quiver.arrows, w.maps))
+        short = Module(w.algebra, dims, maps, check=False)
+        return (short, *(
+            Morphism(leg.source, short, tuple(
+                tuple(row[:d] for row in x) for x, d in zip(leg.maps, dims)),
+                check=False) for leg in (from_y, from_z)))
+
+    monkeypatch.setattr(ho, "pushout", short_pushout)
+    assert cli.main(["indec", str(FIXTURES / "a3.quiver")]) == 6
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: Ext middle ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_not_cotilting_outside_heart_exit_code(monkeypatch, capsys):
     from torsionheart import cli
     from torsionheart.exceptions import NotCotiltingError

@@ -617,30 +617,27 @@ def test_ext_middles_sum_plus_split_is_every_class(name, request):
 def test_oracle_never_realizes_the_split_class(monkeypatch):
     # The oracle reads a class that is nonzero on one block of
     # Ext^1(+R_i, +L_j) off the middles of the pair of members, and never
-    # realizes the split class: every class it realizes has two or more
-    # nonzero blocks.
+    # realizes the split class: every class it realizes between two sums
+    # has two or more nonzero blocks, and one between two members has its
+    # one block nonzero.
     from torsionheart import universe as un
     from torsionheart import verify as ve
-    from torsionheart.homology import Ext1Space
     # a fresh context, so that no oracle scan is served from the memo
     ctx = ve.build_context(
         un.enumerate_indecomposables(parse_algebra(A3_TEXT), (2, 2, 2)))
-    realize, middle = Ext1Space.realize, un.block_extension_middle
+    middle = un.ext_middle
     calls = []
 
-    def guarded_realize(self, coeffs):
-        assert any(int(c) for c in coeffs), "split class realized"
-        return realize(self, coeffs)
-
     def guarded_middle(rights, lefts, blocks):
-        assert len(blocks) >= 2 and all(
+        assert blocks and all(
             any(int(c) for c in coeffs) for coeffs in blocks.values()), \
-            f"class with blocks {blocks} is not mixed"
-        calls.append(blocks)
+            f"class with blocks {blocks} is split on a block"
+        if len(rights) + len(lefts) > 2:
+            assert len(blocks) >= 2, f"class with blocks {blocks} is not mixed"
+            calls.append(blocks)
         return middle(rights, lefts, blocks)
 
-    monkeypatch.setattr(Ext1Space, "realize", guarded_realize)
-    monkeypatch.setattr(un, "block_extension_middle", guarded_middle)
+    monkeypatch.setattr(un, "ext_middle", guarded_middle)
     assert ve.suite_oracle_equivalence(ctx).passed
     assert calls
 
@@ -652,21 +649,15 @@ def test_every_ext_class_is_realized_once(monkeypatch):
     # members, once per run
     from torsionheart import universe as un
     from torsionheart.cli import main
-    from torsionheart.homology import Ext1Space
-    realize, middle = Ext1Space.realize, un.block_extension_middle
+    middle = un.ext_middle
     seen = Counter()
-
-    def counted_realize(self, coeffs):
-        seen[self.m.key, self.n.key, tuple(coeffs)] += 1
-        return realize(self, coeffs)
 
     def counted_middle(rights, lefts, blocks):
         seen[tuple(m.key for m in rights), tuple(m.key for m in lefts),
              tuple(sorted((at, tuple(c)) for at, c in blocks.items()))] += 1
         return middle(rights, lefts, blocks)
 
-    monkeypatch.setattr(Ext1Space, "realize", counted_realize)
-    monkeypatch.setattr(un, "block_extension_middle", counted_middle)
+    monkeypatch.setattr(un, "ext_middle", counted_middle)
     assert main(["verify", str(FIXTURES / "a3.quiver")]) == 0
     assert seen and max(seen.values()) == 1
 

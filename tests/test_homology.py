@@ -19,7 +19,8 @@ from oracles import (
     fitting_idempotent, has_section, injective_dimension,
     is_left_approximation, is_left_minimal, is_right_approximation,
     is_right_minimal, literal_injective_module, literal_isomorphism,
-    literal_presentation, literal_transpose, nonsplit_classes, socle_envelope,
+    literal_presentation, literal_transpose, nonsplit_classes, realize,
+    socle_envelope,
 )
 
 
@@ -68,11 +69,11 @@ def test_ext_s1_s2_realization(std):
     simples, projectives, _ = std
     space = ho.ext1(simples[0], simples[1])
     assert space.dim == 1
-    ses = space.realize([1])
+    ses = realize(space, [1])
     assert ses.middle.dims == (1, 1)
     assert not has_section(ses.surject)
     assert ses.validate()
-    split = space.realize([0])
+    split = realize(space, [0])
     assert has_section(split.surject)
 
 
@@ -93,16 +94,38 @@ def test_ext_round_trip_f3():
     space = ho.ext1(simples[0], simples[1])
     assert space.dim == 1
     for c in range(3):
-        ses = space.realize([c])
+        ses = realize(space, [c])
         assert ext_class_of(space, ses) == (c,)
 
 
 def test_ext_additive_in_cocycle(std):
     simples, _, _ = std
     space = ho.ext1(simples[0], simples[1])
-    a = space.realize([1])
+    a = realize(space, [1])
     # over F_2 the class 1+1 = 0 is split
-    assert ext_class_of(space, space.realize([0])) == (0,)
+    assert ext_class_of(space, realize(space, [0])) == (0,)
+
+
+@pytest.mark.parametrize("name, field", [
+    ("a2", None), ("a3", None), ("a3", 3), ("d4", None), ("loop", None),
+    ("square", None), ("nakayama", None)])
+def test_ext_middle_is_the_middle_of_the_realized_sequence(name, field):
+    # the one body that builds Ext middles gives, on every nonzero class of
+    # every ordered pair of members at bound 2, the middle of the realized
+    # sequence, which is exact
+    alg = parse_algebra((FIXTURES / f"{name}.quiver").read_text(),
+                        field_override=field)
+    u = enumerate_indecomposables(alg, (2,) * alg.quiver.n)
+    classes = 0
+    for m in u.indecs:
+        for n in u.indecs:
+            space = ho.ext1(m, n)
+            for coeffs in ho.ext_scan(alg, space.dim):
+                ses = realize(space, coeffs)
+                assert ses.validate()
+                assert ho.ext_middle([m], [n], {(0, 0): coeffs}) == ses.middle
+                classes += 1
+    assert classes
 
 
 def test_nonhereditary_ext_self_extension():
@@ -111,7 +134,7 @@ def test_nonhereditary_ext_self_extension():
     # the algebra itself is the nonsplit self-extension of the simple
     space = ho.ext1(s, s)
     assert space.dim == 1
-    ses = space.realize([1])
+    ses = realize(space, [1])
     assert ses.middle.dims == (2,)
     assert not has_section(ses.surject)
 

@@ -12,7 +12,7 @@ from torsionheart.krull import decompose, is_isomorphic
 
 from conftest import A2_TEXT, A3_TEXT, D4_TEXT, FIXTURES, module_by_dims
 from oracles import (
-    all_pairs_closure, brute_submodule_count, decompose_reading,
+    all_pairs_closure, brute_submodule_count, decompose_reading, inverse,
     literal_isomorphism, nonsplit_classes, scan_indecomposables,
     socle_quotients,
 )
@@ -183,7 +183,7 @@ def test_index_of_reads_a_new_basis_by_hom_vectors(d4_universe, monkeypatch):
         for row, col in ((0, 1), (1, 0), (0, 0)):
             g = [change(d, row, col) if d > 1 else linalg.eye(d)
                  for d in m.dims]
-            inv = [linalg.inverse(x, p) for x in g]
+            inv = [inverse(x, p) for x in g]
             maps = [linalg.matmul(linalg.matmul(g[a.source], x, p,
                                                 m.dims[a.target]),
                                   inv[a.target], p, m.dims[a.target])
@@ -311,17 +311,18 @@ def test_indec_a3_f3_realizes_one_class_per_line(monkeypatch, capsys):
     # decompositions on a3, against 10 and 12 class by class
     from torsionheart.cli import main
     realized, split = [], []
-    realize = ho.Ext1Space.realize
+    middle = un.ext_middle
 
-    def counted_realize(self, coeffs):
-        realized.append(tuple(coeffs))
-        return realize(self, coeffs)
+    def counted_middle(rights, lefts, blocks):
+        realized.append(tuple(c for _, cs in sorted(blocks.items())
+                              for c in cs))
+        return middle(rights, lefts, blocks)
 
     def counted_decompose(m):
         split.append(m.key)
         return decompose(m)
 
-    monkeypatch.setattr(ho.Ext1Space, "realize", counted_realize)
+    monkeypatch.setattr(un, "ext_middle", counted_middle)
     monkeypatch.setattr(un, "decompose", counted_decompose)
     assert main(["indec", str(FIXTURES / "a3.quiver"), "--field", "3"]) == 0
     capsys.readouterr()
@@ -537,18 +538,19 @@ def _closure_ext_reads(monkeypatch, text, bound):
     """(universe, [(M, N) per Ext^1(M, N) built], [(M, N, class) per class
     realized]) of a closure run on a fresh algebra."""
     built, realized = [], []
-    init, realize = ho.Ext1Space.__init__, ho.Ext1Space.realize
+    init, middle = ho.Ext1Space.__init__, un.ext_middle
 
     def recorded_init(self, m, n):
         built.append((m, n))
         init(self, m, n)
 
-    def recorded_realize(self, coeffs):
-        realized.append((self.m.key, self.n.key, tuple(coeffs)))
-        return realize(self, coeffs)
+    def recorded_middle(rights, lefts, blocks):
+        [m], [n], [coeffs] = rights, lefts, blocks.values()
+        realized.append((m.key, n.key, tuple(coeffs)))
+        return middle(rights, lefts, blocks)
 
     monkeypatch.setattr(ho.Ext1Space, "__init__", recorded_init)
-    monkeypatch.setattr(ho.Ext1Space, "realize", recorded_realize)
+    monkeypatch.setattr(un, "ext_middle", recorded_middle)
     u = un.enumerate_indecomposables(parse_algebra(text), bound)
     monkeypatch.undo()
     return u, built, realized
