@@ -34,6 +34,12 @@ that block's class plus the other members, read off the list of the pair
 of members, and only a class nonzero on two or more blocks is realized,
 once per universe.  The oracle still quantifies over every class of the sum:
 it does not take over the ATF2' shortcut that an indecomposable F suffices.
+
+The left almost split (las) tests read one image per class member T: the
+composites of f: X -> Y with a basis of Hom(Y, T), `_precomposed`, span the
+maps X -> T that factor through f.  f is a split mono iff the span for
+T = X holds id_X; f is las iff it is not and every span holds each non-iso
+X -> T; strong las iff, also, the composites are independent for every T.
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ from collections import Counter, namedtuple
 from . import linalg
 from .algebra import cached
 from .cotilting import CotiltingData, special_cover, special_envelope
-from .homology import (
-    factor_through, has_retraction, hom_space, injective_envelope, pullback,
+from .homology import hom_space, injective_envelope, pullback
+from .modules import (
+    Module, Morphism, assemble, cokernel, identity_morphism, unvec_morphism,
 )
-from .modules import Module, Morphism, assemble, cokernel, unvec_morphism
 from .torsion import TorsionPair, is_hereditary, submodule_closed
 from .universe import IndecUniverse, bit_indices
 
@@ -206,29 +212,33 @@ def is_left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool
                   lambda: _left_almost_split(f, class_bits, u))
 
 
+def _precomposed(f: Morphism, target: Module) -> list[tuple[int, ...]]:
+    """The vec rows of f.then(h) for h in the basis of Hom(f.target, target):
+    they span the maps out of f.source that factor through f."""
+    return [f.then(h).vec() for h in hom_space(f.target, target).basis]
+
+
 def _left_almost_split(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
     x = f.source
-    if has_retraction(f):
-        return False
     p = x.algebra.field.p
+    # f is a split mono iff the identity of its source factors through it
+    if linalg.in_row_space(identity_morphism(x).vec(),
+                           *linalg.rref(_precomposed(f, x), p), p):
+        return False
     for i in bit_indices(class_bits):
         target = u.indecs[i]
+        hx = hom_space(x, target)
         if target.dims != x.dims:
             # no split monos are possible; the factorization condition is the
             # surjectivity of precomposition with f
-            hx = hom_space(x, target)
-            if hx.dim == 0:
-                continue
-            hy = hom_space(f.target, target)
-            rows = [hx.coords_of(f.then(b)) for b in hy.basis]
-            if linalg.rank(rows, p) < hx.dim:
+            if hx.dim and linalg.rank(_precomposed(f, target), p) < hx.dim:
                 return False
         else:
             # a split mono between equal dims is an isomorphism
-            for g in hom_space(x, target).elements():
-                if g.is_iso():
-                    continue
-                if factor_through(f, g) is None:
+            r, pivots = linalg.rref(_precomposed(f, target), p)
+            for g in hx.elements():
+                if not g.is_iso() and not linalg.in_row_space(
+                        g.vec(), r, pivots, p):
                     return False
     return True
 
@@ -237,18 +247,10 @@ def is_strong_las(f: Morphism, class_bits: int, u: IndecUniverse) -> bool:
     """Left almost split with unique factorizations: the precomposition
     Hom(target, U) -> Hom(source, U) must be injective for every U in the
     class (uniqueness at g = 0 forces the kernel to vanish)."""
-    if not is_left_almost_split(f, class_bits, u):
-        return False
     p = f.source.algebra.field.p
-    for i in bit_indices(class_bits):
-        target = u.indecs[i]
-        hy = hom_space(f.target, target)
-        if hy.dim == 0:
-            continue
-        rows = [f.then(b).vec() for b in hy.basis]
-        if not rows[0] or linalg.rank(rows, p) < hy.dim:
-            return False
-    return True
+    images = (_precomposed(f, u.indecs[i]) for i in bit_indices(class_bits))
+    return is_left_almost_split(f, class_bits, u) and all(
+        linalg.rank(rows, p) == len(rows) for rows in images)
 
 
 def is_strong_las_fast(f: Morphism, data: CotiltingData) -> bool:
@@ -275,7 +277,7 @@ def strong_las_uniqueness_scan(f: Morphism, class_bits: int,
         hy = hom_space(f.target, target)
         x_coords, y_coords = hx.coords(), hy.coords()
         amb = sum(a * b for a, b in zip(x.dims, target.dims))
-        img_rows = [f.then(b).vec() for b in hy.basis]
+        img_rows = _precomposed(f, target)
         counts = Counter(linalg.combination(c, img_rows, p, amb)
                          for c in y_coords)
         # with hx.dim == 0 the only g is 0, and it must factor uniquely

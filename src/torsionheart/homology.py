@@ -1,5 +1,10 @@
 """Hom and Ext computations, extensions, approximations, envelopes.
 
+Hom(M, N) is the nullspace of the intertwining equations, cached per pair.
+No constrained system is solved: heart reads factoring through a map as one
+row space, and tests/oracles.py keeps the constrained-intertwiner solver
+(`factor_through`, `has_retraction`) as its reference.
+
 Ext^1(M, N) is presented against the syzygy 0 -> K -> P0 -> M -> 0 of a
 minimal projective cover: classes are morphisms K -> N modulo restrictions of
 morphisms P0 -> N.  One body, `ext_middle`, builds every Ext middle: the
@@ -45,8 +50,8 @@ from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import ResourceLimitError
 from .modules import (
     Module, Morphism, assemble, block_morphism, cokernel, direct_sum,
-    dual_module, dual_morphism, from_generator, identity_morphism, kernel,
-    projective_module, unvec_morphism,
+    dual_module, dual_morphism, from_generator, kernel, projective_module,
+    unvec_morphism,
 )
 
 
@@ -180,58 +185,6 @@ def hom_dim(m: Module, n: Module) -> int:
     return hom_space(m, n).dim
 
 
-def _affine_solve(rows, rhs, p: int, n: int):
-    """One x with rows @ x == rhs (free coordinates zero), or None."""
-    if n == 0:
-        return () if not any(rhs) else None
-    r, pivots = linalg.rref([row + [c] for row, c in zip(rows, rhs)], p)
-    if pivots and pivots[-1] == n:
-        return None
-    x = [0] * n
-    for ri, col in zip(r, pivots):
-        x[col] = ri[n]
-    return tuple(x)
-
-
-def constrained_morphism(source: Module, target: Module, conditions):
-    """One intertwiner f: source -> target with L @ f_v == rhs for each
-    condition (v, L, rhs).  Returns None when unsolvable; free coordinates
-    are zeroed, so the result is deterministic."""
-    p = source.algebra.field.p
-    offs = _vec_offsets(source, target)
-    total = offs[-1]
-    rows = _hom_system(source, target)
-    rhs = [0] * len(rows)
-    for v, left, want in conditions:
-        td = target.dims[v]
-        # entry (i, j) of L @ f_v is sum_a L[i][a] f[a][j]
-        for l_row in left:
-            for j in range(td):
-                row = [0] * total
-                for a, la in enumerate(l_row):
-                    row[offs[v] + a * td + j] = la
-                rows.append(row)
-        rhs.extend(linalg.flatten(want))
-    sol = _affine_solve(rows, rhs, p, total)
-    if sol is None:
-        return None
-    return unvec_morphism(source, target, sol)
-
-
-def factor_through(f: Morphism, g: Morphism):
-    """h: f.target -> g.target with g == f.then(h); None if impossible."""
-    conditions = [
-        (v, f.maps[v], g.maps[v])
-        for v in range(f.source.algebra.quiver.n)
-    ]
-    return constrained_morphism(f.target, g.target, conditions)
-
-
-def has_retraction(f: Morphism) -> bool:
-    """True iff f: X -> Y is a split mono (some r with f.then(r) == id)."""
-    return factor_through(f, identity_morphism(f.source)) is not None
-
-
 # -- short exact sequences ----------------------------------------------------
 
 class SES(namedtuple("SES", "left middle right inject surject")):
@@ -322,9 +275,7 @@ class Ext1Space:
         self.hom_kn = hom_space(self.k, n)
         hom_p0n = hom_space(self.cover.source, n)
         coords = [self.hom_kn.coords_of(self.incl.then(g)) for g in hom_p0n.basis]
-        r, pivots = linalg.rref(coords, self.p)
-        self.image_r = r[: len(pivots)]
-        self.image_pivots = pivots
+        pivots = linalg.rref(coords, self.p)[1]
         self.rep_indices = [i for i in range(self.hom_kn.dim) if i not in pivots]
 
     @property

@@ -23,7 +23,10 @@ The checkers at the end use it too.  They are the definitions the tests hold
 the package's constructions to, and nothing in the package calls them:
 approximation and minimality of a morphism, with the literal minimization
 by idempotents that the package's approximations no longer need, split
-epis, the extension of a class with its surjection solved for and checked
+epis and monos with the constrained-intertwiner solver that reads them
+(the package reads factoring through a map as one row space), the literal
+left almost split test and the uniqueness of factorizations, the
+extension of a class with its surjection solved for and checked
 exact (the package builds the middle alone), the class of a realized
 extension, all classes of an Ext space, split
 injectivity by the literal mono scan, injective dimension, the literal
@@ -645,10 +648,62 @@ def brick_labels(lattice):
 # -- checkers of the package's constructions --------------------------------
 
 
+def _affine_solve(rows, rhs, p: int, n: int):
+    """One x with rows @ x == rhs (free coordinates zero), or None."""
+    if n == 0:
+        return () if not any(rhs) else None
+    r, pivots = linalg.rref([row + [c] for row, c in zip(rows, rhs)], p)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [0] * n
+    for ri, col in zip(r, pivots):
+        x[col] = ri[n]
+    return tuple(x)
+
+
+def constrained_morphism(source: Module, target: Module, conditions):
+    """One intertwiner f: source -> target with L @ f_v == rhs for each
+    condition (v, L, rhs).  Returns None when unsolvable; free coordinates
+    are zeroed, so the result is deterministic."""
+    p = source.algebra.field.p
+    offs = ho._vec_offsets(source, target)
+    total = offs[-1]
+    rows = ho._hom_system(source, target)
+    rhs = [0] * len(rows)
+    for v, left, want in conditions:
+        td = target.dims[v]
+        # entry (i, j) of L @ f_v is sum_a L[i][a] f[a][j]
+        for l_row in left:
+            for j in range(td):
+                row = [0] * total
+                for a, la in enumerate(l_row):
+                    row[offs[v] + a * td + j] = la
+                rows.append(row)
+        rhs.extend(linalg.flatten(want))
+    sol = _affine_solve(rows, rhs, p, total)
+    if sol is None:
+        return None
+    return unvec_morphism(source, target, sol)
+
+
+def factor_through(f: Morphism, g: Morphism):
+    """h: f.target -> g.target with g == f.then(h); None if impossible."""
+    conditions = [
+        (v, f.maps[v], g.maps[v])
+        for v in range(f.source.algebra.quiver.n)
+    ]
+    return constrained_morphism(f.target, g.target, conditions)
+
+
+def has_retraction(f: Morphism) -> bool:
+    """True iff f: X -> Y is a split mono (some r with f.then(r) == id)."""
+    return factor_through(f, identity_morphism(f.source)) is not None
+
+
 def factor_over(f, g):
     """h: g.source -> f.source with g == h.then(f); None if impossible.
     The dual of factor_through: D(g) == D(f).then(D(h))."""
-    h = ho.factor_through(dual_morphism(f), dual_morphism(g))
+    h = factor_through(dual_morphism(f), dual_morphism(g))
     return None if h is None else dual_morphism(h)
 
 
@@ -666,7 +721,7 @@ def is_right_approximation(f, gens) -> bool:
 
 def is_left_approximation(f, gens) -> bool:
     """Every map from f's source into add(gens) factors through f."""
-    return all(ho.factor_through(f, b) is not None
+    return all(factor_through(f, b) is not None
                for g in gens if not g.is_zero()
                for b in ho.hom_space(f.source, g).basis)
 
@@ -808,7 +863,12 @@ def realize(space, coeffs):
     Ext1Space Ext^1(M, N): the pushout of the syzygy inclusion along the
     cocycle, with the surjection onto M solved for and the sequence checked
     exact.  The package builds the middle alone (`homology.ext_middle`)."""
-    h = space.cocycle(coeffs)
+    return realize_cocycle(space, space.cocycle(coeffs))
+
+
+def realize_cocycle(space, h):
+    """The extension of the class of the cocycle h: K -> N of the
+    Ext1Space, built as `realize` builds it."""
     w, from_p0, from_n = ho.pushout(space.incl, h)
     maps = []
     for v in range(space.m.algebra.quiver.n):
@@ -840,7 +900,10 @@ def ext_class_of(space, ses) -> tuple[int, ...]:
             raise AssertionError("cocycle does not land in the subobject")
         maps.append(sol)
     coords = space.hom_kn.coords_of(Morphism(space.k, space.n, maps))
-    resid = linalg.reduce_against(coords, space.image_r, space.image_pivots, p)
+    # the coboundaries: restrictions to K of the maps P0 -> N
+    image = [space.hom_kn.coords_of(space.incl.then(b))
+             for b in ho.hom_space(space.cover.source, space.n).basis]
+    resid = linalg.reduce_against(coords, *linalg.rref(image, p), p)
     return tuple(resid[i] for i in space.rep_indices)
 
 
@@ -871,9 +934,32 @@ def split_injective_scan(m, class_bits, u) -> bool:
         for tup in combinations_with_replacement(members, k):
             target = direct_sum(list(tup), m.algebra)
             for g in ho.hom_space(m, target).elements():
-                if g.is_mono() and not ho.has_retraction(g):
+                if g.is_mono() and not has_retraction(g):
                     return False
     return True
+
+
+def left_almost_split(f, class_bits, u) -> bool:
+    """f is no split mono, and every map g out of its source into a class
+    member is a split mono or factors through f: the literal definition,
+    one constrained solve per map, with no shortcut for maps between equal
+    dims.  heart.is_left_almost_split reads one row space per member
+    instead."""
+    if has_retraction(f):
+        return False
+    return all(g.is_mono() and has_retraction(g)
+               or factor_through(f, g) is not None
+               for i in bit_indices(class_bits)
+               for g in ho.hom_space(f.source, u.indecs[i]).elements())
+
+
+def factors_uniquely(f, class_bits, u) -> bool:
+    """No nonzero map h out of f's target into a class member has
+    f.then(h) == 0: factorizations through f are unique."""
+    return not any(f.then(h).is_zero()
+                   for i in bit_indices(class_bits)
+                   for h in ho.hom_space(f.target, u.indecs[i]).elements(
+                       nonzero=True))
 
 
 def injective_dimension(m, cap: int = 64) -> int:
@@ -967,7 +1053,7 @@ def socle_envelope(m):
         bucket = algebra.basis_paths_between(v, v)
         triv = bucket.index(algebra.basis_index[(v, ())])
         conditions.append((v, (row,), (inc.maps[v][triv],)))
-    f = ho.constrained_morphism(m, total, conditions)
+    f = constrained_morphism(m, total, conditions)
     if f is None or not f.is_mono():
         raise AssertionError("socle extension to the injective hull failed")
     return f

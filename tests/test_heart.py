@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -11,9 +12,13 @@ from torsionheart.config import DEFAULT_CAPS
 from torsionheart.exceptions import ResourceLimitError
 from torsionheart.homology import hom_space, injective_envelope
 from torsionheart.universe import bit_indices, enumerate_indecomposables
+from torsionheart.verify import build_context
 
-from conftest import A3_TEXT, FIXTURES, module_by_dims
-from oracles import all_ext_classes, split_injective_scan, sum_module
+from conftest import A3_TEXT, FIXTURES, module_by_dims, universe_of
+from oracles import (
+    all_ext_classes, factors_uniquely, left_almost_split, split_injective_scan,
+    sum_module,
+)
 
 
 def _bits(u, *dims_list):
@@ -259,6 +264,48 @@ def test_strong_las_dichotomy_exhaustive_a2(a2_universe, a2_data):
                 if he.is_left_almost_split(f, data.c_class_bits, u) and \
                         he.is_strong_las(f, data.c_class_bits, u):
                     assert f.is_mono() or f.is_epi()
+
+
+# (fixture, bound); None is the CLI's default bound of 2 at every vertex
+LAS_CASES = [("a2", None), ("a3", None), ("d4", None), ("loop", None),
+             ("square", (1, 1, 1, 1)), ("nakayama", None)]
+
+
+@pytest.mark.parametrize("name, bound", LAS_CASES,
+                         ids=[name for name, _ in LAS_CASES])
+def test_las_verdicts_match_the_literal_definition(name, bound):
+    # on every cotilting pair, the las and strong las verdicts read off one
+    # row space per member agree with the literal definition, one
+    # constrained solve per map: on the strong las map of every heart
+    # sequence, on the identity of every class member, which is never las,
+    # and on every basis map from a member to a member or a sum of two
+    text = (FIXTURES / f"{name}.quiver").read_text()
+    n = parse_algebra(text).quiver.n
+    ctx = build_context(universe_of(text, bound or (2,) * n))
+    u = ctx.universe
+    verdicts = Counter()
+    for data in ctx.cotilting_pairs:
+        bits = data.c_class_bits
+        members = u.members(bits)
+        targets = members + [mo.direct_sum([a, b]) for a, b
+                             in combinations_with_replacement(members, 2)]
+        criticals, specials = he.classify_neg_isolated(data)
+        sequence_maps = [seq.strong_las for seq in criticals + specials]
+        identities = [mo.identity_morphism(m) for m in members]
+        basis_maps = [b for x in members for y in targets
+                      for b in hom_space(x, y).basis]
+        for f in sequence_maps + identities + basis_maps:
+            las = left_almost_split(f, bits, u)
+            strong = las and factors_uniquely(f, bits, u)
+            assert he.is_left_almost_split(f, bits, u) == las, (data.pair, f)
+            assert he.is_strong_las(f, bits, u) == strong, (data.pair, f)
+            assert he.strong_las_uniqueness_scan(f, bits, u) == strong
+            verdicts[las, strong] += 1
+        assert all(left_almost_split(f, bits, u) and factors_uniquely(
+            f, bits, u) for f in sequence_maps)
+        assert not any(left_almost_split(f, bits, u) for f in identities)
+    assert verdicts[True, True] and verdicts[True, False] \
+        and verdicts[False, False]
 
 
 def test_essentiality_oracle(a2_universe):

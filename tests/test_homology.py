@@ -15,12 +15,12 @@ from torsionheart.universe import enumerate_indecomposables
 
 from conftest import A2_TEXT, A3_TEXT, FIXTURES, standard_modules
 from oracles import (
-    all_ext_classes, brute_ext_dim_hereditary, ext_class_of, factor_over,
-    fitting_idempotent, has_section, injective_dimension,
-    is_left_approximation, is_left_minimal, is_right_approximation,
-    is_right_minimal, literal_injective_module, literal_isomorphism,
-    literal_presentation, literal_transpose, nonsplit_classes, realize,
-    socle_envelope,
+    all_ext_classes, brute_ext_dim_hereditary, constrained_morphism,
+    ext_class_of, factor_over, fitting_idempotent, has_section,
+    injective_dimension, is_left_approximation, is_left_minimal,
+    is_right_approximation, is_right_minimal, literal_injective_module,
+    literal_isomorphism, literal_presentation, literal_transpose,
+    nonsplit_classes, realize, realize_cocycle, socle_envelope,
 )
 
 
@@ -98,12 +98,45 @@ def test_ext_round_trip_f3():
         assert ext_class_of(space, ses) == (c,)
 
 
-def test_ext_additive_in_cocycle(std):
-    simples, _, _ = std
-    space = ho.ext1(simples[0], simples[1])
-    a = realize(space, [1])
-    # over F_2 the class 1+1 = 0 is split
-    assert ext_class_of(space, realize(space, [0])) == (0,)
+def test_ext_additive_in_cocycle():
+    # on the 2-dimensional Ext^1(S1 + S1, S2) of A2 over F_2 and F_3, the
+    # cocycle of a sum of classes is the sum of their cocycles, and the
+    # class read back off the realized sum is the sum of the classes read
+    # back
+    for p in (2, 3):
+        simples, _, _ = standard_modules(parse_algebra(A2_TEXT,
+                                                       field_override=p))
+        space = ho.ext1(mo.direct_sum([simples[0], simples[0]]), simples[1])
+        assert space.dim == 2
+        classes = list(linalg.vectors(2, p))
+        read = {c: ext_class_of(space, realize(space, c)) for c in classes}
+        for a in classes:
+            for b in classes:
+                total = tuple((x + y) % p for x, y in zip(a, b))
+                assert space.cocycle(total) == \
+                    space.cocycle(a).add(space.cocycle(b))
+                assert read[total] == tuple(
+                    (x + y) % p for x, y in zip(read[a], read[b]))
+
+
+def test_ext_class_of_reads_through_coboundaries(d4_universe):
+    # a cocycle that differs from the representative of a class by the
+    # restriction to K of a map P0 -> N realizes the same class; on D4 some
+    # such restrictions are nonzero off the pivots of the coboundaries, so
+    # the class is read back only after reducing against them
+    u = d4_universe
+    checked = 0
+    for m in u.indecs:
+        for n in u.indecs:
+            space = ho.ext1(m, n)
+            for g in ho.hom_space(space.cover.source, n).basis:
+                shift = space.incl.then(g)
+                for coeffs in ho.ext_scan(u.algebra, space.dim):
+                    ses = realize_cocycle(
+                        space, space.cocycle(coeffs).add(shift))
+                    assert ext_class_of(space, ses) == coeffs
+                    checked += not shift.is_zero()
+    assert checked
 
 
 @pytest.mark.parametrize("name, field", [
@@ -173,7 +206,7 @@ def test_pushout_universal_property(std):
         (v, leg_z.maps[v], cone_z.maps[v])
         for v in range(p1.algebra.quiver.n)
     ]
-    h = ho.constrained_morphism(w, p1, conditions)
+    h = constrained_morphism(w, p1, conditions)
     assert h is not None
 
 
