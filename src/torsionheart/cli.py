@@ -81,7 +81,7 @@ def _build_universe(args):
     algebra = parse_algebra(text, _caps_from_args(args),
                             field_override=args.field)
     n = algebra.quiver.n
-    if args.dim_bound:
+    if args.dim_bound is not None:
         bound = tuple(_int_tokens(args.dim_bound, ",", "--dim-bound",
                                   "comma separated integers"))
         if len(bound) != n:

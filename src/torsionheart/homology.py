@@ -20,7 +20,10 @@ component maps between the generators and M.  Such a set is already minimal
 searched for or split off; `minimal_approx` states the argument.
 
 D turns the minimal projective cover of D(M) into the injective envelope of
-M (Auslander-Reiten-Smalo, I.5), so both sides share one body.
+M (Auslander-Reiten-Smalo, I.5), so both sides share one body.  M is
+injective iff D(M) is projective, so `is_injective` builds no envelope: it
+reads the cached syzygy of D(M), the one the inverse AR translate reads
+through the transpose.
 
 A projective cover sends the generator of each summand P(v) to a top lift
 of M.  One cached minimal projective presentation P1 -> P0 -> M -> 0,
@@ -420,7 +423,10 @@ def _injective_envelope(m: Module) -> Morphism:
 
 
 def is_injective(m: Module) -> bool:
-    return injective_envelope(m).is_iso()
+    """M is injective iff D(M) is projective over the opposite algebra: no
+    envelope is built, and the syzygy of D(M) is the cached one that
+    `ar_translate_inverse` reads through `transpose`."""
+    return is_projective(dual_module(m))
 
 
 # -- transpose and AR translate --------------------------------------------------------

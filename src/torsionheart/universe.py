@@ -3,19 +3,26 @@ the closure is also the certificate that the collection is closed under the
 operations the torsion-theoretic layers need.
 
 The closure starts from the simple, projective and injective modules that
-fit the bound; a seed outside the bound is dropped.  Each member X is
-dequeued once and gets its AR translates tau X and tau^-1 X and, for each
-that fits the bound, the middle of every non-split class of
-Ext^1(X, tau X), resp. Ext^1(tau^-1 X, X): the AR pairs of X.  An AR
-translate of an indecomposable is indecomposable, so it is read as one
-piece; an Ext middle is decomposed, once per `Module.key`, into its
-indecomposable pieces.  A piece that fits the bound and is new up to
-isomorphism becomes a member, a piece outside the bound is an escape.  A
-piece is compared only with the members of its dims, by
-`krull.is_isomorphic`, which needs no search on an indecomposable: an
-isomorphism, if any, is a basis element of the Hom space.  Each AR pair of
-members is read once, from whichever of its two members reaches it first.
-The universe is complete iff nothing escapes and every simple is a member.
+fit the bound; a seed outside the bound is dropped.  An indecomposable
+projective is some P(v), and members are taken up to isomorphism, so the
+projective members are those of the fitting P(v) seeds and the injective
+ones those of the fitting I(v): no member is tested for either.  Each
+member X is dequeued once and gets its AR translates, tau X unless X is
+projective and tau^-1 X unless X is injective, and, for each that fits the
+bound, the middle of every non-split class of Ext^1(X, tau X), resp.
+Ext^1(tau^-1 X, X): the AR pairs of X.  An AR translate of an
+indecomposable is indecomposable, so it is read as one piece; an Ext
+middle is decomposed, once per `Module.key`, into its indecomposable
+pieces.  A piece that fits the bound and is new up to isomorphism becomes
+a member, a piece outside the bound is an escape.  A piece is compared
+only with the members of its dims, by `krull.is_isomorphic`, which needs no
+search on an indecomposable: an isomorphism, if any, is a basis element of
+the Hom space.  Since tau^-1 tau X = X = tau tau^-1 X
+(Auslander-Reiten-Smalo, IV-V), a translate read as the member Y is also
+the translate of Y on the other side, which is not computed again: each AR
+pair of members is read once, with one translate, from whichever of its
+two members reaches it first.  The universe is complete iff nothing
+escapes and every simple is a member.
 
 One class per line of Ext^1 is realized: the classes lambda xi, lambda a
 nonzero scalar, have one middle term up to isomorphism, since the pushout
@@ -55,8 +62,10 @@ decompose or compare modules themselves.  The closure leaves what it read
 in their caches: the member bitset of every module it decomposed and the Ext
 middles of every AR pair.  The Ext middles of any other pair of members
 are read when first asked, one realization per line, each middle off its
-Hom vector; the Ext table is built when first read, which `tors` never
-does.
+Hom vector.  The Ext table is built when first read, which `tors` never
+does, and off Hom dimensions alone: the minimal syzygy
+0 -> K -> P0 -> X -> 0 gives dim Ext^1(X, Y) = dim Hom(K, Y)
+- dim Hom(P0, Y) + dim Hom(X, Y), so it builds no Ext^1 space.
 
 Ext^1 is additive, Ext^1(+R_i, +L_j) = + Ext^1(R_i, L_j), so `ext_middles`
 of two sums never builds the Ext^1 space of a sum.  A class nonzero on one
@@ -94,7 +103,7 @@ from .algebra import BoundQuiverAlgebra, cached
 from .exceptions import IncompleteUniverseError, ResourceLimitError
 from .homology import (
     ar_translate, ar_translate_inverse, ext1, ext_line, ext_middle, ext_scan,
-    hom_dim, hom_dims_into, is_injective, is_projective,
+    hom_dim, hom_dims_into, syzygy,
 )
 from .krull import decompose, is_isomorphic
 from .modules import (
@@ -129,9 +138,19 @@ class IndecUniverse:
 
     @property
     def ext_table(self) -> tuple[tuple[int, ...], ...]:
-        """[i][j] = dim Ext^1(X_i, X_j), built on first read; cached."""
+        """[i][j] = dim Ext^1(X_i, X_j), built on first read; cached.  The
+        minimal syzygy 0 -> K -> P0 -> X_i -> 0 gives the exact sequence
+        0 -> Hom(X_i, Y) -> Hom(P0, Y) -> Hom(K, Y) -> Ext^1(X_i, Y) -> 0,
+        and Hom(P(w), Y) = Y_w, so dim Ext^1(X_i, Y) is dim Hom(K, Y) minus
+        the dims Y_w over the top lifts (w, .) of X_i plus H[i][Y]: no Ext^1
+        space is built."""
+        def row(x: Module, homs: tuple[int, ...]) -> tuple[int, ...]:
+            k = syzygy(x)[0]
+            tops = [w for w, _ in x.top_lifts()]
+            return tuple(hom_dim(k, y) - sum(y.dims[w] for w in tops) + h
+                         for y, h in zip(self.indecs, homs))
         return cached(self, ("ext_table",), lambda: tuple(
-            tuple(ext1(x, y).dim for y in self.indecs) for x in self.indecs))
+            map(row, self.indecs, self.hom_table)))
 
     def require_complete(self):
         if not self.complete:
@@ -395,29 +414,38 @@ def completeness_check(algebra: BoundQuiverAlgebra, bound: tuple[int, ...]):
             escapes.append((place, ids, "ext middle {} by {}", dims))
         return got
 
+    # (side, k) once member k needs no translate on that side, tau (side 0)
+    # or tau^-1 (side 1): an indecomposable projective (injective) is some
+    # P(v) (I(v)), the member of a fitting seed; and an AR pair read from
+    # one member is read at the other, since tau^-1 tau X = X = tau tau^-1 X
+    done: set[tuple[int, int]] = set()
     for v in range(algebra.quiver.n):
-        for make in (simple_module, projective_module, injective_module):
+        for make, side in ((simple_module, None), (projective_module, 0),
+                           (injective_module, 1)):
             seed = make(algebra, v)
             if fits(seed):
-                member(seed)
-    sides = ((is_projective, ar_translate, "AR translate of {}"),
-             (is_injective, ar_translate_inverse, "inverse AR translate of {}"))
+                k = member(seed)
+                if side is not None:
+                    done.add((side, k))
+    sides = ((ar_translate, "AR translate of {}"),
+             (ar_translate_inverse, "inverse AR translate of {}"))
     for k, x in enumerate(found):   # found grows while it is read
-        for side, (stops, translate, label) in enumerate(sides):
-            if stops(x):
+        for side, (translate, label) in enumerate(sides):
+            if (side, k) in done:
                 continue
             # an AR translate of an indecomposable is indecomposable
             t = translate(x)
             if not fits(t):
                 escapes.append(((1, side), (k,), label, t.dims))
                 continue
-            a, b = (k, member(t)) if side == 0 else (member(t), k)
-            if (a, b) not in middles:
-                space = ext1(found[a], found[b])
-                middles[a, b] = per_line(
-                    ext_scan(algebra, space.dim), space.p, lambda c: read(
-                        ext_middle([found[a]], [found[b]], {(0, 0): c}),
-                        (0, *c), (a, b)))
+            j = member(t)
+            done.add((1 - side, j))
+            a, b = (k, j) if side == 0 else (j, k)
+            space = ext1(found[a], found[b])
+            middles[a, b] = per_line(
+                ext_scan(algebra, space.dim), space.p, lambda c: read(
+                    ext_middle([found[a]], [found[b]], {(0, 0): c}),
+                    (0, *c), (a, b)))
 
     order = sorted(range(len(found)),
                    key=lambda i: (found[i].total_dim, found[i].dims))

@@ -19,10 +19,11 @@ closure and has no gate, injective envelopes and socle quotients are built
 as duals, not on socles, only the oracles list submodules or quotients,
 direct sums are laid out once, by placing blocks, factoring through a map
 is one row space with no constrained solver, the presentation builds
-no cover of its own, no package code realizes every class of an Ext^1
-space, one body builds every Ext middle, and no module imports
-`dataclasses` or `typing`.  A read of a name counts as a call only when
-the reading function binds no local of that name.
+no cover of its own, the closure reads projective and injective members off
+its seeds, the Ext table is read off Hom dimensions, no package code
+realizes every class of an Ext^1 space, one body builds every Ext middle,
+and no module imports `dataclasses` or `typing`.  A read of a name counts
+as a call only when the reading function binds no local of that name.
 """
 
 import ast
@@ -429,6 +430,23 @@ def test_each_closure_step_once():
                    for name in ("projective_cover", "kernel")
                    for place in readers[name])
     assert readers["nonsplit_classes"] == set()
+
+
+def test_closure_reads_ends_off_the_seeds():
+    """A member is projective (injective) iff it is the member of a P(v)
+    (I(v)) seed that fits the bound: `completeness_check` reads neither
+    `is_projective` nor `is_injective`."""
+    readers = _readers({"is_projective", "is_injective"})
+    closure = ("universe.py", "completeness_check")
+    assert not any(place[:2] == closure
+                   for places in readers.values() for place in places)
+
+
+def test_ext_table_reads_hom_dimensions():
+    """The Ext table is read off the long exact Hom sequence of each
+    member's syzygy: `IndecUniverse.ext_table` builds no Ext^1 space."""
+    assert not any(place[:2] == ("universe.py", "ext_table")
+                   for place in _readers({"ext1"})["ext1"])
 
 
 def test_one_body_builds_ext_middles():

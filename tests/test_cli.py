@@ -180,6 +180,15 @@ def test_negative_dim_bound_is_a_parse_error():
                           "nonnegative\n")
 
 
+def test_empty_dim_bound_is_a_parse_error():
+    # an empty bound is not the default bound
+    out = run_cli("indec", str(FIXTURES / "a2.quiver"), "--dim-bound=")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == ("error: --dim-bound '': expected comma separated "
+                          "integers\n")
+
+
 @pytest.mark.parametrize("flag", ["--cap-ext-dim", "--cap-submodule-dim"])
 def test_negative_cap_is_a_parse_error(flag):
     out = run_cli("verify", str(FIXTURES / "a2.quiver"), flag, "-1")

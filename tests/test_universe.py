@@ -54,15 +54,6 @@ def test_dimension_bound_gate():
         un.enumerate_indecomposables(alg, (9, 9))
 
 
-def test_hom_ext_tables_match_recomputation(a2_universe):
-    from torsionheart.homology import ext1, hom_dim
-    u = a2_universe
-    for i, x in enumerate(u.indecs):
-        for j, y in enumerate(u.indecs):
-            assert u.hom_table[i][j] == hom_dim(x, y)
-            assert u.ext_table[i][j] == ext1(x, y).dim
-
-
 def test_enumeration_deterministic(a2_universe):
     alg = parse_algebra(A2_TEXT)
     again = un.enumerate_indecomposables(alg, (2, 2))
@@ -534,10 +525,23 @@ def test_ar_closure_matches_the_all_pairs_closure(text, field, bound):
         assert [m.dims for m in u.indecs] == [m.dims for m in members]
 
 
+@pytest.mark.parametrize("text, field, bound", CLOSURE_CASES)
+def test_hom_ext_tables_match_recomputation(text, field, bound):
+    # the Ext table is read off Hom dimensions; the literal Ext^1 spaces and
+    # Hom spaces are the reference, complete universe or not
+    algebra = parse_algebra(text, field_override=field)
+    u = un.enumerate_indecomposables(algebra, bound or (2,) * algebra.quiver.n)
+    assert u.hom_table == tuple(tuple(ho.hom_dim(x, y) for y in u.indecs)
+                                for x in u.indecs)
+    assert u.ext_table == tuple(tuple(ho.ext1(x, y).dim for y in u.indecs)
+                                for x in u.indecs)
+
+
 def _closure_ext_reads(monkeypatch, text, bound):
     """(universe, [(M, N) per Ext^1(M, N) built], [(M, N, class) per class
-    realized]) of a closure run on a fresh algebra."""
-    built, realized = [], []
+    realized], [tau M or tau^-1 M per translate taken]) of a closure run on
+    a fresh algebra."""
+    built, realized, translated = [], [], []
     init, middle = ho.Ext1Space.__init__, un.ext_middle
 
     def recorded_init(self, m, n):
@@ -549,11 +553,19 @@ def _closure_ext_reads(monkeypatch, text, bound):
         realized.append((m.key, n.key, tuple(coeffs)))
         return middle(rights, lefts, blocks)
 
+    def recorded(translate):
+        def run(m):
+            translated.append(translate(m))
+            return translated[-1]
+        return run
+
     monkeypatch.setattr(ho.Ext1Space, "__init__", recorded_init)
     monkeypatch.setattr(un, "ext_middle", recorded_middle)
+    for name in ("ar_translate", "ar_translate_inverse"):
+        monkeypatch.setattr(un, name, recorded(getattr(un, name)))
     u = un.enumerate_indecomposables(parse_algebra(text), bound)
     monkeypatch.undo()
-    return u, built, realized
+    return u, built, realized, translated
 
 
 AR_CASES = [
@@ -568,7 +580,7 @@ def test_closure_builds_ext_only_of_ar_pairs(text, bound, monkeypatch):
     # the closure builds Ext^1(M, N) only for N = tau M: the pairs
     # (X, tau X) and (tau^-1 X, X) of its members, and building the
     # universe builds no Ext table
-    _, built, _ = _closure_ext_reads(monkeypatch, text, bound)
+    _, built, _, _ = _closure_ext_reads(monkeypatch, text, bound)
     assert built
     assert all(not ho.is_projective(m) and is_isomorphic(ho.ar_translate(m), n)
                for m, n in built)
@@ -578,6 +590,38 @@ def test_closure_builds_ext_only_of_ar_pairs(text, bound, monkeypatch):
 def test_closure_reads_each_ar_pair_once(text, bound, monkeypatch):
     # an AR pair is read from whichever side reaches it first: at most one
     # Ext^1 per member that is not projective, and no class realized twice
-    u, built, realized = _closure_ext_reads(monkeypatch, text, bound)
+    u, built, realized, _ = _closure_ext_reads(monkeypatch, text, bound)
     assert len(built) <= sum(not ho.is_projective(x) for x in u.indecs)
     assert realized and len(realized) == len(set(realized))
+
+
+@pytest.mark.parametrize("text, bound", AR_CASES)
+def test_closure_takes_one_translate_per_ar_pair(text, bound, monkeypatch):
+    # tau^-1 tau X = X: a translate read as a member gives the other side
+    # of its AR pair, so every translate taken either opens an AR pair,
+    # whose Ext^1 is built, or escapes the bound; on a complete universe
+    # the AR pairs are the members that are not projective
+    u, built, _, translated = _closure_ext_reads(monkeypatch, text, bound)
+    escapes = sum(any(d > b for d, b in zip(t.dims, bound))
+                  for t in translated)
+    assert len(translated) == len(built) + escapes
+    if u.complete:
+        assert escapes == 0
+        assert len(built) == sum(not ho.is_projective(x) for x in u.indecs)
+
+
+@pytest.mark.parametrize("text, bound", AR_CASES)
+def test_is_injective_matches_the_envelope(text, bound):
+    # M is injective iff D(M) is projective, held to the literal reading:
+    # the injective envelope of M is an isomorphism
+    algebra = parse_algebra(text)
+    u = un.enumerate_indecomposables(algebra, bound)
+    n = algebra.quiver.n
+    modules = [*u.indecs,
+               *(mo.projective_module(algebra, v) for v in range(n)),
+               *(mo.injective_module(algebra, v) for v in range(n)),
+               *(mo.direct_sum([x, y]) for i, x in enumerate(u.indecs)
+                 for y in u.indecs[i:])]
+    verdicts = [ho.is_injective(m) for m in modules]
+    assert verdicts == [ho.injective_envelope(m).is_iso() for m in modules]
+    assert any(verdicts) and not all(verdicts)
