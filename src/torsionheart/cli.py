@@ -106,12 +106,15 @@ def _int_tokens(text: str, sep: str, what: str, expected: str) -> list[int]:
 
 
 def _caps_from_args(args) -> ResourceCaps:
+    # indec and tors list no submodule, so they take no --cap-submodule-dim
+    submodule_cap = getattr(args, "cap_submodule_dim",
+                            DEFAULT_CAPS.submodule_dim_cap)
     for flag, value in (("--cap-ext-dim", args.cap_ext_dim),
-                        ("--cap-submodule-dim", args.cap_submodule_dim)):
+                        ("--cap-submodule-dim", submodule_cap)):
         if value < 0:
             raise QuiverParseError(f"{flag} {value}: must be nonnegative")
     return DEFAULT_CAPS._replace(ext_dim_cap=args.cap_ext_dim,
-                                 submodule_dim_cap=args.cap_submodule_dim)
+                                 submodule_dim_cap=submodule_cap)
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str]):
@@ -379,10 +382,11 @@ def make_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_CAPS.ext_dim_cap,
                        help="largest Ext^1 dimension whose classes are "
                             "scanned one by one")
-        p.add_argument("--cap-submodule-dim", type=int,
-                       default=DEFAULT_CAPS.submodule_dim_cap,
-                       help="largest total dimension of a module whose "
-                            "submodules are scanned")
+        if name in ("heart", "verify"):
+            p.add_argument("--cap-submodule-dim", type=int,
+                           default=DEFAULT_CAPS.submodule_dim_cap,
+                           help="largest total dimension of a module whose "
+                                "submodules are scanned")
         if name == "heart":
             p.add_argument("--gens", default="",
                            help="torsion class generators: universe indices "

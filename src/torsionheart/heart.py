@@ -49,9 +49,10 @@ from collections import Counter, namedtuple
 from . import linalg
 from .algebra import cached
 from .cotilting import CotiltingData, special_cover, special_envelope
-from .homology import hom_space, injective_envelope, pullback
+from .homology import hom_space, injective_envelope
 from .modules import (
-    Module, Morphism, assemble, cokernel, identity_morphism, unvec_morphism,
+    Module, Morphism, assemble, cokernel, identity_morphism, kernel,
+    unvec_morphism,
 )
 from .torsion import TorsionPair, is_hereditary, submodule_closed
 from .universe import IndecUniverse, bit_indices
@@ -369,8 +370,7 @@ def is_split_injective(m: Module, class_bits: int, u: IndecUniverse) -> bool:
 # -- cogeneration by criticals --------------------------------------------------------
 
 
-def embedding_into_criticals(m: Module, criticals: list[Module],
-                             u: IndecUniverse):
+def embedding_into_criticals(m: Module, criticals: list[Module]):
     """A mono from M into a sum of at most length(M) critical modules, built
     greedily by cutting the joint kernel; None when impossible."""
     p = m.algebra.field.p
@@ -428,30 +428,21 @@ class HereditaryCoverReport(namedtuple("HereditaryCoverReport", (
 
 
 def essentiality_check(f: Morphism, u: IndecUniverse) -> bool:
-    """Every nonzero submodule of the target meets the image (oracle scan
-    of the submodules u lists, once per target)."""
-    p = f.source.algebra.field.p
-    img_rows = [linalg.row_space(f.maps[v], p)
-                for v in range(f.source.algebra.quiver.n)]
-    for sub, incl in u.all_submodules(f.target):
-        if sub.is_zero():
-            continue
-        meets = False
-        for v in range(f.target.algebra.quiver.n):
-            inter = linalg.intersect_row_spaces(incl.maps[v], img_rows[v], p)
-            if inter:
-                meets = True
-                break
-        if not meets:
-            return False
-    return True
+    """Every nonzero submodule U of the target meets the image (oracle scan
+    of the submodules u lists, once per target).  U n im f is the kernel of
+    U -> E -> E/im f, so U meets the image iff that map is not mono."""
+    proj = cokernel(f)[1]
+    return all(sub.is_zero() or not incl.then(proj).is_mono()
+               for sub, incl in u.all_submodules(f.target))
 
 
 def hereditary_cover_check(q: Module, data: CotiltingData) -> HereditaryCoverReport:
     """For a hereditary cotilting pair and a simple torsion Q: the cover of Q
     is the pullback of the cover of E(Q) along Q -> E(Q), with the same
     indecomposable kernel, and the cover middle of E(Q) is the injective
-    envelope of the cover middle of Q."""
+    envelope of the cover middle of Q.  Q -> E(Q) is mono, so the pullback
+    is the preimage of Q in the cover middle of E(Q): the kernel of its map
+    onto E(Q)/Q."""
     u = data.universe
     pair = data.pair
     if not is_hereditary(pair):
@@ -460,7 +451,7 @@ def hereditary_cover_check(q: Module, data: CotiltingData) -> HereditaryCoverRep
         raise ValueError("expected a simple torsion module")
     env = injective_envelope(q)
     cover_e = special_cover(env.target, data)
-    w, _, _ = pullback(cover_e.surject, env)
+    w = kernel(cover_e.surject.then(cokernel(env)[1]))[0]
     cover_q = special_cover(q, data)
     kernel_matches = u.summands(cover_q.left) == u.summands(cover_e.left)
     cover_matches = u.summands(cover_q.middle) == u.summands(w)

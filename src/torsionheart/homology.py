@@ -12,7 +12,8 @@ pushout of the syzygy inclusion along a cocycle, given block by block
 between two direct sums (one block between two modules), without the Ext^1
 space of the sums.  The tests keep the whole realized sequence as its
 reference, and read the class back off it.  Maps between sums, there and in
-pushouts and pullbacks, are placed blocks.
+the pushout, are placed blocks.  No pullback is taken: the one the heart
+needs is along a mono, a preimage, read as a kernel.
 
 Minimal right/left approximations are assembled from an irredundant set of
 component maps between the generators and M.  Such a set is already minimal
@@ -216,19 +217,6 @@ def pushout(f: Morphism, g: Morphism):
     from_z = tuple(a[d:] for a, d in zip(proj.maps, y.dims))
     return (w, Morphism(y, w, from_y, check=False),
             Morphism(z, w, from_z, check=False))
-
-
-def pullback(f: Morphism, g: Morphism):
-    """Pullback of f: X -> Z and g: Y -> Z; returns (W, to_X, to_Y)."""
-    x, y = f.source, g.source
-    p = x.algebra.field.p
-    w, incl = kernel(block_morphism(
-        [x, y], [f.target], {(0, 0): f, (1, 0): g.scale(p - 1)}))
-    # the columns of incl at the block of X, then those at the block of Y
-    to_x = tuple(tuple(r[:d] for r in a) for a, d in zip(incl.maps, x.dims))
-    to_y = tuple(tuple(r[d:] for r in a) for a, d in zip(incl.maps, x.dims))
-    return (w, Morphism(w, x, to_x, check=False),
-            Morphism(w, y, to_y, check=False))
 
 
 # -- projective covers and syzygies --------------------------------------------

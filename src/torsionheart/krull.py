@@ -28,8 +28,7 @@ from . import linalg
 from .exceptions import UndeterminedError
 from .homology import HomSpace, candidates, hom_space, scannable
 from .modules import (
-    Module, Morphism, assemble, identity_morphism, submodule_from_rows,
-    zero_morphism,
+    Module, Morphism, assemble, identity_morphism, kernel, zero_morphism,
 )
 
 
@@ -121,7 +120,7 @@ def nontrivial_idempotent(m: Module):
             return e
     if scannable(m.algebra, end.dim):
         return None
-    if _is_commutative(end, p):
+    if _is_commutative(end):
         return _commutative_idempotent(end, m, p)
     raise UndeterminedError(
         "idempotent search exhausted its budget on a non-commutative "
@@ -129,7 +128,7 @@ def nontrivial_idempotent(m: Module):
     )
 
 
-def _is_commutative(end: HomSpace, p: int) -> bool:
+def _is_commutative(end: HomSpace) -> bool:
     for i, a in enumerate(end.basis):
         for b in end.basis[i + 1:]:
             if a.then(b) != b.then(a):
@@ -185,15 +184,9 @@ def is_indecomposable(m: Module) -> bool:
 
 
 def _split_by_idempotent(m: Module, e: Morphism):
-    """M = ker(e) + im(e) with inclusion morphisms."""
-    p = m.algebra.field.p
-    ker_rows = [linalg.left_nullspace(e.maps[v], p)
-                for v in range(m.algebra.quiver.n)]
-    im_rows = [linalg.row_space(e.maps[v], p)
-               for v in range(m.algebra.quiver.n)]
-    k, ik = submodule_from_rows(m, ker_rows)
-    i, ii = submodule_from_rows(m, im_rows)
-    return (k, ik), (i, ii)
+    """M = ker(e) + im(e) with inclusion morphisms; im(e) = ker(1 - e), as e
+    is idempotent."""
+    return kernel(e), kernel(identity_morphism(m).add(e.scale(-1)))
 
 
 def decompose(m: Module) -> list[Module]:
@@ -225,7 +218,7 @@ def is_brick(m: Module) -> bool:
     end = hom_space(m, m)
     if end.dim == 1:
         return True
-    if not _is_commutative(end, p):
+    if not _is_commutative(end):
         return False  # finite division rings are commutative
     if _nilradical_dim(end, p) > 0:
         return False

@@ -233,24 +233,10 @@ def row_space(a, p: int) -> Matrix:
     return r[: len(pivots)]
 
 
-def sum_row_spaces(mats, n: int, p: int) -> Matrix:
+def sum_row_spaces(mats, p: int) -> Matrix:
     if not mats:
         return ()
     return row_space(tuple(chain.from_iterable(mats)), p)
-
-
-def intersect_row_spaces(a, b, p: int) -> Matrix:
-    """Canonical basis of rowspace(a) n rowspace(b)."""
-    if not a or not b:
-        return ()
-    # y @ [a; -b] == 0  <=>  y[:ka] @ a == y[ka:] @ b, a point of the intersection
-    ka = len(a)
-    stacked = tuple(a) + tuple(tuple([-x % p for x in row]) for row in b)
-    ker = left_nullspace(stacked, p)
-    if not ker:
-        return ()
-    pts = matmul(tuple(k[:ka] for k in ker), a, p)
-    return row_space(pts, p)
 
 
 def vectors(dim: int, p: int):

@@ -141,7 +141,7 @@ class Module:
                 for ai, arrow in enumerate(self.algebra.quiver.arrows)
                 if arrow.target == w and self.maps[ai]
             ]
-            out.append(linalg.sum_row_spaces(mats, self.dims[w], p))
+            out.append(linalg.sum_row_spaces(mats, p))
         return out
 
     def top_lifts(self) -> list[tuple[int, int]]:

@@ -107,8 +107,8 @@ from .homology import (
 )
 from .krull import decompose, is_isomorphic
 from .modules import (
-    Module, dual_module, injective_module, projective_module,
-    quotient_by_rows, simple_module, submodule_from_rows,
+    Module, cokernel, dual_module, injective_module, projective_module,
+    simple_module, submodule_from_rows,
 )
 
 
@@ -240,10 +240,10 @@ class IndecUniverse:
                       lambda: all_submodules(m))
 
     def all_quotients(self, m: Module):
-        """Every quotient exactly once, as (module, projection); cached."""
+        """Every quotient exactly once, as (module, projection): the cokernel
+        of each listed inclusion; cached."""
         return cached(self, ("all_quotients", m.key), lambda: [
-            quotient_by_rows(m, incl.maps)
-            for _, incl in self.all_submodules(m)])
+            cokernel(incl) for _, incl in self.all_submodules(m)])
 
     def maximal_submodules(self, i: int) -> list[Module]:
         return cached(self, ("maximal_submodules", i),

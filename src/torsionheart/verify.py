@@ -241,7 +241,7 @@ def suite_cogeneration(ctx: AnalysisContext) -> VerifyResult:
         criticals, _ = ctx.classified(data)
         crit_modules = [seq.envelope for seq in criticals]
         for i in bit_indices(data.c_class_bits):
-            witness = embedding_into_criticals(u.indecs[i], crit_modules, u)
+            witness = embedding_into_criticals(u.indecs[i], crit_modules)
             if witness is None:
                 return VerifyResult(
                     "cogeneration-by-criticals", False,

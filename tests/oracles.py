@@ -33,7 +33,10 @@ injectivity by the literal mono scan, injective dimension, the literal
 I(v) on paths ending at v and the injective envelope built on the socle
 that the package's duals of P(v) and of projective covers replaced, the
 socle and the quotients by its lines that the dual maximal submodules
-replaced, the image of a map, which no package path takes, the summands
+replaced, the image of a map, which no package path takes, the pullback,
+the intersection of row spaces with the essentiality test read through it
+and the split by an idempotent at row level, which the package reads as
+kernels and cokernels, the summands
 of literal submodules and quotients of members, the direct sum of a bag of
 members, the Krull-Schmidt reading of a module as members that the
 universe's Hom-vector reading replaced, and the literal isomorphism test
@@ -57,9 +60,10 @@ from torsionheart.exceptions import ResourceLimitError
 from torsionheart.krull import decompose, is_indecomposable, is_isomorphic
 from torsionheart.algebra import cached, path_target
 from torsionheart.modules import (
-    Module, Morphism, cokernel, direct_sum, dual_morphism, identity_morphism,
-    injective_module, kernel, projective_module, quotient_by_rows,
-    simple_module, submodule_from_rows, unvec_morphism, zero_morphism,
+    Module, Morphism, block_morphism, cokernel, direct_sum, dual_morphism,
+    identity_morphism, injective_module, kernel, projective_module,
+    quotient_by_rows, simple_module, submodule_from_rows, unvec_morphism,
+    zero_morphism,
 )
 from torsionheart.universe import bit_indices
 
@@ -597,7 +601,7 @@ def torsion_part(x, pair):
             for v in range(x.algebra.quiver.n):
                 mats[v].append(f.maps[v])
     rows = [
-        linalg.sum_row_spaces(mats[v], x.dims[v], p)
+        linalg.sum_row_spaces(mats[v], p)
         for v in range(x.algebra.quiver.n)
     ]
     t_x, incl = submodule_from_rows(x, rows)
@@ -1007,6 +1011,59 @@ def image(f: Morphism):
     p = f.source.algebra.field.p
     rows = [linalg.row_space(m, p) for m in f.maps]
     return submodule_from_rows(f.target, rows)
+
+
+def pullback(f: Morphism, g: Morphism):
+    """Pullback of f: X -> Z and g: Y -> Z; returns (W, to_X, to_Y)."""
+    x, y = f.source, g.source
+    p = x.algebra.field.p
+    w, incl = kernel(block_morphism(
+        [x, y], [f.target], {(0, 0): f, (1, 0): g.scale(p - 1)}))
+    # the columns of incl at the block of X, then those at the block of Y
+    to_x = tuple(tuple(r[:d] for r in a) for a, d in zip(incl.maps, x.dims))
+    to_y = tuple(tuple(r[d:] for r in a) for a, d in zip(incl.maps, x.dims))
+    return (w, Morphism(w, x, to_x, check=False),
+            Morphism(w, y, to_y, check=False))
+
+
+def intersect_row_spaces(a, b, p: int):
+    """Canonical basis of rowspace(a) n rowspace(b)."""
+    if not a or not b:
+        return ()
+    # y @ [a; -b] == 0  <=>  y[:ka] @ a == y[ka:] @ b, a point of the intersection
+    ka = len(a)
+    stacked = tuple(a) + tuple(tuple([-x % p for x in row]) for row in b)
+    ker = linalg.left_nullspace(stacked, p)
+    if not ker:
+        return ()
+    pts = linalg.matmul(tuple(k[:ka] for k in ker), a, p)
+    return linalg.row_space(pts, p)
+
+
+def intersection_essentiality(f: Morphism, u) -> bool:
+    """Every nonzero submodule of the target meets the image, read by
+    intersecting row spaces vertex by vertex."""
+    p = f.source.algebra.field.p
+    img_rows = [linalg.row_space(f.maps[v], p)
+                for v in range(f.source.algebra.quiver.n)]
+    for sub, incl in u.all_submodules(f.target):
+        if sub.is_zero():
+            continue
+        if not any(intersect_row_spaces(incl.maps[v], img_rows[v], p)
+                   for v in range(f.target.algebra.quiver.n)):
+            return False
+    return True
+
+
+def row_split_by_idempotent(m: Module, e: Morphism):
+    """M = ker(e) + im(e) with inclusion morphisms, from the left nullspace
+    and the row space of e at each vertex."""
+    p = m.algebra.field.p
+    ker_rows = [linalg.left_nullspace(e.maps[v], p)
+                for v in range(m.algebra.quiver.n)]
+    im_rows = [linalg.row_space(e.maps[v], p)
+               for v in range(m.algebra.quiver.n)]
+    return submodule_from_rows(m, ker_rows), submodule_from_rows(m, im_rows)
 
 
 def socle_rows(m) -> list:

@@ -22,7 +22,8 @@ is one row space with no constrained solver, the presentation builds
 no cover of its own, the closure reads projective and injective members off
 its seeds, the Ext table is read off Hom dimensions, no package code
 realizes every class of an Ext^1 space, one body builds every Ext middle,
-and no module imports `dataclasses` or `typing`.  A read of a name counts
+modules are cut out of maps by `kernel` and `cokernel`, every parameter
+is read, and no module imports `dataclasses` or `typing`.  A read of a name counts
 as a call only when the reading function binds no local of that name.
 """
 
@@ -140,6 +141,28 @@ def test_every_local_is_read():
             for name, line in _bound_names(node).items():
                 if not name.startswith("_") and name not in read:
                     unread.append(f"{path.name}:{line} {node.name}: {name}")
+    assert unread == []
+
+
+def test_every_parameter_is_read():
+    """Every parameter of a package function or lambda is read in its body
+    (`self`, `cls` and names starting with `_` are exempt)."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            read = {sub.id for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if (arg is None or arg.arg in ("self", "cls")
+                        or arg.arg.startswith("_") or arg.arg in read):
+                    continue
+                unread.append(f"{path.name}:{node.lineno} "
+                              f"{getattr(node, 'name', 'lambda')}: {arg.arg}")
     assert unread == []
 
 
@@ -343,6 +366,27 @@ def test_submodule_scans_only_in_the_oracles():
     assert {place[:2] for places in readers.values() for place in places
             if place[0] != "universe.py"} == {
         ("heart.py", "_is_almost"), ("heart.py", "essentiality_check")}
+
+
+def test_modules_are_cut_by_kernel_and_cokernel():
+    """A module, or the meet of a submodule with an image, is cut out of a
+    map by `kernel` or `cokernel`: outside modules.py the package builds a
+    submodule from rows only in the universe's submodule listings and a
+    quotient by rows nowhere, and it defines no pullback (one along a mono
+    is a preimage) and no intersection of row spaces (they live in the
+    oracles)."""
+    readers = _readers({"submodule_from_rows", "quotient_by_rows"})
+    outside = {name: {place[:2] for place in places
+                      if place[0] != "modules.py"}
+               for name, places in readers.items()}
+    assert outside == {
+        "submodule_from_rows": {("universe.py", "all_submodules"),
+                                ("universe.py", "maximal_submodules")},
+        "quotient_by_rows": set()}
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert defined.isdisjoint({"pullback", "intersect_row_spaces"})
 
 
 def test_lattice_reads_no_heart():

@@ -218,6 +218,17 @@ def test_submodule_cap_gates_only_the_oracles():
         "PASS cotilting-detection: 5 cotilting pairs among 14 torsion classes"]
 
 
+@pytest.mark.parametrize("command", ["indec", "tors"])
+def test_submodule_cap_is_a_usage_error_where_nothing_reads_it(command):
+    # indec and tors list no submodule, so they take no --cap-submodule-dim
+    out = run_cli(command, str(FIXTURES / "a2.quiver"),
+                  "--cap-submodule-dim", "0")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.splitlines() == [
+        "usage: heart-simples [-h] {indec,heart,tors,verify} ...",
+        "heart-simples: error: unrecognized arguments: --cap-submodule-dim 0"]
+
+
 @pytest.mark.parametrize("args, stdout, stderr", [
     (("indec", "a2.quiver", "--dim-bound", "1,0"), "",
      "universe incomplete: AR translate of 0 has summand of dims (0, 1) "

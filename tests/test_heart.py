@@ -217,12 +217,12 @@ def test_embedding_into_criticals(a2_universe, a2_data):
     criticals, _ = he.classify_neg_isolated(a2_data)
     crit_mods = [c.envelope for c in criticals]
     for i in bit_indices(a2_data.c_class_bits):
-        witness = he.embedding_into_criticals(u.indecs[i], crit_mods, u)
+        witness = he.embedding_into_criticals(u.indecs[i], crit_mods)
         assert witness is not None
         assert witness.is_mono()
     # a torsion module is not cogenerated by the (torsion-free) criticals
     s1 = module_by_dims(u, (1, 0))
-    assert he.embedding_into_criticals(s1, crit_mods, u) is None
+    assert he.embedding_into_criticals(s1, crit_mods) is None
 
 
 def test_hereditary_cover_check_a2(a2_universe, a2_data):
@@ -371,7 +371,7 @@ def test_cogeneration_failure_names_the_member_and_pair(a2_ctx, monkeypatch):
     from torsionheart import verify as ve
 
     monkeypatch.setattr(ve, "embedding_into_criticals",
-                        lambda m, criticals, u: None)
+                        lambda m, criticals: None)
     result = ve.suite_cogeneration(a2_ctx)
     assert (result.passed, result.detail) == (
         False, "M0 (0,1) of TorsionPair(T=[], F=[0, 1, 2]) has no embedding "

