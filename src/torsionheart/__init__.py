@@ -12,7 +12,6 @@ from .exceptions import (
     NotCotiltingError,
     QuiverParseError,
     ResourceLimitError,
-    UndeterminedError,
 )
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "NotCotiltingError",
     "QuiverParseError",
     "ResourceLimitError",
-    "UndeterminedError",
 ]
 
 __version__ = "0.1.0"

@@ -7,9 +7,9 @@ Subcommands:
   verify <file>   run every property suite; nonzero exit on any failure
 
 Exit codes: 0 success, 1 parse error, usage error or not cotilting,
-2 resource limit, 3 incomplete universe, 4 undetermined (a capped search found
-neither a witness nor a certificate), 5 a verify suite failed, 6 internal
-error (a broken internal invariant).
+2 resource limit (every scan, the idempotent search included, stops at its
+cap), 3 incomplete universe, 5 a verify suite failed, 6 internal error (a
+broken internal invariant).  4 is no longer used.
 Output is deterministic: identical input and flags produce identical bytes.
 """
 
@@ -23,7 +23,7 @@ from .config import DEFAULT_CAPS, ResourceCaps
 from .cotilting import cotilting_from_pair, dims_str, minimal_cotilting
 from .exceptions import (
     AdmissibilityError, IncompleteUniverseError, NotCotiltingError,
-    QuiverParseError, ResourceLimitError, UndeterminedError,
+    QuiverParseError, ResourceLimitError,
 )
 from .heart import classify_neg_isolated, heart_simples
 from .krull import is_brick
@@ -38,7 +38,6 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_RESOURCE = 2
 EXIT_INCOMPLETE = 3
-EXIT_UNDETERMINED = 4
 EXIT_VERIFY_FAIL = 5
 EXIT_INTERNAL = 6
 
@@ -417,9 +416,6 @@ def main(argv=None) -> int:
     except IncompleteUniverseError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INCOMPLETE
-    except UndeterminedError as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
     except AssertionError as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"internal error: {message}", file=sys.stderr)

@@ -1,10 +1,9 @@
 """Resource caps for the exact enumeration kernels.
 
 All scans are exhaustive within these gates and raise ResourceLimitError
-beyond them; nothing is ever sampled silently.  `scan_count_cap` is read
-only by `homology.scannable`, the gate of every Hom and Ext scan, and
-`random_tries` only by `homology.candidates`, for its seeded draws beyond
-the scan cap.  `submodule_dim_cap` gates only the oracles' literal
+beyond them; nothing is ever sampled.  `scan_count_cap` is read only by
+`homology.scan`, the gate of every Hom and Ext scan and of the idempotent
+search's candidates.  `submodule_dim_cap` gates only the oracles' literal
 submodule and quotient scans (`universe.all_submodules`): the fast paths
 read submodule closure off member Hom spaces and quotient closure off the
 Hom table.  The lattice of torsion classes has no gate: it reads two perps
@@ -34,8 +33,6 @@ _DEFAULTS = {
     "ext_dim_cap": 12,
     # a scan of a d-dimensional space runs only while p^d stays within this
     "scan_count_cap": 1 << 16,
-    # seeded random draws of a candidate search beyond the scan cap
-    "random_tries": 64,
 }
 
 

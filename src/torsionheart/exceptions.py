@@ -27,8 +27,3 @@ class NotCotiltingError(ValueError):
     def __init__(self, reason: str):
         super().__init__(f"not cotilting: {reason}")
         self.reason = reason
-
-
-class UndeterminedError(RuntimeError):
-    """A candidate search beyond the scan cap found neither a witness nor a
-    certificate."""

@@ -40,12 +40,12 @@ class `ext_line` returns.
 
 Every exhaustive scan of the package passes one gate, `scan`, which raises
 ResourceLimitError before any work beyond the scan cap; `candidates` is the
-one order in which krull's idempotent search tries elements.
+one order in which krull's idempotent search tries elements, and it ends in
+that gate, so beyond the cap the search stops like every other scan.
 """
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from itertools import accumulate, chain
 
@@ -66,17 +66,12 @@ def _vec_offsets(m: Module, n: Module) -> list[int]:
 
 # -- the scan gate ---------------------------------------------------------------
 
-def scannable(algebra: BoundQuiverAlgebra, d: int) -> bool:
-    """True iff the p^d vectors of a d-dimensional space fit the scan cap."""
-    return algebra.field.p ** d <= algebra.caps.scan_count_cap
-
-
 def scan(algebra: BoundQuiverAlgebra, d: int, what: str, nonzero: bool = False):
     """Every vector of F_p^d, or every nonzero one, in lexicographic order.
     Raises ResourceLimitError when the space is over the scan cap, before
     any vector is produced."""
     p = algebra.field.p
-    if not scannable(algebra, d):
+    if p ** d > algebra.caps.scan_count_cap:
         raise ResourceLimitError(f"{what} scan of size {p}^{d} exceeds cap")
     if nonzero:
         return linalg.nonzero_vectors(d, p)
@@ -119,24 +114,14 @@ class HomSpace(namedtuple("HomSpace", "source target basis")):
 
 def candidates(space: HomSpace):
     """Elements of the space for a search to try, in a fixed order: the
-    basis, the pairwise sums, then every nonzero element when the space is
-    scannable, or else random_tries random draws seeded by the source's
-    `Module.key`; an all-zero draw is skipped but spends its try."""
+    basis, the pairwise sums, then every nonzero element through the scan
+    gate, which raises ResourceLimitError beyond the scan cap."""
     basis = space.basis
     yield from basis
     for i, a in enumerate(basis):
         for b in basis[i + 1:]:
             yield a.add(b)
-    algebra = space.source.algebra
-    if scannable(algebra, space.dim):
-        yield from space.elements(nonzero=True)
-    else:
-        p = algebra.field.p
-        rng = random.Random(int(space.source.key[:12], 16))
-        for _ in range(algebra.caps.random_tries):
-            coeffs = [rng.randrange(p) for _ in range(space.dim)]
-            if any(coeffs):
-                yield space.from_coords(coeffs)
+    yield from space.elements(nonzero=True)
 
 
 def _hom_system(m: Module, n: Module) -> list[list[int]]:

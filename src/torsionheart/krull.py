@@ -5,28 +5,28 @@ non-constant g in the fixed space of t -> t^p on F_p[t]/mp gives u = g(x),
 semisimple with eigenvalues in F_p, and 1 - (u - c)^(p-1) projects onto an
 eigenspace.  A decomposable module always exposes such an x (a projection).
 The search tries the candidates of `homology.candidates`: the basis, the
-pairwise sums, then either every nonzero element, while p^dim stays within
-the scan cap, or random draws seeded by the module key beyond it.  A search
-that ends beyond the cap without a witness raises UndeterminedError rather
-than guessing, unless End(M) is commutative, where a deterministic search
-decides.  `decompose` splits by these idempotents until every piece is
-indecomposable and returns the pieces, one per summand.
+pairwise sums, then every nonzero element through the scan gate.  Beyond the
+scan cap a search that the basis and the pairwise sums do not end raises
+ResourceLimitError, like every other scan; nothing is sampled.  `decompose`
+splits by these idempotents until every piece is indecomposable and returns
+the pieces, one per summand.
 
 Isomorphism of indecomposables needs no search: End(M) is local
 (Auslander-Reiten-Smalo, I.4 and II.2), so an isomorphism M -> N, if there
 is one, is among the basis elements of Hom(M, N).
 
 Brick detection is fully deterministic: a finite division ring is a field
-(Wedderburn), so End(M) is a division ring iff it is commutative, has zero
-nilradical, and the Frobenius fixed space ker(x -> x^p - x) is one
-dimensional.  Both kernels are F_p-linear in the commutative case.
+(Wedderburn), so End(M) is a division ring iff it is commutative, reduced,
+and the Frobenius fixed space ker(x -> x^p - x) is one dimensional.  In the
+commutative case x -> x^p is F_p-linear, and it is injective iff End(M) is
+reduced, since it kills the last nonzero p-th power of a nilpotent; so one
+rank and one kernel of the same Frobenius matrix decide.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .exceptions import UndeterminedError
-from .homology import HomSpace, candidates, hom_space, scannable
+from .homology import HomSpace, candidates, hom_space
 from .modules import (
     Module, Morphism, assemble, identity_morphism, kernel, zero_morphism,
 )
@@ -105,8 +105,8 @@ def split_idempotent(x: Morphism, p: int):
 def nontrivial_idempotent(m: Module):
     """A nontrivial idempotent endomorphism, or None when End(M) is local.
 
-    Raises UndeterminedError when neither a witness nor an exhaustive
-    certificate is reachable within the caps.
+    Raises ResourceLimitError when End(M) is over the scan cap and neither
+    its basis nor its pairwise sums give a witness.
     """
     if m.is_zero():
         return None
@@ -118,14 +118,7 @@ def nontrivial_idempotent(m: Module):
         e = split_idempotent(x, p)
         if e is not None:
             return e
-    if scannable(m.algebra, end.dim):
-        return None
-    if _is_commutative(end):
-        return _commutative_idempotent(end, m, p)
-    raise UndeterminedError(
-        "idempotent search exhausted its budget on a non-commutative "
-        "endomorphism algebra"
-    )
+    return None
 
 
 def _is_commutative(end: HomSpace) -> bool:
@@ -150,31 +143,6 @@ def _endo_power(f: Morphism, e: int) -> Morphism:
 def _frobenius_matrix(end: HomSpace, p: int):
     """Matrix of x -> x^p in basis coordinates (commutative End only)."""
     return tuple(end.coords_of(_endo_power(b, p)) for b in end.basis)
-
-
-def _nilradical_dim(end: HomSpace, p: int) -> int:
-    """Dimension of the nilradical of a commutative End via iterated Frobenius."""
-    total = sum(end.source.dims)
-    frob = _frobenius_matrix(end, p)
-    power = linalg.eye(end.dim)
-    steps = 1
-    while p ** steps < max(total, 2):
-        steps += 1
-    for _ in range(steps):
-        power = linalg.matmul(power, frob, p)
-    return end.dim - linalg.rank(power, p)
-
-
-def _commutative_idempotent(end: HomSpace, m: Module, p: int):
-    """Deterministic idempotent search in a commutative End(M)."""
-    fixed = _fixed_space(_frobenius_matrix(end, p), p)
-    if len(fixed) <= 1:
-        return None  # local: the fixed space is spanned by the identity
-    id_coords = end.coords_of(identity_morphism(m))
-    for row in fixed:
-        if linalg.rank((id_coords, row), p) == 2:
-            return _eigen_projection(end.from_coords(row), p)
-    raise AssertionError("commutative split promised but not found")
 
 
 def is_indecomposable(m: Module) -> bool:
@@ -220,9 +188,8 @@ def is_brick(m: Module) -> bool:
         return True
     if not _is_commutative(end):
         return False  # finite division rings are commutative
-    if _nilradical_dim(end, p) > 0:
-        return False
-    return len(_fixed_space(_frobenius_matrix(end, p), p)) == 1
+    frob = _frobenius_matrix(end, p)
+    return linalg.rank(frob, p) == end.dim and len(_fixed_space(frob, p)) == 1
 
 
 def isomorphism(m: Module, n: Module):

@@ -79,9 +79,9 @@ class Module:
     @property
     def key(self) -> str:
         """SHA-1 of the algebra key, the dims and every arrow matrix as
-        native int64 bytes in row-major order.  `homology.candidates` seeds
-        its random draws beyond the scan cap from the key of the space's
-        source, so these bytes must not change."""
+        native int64 bytes in row-major order.  It keys the Hom and Ext
+        memos, so it must not collide: a collision would serve a wrong
+        cached space."""
         if self._key is None:
             h = hashlib.sha1()
             h.update(self.algebra.key.encode())

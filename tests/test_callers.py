@@ -8,7 +8,8 @@ that only the tests use live in tests/oracles.py, not in the package.
 
 More guards read the package the same way: every local a function binds is
 read (names starting with `_` are exempt), every exhaustive scan and
-candidate search goes through the one scan gate in homology.py, only krull
+candidate search goes through the one scan gate in homology.py, nothing is
+sampled (no `random`, no undetermined verdict beyond a cap), only krull
 and the universe's closure call `krull.decompose`, `is_isomorphic` and
 `is_indecomposable`, the closure reads no map between members, only krull
 searches for idempotents, only its idempotent search tries candidates
@@ -202,15 +203,12 @@ def _readers(names: set[str]) -> dict[str, set[tuple[str, ...]]]:
 
 def test_one_scan_gate():
     """Every exhaustive scan and every candidate search goes through
-    homology's gate: the scan cap is read only in `scannable`, the random
-    tries only in `candidates`, and the vector scans are called only in
-    `scan`."""
-    readers = _readers({"scan_count_cap", "random_tries", "vectors",
-                        "nonzero_vectors"})
+    homology's gate: the scan cap is read and the vector scans are called
+    only in `scan`."""
+    readers = _readers({"scan_count_cap", "vectors", "nonzero_vectors"})
     assert {name: {place[-1] for place in places}
             for name, places in readers.items()} == {
-        "scan_count_cap": {"scannable"},
-        "random_tries": {"candidates"},
+        "scan_count_cap": {"scan"},
         "vectors": {"scan"},
         "nonzero_vectors": {"scan"},
     }
@@ -245,10 +243,10 @@ def _callers(name: str) -> set[tuple[str, ...]]:
 def test_isomorphism_reads_the_basis_alone():
     """Isomorphism of indecomposables needs no search: `candidates` is
     called in the package only by krull's idempotent search, and
-    `krull.isomorphism` reads neither `candidates` nor `scannable` and
-    raises nothing."""
+    `krull.isomorphism` reads neither `candidates` nor `scan` and raises
+    nothing."""
     assert _callers("candidates") == {("krull.py", "nontrivial_idempotent")}
-    readers = _readers({"candidates", "scannable"})
+    readers = _readers({"candidates", "scan"})
     isomorphism = ("krull.py", "isomorphism")
     assert not any(place[:2] == isomorphism
                    for places in readers.values() for place in places)
@@ -506,11 +504,8 @@ def test_one_body_builds_ext_middles():
     assert defined.isdisjoint({"realize", "solve_right", "inverse"})
 
 
-def test_no_dataclasses_or_typing():
-    """Records are namedtuples and annotations stay strings, so no package
-    module imports `dataclasses` or `typing`: at import, each takes
-    milliseconds that no run needs (`dataclasses` brings `inspect`, `ast`,
-    `dis` and `tokenize`)."""
+def _imports() -> set[tuple[str, str]]:
+    """(file, top-level module) for every absolute import in the package."""
     imported = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -519,5 +514,38 @@ def test_no_dataclasses_or_typing():
                              for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imported.add((path.name, node.module.split(".")[0]))
-    assert {place for place in imported
+    return imported
+
+
+def test_no_dataclasses_or_typing():
+    """Records are namedtuples and annotations stay strings, so no package
+    module imports `dataclasses` or `typing`: at import, each takes
+    milliseconds that no run needs (`dataclasses` brings `inspect`, `ast`,
+    `dis` and `tokenize`)."""
+    assert {place for place in _imports()
             if place[1] in ("dataclasses", "typing")} == set()
+
+
+def test_nothing_is_sampled():
+    """Beyond the scan cap the idempotent search refuses like every other
+    scan: no module imports `random`, no `UndeterminedError` is defined or
+    raised (exit 4 is retired), the caps hold no count of draws, and krull
+    keeps no commutative fallback search and no iterated-Frobenius
+    nilradical."""
+    from torsionheart import cli
+    from torsionheart.config import ResourceCaps
+
+    assert {place for place in _imports() if place[1] == "random"} == set()
+    classes = {node.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    assert "UndeterminedError" not in classes
+    assert _readers({"UndeterminedError"}) == {"UndeterminedError": set()}
+    assert not hasattr(cli, "EXIT_UNDETERMINED")
+    assert ResourceCaps._fields == (
+        "length_cap", "path_count_cap", "dim_bound_cap", "submodule_dim_cap",
+        "ext_dim_cap", "scan_count_cap")
+    krull = {node.name
+             for node in ast.parse((PACKAGE / "krull.py").read_text()).body
+             if isinstance(node, ast.FunctionDef)}
+    assert krull.isdisjoint({"_commutative_idempotent", "_nilradical_dim"})

@@ -286,19 +286,6 @@ def test_ext_scan_over_cap_is_a_resource_limit():
     assert out.stderr.startswith("resource limit:")
 
 
-def test_undetermined_search_exit_code(monkeypatch, capsys):
-    from torsionheart import cli, universe
-    from torsionheart.exceptions import UndeterminedError
-
-    def undetermined(m):
-        raise UndeterminedError("idempotent search exhausted its budget")
-
-    monkeypatch.setattr(universe, "decompose", undetermined)
-    assert cli.main(["indec", str(FIXTURES / "a2.quiver")]) == 4
-    err = capsys.readouterr().err
-    assert err == "undetermined: idempotent search exhausted its budget\n"
-
-
 def test_fixture_report_script_runs():
     # the survey script imports the CLI's report helpers; run it end to end
     script = Path(__file__).parent.parent / "scripts" / "fixture_report.py"

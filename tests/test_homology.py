@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -472,7 +470,7 @@ def _end_of_s1_s1_s2(caps):
 
 def test_candidates_order_within_the_scan_cap():
     alg, end = _end_of_s1_s1_s2(DEFAULT_CAPS)
-    assert end.dim == 5 and ho.scannable(alg, end.dim)
+    assert end.dim == 5 and 2 ** 5 <= alg.caps.scan_count_cap
     basis = list(end.basis)
     pairs = [a.add(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
     every = [end.from_coords(c) for c in linalg.vectors(5, 2) if any(c)]
@@ -480,20 +478,17 @@ def test_candidates_order_within_the_scan_cap():
 
 
 def test_candidates_order_beyond_the_scan_cap():
-    # beyond the cap the basis and the pairwise sums come first, then
-    # random_tries draws seeded by the source's key, all-zero draws skipped
-    caps = DEFAULT_CAPS._replace(scan_count_cap=1)
-    alg, end = _end_of_s1_s1_s2(caps)
-    assert not ho.scannable(alg, end.dim)
+    # beyond the cap the basis and the pairwise sums come first, then the
+    # scan gate refuses the elements; nothing else is tried
+    alg, end = _end_of_s1_s1_s2(DEFAULT_CAPS._replace(scan_count_cap=1))
     basis = list(end.basis)
     pairs = [a.add(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
-    rng = random.Random(int(end.source.key[:12], 16))
-    draws = [[rng.randrange(2) for _ in range(5)]
-             for _ in range(caps.random_tries)]
-    expected = basis + pairs + [end.from_coords(c) for c in draws if any(c)]
-    first = list(ho.candidates(end))
-    assert first == expected
-    assert list(ho.candidates(end)) == first
+    tried = []
+    with pytest.raises(ResourceLimitError,
+                       match=r"^hom scan of size 2\^5 exceeds cap$"):
+        for x in ho.candidates(end):
+            tried.append(x)
+    assert tried == basis + pairs
 
 
 def test_scan_gate_raises_before_any_vector():

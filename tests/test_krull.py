@@ -4,12 +4,15 @@ from torsionheart import krull as kr
 from torsionheart import modules as mo
 from torsionheart import universe as un
 from torsionheart.algebra import parse_algebra
+from torsionheart.config import DEFAULT_CAPS
+from torsionheart.exceptions import ResourceLimitError
+from torsionheart.homology import hom_space
 from torsionheart.universe import enumerate_indecomposables
 
 from conftest import A2_TEXT, FIXTURES, standard_modules
 from oracles import (
     all_pairs_closure, brute_is_indecomposable, has_section,
-    literal_isomorphism,
+    literal_is_brick, literal_isomorphism,
 )
 
 
@@ -84,34 +87,77 @@ def test_is_brick(a2, std):
         kr.is_brick(mo.zero_module(a2))
 
 
+KRONECKER_F2 = "field 2\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
+# the second arrow of two regular Kronecker modules (I, C) over F_2: C the
+# companion matrix of t^2 + t + 1, End = F_4, or a nilpotent Jordan block,
+# End = F_2[eps]
+COMPANION, JORDAN = [[0, 1], [1, 1]], [[0, 1], [0, 0]]
+
+
+def _kronecker(second, caps=DEFAULT_CAPS):
+    alg = parse_algebra(KRONECKER_F2, caps)
+    return mo.Module(alg, (2, 2), [[[1, 0], [0, 1]], second])
+
+
 def test_frobenius_brick_certificate():
     # companion matrix of t^2+t+1 acting on a 2-dim space at one vertex of a
     # relationless loop is not allowed (non-admissible), so exercise the
     # Frobenius path on a module with End = F_4 over the Kronecker-style
     # double arrow quiver instead
-    alg = parse_algebra(
-        "field 2\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
-    # regular module of the Kronecker quiver at the "irreducible quadratic"
-    # point: maps (I, C) with C the companion matrix of t^2 + t + 1
-    comp = [[0, 1], [1, 1]]
-    m = mo.Module(alg, (2, 2), [[[1, 0], [0, 1]], comp])
-    from torsionheart.homology import hom_space
+    m = _kronecker(COMPANION)
     assert hom_space(m, m).dim == 2  # End = F_4
     assert kr.is_indecomposable(m)
     assert kr.is_brick(m)
 
 
 def test_not_brick_with_nilpotents():
-    alg = parse_algebra(
-        "field 2\nvertices 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
-    # regular module with nilpotent endomorphisms: maps (I, J) with J a
-    # nilpotent Jordan block; End = F_2[eps]
-    jordan = [[0, 1], [0, 0]]
-    m = mo.Module(alg, (2, 2), [[[1, 0], [0, 1]], jordan])
-    from torsionheart.homology import hom_space
-    assert hom_space(m, m).dim == 2
+    m = _kronecker(JORDAN)
+    assert hom_space(m, m).dim == 2  # End = F_2[eps]
     assert kr.is_indecomposable(m)
     assert not kr.is_brick(m)
+
+
+def _brick_cases():
+    """Every member of seven fixture cases at the default bound, three sums
+    over A2 and the two Kronecker modules."""
+    cases = []
+    for name, field in (("a2", None), ("a3", None), ("a3", 3), ("d4", None),
+                        ("loop", None), ("square", None), ("nakayama", None)):
+        algebra = parse_algebra((FIXTURES / f"{name}.quiver").read_text(),
+                                field_override=field)
+        cases += enumerate_indecomposables(
+            algebra, (2,) * algebra.quiver.n).indecs
+    a2 = parse_algebra(A2_TEXT)
+    simples, projectives, _ = standard_modules(a2)
+    s1, s2 = simples
+    cases += [mo.direct_sum(summands, a2) for summands in (
+        [projectives[0], projectives[0]], [s1, s2], [s1, s1, s2])]
+    return cases + [_kronecker(COMPANION), _kronecker(JORDAN)]
+
+
+def test_is_brick_matches_the_definition():
+    # the Frobenius rank and fixed-space test against the definition: every
+    # nonzero endomorphism is an isomorphism
+    cases = _brick_cases()
+    verdicts = [kr.is_brick(m) for m in cases]
+    assert verdicts == [literal_is_brick(m) for m in cases]
+    assert verdicts[-5:] == [False, False, False, True, False]
+
+
+def test_idempotent_search_beyond_the_scan_cap():
+    # beyond the cap the basis and the pairwise sums still split
+    # S1 + S1 + S2, whose End has dimension 5; a local End over the cap has
+    # no such witness, and the search stops at the scan gate
+    caps = DEFAULT_CAPS._replace(scan_count_cap=2)
+    a2 = parse_algebra(A2_TEXT, caps)
+    s1, s2 = (mo.simple_module(a2, v) for v in (0, 1))
+    m = mo.direct_sum([s1, s1, s2], a2)
+    assert hom_space(m, m).dim == 5
+    assert sorted(x.dims for x in kr.decompose(m)) == [(0, 1), (1, 0), (1, 0)]
+    for second in (COMPANION, JORDAN):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^hom scan of size 2\^2 exceeds cap$"):
+            kr.is_indecomposable(_kronecker(second, caps))
 
 
 def test_is_isomorphic(a2, std):
